@@ -337,15 +337,38 @@ def h_eval(p: UnifiedParams, x):
     return float(values) if np.isscalar(x) or arr.ndim == 0 else values
 
 
+def _positive_power(base: float, exponent: float, what: str) -> float:
+    """base**exponent, refusing a result that overflows or underflows to 0."""
+    try:
+        value = base**exponent
+    except OverflowError:
+        value = math.inf
+    if not (math.isfinite(value) and value > 0.0):
+        raise NumericOverflow(
+            f"{what} = {base:g}**{exponent:g} is not a representable positive float"
+        )
+    return value
+
+
 def s_for_psi(b: float, psi: float) -> float:
-    """Transform argument s corresponding to the regime variable psi."""
+    """Transform argument s = psi**((1-b)/b) for the regime variable psi.
+
+    Raises:
+        DomainError: psi <= 0.
+        NumericOverflow: s overflows or underflows to 0.
+    """
     if psi <= 0.0:
         raise DomainError("psi must be positive")
-    return psi ** ((1.0 - b) / b)
+    return _positive_power(psi, (1.0 - b) / b, "s")
 
 
 def psi_for_s(b: float, s: float) -> float:
-    """Regime variable psi = s**(b/(1-b)) for transform argument s."""
+    """Regime variable psi = s**(b/(1-b)) for transform argument s.
+
+    Raises:
+        DomainError: s <= 0.
+        NumericOverflow: psi overflows or underflows to 0.
+    """
     if s <= 0.0:
         raise DomainError("s must be positive")
-    return s ** (b / (1.0 - b))
+    return _positive_power(s, b / (1.0 - b), "psi")

@@ -6,12 +6,16 @@ values (the peak value grows like d*psi), so naive quadrature is impossible.
 The engine instead
 
   1. locates the interior maximum u* of the log-integrand
-     g(u) = q(u*s) + c*u (golden-section refinement of a closed-form or
-     scanned seed),
+     g(u) = q(u*s) + c*u: a closed-form or scanned bracket in w = log u is
+     sampled on a 65-point grid, which zooms in on its argmax until its
+     spacing is at most 1e-3; two parabolic steps, on that spacing and on a
+     1e-5 stencil, then refine the argmax.  Each grid or stencil is one
+     vector evaluation of g,
   2. switches to w = log u, where integrable endpoint behavior turns into
      exponential decay of the w-integrand exp(g(e^w) + w),
-  3. extends the window symmetrically in unit panels until the shifted
-     integrand has fallen 40 nats below its peak at both frontiers,
+  3. places each window frontier at the first unit-panel edge w* -+ (1 + k)
+     where the shifted integrand has fallen 40 nats below its peak, probing
+     the candidate edges in chunks that double in size,
   4. integrates exp(g(e^w) + w - m) by a nested trapezoid rule with interval
      halving, m being the peak value of g; the error estimate is the
      difference between successive refinements.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,8 +55,17 @@ __all__ = [
 # below its peak.  exp(-40) ~ 4e-18 is below double roundoff of the total.
 FRONTIER_DROP = 40.0
 
-_GOLDEN = 2.0 / (1.0 + math.sqrt(5.0))
 _MAX_WINDOW_PANELS = 800
+# Most frontiers sit within a few panels of the peak; probing four candidate
+# edges at once settles them in one call per side.
+_FIRST_FRONTIER_CHUNK = 4
+_PEAK_GRID_POINTS = 65
+# The peak grid zooms in on its argmax until its spacing is at most this.  A
+# parabolic step on that spacing then lands close enough for the final
+# 1e-5 stencil, which works near the roundoff floor of g, to take its step
+# even where |g'''/g''| is as large as |b| <= 64 allows.
+_PEAK_GRID_SPACING = 1e-3
+_FINAL_STENCIL = 1e-5
 _MAX_REFINEMENTS = 14
 _INITIAL_POINTS_PER_UNIT = 8.0
 
@@ -84,33 +98,31 @@ def log_integrand(t: TargetFunction, c: float, s: float, u) -> float | np.ndarra
     return float(values) if arr.ndim == 0 else values
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximum of f on [lo, hi] to absolute abscissa tol."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def _g_of_w(t: TargetFunction, c: float, s: float, w) -> np.ndarray:
+    """g(e^w) on an array of w; NaN (e.g. inf - inf) reads as -inf."""
+    u = np.exp(w)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = np.asarray(t.log_amplitude(s * u) + c * u, dtype=float)
+    return np.where(np.isnan(vals), -np.inf, vals)
 
 
 def _closed_form_seed(t: TargetFunction, c: float, s: float) -> float | None:
-    """Stationary point of g for an exact power target, if representable."""
+    """Stationary point of g for an exact power target, if representable.
+
+    Solves a*b*(u*s)**b = -c*u in log space, so that no power of s can
+    overflow or underflow on the way to a representable u.
+    """
     b = t.power_exponent
     a = getattr(t, "a", None)
     if b is None or a is None or a == 0.0 or b in (0.0, 1.0):
         return None
-    base = -c / (a * b * s**b)
+    base = -c / (a * b)
     if not (math.isfinite(base) and base > 0.0):
         return None
-    u = base ** (1.0 / (b - 1.0))
+    try:
+        u = math.exp((math.log(base) - b * math.log(s)) / (b - 1.0))
+    except OverflowError:
+        return None
     return u if math.isfinite(u) and u > 0.0 else None
 
 
@@ -144,9 +156,13 @@ def _scan_for_peak(g_of_w, lo: float, hi: float) -> tuple[float, float]:
             lo, hi = max(-limit, lo - 120.0), lo + 1.0
 
 
-def _parabolic_polish(f, w: float, h: float) -> float:
-    """One quadratic-vertex step; beats golden section's comparison noise floor."""
-    fm, f0, fp = f(w - h), f(w), f(w + h)
+def _parabolic_step(g_of_w, w: float, h: float) -> float:
+    """Vertex of the parabola through g at w - h, w, w + h (one vector call).
+
+    The step is taken only when the stencil is concave and the vertex lies
+    within it; otherwise w is returned unchanged.
+    """
+    fm, f0, fp = g_of_w(np.array([w - h, w, w + h]))
     denom = fm - 2.0 * f0 + fp
     if not (math.isfinite(denom) and denom < 0.0):
         return w
@@ -164,16 +180,7 @@ def locate_peak(t: TargetFunction, c: float, s: float) -> float:
     """
     if not s > 0.0:
         raise DomainError("s must be positive")
-
-    def g_of_w(w):
-        u = np.exp(w)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(t.log_amplitude(s * u) + c * u, dtype=float)
-        return np.where(np.isnan(vals), -np.inf, vals)
-
-    def g_scalar(w: float) -> float:
-        return float(g_of_w(np.float64(w)))
-
+    g_of_w = partial(_g_of_w, t, c, s)
     seed = _closed_form_seed(t, c, s)
     if seed is not None:
         w0 = math.log(seed)
@@ -189,11 +196,16 @@ def locate_peak(t: TargetFunction, c: float, s: float) -> float:
             lo, hi = _scan_for_peak(g_of_w, w0 - 30.0, w0 + 30.0)
     else:
         lo, hi = _scan_for_peak(g_of_w, -40.0, 40.0)
-    w_star, _ = _golden_max(g_scalar, lo, hi, 1e-8)
-    # Golden section stalls at the flat-top comparison noise floor (~1e-8 in
-    # w); two parabolic steps on decreasing stencils push to ~1e-11.
-    w_star = _parabolic_polish(g_scalar, w_star, 1e-3)
-    w_star = _parabolic_polish(g_scalar, w_star, 1e-5)
+    ws = np.linspace(lo, hi, _PEAK_GRID_POINTS)
+    while True:
+        k = int(np.argmax(g_of_w(ws)))
+        spacing = float(ws[1] - ws[0])
+        if spacing <= _PEAK_GRID_SPACING:
+            break
+        ws = np.linspace(ws[max(k - 1, 0)], ws[min(k + 1, ws.size - 1)], ws.size)
+    w_star = float(ws[k])
+    for h in (spacing, _FINAL_STENCIL):
+        w_star = _parabolic_step(g_of_w, w_star, h)
     return math.exp(w_star)
 
 
@@ -224,13 +236,7 @@ def _prepare_window(t: TargetFunction, c: float, s: float):
     log-integrand used as the shift.
     """
     _check_left_integrability(t, c, s)
-
-    def g_of_w(w: np.ndarray) -> np.ndarray:
-        u = np.exp(w)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(t.log_amplitude(s * u) + c * u, dtype=float)
-        return np.where(np.isnan(vals), -np.inf, vals)
-
+    g_of_w = partial(_g_of_w, t, c, s)
     try:
         u_star = locate_peak(t, c, s)
         w_center = math.log(u_star)
@@ -245,25 +251,35 @@ def _prepare_window(t: TargetFunction, c: float, s: float):
         w_center = 0.0
         m = float(np.max(g_of_w(np.linspace(-80.0, 0.0, 321))))
 
-    # Shifted w-integrand value in nats relative to the peak of exp(g - m):
-    # includes the Jacobian term w so that both frontiers terminate.
-    def shifted(w: float) -> float:
-        return float(g_of_w(np.asarray([w]))[0]) + w - m - w_center
-
-    w_lo, w_hi = w_center - 1.0, w_center + 1.0
-    for _ in range(_MAX_WINDOW_PANELS):
-        if shifted(w_lo) < -FRONTIER_DROP:
-            break
-        w_lo -= 1.0
-    else:
-        raise NotIntegrable("left frontier not reached: P not integrable near 0")
-    for _ in range(_MAX_WINDOW_PANELS):
-        if shifted(w_hi) < -FRONTIER_DROP:
-            break
-        w_hi += 1.0
-    else:
-        raise NotIntegrable("right frontier not reached: transform diverges")
+    w_lo = _frontier(
+        g_of_w, w_center, m, -1.0, "left frontier not reached: P not integrable near 0"
+    )
+    w_hi = _frontier(
+        g_of_w, w_center, m, 1.0, "right frontier not reached: transform diverges"
+    )
     return g_of_w, w_lo, w_hi, m
+
+
+def _frontier(g_of_w, w_center: float, m: float, side: float, failure: str) -> float:
+    """First panel edge w_center + side*(1 + k) at which the w-integrand is
+    FRONTIER_DROP nats below its peak.
+
+    The shifted value includes the Jacobian term w so that both frontiers
+    terminate.  Candidate edges are probed in chunks that double in size.
+
+    Raises:
+        NotIntegrable: with message ``failure`` when no edge with
+            k < _MAX_WINDOW_PANELS qualifies.
+    """
+    k, size = 0, _FIRST_FRONTIER_CHUNK
+    while k < _MAX_WINDOW_PANELS:
+        ks = np.arange(k, min(k + size, _MAX_WINDOW_PANELS), dtype=float)
+        ws = w_center + side * (1.0 + ks)
+        below = np.flatnonzero(g_of_w(ws) + ws - m - w_center < -FRONTIER_DROP)
+        if below.size:
+            return float(ws[below[0]])
+        k, size = k + ks.size, 2 * size
+    raise NotIntegrable(failure)
 
 
 def _trapezoid_log(g_of_w, w_lo: float, w_hi: float, m: float, n: int) -> float:

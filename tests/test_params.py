@@ -258,3 +258,21 @@ class TestPsiMaps:
             for psi in (1.0, 10.0, 1e3):
                 s = tl.s_for_psi(b, psi)
                 assert tl.psi_for_s(b, s) == pytest.approx(psi, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "to,b,x",
+        [("s", 1e-3, 1e16), ("psi", 0.999, 1e16)],
+    )
+    def test_overflow_refused(self, to, b, x):
+        # The power x**((1-b)/b) or x**(b/(1-b)) exceeds the float range.
+        with pytest.raises(tl.NumericOverflow):
+            (tl.s_for_psi if to == "s" else tl.psi_for_s)(b, x)
+
+    @pytest.mark.parametrize(
+        "to,b,x",
+        [("s", -1e-3, 1e16), ("psi", 0.999, 1e-16)],
+    )
+    def test_underflow_refused(self, to, b, x):
+        # An underflow to 0 is refused too, not passed on as s = 0 or psi = 0.
+        with pytest.raises(tl.NumericOverflow):
+            (tl.s_for_psi if to == "s" else tl.psi_for_s)(b, x)

@@ -79,10 +79,109 @@ class TestLocatePeak:
                     1.0, abs=1e-8
                 )
 
+    @pytest.mark.parametrize(
+        "target,c",
+        [
+            (tl.PerturbedPower(2.0, 0.5, "inverse-log", 0.2), -1.0),
+            (tl.PerturbedPower(-1.0, -1.0, "log-sine", 0.3), -1.0),
+        ],
+    )
+    @pytest.mark.parametrize("psi", [10.0, 100.0, 1000.0])
+    def test_perturbed_peak_is_stationary(self, target, c, psi):
+        # No closed form here: the peak must sit where the centred difference
+        # of g in w vanishes.  The Newton distance slope/curvature to that
+        # zero is the relative distance in u.
+        s = tl.s_for_psi(target.b, psi)
+        w = math.log(tl.locate_peak(target, c, s))
+        h = 1e-4
+        gm, g0, gp = (
+            tl.log_integrand(target, c, s, math.exp(w + k * h)) for k in (-1, 0, 1)
+        )
+        slope = (gp - gm) / (2.0 * h)
+        curvature = (gp - 2.0 * g0 + gm) / h**2
+        assert curvature < 0.0
+        assert abs(slope / curvature) <= 1e-8
+
+    def test_closed_form_seed_survives_extreme_powers_of_s(self):
+        # s**50 underflows at s=1e-10 and overflows at s=1e10, although the
+        # stationary point u = ((1/50)*s**-50)**(1/49) is representable.
+        t = tl.PurePower(-1.0, 50.0)
+        for s in (1e-10, 1e10):
+            u = tl.transform._closed_form_seed(t, 1.0, s)
+            assert u == pytest.approx(
+                math.exp((math.log(1.0 / 50.0) - 50.0 * math.log(s)) / 49.0),
+                rel=1e-12,
+            )
+            assert tl.locate_peak(t, 1.0, s) == pytest.approx(u, rel=1e-8)
+        # b close to 1 puts u itself out of range: no seed, no exception.
+        near_one = tl.PurePower(-1.0, 1.001)
+        for s in (1e-10, 1e10):
+            assert tl.transform._closed_form_seed(near_one, 1.0, s) is None
+
     def test_no_interior_peak_for_monotone_integrand(self):
         # q decreasing and c < 0: supremum at u -> 0.
         with pytest.raises(tl.NoInteriorPeak):
             tl.locate_peak(tl.PurePower(-1.0, 0.5), -1.0, 1.0)
+
+
+class _CountingTarget:
+    """Delegates to a target and counts its log_amplitude calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def log_amplitude(self, x):
+        self.calls += 1
+        return self.inner.log_amplitude(x)
+
+
+class TestSearchCost:
+    @pytest.mark.parametrize(
+        "a,b,c,offset",
+        [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0), (-1.0, -1.0, -1.0, 0.0)],
+    )
+    def test_sample_makes_few_target_calls(self, a, b, c, offset):
+        # Peak search, window growth and refinement are vector probes: a
+        # handful of log_amplitude calls per sample, not one per probe point.
+        t = _CountingTarget(tl.PurePower(a, b))
+        tl.sample_at_psi(tl.validate(a, b, c, offset), t, 100.0)
+        assert t.calls <= 16
+
+    @pytest.mark.parametrize(
+        "target,c,s",
+        [
+            (KOHL, -1.0, 100.0),
+            (KOHL, -1.0, 10.0),
+            (KASA, 1.0, 0.1),
+            (KASA, 1.0, 10.0**-0.5),
+            (DEBR, -1.0, 0.01),
+            (tl.MeasureTarget(tl.TabulatedMeasure((0.5, 2.0, 7.0), (1.0, 0.3, 0.2))),
+             -1.0, 3.0),
+        ],
+    )
+    def test_window_matches_unit_step_walk(self, target, c, s):
+        # Reference: walk out from the peak one unit panel at a time until
+        # the w-integrand g(e^w) + w is FRONTIER_DROP nats below its peak.
+        _, w_lo, w_hi, m = tl.transform._prepare_window(target, c, s)
+        w_center = math.log(tl.locate_peak(target, c, s))
+        assert m == pytest.approx(
+            tl.log_integrand(target, c, s, math.exp(w_center)), rel=1e-14
+        )
+
+        def shifted(w):
+            return tl.log_integrand(target, c, s, math.exp(w)) + w - m - w_center
+
+        panels = []
+        for side in (-1.0, 1.0):
+            n = 1
+            while not shifted(w_center + side * n) < -tl.transform.FRONTIER_DROP:
+                n += 1
+            panels.append(n)
+        assert [w_center - w_lo, w_hi - w_center] == pytest.approx(panels, abs=1e-9)
 
 
 class TestLogTransform:
@@ -120,7 +219,6 @@ class TestLogTransform:
 
     def test_mpmath_oracle_crosscheck(self):
         mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
 
         def oracle(a, b, c, offset, psi):
             a, b, c, psi = map(mp.mpf, (a, b, c, psi))
@@ -148,9 +246,9 @@ class TestLogTransform:
             for psi in (10.0, 100.0):
                 s = tl.s_for_psi(b, psi)
                 ts = tl.log_transform(tl.PurePower(a, b), c, offset, s)
-                assert ts.log_f == pytest.approx(
-                    oracle(a, b, c, offset, psi), abs=1e-6
-                ), (a, b, c, psi)
+                with mp.workdps(30):
+                    expected = oracle(a, b, c, offset, psi)
+                assert ts.log_f == pytest.approx(expected, abs=1e-6), (a, b, c, psi)
 
     def test_shift_scale_identity(self):
         # Substituting u -> u/k maps (c, s) -> (k*c, k*s) and divides f by k.
