@@ -7,177 +7,23 @@ f(s) = offset + int_0^inf P(u*s) e^{c*u} du, evaluates the transform by
 saddle-centered log-domain quadrature, estimates growth indices empirically,
 and reduces the classical Kohlbecker, de Bruijn, and Kasahara statements to
 the one shared parameter map.
+
+The package exports exactly what each module lists in its own ``__all__``.
 """
 
-from .asymptotics import (
-    AsymptoticFit,
-    CheckResult,
-    ClassMDiagnostic,
-    CkIndexResult,
-    EpsilonCheck,
-    EquivalenceReport,
-    EvalGrid,
-    ToleranceProfile,
-    TrendVerdict,
-    ck_index,
-    class_m_check,
-    evaluate_sweep,
-    fit_exponent,
-    make_grid,
-    verify_equivalence,
-)
-from .classical import (
-    ClassicalSpec,
-    DeBruijn,
-    Kasahara,
-    Kohlbecker,
-    UnifiedReduction,
-    classify,
-    coefficient_identity_check,
-    to_unified,
-)
-from .errors import (
-    BadRange,
-    ConfigParseError,
-    DegenerateExponent,
-    DegenerateWindow,
-    DomainError,
-    EmptyMeasure,
-    InconsistentInputs,
-    InsufficientSpan,
-    MeasureFormatError,
-    NoInteriorPeak,
-    NotIntegrable,
-    NumericOverflow,
-    OffsetNotAllowed,
-    SignChange,
-    SignConditionViolated,
-    SpecOutOfRange,
-    TauberError,
-    ValidationError,
-    ZeroRate,
-)
-from .measures import (
-    TabulatedMeasure,
-    kasahara_panel_bracket,
-    kasahara_via_parts,
-    kohlbecker_panel_bracket,
-    load_measure,
-    measure_transform_kasahara,
-    measure_transform_kohlbecker,
-    parse_measure_text,
-    quantize_cumulative,
-    quantize_tail,
-)
-from .params import (
-    Regime,
-    SaddlePoint,
-    UnifiedParams,
-    compute_d,
-    d_variants,
-    dual_exponent,
-    h_eval,
-    primal_exponent,
-    psi_for_s,
-    recover_primal,
-    s_for_psi,
-    saddle_analysis,
-    validate,
-)
-from .targets import MeasureTarget, PerturbedPower, PurePower, TargetFunction
-from .transform import (
-    TransformSample,
-    locate_peak,
-    log_integrand,
-    log_transform,
-    predict_log_f,
-    sample_at_psi,
-)
+from . import asymptotics, classical, errors, measures, params, targets, transform
+from .asymptotics import *
+from .classical import *
+from .errors import *
+from .measures import *
+from .params import *
+from .targets import *
+from .transform import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # params
-    "Regime",
-    "UnifiedParams",
-    "SaddlePoint",
-    "validate",
-    "compute_d",
-    "d_variants",
-    "saddle_analysis",
-    "dual_exponent",
-    "primal_exponent",
-    "recover_primal",
-    "h_eval",
-    "s_for_psi",
-    "psi_for_s",
-    # targets
-    "TargetFunction",
-    "PurePower",
-    "PerturbedPower",
-    "MeasureTarget",
-    # measures
-    "TabulatedMeasure",
-    "parse_measure_text",
-    "load_measure",
-    "measure_transform_kohlbecker",
-    "measure_transform_kasahara",
-    "kohlbecker_panel_bracket",
-    "kasahara_panel_bracket",
-    "kasahara_via_parts",
-    "quantize_cumulative",
-    "quantize_tail",
-    # transform
-    "TransformSample",
-    "log_integrand",
-    "locate_peak",
-    "log_transform",
-    "predict_log_f",
-    "sample_at_psi",
-    # asymptotics
-    "EvalGrid",
-    "make_grid",
-    "AsymptoticFit",
-    "fit_exponent",
-    "CkIndexResult",
-    "ck_index",
-    "TrendVerdict",
-    "EpsilonCheck",
-    "ClassMDiagnostic",
-    "class_m_check",
-    "ToleranceProfile",
-    "CheckResult",
-    "EquivalenceReport",
-    "evaluate_sweep",
-    "verify_equivalence",
-    # classical
-    "Kohlbecker",
-    "DeBruijn",
-    "Kasahara",
-    "ClassicalSpec",
-    "UnifiedReduction",
-    "to_unified",
-    "coefficient_identity_check",
-    "classify",
-    # errors
-    "TauberError",
-    "ValidationError",
-    "SignConditionViolated",
-    "DegenerateExponent",
-    "ZeroRate",
-    "OffsetNotAllowed",
-    "NumericOverflow",
-    "DomainError",
-    "NoInteriorPeak",
-    "NotIntegrable",
-    "EmptyMeasure",
-    "MeasureFormatError",
-    "BadRange",
-    "InconsistentInputs",
-    "SignChange",
-    "DegenerateWindow",
-    "InsufficientSpan",
-    "SpecOutOfRange",
-    "ConfigParseError",
+__all__ = ["__version__"] + [
+    name
+    for module in (params, targets, measures, transform, asymptotics, classical, errors)
+    for name in module.__all__
 ]

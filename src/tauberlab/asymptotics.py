@@ -344,6 +344,15 @@ class EquivalenceReport:
             c.passed is None and c.limit is not None for c in self.checks
         )
 
+    @property
+    def inverse_passed(self) -> bool:
+        """The primal pair was recovered and every inverse_* check passed."""
+        return self.a_hat is not None and all(
+            c.passed
+            for c in self.checks
+            if c.name.startswith("inverse_") and c.passed is not None
+        )
+
 
 def evaluate_sweep(
     p: UnifiedParams,

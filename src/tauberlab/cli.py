@@ -16,11 +16,14 @@ Exit codes: 0 success / verification passed, 1 verification failed,
 2 input or configuration error.
 
 Options may also come from a config file of ``key = value`` lines via
-``--config``; explicit flags override file values.
+``--config``; explicit flags override file values.  The config keys are
+``a b c offset classical alpha B beta rate psi-min psi-max n``;
+``--quad-tol``, ``--out`` and ``--csv`` are flags only.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from pathlib import Path
 
@@ -34,10 +37,13 @@ __all__ = ["main", "cli"]
 _EXIT_VERIFY_FAILED = 1
 _EXIT_INPUT_ERROR = 2
 
-
-def _fail(message: str) -> "click.exceptions.Exit":
-    click.echo(f"error: {message}", err=True)
-    return click.exceptions.Exit(_EXIT_INPUT_ERROR)
+# Config-file keys of the shared options and how their values are cast.  The
+# flag of each key is ``--<key>``.
+_CONFIG_CASTS = {
+    "a": float, "b": float, "c": float, "offset": float, "classical": str,
+    "alpha": float, "B": float, "beta": float, "rate": float,
+    "psi-min": float, "psi-max": float, "n": int,
+}
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -59,58 +65,112 @@ def _load_config(path: str | None) -> dict[str, str]:
     return values
 
 
-def _pick(flag, cfg: dict[str, str], key: str, cast, default=None):
-    """Flag value if given, else config-file value, else default."""
-    if flag is not None:
-        return flag
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except ValueError as exc:
-            raise ConfigParseError(f"config key {key!r}: {exc}") from exc
-    return default
+class Options:
+    """The shared options of one command, read flag first, then config, then default."""
 
+    def __init__(self, flags: dict, cfg: dict[str, str]):
+        self.flags = flags
+        self.cfg = cfg
 
-def _build_params(a, b, c, offset, variant, alpha, big_b, beta, rate, cfg):
-    """Resolve either raw (a, b, c, offset) or a classical spec to parameters."""
-    a = _pick(a, cfg, "a", float)
-    b = _pick(b, cfg, "b", float)
-    c = _pick(c, cfg, "c", float)
-    offset = _pick(offset, cfg, "offset", float, 0.0)
-    variant = _pick(variant, cfg, "classical", str)
-    raw_given = any(v is not None for v in (a, b, c))
-    if variant is not None and raw_given:
-        raise ConfigParseError("give either raw --a/--b/--c or --classical, not both")
-    if variant is None:
+    def _get(self, key: str, default=None):
+        flag = self.flags.get(key.replace("-", "_"))
+        if flag is not None:
+            return flag
+        if key in self.cfg:
+            try:
+                return _CONFIG_CASTS[key](self.cfg[key])
+            except ValueError as exc:
+                raise ConfigParseError(f"config key {key!r}: {exc}") from exc
+        return default
+
+    def params(self) -> params.UnifiedParams:
+        """Raw (a, b, c, offset) or a classical spec, resolved to parameters."""
+        a, b, c = self._get("a"), self._get("b"), self._get("c")
+        offset = self._get("offset", 0.0)
+        variant = self._get("classical")
+        if variant is not None and any(v is not None for v in (a, b, c)):
+            raise ConfigParseError("give either raw --a/--b/--c or --classical, not both")
+        if variant is not None:
+            return classical.to_unified(self.classical(variant)).params
         if a is None or b is None or c is None:
             raise ConfigParseError("need --a, --b and --c (or --classical ...)")
         return params.validate(a, b, c, offset)
-    spec = _build_classical(variant, alpha, big_b, beta, rate, cfg)
-    return classical.to_unified(spec).params
+
+    def classical(self, variant: str) -> classical.ClassicalSpec:
+        variant = variant.lower()
+        alpha, big_b = self._get("alpha"), self._get("B")
+        beta, rate = self._get("beta"), self._get("rate", 1.0)
+        if variant == "kohlbecker":
+            if alpha is None or big_b is None:
+                raise ConfigParseError("kohlbecker needs --alpha and --B")
+            return classical.Kohlbecker(alpha=alpha, B=big_b)
+        if variant == "debruijn":
+            if beta is None or big_b is None:
+                raise ConfigParseError("debruijn needs --beta and --B")
+            return classical.DeBruijn(beta=beta, B=big_b, rate=rate)
+        if variant == "kasahara":
+            if alpha is None or big_b is None:
+                raise ConfigParseError("kasahara needs --alpha and --B")
+            return classical.Kasahara(alpha=alpha, B=big_b)
+        raise ConfigParseError(
+            f"unknown classical variant {variant!r}; "
+            "choose kohlbecker, debruijn or kasahara"
+        )
+
+    def verify(self) -> asymptotics.EquivalenceReport:
+        """Verify the pure power of the resolved parameters over the resolved grid."""
+        p = self.params()
+        grid = asymptotics.make_grid(
+            self._get("psi-min", 10.0), self._get("psi-max", 1000.0), self._get("n", 16)
+        )
+        profile = asymptotics.ToleranceProfile(quad_tol=self.flags["quad_tol"])
+        return asymptotics.verify_equivalence(p, targets.PurePower(p.a, p.b), grid, profile)
 
 
-def _build_classical(variant, alpha, big_b, beta, rate, cfg):
-    variant = variant.lower()
-    alpha = _pick(alpha, cfg, "alpha", float)
-    big_b = _pick(big_b, cfg, "B", float)
-    beta = _pick(beta, cfg, "beta", float)
-    rate = _pick(rate, cfg, "rate", float, 1.0)
-    if variant == "kohlbecker":
-        if alpha is None or big_b is None:
-            raise ConfigParseError("kohlbecker needs --alpha and --B")
-        return classical.Kohlbecker(alpha=alpha, B=big_b)
-    if variant == "debruijn":
-        if beta is None or big_b is None:
-            raise ConfigParseError("debruijn needs --beta and --B")
-        return classical.DeBruijn(beta=beta, B=big_b, rate=rate)
-    if variant == "kasahara":
-        if alpha is None or big_b is None:
-            raise ConfigParseError("kasahara needs --alpha and --B")
-        return classical.Kasahara(alpha=alpha, B=big_b)
-    raise ConfigParseError(
-        f"unknown classical variant {variant!r}; "
-        "choose kohlbecker, debruijn or kasahara"
-    )
+_CLASSICAL = [
+    click.option("--alpha", type=float, default=None, help="classical alpha"),
+    click.option("--B", "B", type=float, default=None, help="classical B"),
+    click.option("--beta", type=float, default=None, help="classical beta"),
+    click.option("--rate", type=float, default=None, help="de Bruijn rate constant"),
+    click.option("--config", type=str, default=None, help="key = value config file"),
+]
+_PARAMS = [
+    click.option("--a", type=float, default=None, help="primal coefficient a"),
+    click.option("--b", type=float, default=None, help="primal exponent b"),
+    click.option("--c", type=float, default=None, help="kernel rate c"),
+    click.option("--offset", type=float, default=None, help="transform offset"),
+    click.option(
+        "--classical",
+        type=str,
+        default=None,
+        help="classical variant: kohlbecker | debruijn | kasahara",
+    ),
+    *_CLASSICAL,
+]
+_GRID = [
+    *_PARAMS,
+    click.option("--psi-min", type=float, default=None),
+    click.option("--psi-max", type=float, default=None),
+    click.option("--n", type=int, default=None),
+    click.option("--quad-tol", type=float, default=1e-8, show_default=True),
+]
+_SHARED = {key.replace("-", "_") for key in _CONFIG_CASTS} | {"quad_tol"}
+
+
+def _resolved(options):
+    """Add shared ``options`` ahead of the command's own; pass it one Options."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def command(config, **kwargs):
+            flags = {k: kwargs.pop(k) for k in _SHARED & kwargs.keys()}
+            return fn(Options(flags, _load_config(config)), **kwargs)
+
+        for opt in reversed(options):
+            command = opt(command)
+        return command
+
+    return decorate
 
 
 def _write(path: str | None, text: str) -> None:
@@ -118,80 +178,44 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-_param_options = [
-    click.option("--a", "a", type=float, default=None, help="primal coefficient a"),
-    click.option("--b", "b", type=float, default=None, help="primal exponent b"),
-    click.option("--c", "c", type=float, default=None, help="kernel rate c"),
-    click.option("--offset", type=float, default=None, help="transform offset"),
-    click.option(
-        "--classical",
-        "variant",
-        type=str,
-        default=None,
-        help="classical variant: kohlbecker | debruijn | kasahara",
-    ),
-    click.option("--alpha", type=float, default=None, help="classical alpha"),
-    click.option("--B", "big_b", type=float, default=None, help="classical B"),
-    click.option("--beta", type=float, default=None, help="classical beta"),
-    click.option("--rate", type=float, default=None, help="de Bruijn rate constant"),
-    click.option("--config", type=str, default=None, help="key = value config file"),
-]
+def _echo_pairs(pairs) -> None:
+    for key, value in pairs:
+        click.echo(f"{key} = {report.fmt(value) if isinstance(value, float) else value}")
 
 
-def _with_param_options(fn):
-    for opt in reversed(_param_options):
-        fn = opt(fn)
-    return fn
+class _Group(click.Group):
+    """Reports any TauberError of a command as an input error (exit 2)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except TauberError as exc:
+            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            raise click.exceptions.Exit(_EXIT_INPUT_ERROR) from None
 
 
-def _grid_options(fn):
-    for opt in reversed(
-        [
-            click.option("--psi-min", type=float, default=None),
-            click.option("--psi-max", type=float, default=None),
-            click.option("--n", type=int, default=None),
-        ]
-    ):
-        fn = opt(fn)
-    return fn
-
-
-@click.group()
+@click.group(cls=_Group)
 def cli():
     """Numerical laboratory for exponential-type Tauberian equivalences."""
 
 
 @cli.command("validate")
-@_with_param_options
-def cmd_validate(a, b, c, offset, variant, alpha, big_b, beta, rate, config):
+@_resolved(_PARAMS)
+def cmd_validate(opts):
     """Validate parameters and print the derived dual quantities."""
-    try:
-        cfg = _load_config(config)
-        p = _build_params(a, b, c, offset, variant, alpha, big_b, beta, rate, cfg)
-        saddle = params.saddle_analysis(p)
-        stated, consistent = params.d_variants(p.a, p.b, p.c)
-    except TauberError as exc:
-        raise _fail(f"{type(exc).__name__}: {exc}")
-    for key, value in (
-        ("a", p.a),
-        ("b", p.b),
-        ("c", p.c),
-        ("offset", p.offset),
-        ("regime", p.regime.value),
-        ("d", p.d),
-        ("dual_exp", p.dual_exp),
-        ("x_peak", saddle.x_peak),
-        ("curvature", saddle.curvature),
+    p = opts.params()
+    saddle = params.saddle_analysis(p)
+    stated, _ = params.d_variants(p.a, p.b, p.c)
+    _echo_pairs([
+        ("a", p.a), ("b", p.b), ("c", p.c), ("offset", p.offset),
+        ("regime", p.regime.value), ("d", p.d), ("dual_exp", p.dual_exp),
+        ("x_peak", saddle.x_peak), ("curvature", saddle.curvature),
         ("d_stated_variant", stated),
-    ):
-        if isinstance(value, float):
-            click.echo(f"{key} = {report.fmt(value)}")
-        else:
-            click.echo(f"{key} = {value}")
+    ])
 
 
 @cli.command("predict")
-@_with_param_options
+@_resolved(_PARAMS)
 @click.option("--psi", type=float, required=True, help="regime variable psi")
 @click.option(
     "--order",
@@ -199,44 +223,19 @@ def cmd_validate(a, b, c, offset, variant, alpha, big_b, beta, rate, config):
     default="corrected",
     show_default=True,
 )
-def cmd_predict(a, b, c, offset, variant, alpha, big_b, beta, rate, config, psi, order):
+def cmd_predict(opts, psi, order):
     """Closed-form prediction of log f at a given psi."""
-    try:
-        cfg = _load_config(config)
-        p = _build_params(a, b, c, offset, variant, alpha, big_b, beta, rate, cfg)
-        value = transform.predict_log_f(p, psi, order)
-    except TauberError as exc:
-        raise _fail(f"{type(exc).__name__}: {exc}")
+    value = transform.predict_log_f(opts.params(), psi, order)
     click.echo(f"predict_log_f({order}) = {report.fmt(value)}")
 
 
-def _run_verification(a, b, c, offset, variant, alpha, big_b, beta, rate, config,
-                      psi_min, psi_max, n, quad_tol):
-    cfg = _load_config(config)
-    p = _build_params(a, b, c, offset, variant, alpha, big_b, beta, rate, cfg)
-    psi_min = _pick(psi_min, cfg, "psi-min", float, 10.0)
-    psi_max = _pick(psi_max, cfg, "psi-max", float, 1000.0)
-    n = _pick(n, cfg, "n", int, 16)
-    grid = asymptotics.make_grid(psi_min, psi_max, n)
-    profile = asymptotics.ToleranceProfile(quad_tol=quad_tol)
-    target = targets.PurePower(p.a, p.b)
-    return asymptotics.verify_equivalence(p, target, grid, profile)
-
-
 @cli.command("verify")
-@_with_param_options
-@_grid_options
-@click.option("--quad-tol", type=float, default=1e-8, show_default=True)
+@_resolved(_GRID)
 @click.option("--out", type=str, default=None, help="write report to this path")
 @click.option("--csv", "csv_path", type=str, default=None, help="write sample CSV")
-def cmd_verify(a, b, c, offset, variant, alpha, big_b, beta, rate, config,
-               psi_min, psi_max, n, quad_tol, out, csv_path):
+def cmd_verify(opts, out, csv_path):
     """Sweep the transform and check the equivalence forward and backward."""
-    try:
-        rep = _run_verification(a, b, c, offset, variant, alpha, big_b, beta, rate,
-                                config, psi_min, psi_max, n, quad_tol)
-    except TauberError as exc:
-        raise _fail(f"{type(exc).__name__}: {exc}")
+    rep = opts.verify()
     text = report.render_report(rep, title="verify")
     click.echo(text, nl=False)
     _write(out, text)
@@ -246,84 +245,43 @@ def cmd_verify(a, b, c, offset, variant, alpha, big_b, beta, rate, config,
 
 
 @cli.command("sweep")
-@_with_param_options
-@_grid_options
-@click.option("--quad-tol", type=float, default=1e-8, show_default=True)
+@_resolved(_GRID)
 @click.option("--csv", "csv_path", type=str, default=None, help="write sample CSV")
-def cmd_sweep(a, b, c, offset, variant, alpha, big_b, beta, rate, config,
-              psi_min, psi_max, n, quad_tol, csv_path):
+def cmd_sweep(opts, csv_path):
     """Emit the sweep sample table without pass/fail judgment."""
-    try:
-        rep = _run_verification(a, b, c, offset, variant, alpha, big_b, beta, rate,
-                                config, psi_min, psi_max, n, quad_tol)
-    except TauberError as exc:
-        raise _fail(f"{type(exc).__name__}: {exc}")
-    csv_text = report.render_samples_csv(rep)
+    csv_text = report.render_samples_csv(opts.verify())
     click.echo(csv_text, nl=False)
     _write(csv_path, csv_text)
 
 
 @cli.command("invert")
-@_with_param_options
-@_grid_options
-@click.option("--quad-tol", type=float, default=1e-8, show_default=True)
+@_resolved(_GRID)
 @click.option("--out", type=str, default=None, help="write report to this path")
-def cmd_invert(a, b, c, offset, variant, alpha, big_b, beta, rate, config,
-               psi_min, psi_max, n, quad_tol, out):
+def cmd_invert(opts, out):
     """Recover (a, b) from the fitted transform sweep and report the gaps."""
-    try:
-        rep = _run_verification(a, b, c, offset, variant, alpha, big_b, beta, rate,
-                                config, psi_min, psi_max, n, quad_tol)
-    except TauberError as exc:
-        raise _fail(f"{type(exc).__name__}: {exc}")
+    rep = opts.verify()
     text = report.render_report(rep, title="invert")
     click.echo(text, nl=False)
     _write(out, text)
-    if rep.a_hat is None:
-        raise click.exceptions.Exit(_EXIT_VERIFY_FAILED)
-    inverse_ok = all(
-        chk.passed
-        for chk in rep.checks
-        if chk.name.startswith("inverse_") and chk.passed is not None
-    )
-    if not inverse_ok:
+    if not rep.inverse_passed:
         raise click.exceptions.Exit(_EXIT_VERIFY_FAILED)
 
 
 @cli.command("classical")
 @click.option("--variant", type=str, required=True)
-@click.option("--alpha", type=float, default=None)
-@click.option("--B", "big_b", type=float, default=None)
-@click.option("--beta", type=float, default=None)
-@click.option("--rate", type=float, default=None)
-@click.option("--config", type=str, default=None)
-def cmd_classical(variant, alpha, big_b, beta, rate, config):
+@_resolved(_CLASSICAL)
+def cmd_classical(opts, variant):
     """Reduce a classical spec and certify its coefficient identity."""
-    try:
-        cfg = _load_config(config)
-        spec = _build_classical(variant, alpha, big_b, beta, rate, cfg)
-        red = classical.to_unified(spec)
-        d, coeff, gap = classical.coefficient_identity_check(spec)
-    except TauberError as exc:
-        raise _fail(f"{type(exc).__name__}: {exc}")
+    spec = opts.classical(variant)
+    red = classical.to_unified(spec)
+    d, coeff, gap = classical.coefficient_identity_check(spec)
     p = red.params
-    for key, value in (
-        ("variant", variant.lower()),
-        ("a", p.a),
-        ("b", p.b),
-        ("c", p.c),
-        ("offset", p.offset),
-        ("regime", p.regime.value),
-        ("unified_d", d),
-        ("classical_coefficient", coeff),
-        ("rel_gap", gap),
-        ("lambda_exponent", red.lambda_exponent),
-        ("lambda_map", red.lambda_map),
-    ):
-        if isinstance(value, float):
-            click.echo(f"{key} = {report.fmt(value)}")
-        else:
-            click.echo(f"{key} = {value}")
+    _echo_pairs([
+        ("variant", variant.lower()), ("a", p.a), ("b", p.b), ("c", p.c),
+        ("offset", p.offset), ("regime", p.regime.value), ("unified_d", d),
+        ("classical_coefficient", coeff), ("rel_gap", gap),
+        ("lambda_exponent", red.lambda_exponent), ("lambda_map", red.lambda_map),
+    ])
 
 
 @cli.command("ck-index")
@@ -335,12 +293,9 @@ def cmd_classical(variant, alpha, big_b, beta, rate, config):
               help="epsilons for the diagnostic (repeatable)")
 def cmd_ck_index(input_path, tau, eps):
     """Log-quotient index estimates from tabulated (x, U) samples."""
-    try:
-        m = measures.load_measure(input_path)  # same two-column format
-        samples = list(zip(m.locations, m.masses))
-        result = asymptotics.ck_index(samples)
-    except TauberError as exc:
-        raise _fail(f"{type(exc).__name__}: {exc}")
+    m = measures.load_measure(input_path)  # same two-column format
+    samples = list(zip(m.locations, m.masses))
+    result = asymptotics.ck_index(samples)
     click.echo("x tau_hat")
     for x, t in result.points:
         click.echo(f"{report.fmt(x)} {report.fmt(t)}")
@@ -348,10 +303,7 @@ def cmd_ck_index(input_path, tau, eps):
     click.echo(f"spread_last_quarter = {report.fmt(result.spread_last_quarter)}")
     if tau is None:
         return
-    try:
-        diag = asymptotics.class_m_check(samples, tau, tuple(eps) or (0.5, 1.0))
-    except TauberError as exc:
-        raise _fail(f"{type(exc).__name__}: {exc}")
+    diag = asymptotics.class_m_check(samples, tau, tuple(eps) or (0.5, 1.0))
     for chk in diag.epsilon_checks:
         click.echo(
             f"epsilon {report.fmt(chk.epsilon)}: upper {chk.upper_verdict.value}, "
@@ -371,16 +323,13 @@ def cmd_ck_index(input_path, tau, eps):
               help="transform argument lambda (repeatable)")
 def cmd_measure(path, variant, lam):
     """Exponential transform of a tabulated measure at given lambdas."""
-    try:
-        m = measures.load_measure(path)
-        fn = (
-            measures.measure_transform_kohlbecker
-            if variant == "kohlbecker"
-            else measures.measure_transform_kasahara
-        )
-        values = [(x, fn(m, x)) for x in lam]
-    except TauberError as exc:
-        raise _fail(f"{type(exc).__name__}: {exc}")
+    m = measures.load_measure(path)
+    fn = (
+        measures.measure_transform_kohlbecker
+        if variant == "kohlbecker"
+        else measures.measure_transform_kasahara
+    )
+    values = [(x, fn(m, x)) for x in lam]
     click.echo("lambda log_M")
     for x, v in values:
         click.echo(f"{report.fmt(x)} {report.fmt(v)}")

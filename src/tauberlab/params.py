@@ -152,7 +152,8 @@ def _check_admissible(a: float, b: float, c: float) -> None:
         raise SignConditionViolated("a*b*c", kernel_sign, a, b, c)
 
 
-def _x_peak(a: float, b: float, c: float) -> float:
+def _peak_curvature(a: float, b: float, c: float) -> tuple[float, float]:
+    """x_peak and the curvature h''(x_peak) = a*b*(b-1)*x_peak**(b-2)."""
     # -c/(a*b) > 0 is guaranteed by a*b*c < 0.
     base = -c / (a * b)
     x = base ** (1.0 / (b - 1.0))
@@ -161,7 +162,7 @@ def _x_peak(a: float, b: float, c: float) -> float:
             f"saddle location (-c/(a*b))**(1/(b-1)) not representable "
             f"(a={a:g}, b={b:g}, c={c:g})"
         )
-    return x
+    return x, a * b * (b - 1.0) * x ** (b - 2.0)
 
 
 def compute_d(a: float, b: float, c: float) -> float:
@@ -257,9 +258,8 @@ def saddle_analysis(p: UnifiedParams) -> SaddlePoint:
     strictly negative, and that h <= 1e-12*|d| on 64 log-spaced points in
     [x_peak/100, 100*x_peak].
     """
-    x_peak = _x_peak(p.a, p.b, p.c)
+    x_peak, curvature = _peak_curvature(p.a, p.b, p.c)
     h_at_max = p.a * x_peak**p.b + p.c * x_peak - p.d
-    curvature = p.a * p.b * (p.b - 1.0) * x_peak ** (p.b - 2.0)
     scale = abs(p.d)
     if not math.isfinite(curvature) or curvature >= 0.0:
         raise NumericOverflow(

@@ -37,7 +37,7 @@ from .errors import (
     NotIntegrable,
     ValidationError,
 )
-from .params import UnifiedParams, psi_for_s, s_for_psi, _x_peak
+from .params import UnifiedParams, _peak_curvature, psi_for_s, s_for_psi
 from .targets import TargetFunction
 
 __all__ = [
@@ -387,8 +387,7 @@ def predict_log_f(p: UnifiedParams, psi: float, order: str = "corrected") -> flo
         return p.d * psi
     if order != "corrected":
         raise ValidationError(f"order must be 'leading' or 'corrected', got {order!r}")
-    x_peak = _x_peak(p.a, p.b, p.c)
-    curvature = p.a * p.b * (p.b - 1.0) * x_peak ** (p.b - 2.0)
+    _, curvature = _peak_curvature(p.a, p.b, p.c)
     return p.d * psi + 0.5 * math.log(psi) + 0.5 * math.log(2.0 * math.pi / abs(curvature))
 
 

@@ -1,5 +1,6 @@
 """Grids, index estimators, exponent fits, and equivalence verification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -211,6 +212,22 @@ class TestVerifyEquivalence:
         }
         monotone = next(c for c in rep.checks if c.name == "monotone_ratio_last_half")
         assert monotone.passed
+
+    def test_inverse_passed_false_when_recover_primal_fails(self, monkeypatch):
+        p = tl.validate(2.0, 0.5, -1.0)
+        grid = tl.make_grid(10, 1000, 16)
+        assert tl.verify_equivalence(p, tl.PurePower(2.0, 0.5), grid).inverse_passed
+
+        def refuse(d, e, c):
+            raise tl.InconsistentInputs("no positive stationary point")
+
+        monkeypatch.setattr("tauberlab.asymptotics.recover_primal", refuse)
+        rep = tl.verify_equivalence(p, tl.PurePower(2.0, 0.5), grid)
+        assert rep.a_hat is None
+        assert not rep.inverse_passed
+        # Without any inverse row the missing pair alone decides.
+        kept = tuple(c for c in rep.checks if not c.name.startswith("inverse_"))
+        assert not dataclasses.replace(rep, checks=kept).inverse_passed
 
     def test_perturbed_target_still_converges(self):
         p = tl.validate(2.0, 0.5, -1.0)

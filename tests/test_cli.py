@@ -3,7 +3,11 @@
 import subprocess
 import sys
 
+import pytest
+from click.testing import CliRunner
+
 import tauberlab as tl
+from tauberlab.cli import cli
 
 
 def run_cli(*args, cwd=None):
@@ -186,3 +190,60 @@ class TestReportRendering:
         assert csv_text == "psi,s,log_f,prediction_leading,prediction_corrected,ratio\n"
         text = report_mod.render_report(rep)
         assert "status = pass" in text  # vacuous checks pass
+
+
+K = ("--a", "2", "--b", "0.5", "--c", "-1")
+KASAHARA = ("--a", "-1", "--b", "2", "--c", "1", "--offset", "1")
+DE_BRUIJN = ("--a", "-1", "--b", "-1", "--c", "-1")
+
+# (args, config file text or None, exit code, stream, fragment).  A config
+# text is written to run.cfg in the working directory first.
+IN_PROCESS_CASES = {
+    "predict-leading": (
+        ("predict", *K, "--psi", "100", "--order", "leading"), None, 0,
+        "stdout", "predict_log_f(leading) = 100\n"),
+    "predict-corrected": (
+        ("predict", *K, "--psi", "100", "--order", "corrected"), None, 0,
+        "stdout", "predict_log_f(corrected) = 103.568097216\n"),
+    "config-grid": (
+        ("verify", "--config", "run.cfg"),
+        "a = 2\nb = 0.5\nc = -1\npsi-min = 20\npsi-max = 500\nn = 9\n", 0,
+        "stdout", "psi_min = 20\npsi_max = 500\nn = 9\n"),
+    "config-classical": (
+        ("validate", "--config", "run.cfg"),
+        "classical = Kohlbecker\nalpha = 2\nB = 2\n", 0,
+        "stdout", "a = 2\nb = 0.5\nc = -1\noffset = 0\nregime = kohlbecker\n"),
+    "config-cast-error": (
+        ("validate", "--config", "run.cfg"), "a = x\nb = 0.5\nc = -1\n", 2,
+        "stderr", "error: ConfigParseError: config key 'a': could not convert"),
+    "config-missing": (
+        ("validate", "--config", "absent.cfg"), None, 2,
+        "stderr", "error: ConfigParseError: cannot read config file absent.cfg"),
+    "raw-and-classical": (
+        ("validate", *K, "--classical", "kohlbecker"), None, 2,
+        "stderr", "give either raw --a/--b/--c or --classical, not both"),
+    "unknown-variant": (
+        ("validate", "--classical", "weierstrass", "--alpha", "2", "--B", "2"), None, 2,
+        "stderr", "unknown classical variant 'weierstrass'"),
+    "classical-config": (
+        ("classical", "--variant", "kohlbecker", "--config", "run.cfg"),
+        "alpha = 2\nB = 2\n", 0,
+        "stdout", "variant = kohlbecker\na = 2\nb = 0.5\n"),
+    "invert-kohlbecker": (("invert", *K), None, 0, "stdout", "status = pass\n"),
+    "invert-kasahara": (("invert", *KASAHARA), None, 1, "stdout", "status = fail\n"),
+    "invert-de-bruijn": (("invert", *DE_BRUIJN), None, 0, "stdout", "status = pass\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "args, config, code, stream, fragment",
+    list(IN_PROCESS_CASES.values()),
+    ids=list(IN_PROCESS_CASES),
+)
+def test_cli_in_process(tmp_path, monkeypatch, args, config, code, stream, fragment):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+    res = CliRunner().invoke(cli, list(args))
+    assert res.exit_code == code, (res.stdout, res.stderr)
+    assert fragment in getattr(res, stream)

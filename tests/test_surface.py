@@ -1,0 +1,38 @@
+"""The package's public surface and the functions the benchmark wraps."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import tauberlab as tl
+from tauberlab import asymptotics, classical, errors, measures, params, targets, transform
+
+MODULES = (asymptotics, classical, errors, measures, params, targets, transform)
+
+
+def test_package_exports_the_modules_own_lists():
+    assert len(tl.__all__) == len(set(tl.__all__))
+    union = set().union(*(m.__all__ for m in MODULES))
+    assert set(tl.__all__) == {"__version__"} | union
+    for name in tl.__all__:
+        assert hasattr(tl, name), name
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    import tauberlab.report  # noqa: F401  (wrapped by the tracer; the package does not import it)
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+
+    namespaces = [tl] + [m for n, m in sys.modules.items() if n.startswith("tauberlab.")]
+    before = [dict(vars(ns)) for ns in namespaces]
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        assert tl.validate is not before[0]["validate"]
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(ns)) for ns in namespaces] == before
