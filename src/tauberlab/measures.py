@@ -83,8 +83,16 @@ class TabulatedMeasure:
         return cum[idx]
 
     def tail(self, x):
-        """mu(x, inf): mass at locations strictly greater than x."""
-        return self.total_mass - self.cumulative(x)
+        """mu(x, inf): mass at locations strictly greater than x (0 past the
+        last atom, since it is read from suffix sums)."""
+        locs = np.asarray(self.locations)
+        idx = np.searchsorted(locs, np.asarray(x, dtype=float), side="right")
+        return _suffix_sums(self.masses)[idx]
+
+
+def _suffix_sums(masses) -> np.ndarray:
+    """S[i] = sum(masses[i:]) for i = 0..n."""
+    return np.concatenate([np.cumsum(np.asarray(masses)[::-1])[::-1], [0.0]])
 
 
 def parse_measure_text(text: str, source: str = "<string>") -> TabulatedMeasure:
@@ -120,7 +128,11 @@ def parse_measure_text(text: str, source: str = "<string>") -> TabulatedMeasure:
 
 def load_measure(path: str | Path) -> TabulatedMeasure:
     p = Path(path)
-    return parse_measure_text(p.read_text(encoding="utf-8"), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeasureFormatError(f"cannot read measure file {p}: {exc}") from exc
+    return parse_measure_text(text, source=str(p))
 
 
 def _log_sum_shifted(log_terms: np.ndarray) -> float:
@@ -202,28 +214,22 @@ def kasahara_via_parts(m: TabulatedMeasure, lam: float) -> float:
     """log M(lam) through the integration-by-parts route.
 
     Evaluates mu(0,inf) + int_0^inf e^x * mu(x/lam, inf) dx with the integral
-    done exactly on the step tail function, panel by panel in shifted log
-    space.  For measures with no atom at 0 this equals the direct transform
-    up to roundoff; it exercises an independent summation path.
+    done exactly on the step tail function, one panel per atom, in shifted
+    log space.  For measures with no atom at 0 this equals the direct
+    transform up to roundoff; it exercises an independent summation path.
     """
     _require_atoms(m)
     if lam < 0.0:
         raise DomainError("lam must be >= 0")
     locs = np.asarray(m.locations)
-    masses = np.asarray(m.masses)
     # Tail value on (x_{i-1}, x_i) is the mass at locations >= x_i.
-    tails = np.cumsum(masses[::-1])[::-1]
-    edges = np.concatenate([[0.0], locs])
-    log_terms = [math.log(m.mass_above_zero())] if m.mass_above_zero() > 0 else []
-    for i in range(len(locs)):
-        lo, hi = lam * edges[i], lam * locs[i]
-        if hi <= lo or tails[i] <= 0.0:
-            continue
-        # log(T_i * (e^hi - e^lo)) with the difference computed stably.
-        log_terms.append(math.log(tails[i]) + hi + math.log1p(-math.exp(lo - hi)))
-    if not log_terms:
-        return float("-inf")
-    return _log_sum_shifted(np.asarray(log_terms))
+    tails = _suffix_sums(m.masses)[:-1]
+    lo, hi = lam * np.concatenate([[0.0], locs[:-1]]), lam * locs
+    # log(T_i * (e^hi - e^lo)), -inf for an empty panel; then log mu(0, inf).
+    with np.errstate(divide="ignore"):
+        log_terms = np.log(tails) + hi + np.log(-np.expm1(lo - hi))
+        log_terms = np.append(log_terms, np.log(m.mass_above_zero()))
+    return _log_sum_shifted(log_terms)
 
 
 def _geometric_grid(x_min: float, x_max: float, n: int) -> np.ndarray:

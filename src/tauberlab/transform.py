@@ -1,16 +1,18 @@
-"""Saddle-centered log-domain evaluation of the exponential-kernel transform.
+"""Log-domain evaluation of the exponential-kernel transform.
 
-The transform f(s) = offset + int_0^inf P(u*s) * exp(c*u) du has integrands
-whose dynamic range exceeds the floating-point range at moderate regime
-values (the peak value grows like d*psi), so naive quadrature is impossible.
-The engine instead
+The transform f(s) = offset + int_0^inf P(u*s) * exp(c*u) du of a tabulated
+measure's cumulative or tail function is a finite sum over its atoms, taken
+exactly.  For power targets (PurePower, PerturbedPower) the integrand's
+dynamic range exceeds the floating-point range at moderate regime values
+(the peak value grows like d*psi), so a saddle-centered engine
 
   1. locates the interior maximum u* of the log-integrand
-     g(u) = q(u*s) + c*u: a closed-form or scanned bracket in w = log u is
-     sampled on a 65-point grid, which zooms in on its argmax until its
-     spacing is at most 1e-3; two parabolic steps, on that spacing and on a
-     1e-5 stencil, then refine the argmax.  Each grid or stencil is one
-     vector evaluation of g,
+     g(u) = q(u*s) + c*u, whose existence the signs of a, b and c decide:
+     a bracket in w = log u around the pure power's stationary point is
+     widened until it holds the maximum and sampled on a 65-point grid,
+     which zooms in on its argmax until its spacing is at most 1e-3; two
+     parabolic steps, on that spacing and on a 1e-5 stencil, then refine
+     the argmax.  Each grid or stencil is one vector evaluation of g,
   2. switches to w = log u, where integrable endpoint behavior turns into
      exponential decay of the w-integrand exp(g(e^w) + w),
   3. places each window frontier at the first unit-panel edge w* -+ (1 + k)
@@ -32,13 +34,17 @@ from functools import partial
 import numpy as np
 
 from .errors import (
+    DegenerateExponent,
     DomainError,
     NoInteriorPeak,
     NotIntegrable,
+    NumericOverflow,
     ValidationError,
+    ZeroRate,
 )
+from .measures import _log_sum_shifted, _require_atoms
 from .params import UnifiedParams, _peak_curvature, psi_for_s, s_for_psi
-from .targets import TargetFunction
+from .targets import MeasureTarget, TargetFunction
 
 __all__ = [
     "TransformSample",
@@ -76,8 +82,8 @@ class TransformSample:
 
     psi is the regime variable tied to s by s = psi**((1-b)/b) for the owning
     parameters (NaN when the target carries no power exponent). quad_error is
-    an absolute error estimate on log_f; tol_met records whether the requested
-    tolerance was reached before the refinement cap.
+    an absolute error estimate on log_f (0 for an exact sum); tol_met records
+    whether the requested tolerance was reached before the refinement cap.
     """
 
     psi: float
@@ -106,54 +112,40 @@ def _g_of_w(t: TargetFunction, c: float, s: float, w) -> np.ndarray:
     return np.where(np.isnan(vals), -np.inf, vals)
 
 
+def _require_interior_peak(t: TargetFunction, c: float) -> None:
+    """Refuse a target whose log-integrand g has no interior maximum.
+
+    For q = a*x**b, perturbed or not, g has one exactly when a*b*c < 0 and
+    a*b*(b-1) < 0.  Otherwise g is monotone: decreasing and integrable
+    (NoInteriorPeak) when a < 0, b > 0 and c < 0, else not integrable.
+    """
+    b, a = t.power_exponent, getattr(t, "a", None)
+    if b is None or a is None:
+        raise ValidationError(f"the engine takes power targets only, got {t.label()}")
+    if b in (0.0, 1.0):
+        raise DegenerateExponent(f"b = {b:g} leaves g without an interior maximum")
+    if a * b * c < 0.0 and a * b * (b - 1.0) < 0.0:
+        return
+    if a < 0.0 and b > 0.0 and c < 0.0:
+        raise NoInteriorPeak("log-integrand decreasing on u > 0; no interior maximum")
+    raise NotIntegrable(f"transform diverges for a={a:g}, b={b:g}, c={c:g}")
+
+
 def _closed_form_seed(t: TargetFunction, c: float, s: float) -> float | None:
-    """Stationary point of g for an exact power target, if representable.
+    """Stationary point of g for the pure power a*x**b of t, if representable.
 
     Solves a*b*(u*s)**b = -c*u in log space, so that no power of s can
     overflow or underflow on the way to a representable u.
     """
     b = t.power_exponent
-    a = getattr(t, "a", None)
-    if b is None or a is None or a == 0.0 or b in (0.0, 1.0):
-        return None
-    base = -c / (a * b)
-    if not (math.isfinite(base) and base > 0.0):
+    base = -c / (t.a * b)
+    if not 0.0 < base < math.inf:
         return None
     try:
         u = math.exp((math.log(base) - b * math.log(s)) / (b - 1.0))
     except OverflowError:
         return None
-    return u if math.isfinite(u) and u > 0.0 else None
-
-
-def _scan_for_peak(g_of_w, lo: float, hi: float) -> tuple[float, float]:
-    """Coarse scan for an interior maximum of g in w = log u.
-
-    Slides/extends the window while the argmax sits on an edge.  Raises
-    NoInteriorPeak once the window limits are reached, distinguishing a
-    supremum at u -> 0 from divergence at u -> inf via the edge.
-    """
-    limit = 700.0
-    while True:
-        ws = np.linspace(lo, hi, 1 + int(8 * (hi - lo)))
-        vals = g_of_w(ws)
-        k = int(np.argmax(vals))
-        if 0 < k < len(ws) - 1:
-            return float(ws[k - 1]), float(ws[k + 1])
-        if k == len(ws) - 1:
-            if hi >= limit:
-                raise NoInteriorPeak(
-                    "log-integrand still rising toward u -> inf; "
-                    "no interior maximum"
-                )
-            lo, hi = hi - 1.0, min(limit, hi + 120.0)
-        else:
-            if lo <= -limit:
-                raise NoInteriorPeak(
-                    "log-integrand has its supremum toward u -> 0; "
-                    "no interior maximum"
-                )
-            lo, hi = max(-limit, lo - 120.0), lo + 1.0
+    return u if u > 0.0 else None
 
 
 def _parabolic_step(g_of_w, w: float, h: float) -> float:
@@ -176,26 +168,28 @@ def locate_peak(t: TargetFunction, c: float, s: float) -> float:
     For exact power targets this matches the closed form x_peak * psi.
 
     Raises:
-        NoInteriorPeak: integrand monotone (invalid parameter combination).
+        NoInteriorPeak: integrand monotone, or no maximum bracketed.
+        NotIntegrable: the signs of a, b and c make the transform diverge.
+        NumericOverflow: the stationary point is outside the float range.
     """
     if not s > 0.0:
         raise DomainError("s must be positive")
+    _require_interior_peak(t, c)
     g_of_w = partial(_g_of_w, t, c, s)
     seed = _closed_form_seed(t, c, s)
-    if seed is not None:
-        w0 = math.log(seed)
-        lo, hi = w0 - 0.7, w0 + 0.7
-        # Widen until the bracket contains the maximum (perturbed targets
-        # shift it slightly off the closed form).
-        for _ in range(60):
-            gl, gm, gh = g_of_w(np.asarray([lo, 0.5 * (lo + hi), hi]))
-            if gm >= gl and gm >= gh:
-                break
-            lo, hi = lo - (hi - lo), hi + (hi - lo)
-        else:
-            lo, hi = _scan_for_peak(g_of_w, w0 - 30.0, w0 + 30.0)
+    if seed is None:
+        raise NumericOverflow(f"stationary point of g at s={s:g} is not representable")
+    w0 = math.log(seed)
+    lo, hi = w0 - 0.7, w0 + 0.7
+    # Widen until the bracket contains the maximum (perturbed targets shift
+    # it slightly off the closed form).
+    for _ in range(60):
+        gl, gm, gh = g_of_w(np.asarray([lo, 0.5 * (lo + hi), hi]))
+        if gm >= gl and gm >= gh:
+            break
+        lo, hi = lo - (hi - lo), hi + (hi - lo)
     else:
-        lo, hi = _scan_for_peak(g_of_w, -40.0, 40.0)
+        raise NoInteriorPeak("no maximum of g bracketed around the closed-form seed")
     ws = np.linspace(lo, hi, _PEAK_GRID_POINTS)
     while True:
         k = int(np.argmax(g_of_w(ws)))
@@ -209,58 +203,20 @@ def locate_peak(t: TargetFunction, c: float, s: float) -> float:
     return math.exp(w_star)
 
 
-def _check_left_integrability(t: TargetFunction, c: float, s: float) -> None:
-    """Reject targets whose P blows up non-integrably toward u -> 0.
-
-    Probes q on a dyadic grid toward 0: sustained growth of q(u) faster than
-    log(1/u) means exp(q) is not Lebesgue-integrable near the origin.  This is
-    a fast path; milder divergences are still caught when the quadrature
-    window fails to terminate on the left.
-    """
-    xs = s * np.exp2(-np.arange(4.0, 44.0, 4.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = np.asarray(t.log_amplitude(xs), dtype=float)
-        growth = np.diff(q)  # per factor 2^-4 step toward 0
-    # log(1/u) grows by 4*log(2) ~ 2.77 per step; leave slack for
-    # slowly-varying factors before declaring divergence.
-    if np.all(growth > 6.0) and q[-1] > 200.0:
-        raise NotIntegrable(
-            "P(u) grows faster than any integrable power toward u -> 0"
-        )
-
-
 def _prepare_window(t: TargetFunction, c: float, s: float):
     """Locate the peak and extend the log-u window to both 40-nat frontiers.
 
     Returns (g_of_w, w_lo, w_hi, m) where m is the peak value of the
     log-integrand used as the shift.
     """
-    _check_left_integrability(t, c, s)
     g_of_w = partial(_g_of_w, t, c, s)
-    try:
-        u_star = locate_peak(t, c, s)
-        w_center = math.log(u_star)
-        m = float(g_of_w(np.asarray([w_center]))[0])
-    except NoInteriorPeak as exc:
-        if "u -> inf" in str(exc):
-            raise NotIntegrable(
-                "integrand nondecreasing toward u -> inf; transform diverges"
-            ) from exc
-        # Supremum at u -> 0: the log-u Jacobian still makes the w-integrand
-        # decay on the left, so center the window there instead.
-        w_center = 0.0
-        m = float(np.max(g_of_w(np.linspace(-80.0, 0.0, 321))))
-
-    w_lo = _frontier(
-        g_of_w, w_center, m, -1.0, "left frontier not reached: P not integrable near 0"
-    )
-    w_hi = _frontier(
-        g_of_w, w_center, m, 1.0, "right frontier not reached: transform diverges"
-    )
+    w_center = math.log(locate_peak(t, c, s))
+    m = float(g_of_w(np.asarray([w_center]))[0])
+    w_lo, w_hi = (_frontier(g_of_w, w_center, m, side) for side in (-1.0, 1.0))
     return g_of_w, w_lo, w_hi, m
 
 
-def _frontier(g_of_w, w_center: float, m: float, side: float, failure: str) -> float:
+def _frontier(g_of_w, w_center: float, m: float, side: float) -> float:
     """First panel edge w_center + side*(1 + k) at which the w-integrand is
     FRONTIER_DROP nats below its peak.
 
@@ -268,8 +224,7 @@ def _frontier(g_of_w, w_center: float, m: float, side: float, failure: str) -> f
     terminate.  Candidate edges are probed in chunks that double in size.
 
     Raises:
-        NotIntegrable: with message ``failure`` when no edge with
-            k < _MAX_WINDOW_PANELS qualifies.
+        NotIntegrable: no edge with k < _MAX_WINDOW_PANELS qualifies.
     """
     k, size = 0, _FIRST_FRONTIER_CHUNK
     while k < _MAX_WINDOW_PANELS:
@@ -279,7 +234,10 @@ def _frontier(g_of_w, w_center: float, m: float, side: float, failure: str) -> f
         if below.size:
             return float(ws[below[0]])
         k, size = k + ks.size, 2 * size
-    raise NotIntegrable(failure)
+    raise NotIntegrable(
+        f"{'left' if side < 0.0 else 'right'} frontier not reached "
+        f"within {_MAX_WINDOW_PANELS} panels"
+    )
 
 
 def _trapezoid_log(g_of_w, w_lo: float, w_hi: float, m: float, n: int) -> float:
@@ -298,20 +256,41 @@ def _refine_log_integral(
 ) -> tuple[float, float, bool]:
     """Interval-halving refinement; error = difference of successive levels."""
     n = max(128, int((w_hi - w_lo) * _INITIAL_POINTS_PER_UNIT))
-    log_integral_prev = None
+    log_integral = _trapezoid_log(g_of_w, w_lo, w_hi, m, n)
     quad_error = math.inf
-    tol_met = False
-    log_integral = -math.inf
-    for _ in range(_MAX_REFINEMENTS):
-        log_integral = _trapezoid_log(g_of_w, w_lo, w_hi, m, n)
-        if log_integral_prev is not None:
-            quad_error = abs(log_integral - log_integral_prev)
-            if quad_error <= tol:
-                tol_met = True
-                break
-        log_integral_prev = log_integral
+    for _ in range(_MAX_REFINEMENTS - 1):
         n *= 2
-    return log_integral, quad_error, tol_met
+        prev, log_integral = log_integral, _trapezoid_log(g_of_w, w_lo, w_hi, m, n)
+        quad_error = abs(log_integral - prev)
+        if quad_error <= tol:
+            return log_integral, quad_error, True
+    return log_integral, quad_error, False
+
+
+def _exact_log_integral(t: TargetFunction, c: float, s: float) -> float | None:
+    """log int_0^inf P(u*s) e^{c*u} du in closed form, or None for the engine.
+
+    With z_i = c*x_i/s an atom (x_i, m_i) adds m_i e^{z_i}/(-c) to the
+    cumulative kind (c < 0) and m_i (e^{z_i} - 1)/c to the tail kind.  A power
+    target with a = 0 has P = 1.
+    """
+    if isinstance(t, MeasureTarget):
+        _require_atoms(t.measure)
+        if t.kind == "cumulative" and not c < 0.0:
+            raise NotIntegrable("mu[0, x] does not vanish at infinity; need c < 0")
+        if c == 0.0:
+            raise ZeroRate("the tail transform needs c != 0")
+        with np.errstate(over="ignore", divide="ignore"):
+            z = c * np.asarray(t.measure.locations) / s
+            if t.kind == "tail":
+                # log|e^z - 1| = max(z, 0) + log(1 - e^-|z|); an atom at 0 adds -inf.
+                z = np.maximum(z, 0.0) + np.log(-np.expm1(-np.abs(z)))
+            return _log_sum_shifted(np.log(t.measure.masses) + z) - math.log(abs(c))
+    if getattr(t, "a", None) == 0.0:
+        if not c < 0.0:
+            raise NotIntegrable("P = 1 needs c < 0")
+        return -math.log(-c)
+    return None
 
 
 def refinement_errors(
@@ -339,11 +318,15 @@ def log_transform(
 ) -> TransformSample:
     """Evaluate log f(s) = log(offset + int_0^inf P(u*s) e^{c*u} du).
 
-    tol is the target absolute error on log f.  If the refinement cap is hit
-    first, the best estimate is returned with ``tol_met=False``.
+    A tabulated measure's transform is an exact sum (quad_error 0).  For a
+    power target tol is the target absolute error on log f; if the
+    refinement cap is hit first, the best estimate is returned with
+    ``tol_met=False``.
 
     Raises:
         NotIntegrable: integrand diverges at an endpoint.
+        NoInteriorPeak: power integrand monotone (see locate_peak).
+        EmptyMeasure: measure target without atoms.
         DomainError: s <= 0, offset < 0 or tol <= 0.
     """
     if not s > 0.0:
@@ -352,10 +335,10 @@ def log_transform(
         raise DomainError("offset must be >= 0")
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    g_of_w, w_lo, w_hi, m = _prepare_window(t, c, s)
-    log_integral, quad_error, tol_met = _refine_log_integral(
-        g_of_w, w_lo, w_hi, m, tol
-    )
+    log_integral, quad_error, tol_met = _exact_log_integral(t, c, s), 0.0, True
+    if log_integral is None:
+        window = _prepare_window(t, c, s)
+        log_integral, quad_error, tol_met = _refine_log_integral(*window, tol)
 
     if offset > 0.0:
         log_f = float(np.logaddexp(math.log(offset), log_integral))

@@ -232,6 +232,12 @@ IN_PROCESS_CASES = {
     "invert-kohlbecker": (("invert", *K), None, 0, "stdout", "status = pass\n"),
     "invert-kasahara": (("invert", *KASAHARA), None, 1, "stdout", "status = fail\n"),
     "invert-de-bruijn": (("invert", *DE_BRUIJN), None, 0, "stdout", "status = pass\n"),
+    "ck-index-missing-file": (
+        ("ck-index", "--input", "nope.tsv"), None, 2,
+        "stderr", "error: MeasureFormatError: cannot read measure file nope.tsv"),
+    "measure-missing-file": (
+        ("measure", "--file", "nope.tsv", "--variant", "kohlbecker", "--lam", "1"), None, 2,
+        "stderr", "error: MeasureFormatError: cannot read measure file nope.tsv"),
 }
 
 

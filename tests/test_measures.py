@@ -32,6 +32,12 @@ class TestConstruction:
         assert m.tail(1.0) == 4.0  # strictly greater than x
         assert m.tail(5.0) == 0.0
 
+    def test_tail_is_exactly_zero_past_last_atom(self):
+        # total_mass - cumulative(x) left a 1.67e-15 residue on this fixture.
+        m = tl.quantize_tail(lambda x: math.exp(-x * x), 1e-3, 40.0, 8192)
+        assert m.tail(41.0) == 0.0
+        assert tl.MeasureTarget(m, "tail").log_amplitude(41.0) == -math.inf
+
 
 class TestParsing:
     def test_parse_with_comments(self):
@@ -45,6 +51,10 @@ class TestParsing:
         path.write_text("0.5\t1\n2\t0.25\n", encoding="utf-8")
         m = tl.load_measure(path)
         assert m.locations == (0.5, 2.0)
+
+    def test_missing_file_is_a_format_error(self, tmp_path):
+        with pytest.raises(tl.MeasureFormatError, match="cannot read measure file"):
+            tl.load_measure(tmp_path / "absent.tsv")
 
     @pytest.mark.parametrize(
         "text",
@@ -110,6 +120,22 @@ class TestPartsIdentity:
                 direct = tl.measure_transform_kasahara(m, lam)
                 via = tl.kasahara_via_parts(m, lam)
                 assert via == pytest.approx(direct, abs=1e-10)
+
+    def test_matches_panel_loop(self):
+        # Reference: the panel-by-panel loop, one math.* call per atom.
+        m = tl.quantize_tail(lambda x: math.exp(-x * x), 1e-3, 40.0, 512)
+        for lam in (0.0, 0.3, 3.0, 30.0):
+            log_terms = [math.log(m.mass_above_zero())]
+            prev = 0.0
+            for i, x in enumerate(m.locations):
+                tail = math.fsum(m.masses[i:])
+                lo, hi = lam * prev, lam * x
+                prev = x
+                if hi > lo:
+                    log_terms.append(math.log(tail) + hi + math.log1p(-math.exp(lo - hi)))
+            top = max(log_terms)
+            expected = top + math.log(math.fsum(math.exp(t - top) for t in log_terms))
+            assert tl.kasahara_via_parts(m, lam) == pytest.approx(expected, abs=1e-12)
 
     def test_tail_quantized_fixture_at_lambda_ten(self):
         # mu(x, inf) = exp(-x^2): direct summation and the offset+integral

@@ -159,8 +159,6 @@ class TestSearchCost:
             (KASA, 1.0, 0.1),
             (KASA, 1.0, 10.0**-0.5),
             (DEBR, -1.0, 0.01),
-            (tl.MeasureTarget(tl.TabulatedMeasure((0.5, 2.0, 7.0), (1.0, 0.3, 0.2))),
-             -1.0, 3.0),
         ],
     )
     def test_window_matches_unit_step_walk(self, target, c, s):
@@ -297,24 +295,122 @@ class TestLogTransform:
             assert errs[-1] <= 1e-10
 
     def test_tolerance_flagged_when_not_met(self):
-        # Step-function target: trapezoid stalls above an extreme tolerance,
-        # and the sample comes back flagged instead of raising.
-        m = tl.TabulatedMeasure((0.5, 2.0, 7.0), (1.0, 0.3, 0.2))
-        ts = tl.log_transform(
-            tl.MeasureTarget(m, "cumulative"), -1.0, 0.0, 3.0, tol=1e-13
-        )
+        # Kasahara at psi = 1e12: the peak is narrower than the first panel
+        # spacing, refinement stalls at the cap, and the sample comes back
+        # flagged instead of raising.
+        ts = tl.log_transform(KASA, 1.0, 1.0, 1e-6)
         assert not ts.tol_met
-        assert ts.quad_error > 1e-13
+        assert ts.quad_error > 1e-8
 
     def test_measure_target_matches_direct_stieltjes(self):
         # For P = mu[0, .] and c = -1 the transform at s = lam equals
-        # sum_i m_i e^{-x_i/lam} exactly; quadrature should land close even
-        # though the integrand is a step function.
+        # sum_i m_i e^{-x_i/lam}, which the measure path sums exactly.
         m = tl.TabulatedMeasure((0.5, 2.0, 7.0), (1.0, 0.3, 0.2))
         for lam in (1.0, 3.0, 9.0):
             ts = tl.log_transform(tl.MeasureTarget(m, "cumulative"), -1.0, 0.0, lam)
             direct = tl.measure_transform_kohlbecker(m, lam)
-            assert ts.log_f == pytest.approx(direct, abs=1e-5)
+            assert ts.log_f == pytest.approx(direct, abs=1e-12)
+
+
+class TestMeasureTransform:
+    """The exact sums for tabulated measures, against per-atom closed forms."""
+
+    M = tl.TabulatedMeasure((0.0, 0.5, 2.0, 7.0, 30.0), (0.4, 1.0, 0.3, 0.2, 1e-3))
+
+    @staticmethod
+    def oracle(m, kind, c, offset, s):
+        # 40-digit sum of int_0^inf P(u*s) e^{c*u} du over the atoms.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            c, s = mp.mpf(c), mp.mpf(s)
+            total = mp.mpf(offset)
+            for x, w in zip(m.locations, m.masses):
+                z = c * mp.mpf(x) / s
+                total += w * (mp.exp(z) / -c if kind == "cumulative" else mp.expm1(z) / c)
+            return float(mp.log(total))
+
+    @pytest.mark.parametrize(
+        "kind,c",
+        [("cumulative", -1.0), ("cumulative", -2.5), ("tail", 1.0), ("tail", -1.0),
+         ("tail", -0.4)],
+    )
+    @pytest.mark.parametrize("offset", [0.0, 2.5])
+    @pytest.mark.parametrize("s", [0.05, 1.0, 40.0])
+    def test_matches_per_atom_closed_forms(self, kind, c, offset, s):
+        ts = tl.log_transform(tl.MeasureTarget(self.M, kind), c, offset, s)
+        expected = self.oracle(self.M, kind, c, offset, s)
+        assert ts.log_f == pytest.approx(expected, abs=1e-12)
+        assert ts.quad_error == 0.0 and ts.tol_met and math.isnan(ts.psi)
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+    def test_tail_route_matches_kasahara_sums(self, lam):
+        # With offset mu(0, inf), c = 1 and s = 1/lam the tail route is
+        # M(lam) = sum_i m_i e^{lam*x_i}, for a measure with no atom at 0.
+        m = tl.quantize_tail(lambda x: math.exp(-x * x), 1e-3, 40.0, 8192)
+        ts = tl.log_transform(
+            tl.MeasureTarget(m, "tail"), 1.0, m.mass_above_zero(), 1.0 / lam
+        )
+        assert ts.log_f == pytest.approx(tl.measure_transform_kasahara(m, lam), abs=1e-12)
+        assert ts.log_f == pytest.approx(tl.kasahara_via_parts(m, lam), abs=1e-12)
+
+    def test_tail_kind_without_mass_above_zero(self):
+        m = tl.TabulatedMeasure((0.0,), (1.0,))
+        assert tl.log_transform(tl.MeasureTarget(m, "tail"), 1.0, 0.0, 1.0).log_f == -math.inf
+        assert tl.log_transform(tl.MeasureTarget(m, "tail"), 1.0, 2.0, 1.0).log_f == math.log(2.0)
+
+    def test_refusals(self):
+        with pytest.raises(tl.EmptyMeasure):
+            tl.log_transform(tl.MeasureTarget(tl.TabulatedMeasure((), ())), -1.0, 0.0, 1.0)
+        for c in (0.0, 1.0):
+            with pytest.raises(tl.NotIntegrable):
+                tl.log_transform(tl.MeasureTarget(self.M, "cumulative"), c, 0.0, 1.0)
+        with pytest.raises(tl.ZeroRate):
+            tl.log_transform(tl.MeasureTarget(self.M, "tail"), 0.0, 0.0, 1.0)
+
+    def test_engine_takes_power_targets_only(self):
+        with pytest.raises(tl.ValidationError):
+            tl.locate_peak(tl.MeasureTarget(self.M), -1.0, 1.0)
+
+        class Custom:
+            power_exponent = None
+
+            def log_amplitude(self, x):
+                return -np.asarray(x, dtype=float)
+
+            def label(self):
+                return "custom"
+
+        with pytest.raises(tl.ValidationError):
+            tl.log_transform(Custom(), -1.0, 0.0, 1.0)
+
+
+class TestSignConditions:
+    def test_degenerate_exponents_refused(self):
+        for b in (0.0, 1.0):
+            with pytest.raises(tl.DegenerateExponent):
+                tl.log_transform(tl.PurePower(-1.0, b), -1.0, 0.0, 1.0)
+
+    def test_unrepresentable_stationary_point(self):
+        # b close to 1 puts u* = (s**-b / b)**(1/(b-1)) out of range.
+        with pytest.raises(tl.NumericOverflow):
+            tl.locate_peak(tl.PurePower(-1.0, 1.001), 1.0, 1e10)
+
+    @pytest.mark.parametrize(
+        "a,b,c",
+        [(-1.0, 3.0, -1.0), (-2.0, 0.5, -1.0), (-1.0, 0.5, -0.1)],
+    )
+    def test_monotone_integrable_signs(self, a, b, c):
+        with pytest.raises(tl.NoInteriorPeak):
+            tl.log_transform(tl.PurePower(a, b), c, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "a,b,c",
+        [(1.0, 3.0, -1.0), (1.0, 0.5, 1.0), (-1.0, 0.5, 1.0), (1.0, -2.0, -1.0),
+         (-1.0, -2.0, 1.0)],
+    )
+    def test_divergent_signs(self, a, b, c):
+        with pytest.raises(tl.NotIntegrable):
+            tl.log_transform(tl.PurePower(a, b), c, 0.0, 1.0)
 
 
 class TestPredictLogF:
