@@ -34,7 +34,7 @@ from .errors import (
 )
 from .params import UnifiedParams, dual_exponent, recover_primal
 from .targets import TargetFunction
-from .transform import TransformSample, predict_log_f, sample_at_psi
+from .transform import TransformSample, _samples_at_psis, predict_log_f
 
 __all__ = [
     "EvalGrid",
@@ -360,8 +360,8 @@ def evaluate_sweep(
     grid: EvalGrid,
     quad_tol: float = 1e-8,
 ) -> list[TransformSample]:
-    """log f across the psi grid (each point an independent pure evaluation)."""
-    return [sample_at_psi(p, t, psi, tol=quad_tol) for psi in grid.psi_values]
+    """log f across the psi grid, all points in one batched engine pass."""
+    return _samples_at_psis(p, t, grid.psi_values, quad_tol)
 
 
 def _target_matches(p: UnifiedParams, t: TargetFunction) -> bool:
@@ -390,19 +390,20 @@ def verify_equivalence(
         raise InconsistentInputs(
             "target log-amplitude is not the validated (a, b) power"
         )
-    samples = evaluate_sweep(p, t, grid, quad_tol=profile.quad_tol)
+    psi_lo, psi_hi = grid.psi_values[0], grid.psi_values[-1]
+    mid = (profile.psi_mid,) if psi_lo <= profile.psi_mid <= psi_hi else ()
+    samples = _samples_at_psis(p, t, grid.psi_values + mid, profile.quad_tol)
+    notes = [
+        f"quadrature tolerance not met at psi={s.psi:g} (quad_error {s.quad_error:.3g})"
+        for s in samples if not s.tol_met
+    ]
+    mid_sample = samples.pop() if mid else None
     lead = tuple(predict_log_f(p, s.psi, "leading") for s in samples)
     corr = tuple(predict_log_f(p, s.psi, "corrected") for s in samples)
     ratios = tuple(s.log_f / ld for s, ld in zip(samples, lead))
-    notes: list[str] = []
-    if not all(s.tol_met for s in samples):
-        notes.append("quadrature tolerance not met on some samples")
 
     checks: list[CheckResult] = []
-    mid_sample = None
-    psi_lo, psi_hi = grid.psi_values[0], grid.psi_values[-1]
-    if psi_lo <= profile.psi_mid <= psi_hi:
-        mid_sample = sample_at_psi(p, t, profile.psi_mid, tol=profile.quad_tol)
+    if mid_sample is not None:
         mid_ratio = mid_sample.log_f / (p.d * profile.psi_mid)
         checks.append(
             CheckResult(

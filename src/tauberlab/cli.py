@@ -86,15 +86,17 @@ class Options:
     def params(self) -> params.UnifiedParams:
         """Raw (a, b, c, offset) or a classical spec, resolved to parameters."""
         a, b, c = self._get("a"), self._get("b"), self._get("c")
-        offset = self._get("offset", 0.0)
+        offset = self._get("offset")
         variant = self._get("classical")
         if variant is not None and any(v is not None for v in (a, b, c)):
             raise ConfigParseError("give either raw --a/--b/--c or --classical, not both")
+        if variant is not None and offset is not None:
+            raise ConfigParseError("--offset applies to raw --a/--b/--c, not to --classical")
         if variant is not None:
             return classical.to_unified(self.classical(variant)).params
         if a is None or b is None or c is None:
             raise ConfigParseError("need --a, --b and --c (or --classical ...)")
-        return params.validate(a, b, c, offset)
+        return params.validate(a, b, c, 0.0 if offset is None else offset)
 
     def classical(self, variant: str) -> classical.ClassicalSpec:
         variant = variant.lower()

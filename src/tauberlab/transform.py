@@ -12,7 +12,7 @@ dynamic range exceeds the floating-point range at moderate regime values
      widened until it holds the maximum and sampled on a 65-point grid,
      which zooms in on its argmax until its spacing is at most 1e-3; two
      parabolic steps, on that spacing and on a 1e-5 stencil, then refine
-     the argmax.  Each grid or stencil is one vector evaluation of g,
+     the argmax,
   2. switches to w = log u, where integrable endpoint behavior turns into
      exponential decay of the w-integrand exp(g(e^w) + w),
   3. places each window frontier at the first unit-panel edge w* -+ (1 + k)
@@ -22,6 +22,11 @@ dynamic range exceeds the floating-point range at moderate regime values
      halving, m being the peak value of g; the error estimate is the
      difference between successive refinements.
 
+Every step runs on all rows (s values) of a sweep at once: each bracket,
+grid, stencil, frontier chunk or trapezoid level is one vector evaluation of
+g over the rows still open.  Each row sees the nodes and float expressions
+of a batch of one, so a sweep equals its points evaluated one by one.
+
 log f is then m + log(integral) combined with the offset in log space.
 """
 
@@ -29,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -63,7 +67,7 @@ FRONTIER_DROP = 40.0
 
 _MAX_WINDOW_PANELS = 800
 # Most frontiers sit within a few panels of the peak; probing four candidate
-# edges at once settles them in one call per side.
+# edges at once settles most of them in the first call.
 _FIRST_FRONTIER_CHUNK = 4
 _PEAK_GRID_POINTS = 65
 # The peak grid zooms in on its argmax until its spacing is at most this.  A
@@ -74,6 +78,8 @@ _PEAK_GRID_SPACING = 1e-3
 _FINAL_STENCIL = 1e-5
 _MAX_REFINEMENTS = 14
 _INITIAL_POINTS_PER_UNIT = 8.0
+# A trapezoid level runs in slices of this many nodes (or one row): bounded memory.
+_MAX_POINTS_PER_CALL = 2**18
 
 
 @dataclass(frozen=True)
@@ -104,12 +110,23 @@ def log_integrand(t: TargetFunction, c: float, s: float, u) -> float | np.ndarra
     return float(values) if arr.ndim == 0 else values
 
 
-def _g_of_w(t: TargetFunction, c: float, s: float, w) -> np.ndarray:
-    """g(e^w) on an array of w; NaN (e.g. inf - inf) reads as -inf."""
-    u = np.exp(w)
+def _g_rows(t: TargetFunction, c: float, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g(e^w) for each row of w at that row's s; NaN (e.g. inf - inf) reads as -inf."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.asarray(t.log_amplitude(s * u) + c * u, dtype=float)
+        u = np.exp(w)
+        vals = np.asarray(t.log_amplitude(s[:, None] * u) + c * u, dtype=float)
     return np.where(np.isnan(vals), -np.inf, vals)
+
+
+def _linspace_rows(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """np.linspace(lo[i], hi[i], n) as C-contiguous rows, by linspace's own in-place
+    steps on one allocation, so that row sums run as on a 1-D grid."""
+    ws = np.arange(lo.size * n, dtype=float).reshape(lo.size, n)
+    ws -= np.arange(0.0, lo.size * n, n)[:, None]
+    ws *= ((hi - lo) / (n - 1))[:, None]
+    ws += lo[:, None]
+    ws[:, -1] = hi
+    return ws
 
 
 def _require_interior_peak(t: TargetFunction, c: float) -> None:
@@ -148,18 +165,53 @@ def _closed_form_seed(t: TargetFunction, c: float, s: float) -> float | None:
     return u if u > 0.0 else None
 
 
-def _parabolic_step(g_of_w, w: float, h: float) -> float:
-    """Vertex of the parabola through g at w - h, w, w + h (one vector call).
-
-    The step is taken only when the stencil is concave and the vertex lies
-    within it; otherwise w is returned unchanged.
-    """
-    fm, f0, fp = g_of_w(np.array([w - h, w, w + h]))
-    denom = fm - 2.0 * f0 + fp
-    if not (math.isfinite(denom) and denom < 0.0):
-        return w
-    step = 0.5 * h * (fm - fp) / denom
-    return w + step if abs(step) < h else w
+def _locate_peaks(t: TargetFunction, c: float, s: np.ndarray) -> list[float]:
+    """Argmax u* of the log-integrand at each s of a batch (see locate_peak);
+    a row leaves the bracket widening and the zoom once it is done."""
+    if not np.all(s > 0.0):
+        raise DomainError("s must be positive")
+    _require_interior_peak(t, c)
+    seeds = [_closed_form_seed(t, c, si) for si in s]
+    if None in seeds:
+        bad = s[seeds.index(None)]
+        raise NumericOverflow(f"stationary point of g at s={bad:g} is not representable")
+    w0 = np.array([math.log(u) for u in seeds])
+    lo, hi = w0 - 0.7, w0 + 0.7
+    # Widen until each bracket contains the maximum (perturbed targets shift
+    # it slightly off the closed form).
+    rows = np.arange(s.size)
+    for _ in range(60):
+        mid = 0.5 * (lo[rows] + hi[rows])
+        gl, gm, gh = _g_rows(t, c, s[rows], np.stack([lo[rows], mid, hi[rows]], axis=1)).T
+        rows = rows[~((gm >= gl) & (gm >= gh))]
+        if not rows.size:
+            break
+        width = hi[rows] - lo[rows]
+        lo[rows], hi[rows] = lo[rows] - width, hi[rows] + width
+    else:
+        raise NoInteriorPeak("no maximum of g bracketed around the closed-form seed")
+    # Zoom each row's grid onto its argmax until its spacing is fine enough.
+    w_star, spacing = np.empty(s.size), np.empty(s.size)
+    rows, ws = np.arange(s.size), _linspace_rows(lo, hi, _PEAK_GRID_POINTS)
+    while rows.size:
+        k = np.argmax(_g_rows(t, c, s[rows], ws), axis=1)
+        step = ws[:, 1] - ws[:, 0]
+        done, at = step <= _PEAK_GRID_SPACING, np.arange(rows.size)
+        w_star[rows[done]], spacing[rows[done]] = ws[at, k][done], step[done]
+        at, k = at[~done], k[~done]
+        lo, hi = ws[at, np.maximum(k - 1, 0)], ws[at, np.minimum(k + 1, _PEAK_GRID_POINTS - 1)]
+        rows, ws = rows[~done], _linspace_rows(lo, hi, _PEAK_GRID_POINTS)
+    # Parabolic steps through g at w - h, w, w + h, taken only where the
+    # stencil is concave and the vertex lies within it.
+    for h in (spacing, _FINAL_STENCIL):
+        stencil = np.stack([w_star - h, w_star, w_star + h], axis=1)
+        fm, f0, fp = _g_rows(t, c, s, stencil).T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            denom = fm - 2.0 * f0 + fp
+            step = 0.5 * h * (fm - fp) / denom
+            take = np.isfinite(denom) & (denom < 0.0) & (np.abs(step) < h)
+        w_star = np.where(take, w_star + step, w_star)
+    return [math.exp(w) for w in w_star]
 
 
 def locate_peak(t: TargetFunction, c: float, s: float) -> float:
@@ -172,99 +224,79 @@ def locate_peak(t: TargetFunction, c: float, s: float) -> float:
         NotIntegrable: the signs of a, b and c make the transform diverge.
         NumericOverflow: the stationary point is outside the float range.
     """
-    if not s > 0.0:
-        raise DomainError("s must be positive")
-    _require_interior_peak(t, c)
-    g_of_w = partial(_g_of_w, t, c, s)
-    seed = _closed_form_seed(t, c, s)
-    if seed is None:
-        raise NumericOverflow(f"stationary point of g at s={s:g} is not representable")
-    w0 = math.log(seed)
-    lo, hi = w0 - 0.7, w0 + 0.7
-    # Widen until the bracket contains the maximum (perturbed targets shift
-    # it slightly off the closed form).
-    for _ in range(60):
-        gl, gm, gh = g_of_w(np.asarray([lo, 0.5 * (lo + hi), hi]))
-        if gm >= gl and gm >= gh:
-            break
-        lo, hi = lo - (hi - lo), hi + (hi - lo)
-    else:
-        raise NoInteriorPeak("no maximum of g bracketed around the closed-form seed")
-    ws = np.linspace(lo, hi, _PEAK_GRID_POINTS)
-    while True:
-        k = int(np.argmax(g_of_w(ws)))
-        spacing = float(ws[1] - ws[0])
-        if spacing <= _PEAK_GRID_SPACING:
-            break
-        ws = np.linspace(ws[max(k - 1, 0)], ws[min(k + 1, ws.size - 1)], ws.size)
-    w_star = float(ws[k])
-    for h in (spacing, _FINAL_STENCIL):
-        w_star = _parabolic_step(g_of_w, w_star, h)
-    return math.exp(w_star)
+    return _locate_peaks(t, c, np.array([s], dtype=float))[0]
 
 
-def _prepare_window(t: TargetFunction, c: float, s: float):
-    """Locate the peak and extend the log-u window to both 40-nat frontiers.
-
-    Returns (g_of_w, w_lo, w_hi, m) where m is the peak value of the
-    log-integrand used as the shift.
-    """
-    g_of_w = partial(_g_of_w, t, c, s)
-    w_center = math.log(locate_peak(t, c, s))
-    m = float(g_of_w(np.asarray([w_center]))[0])
-    w_lo, w_hi = (_frontier(g_of_w, w_center, m, side) for side in (-1.0, 1.0))
-    return g_of_w, w_lo, w_hi, m
-
-
-def _frontier(g_of_w, w_center: float, m: float, side: float) -> float:
-    """First panel edge w_center + side*(1 + k) at which the w-integrand is
-    FRONTIER_DROP nats below its peak.
-
-    The shifted value includes the Jacobian term w so that both frontiers
-    terminate.  Candidate edges are probed in chunks that double in size.
+def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
+    """Locate each row's peak and extend its log-u window to the first panel
+    edges w* -+ (1 + k) where the w-integrand, Jacobian term w included, is
+    FRONTIER_DROP nats below its peak; returns (w_lo, w_hi, m), m the peak of g.
 
     Raises:
         NotIntegrable: no edge with k < _MAX_WINDOW_PANELS qualifies.
     """
-    k, size = 0, _FIRST_FRONTIER_CHUNK
-    while k < _MAX_WINDOW_PANELS:
+    w_center = np.array([math.log(u) for u in _locate_peaks(t, c, s)])
+    m = _g_rows(t, c, s, w_center[:, None])[:, 0]
+    # Left frontiers are rows 0..r-1, right frontiers rows r..2r-1.
+    side = np.repeat([-1.0, 1.0], s.size)
+    center, shift, s2 = (np.concatenate((v, v)) for v in (w_center, m, s))
+    edge = np.empty(2 * s.size)
+    rows, k, size = np.arange(2 * s.size), 0, _FIRST_FRONTIER_CHUNK
+    while rows.size and k < _MAX_WINDOW_PANELS:
         ks = np.arange(k, min(k + size, _MAX_WINDOW_PANELS), dtype=float)
-        ws = w_center + side * (1.0 + ks)
-        below = np.flatnonzero(g_of_w(ws) + ws - m - w_center < -FRONTIER_DROP)
-        if below.size:
-            return float(ws[below[0]])
-        k, size = k + ks.size, 2 * size
-    raise NotIntegrable(
-        f"{'left' if side < 0.0 else 'right'} frontier not reached "
-        f"within {_MAX_WINDOW_PANELS} panels"
-    )
+        ws = center[rows, None] + side[rows, None] * (1.0 + ks)
+        g = _g_rows(t, c, s2[rows], ws)
+        below = g + ws - shift[rows, None] - center[rows, None] < -FRONTIER_DROP
+        hit = below.any(axis=1)
+        edge[rows[hit]] = ws[hit, np.argmax(below[hit], axis=1)]
+        rows, k, size = rows[~hit], k + ks.size, 2 * size
+    if rows.size:
+        raise NotIntegrable(
+            f"{'left' if side[rows[0]] < 0.0 else 'right'} frontier not reached "
+            f"within {_MAX_WINDOW_PANELS} panels"
+        )
+    return edge[: s.size], edge[s.size :], m
 
 
-def _trapezoid_log(g_of_w, w_lo: float, w_hi: float, m: float, n: int) -> float:
-    """log of the shifted trapezoid estimate of int exp(g(e^w)+w) dw, n panels."""
-    ws = np.linspace(w_lo, w_hi, n + 1)
-    vals = g_of_w(ws) + ws - m
-    peak = float(np.max(vals))
-    weights = np.ones_like(ws)
-    weights[0] = weights[-1] = 0.5
-    total = float(np.sum(weights * np.exp(vals - peak)))
-    return m + peak + math.log(total * (w_hi - w_lo) / n)
+def _trapezoid_rows(t, c, s, w_lo, w_hi, m, n: int) -> np.ndarray:
+    """log of the shifted trapezoid estimate of int exp(g(e^w)+w) dw on n
+    panels, per row, in slices of at most _MAX_POINTS_PER_CALL nodes."""
+    # numpy reuses a large temporary only against a scalar or an operand of its
+    # shape (hence 2-D weights and -=); a fresh large array pays page faults.
+    weights = np.ones((1, n + 1))
+    weights[0, 0] = weights[0, -1] = 0.5
+    out, per_call = [], max(1, _MAX_POINTS_PER_CALL // (n + 1))
+    for i in range(0, s.size, per_call):
+        lo, hi, mi = (v[i : i + per_call] for v in (w_lo, w_hi, m))
+        ws = _linspace_rows(lo, hi, n + 1)
+        vals = _g_rows(t, c, s[i : i + per_call], ws) + ws
+        vals -= mi[:, None]
+        peak = np.max(vals, axis=1)
+        total = np.sum(weights * np.exp(vals - peak[:, None]), axis=1)
+        out += [a + p + math.log(v * (h - l) / n) for a, p, v, l, h in zip(mi, peak, total, lo, hi)]
+        del ws, vals  # before the next slice allocates its own
+    return np.array(out)
 
 
-def _refine_log_integral(
-    g_of_w, w_lo: float, w_hi: float, m: float, tol: float
-) -> tuple[float, float, bool]:
-    """Interval-halving refinement; error = difference of successive levels."""
-    n = max(128, int((w_hi - w_lo) * _INITIAL_POINTS_PER_UNIT))
-    log_integral = _trapezoid_log(g_of_w, w_lo, w_hi, m, n)
-    quad_error = math.inf
-    for _ in range(_MAX_REFINEMENTS - 1):
-        n *= 2
-        prev, log_integral = log_integral, _trapezoid_log(g_of_w, w_lo, w_hi, m, n)
-        quad_error = abs(log_integral - prev)
-        if quad_error <= tol:
-            return log_integral, quad_error, True
-    return log_integral, quad_error, False
+def _refine_rows(t, c, s, w_lo, w_hi, m, tol: float):
+    """Interval-halving refinement; error = difference of successive levels.
+    Rows that share an initial panel count refine together, and a row leaves
+    once it meets tol.  Returns (log_integral, quad_error, tol_met) arrays."""
+    log_integral, quad_error, tol_met = np.empty(s.size), np.empty(s.size), np.zeros(s.size, bool)
+    n0 = np.array([max(128, int((h - l) * _INITIAL_POINTS_PER_UNIT)) for l, h in zip(w_lo, w_hi)])
+    for n in sorted(set(n0.tolist())):  # np.unique would import numpy.ma (~40 ms)
+        rows = np.flatnonzero(n0 == n)
+        cur = _trapezoid_rows(t, c, s[rows], w_lo[rows], w_hi[rows], m[rows], n)
+        for _ in range(_MAX_REFINEMENTS - 1):
+            n *= 2
+            prev, cur = cur, _trapezoid_rows(t, c, s[rows], w_lo[rows], w_hi[rows], m[rows], n)
+            log_integral[rows], quad_error[rows] = cur, np.abs(cur - prev)
+            met = quad_error[rows] <= tol
+            tol_met[rows[met]] = True
+            rows, cur = rows[~met], cur[~met]
+            if not rows.size:
+                break
+    return log_integral, quad_error, tol_met
 
 
 def _exact_log_integral(t: TargetFunction, c: float, s: float) -> float | None:
@@ -301,11 +333,35 @@ def refinement_errors(
     Diagnostic used to confirm that the error estimate shrinks as the panel
     resolution doubles, starting from a deliberately coarse n0.
     """
-    g_of_w, w_lo, w_hi, m = _prepare_window(t, c, s)
-    values = [
-        _trapezoid_log(g_of_w, w_lo, w_hi, m, n0 * 2**k) for k in range(levels)
-    ]
-    return [abs(b - a) for a, b in zip(values, values[1:])]
+    row = np.array([s], dtype=float)
+    window = _prepare_windows(t, c, row)
+    values = [_trapezoid_rows(t, c, row, *window, n0 * 2**k)[0] for k in range(levels)]
+    return [float(abs(b - a)) for a, b in zip(values, values[1:])]
+
+
+def _transform_rows(t: TargetFunction, c: float, offset: float, s: list, tol: float, psi):
+    """log_transform at each s of a batch, with its psi (or None); power
+    targets take one engine pass for all rows."""
+    if not all(si > 0.0 for si in s):
+        raise DomainError("s must be positive")
+    if offset < 0.0:
+        raise DomainError("offset must be >= 0")
+    if not tol > 0.0:
+        raise DomainError("tol must be positive")
+    rows = np.array(s, dtype=float)
+    log_integral = [_exact_log_integral(t, c, si) for si in s]
+    quad_error, tol_met = [0.0] * rows.size, [True] * rows.size
+    if log_integral[0] is None:
+        window = _prepare_windows(t, c, rows)
+        log_integral, quad_error, tol_met = _refine_rows(t, c, rows, *window, tol)
+    b = t.power_exponent
+    samples = []
+    for si, psi_i, li, err, met in zip(s, psi, log_integral, quad_error, tol_met):
+        log_f = float(np.logaddexp(math.log(offset), li)) if offset > 0.0 else float(li)
+        if psi_i is None:
+            psi_i = psi_for_s(b, si) if b not in (None, 0.0, 1.0) else float("nan")
+        samples.append(TransformSample(float(psi_i), float(si), log_f, float(err), bool(met)))
+    return samples
 
 
 def log_transform(
@@ -329,32 +385,7 @@ def log_transform(
         EmptyMeasure: measure target without atoms.
         DomainError: s <= 0, offset < 0 or tol <= 0.
     """
-    if not s > 0.0:
-        raise DomainError("s must be positive")
-    if offset < 0.0:
-        raise DomainError("offset must be >= 0")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
-    log_integral, quad_error, tol_met = _exact_log_integral(t, c, s), 0.0, True
-    if log_integral is None:
-        window = _prepare_window(t, c, s)
-        log_integral, quad_error, tol_met = _refine_log_integral(*window, tol)
-
-    if offset > 0.0:
-        log_f = float(np.logaddexp(math.log(offset), log_integral))
-    else:
-        log_f = log_integral
-
-    if psi is None:
-        b = t.power_exponent
-        psi = psi_for_s(b, s) if b not in (None, 0.0, 1.0) else float("nan")
-    return TransformSample(
-        psi=float(psi),
-        s=float(s),
-        log_f=log_f,
-        quad_error=float(quad_error),
-        tol_met=tol_met,
-    )
+    return _transform_rows(t, c, offset, [s], tol, [psi])[0]
 
 
 def predict_log_f(p: UnifiedParams, psi: float, order: str = "corrected") -> float:
@@ -378,5 +409,10 @@ def sample_at_psi(
     p: UnifiedParams, t: TargetFunction, psi: float, tol: float = 1e-8
 ) -> TransformSample:
     """Evaluate log f at the transform argument matching regime variable psi."""
-    s = s_for_psi(p.b, psi)
-    return log_transform(t, p.c, p.offset, s, tol=tol, psi=psi)
+    return _samples_at_psis(p, t, [psi], tol)[0]
+
+
+def _samples_at_psis(p: UnifiedParams, t: TargetFunction, psis, tol: float):
+    """sample_at_psi at every psi of a sweep, in one batched engine pass."""
+    s = [s_for_psi(p.b, psi) for psi in psis]
+    return _transform_rows(t, p.c, p.offset, s, tol, list(psis))

@@ -254,3 +254,16 @@ class TestVerifyEquivalence:
         assert rep.mid_sample is not None
         for s, psi in zip(rep.samples, grid.psi_values):
             assert s.psi == pytest.approx(psi, rel=1e-12)
+
+    def test_notes_name_each_sample_that_missed_tolerance(self):
+        # Kasahara at psi=1e12: the peak is narrower than the first panels
+        # and refinement stops at its cap; every other sample, psi_mid=100
+        # included, meets 1e-8.
+        p = tl.validate(-1.0, 2.0, 1.0, offset=1.0)
+        rep = tl.verify_equivalence(p, tl.PurePower(-1.0, 2.0), tl.make_grid(10, 1e12, 12))
+        missed = [s for s in rep.samples if not s.tol_met]
+        assert [s.psi for s in missed] == [1e12] and rep.mid_sample.tol_met
+        assert missed[0].quad_error > 1e-8
+        assert [n for n in rep.notes if "tolerance" in n] == [
+            f"quadrature tolerance not met at psi=1e+12 (quad_error {missed[0].quad_error:.3g})"
+        ]

@@ -222,6 +222,13 @@ IN_PROCESS_CASES = {
     "raw-and-classical": (
         ("validate", *K, "--classical", "kohlbecker"), None, 2,
         "stderr", "give either raw --a/--b/--c or --classical, not both"),
+    "classical-offset-flag": (
+        ("validate", "--classical", "kohlbecker", "--alpha", "2", "--B", "2", "--offset", "5"),
+        None, 2, "stderr", "--offset applies to raw --a/--b/--c, not to --classical"),
+    "classical-offset-config": (
+        ("validate", "--config", "run.cfg"),
+        "classical = kohlbecker\nalpha = 2\nB = 2\noffset = 5\n", 2,
+        "stderr", "--offset applies to raw --a/--b/--c, not to --classical"),
     "unknown-variant": (
         ("validate", "--classical", "weierstrass", "--alpha", "2", "--B", "2"), None, 2,
         "stderr", "unknown classical variant 'weierstrass'"),

@@ -1,5 +1,6 @@
 """Quadrature engine: peaks, transforms, predictions, and the mpmath oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -152,6 +153,17 @@ class TestSearchCost:
         assert t.calls <= 16
 
     @pytest.mark.parametrize(
+        "a,b,c,offset",
+        [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0), (-1.0, -1.0, -1.0, 0.0)],
+    )
+    def test_sweep_evaluates_all_points_per_call(self, a, b, c, offset):
+        # Every step of a sweep is one call over all its open rows, so 16
+        # points cost about as many calls as one (160-184 point by point).
+        t = _CountingTarget(tl.PurePower(a, b))
+        tl.evaluate_sweep(tl.validate(a, b, c, offset), t, tl.make_grid(10.0, 1000.0, 16))
+        assert t.calls <= 40
+
+    @pytest.mark.parametrize(
         "target,c,s",
         [
             (KOHL, -1.0, 100.0),
@@ -164,7 +176,7 @@ class TestSearchCost:
     def test_window_matches_unit_step_walk(self, target, c, s):
         # Reference: walk out from the peak one unit panel at a time until
         # the w-integrand g(e^w) + w is FRONTIER_DROP nats below its peak.
-        _, w_lo, w_hi, m = tl.transform._prepare_window(target, c, s)
+        (w_lo,), (w_hi,), (m,) = tl.transform._prepare_windows(target, c, np.array([s]))
         w_center = math.log(tl.locate_peak(target, c, s))
         assert m == pytest.approx(
             tl.log_integrand(target, c, s, math.exp(w_center)), rel=1e-14
@@ -180,6 +192,72 @@ class TestSearchCost:
                 n += 1
             panels.append(n)
         assert [w_center - w_lo, w_hi - w_center] == pytest.approx(panels, abs=1e-9)
+
+
+def _fields(sample):
+    """The five TransformSample fields, in a form that compares bit for bit."""
+    return repr(dataclasses.astuple(sample))
+
+
+def _guardrail_triples(seed: int, n: int) -> list[tuple[float, float, float]]:
+    """Seeded (a, b, c) draws from the guardrail box, cycling over the regimes:
+    |a|, |c| log-uniform in [1e-8, 1e8], |b| log-uniform in the regime's range,
+    kept 0.05 from 0 and 1 so that s = psi**((1-b)/b) is representable."""
+    rng = np.random.default_rng(seed)
+    regimes = [((0.05, 0.95), 1.0, -1.0), ((1.05, 64.0), -1.0, 1.0), ((0.05, 64.0), -1.0, -1.0)]
+    triples = []
+    for k in range(n):
+        (b_lo, b_hi), sa, sc = regimes[k % 3]
+        a, c = (10.0 ** rng.uniform(-8.0, 8.0) for _ in range(2))
+        b = math.exp(rng.uniform(math.log(b_lo), math.log(b_hi)))
+        triples.append((sa * a, b if k % 3 < 2 else -b, sc * c))
+    return triples
+
+
+class TestBatchedSweep:
+    """A sweep is one batched engine pass that equals its points one by one."""
+
+    GRID = tl.make_grid(10.0, 1000.0, 16)
+
+    @pytest.mark.parametrize(
+        "a,b,c,offset,pert",
+        [
+            (2.0, 0.5, -1.0, 0.0, None),
+            (-1.0, 2.0, 1.0, 1.0, None),
+            (-1.0, -1.0, -1.0, 0.0, None),
+            (2.0, 0.5, -1.0, 0.0, ("inverse-log", 0.2)),
+            (-1.0, -1.0, -1.0, 0.0, ("log-sine", 0.3)),
+        ],
+    )
+    def test_sessions_match_per_psi_samples(self, a, b, c, offset, pert):
+        p = tl.validate(a, b, c, offset)
+        t = tl.PurePower(a, b) if pert is None else tl.PerturbedPower(a, b, *pert)
+        psis = self.GRID.psi_values + (100.0,)
+        batch = tl.transform._samples_at_psis(p, t, psis, 1e-8)
+        assert [_fields(s) for s in batch] == [
+            _fields(tl.sample_at_psi(p, t, psi)) for psi in psis
+        ]
+        assert tl.evaluate_sweep(p, t, self.GRID) == batch[:-1]
+
+    def test_guardrail_draws_match_per_psi_samples(self):
+        for a, b, c in _guardrail_triples(seed=5, n=20):
+            p, t = tl.validate(a, b, c), tl.PurePower(a, b)
+            batch = tl.evaluate_sweep(p, t, self.GRID)
+            assert [_fields(s) for s in batch] == [
+                _fields(tl.sample_at_psi(p, t, psi)) for psi in self.GRID.psi_values
+            ], (a, b, c)
+
+    def test_unrepresentable_seed_raises_as_one_row(self):
+        # b close to 1: the stationary point u* = e^(1000*0.7 + log psi)
+        # leaves the float range once psi > ~1.8e4, while s stays near 1.
+        a, b, c = -1.0, 1.001, 1.001 * math.exp(0.7)
+        p, t = tl.validate(a, b, c), tl.PurePower(a, b)
+        grid = tl.make_grid(10.0, 1e6, 8)
+        with pytest.raises(tl.NumericOverflow):
+            tl.sample_at_psi(p, t, grid.psi_values[-1])
+        tl.sample_at_psi(p, t, grid.psi_values[0])
+        with pytest.raises(tl.NumericOverflow, match="not representable"):
+            tl.evaluate_sweep(p, t, grid)
 
 
 class TestLogTransform:
