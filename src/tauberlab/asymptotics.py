@@ -34,7 +34,7 @@ from .errors import (
 )
 from .params import UnifiedParams, dual_exponent, recover_primal
 from .targets import TargetFunction
-from .transform import TransformSample, _samples_at_psis, predict_log_f
+from .transform import TransformSample, predict_log_f, sample_at_psi
 
 __all__ = [
     "EvalGrid",
@@ -361,7 +361,7 @@ def evaluate_sweep(
     quad_tol: float = 1e-8,
 ) -> list[TransformSample]:
     """log f across the psi grid, all points in one batched engine pass."""
-    return _samples_at_psis(p, t, grid.psi_values, quad_tol)
+    return sample_at_psi(p, t, grid.psi_values, tol=quad_tol)
 
 
 def _target_matches(p: UnifiedParams, t: TargetFunction) -> bool:
@@ -392,7 +392,7 @@ def verify_equivalence(
         )
     psi_lo, psi_hi = grid.psi_values[0], grid.psi_values[-1]
     mid = (profile.psi_mid,) if psi_lo <= profile.psi_mid <= psi_hi else ()
-    samples = _samples_at_psis(p, t, grid.psi_values + mid, profile.quad_tol)
+    samples = sample_at_psi(p, t, grid.psi_values + mid, tol=profile.quad_tol)
     notes = [
         f"quadrature tolerance not met at psi={s.psi:g} (quad_error {s.quad_error:.3g})"
         for s in samples if not s.tol_met

@@ -119,11 +119,9 @@ def _g_rows(t: TargetFunction, c: float, s: np.ndarray, w: np.ndarray) -> np.nda
 
 
 def _linspace_rows(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """np.linspace(lo[i], hi[i], n) as C-contiguous rows, by linspace's own in-place
-    steps on one allocation, so that row sums run as on a 1-D grid."""
-    ws = np.arange(lo.size * n, dtype=float).reshape(lo.size, n)
-    ws -= np.arange(0.0, lo.size * n, n)[:, None]
-    ws *= ((hi - lo) / (n - 1))[:, None]
+    """np.linspace(lo[i], hi[i], n) as C-contiguous rows, by linspace's own
+    expressions, so that row sums run as on a 1-D grid."""
+    ws = np.arange(n, dtype=float) * ((hi - lo) / (n - 1))[:, None]
     ws += lo[:, None]
     ws[:, -1] = hi
     return ws
@@ -165,66 +163,62 @@ def _closed_form_seed(t: TargetFunction, c: float, s: float) -> float | None:
     return u if u > 0.0 else None
 
 
-def _locate_peaks(t: TargetFunction, c: float, s: np.ndarray) -> list[float]:
-    """Argmax u* of the log-integrand at each s of a batch (see locate_peak);
-    a row leaves the bracket widening and the zoom once it is done."""
-    if not np.all(s > 0.0):
-        raise DomainError("s must be positive")
-    _require_interior_peak(t, c)
-    seeds = [_closed_form_seed(t, c, si) for si in s]
-    if None in seeds:
-        bad = s[seeds.index(None)]
-        raise NumericOverflow(f"stationary point of g at s={bad:g} is not representable")
-    w0 = np.array([math.log(u) for u in seeds])
-    lo, hi = w0 - 0.7, w0 + 0.7
-    # Widen until each bracket contains the maximum (perturbed targets shift
-    # it slightly off the closed form).
-    rows = np.arange(s.size)
-    for _ in range(60):
-        mid = 0.5 * (lo[rows] + hi[rows])
-        gl, gm, gh = _g_rows(t, c, s[rows], np.stack([lo[rows], mid, hi[rows]], axis=1)).T
-        rows = rows[~((gm >= gl) & (gm >= gh))]
-        if not rows.size:
-            break
-        width = hi[rows] - lo[rows]
-        lo[rows], hi[rows] = lo[rows] - width, hi[rows] + width
-    else:
-        raise NoInteriorPeak("no maximum of g bracketed around the closed-form seed")
-    # Zoom each row's grid onto its argmax until its spacing is fine enough.
-    w_star, spacing = np.empty(s.size), np.empty(s.size)
-    rows, ws = np.arange(s.size), _linspace_rows(lo, hi, _PEAK_GRID_POINTS)
-    while rows.size:
-        k = np.argmax(_g_rows(t, c, s[rows], ws), axis=1)
-        step = ws[:, 1] - ws[:, 0]
-        done, at = step <= _PEAK_GRID_SPACING, np.arange(rows.size)
-        w_star[rows[done]], spacing[rows[done]] = ws[at, k][done], step[done]
-        at, k = at[~done], k[~done]
-        lo, hi = ws[at, np.maximum(k - 1, 0)], ws[at, np.minimum(k + 1, _PEAK_GRID_POINTS - 1)]
-        rows, ws = rows[~done], _linspace_rows(lo, hi, _PEAK_GRID_POINTS)
-    # Parabolic steps through g at w - h, w, w + h, taken only where the
-    # stencil is concave and the vertex lies within it.
-    for h in (spacing, _FINAL_STENCIL):
-        stencil = np.stack([w_star - h, w_star, w_star + h], axis=1)
-        fm, f0, fp = _g_rows(t, c, s, stencil).T
-        with np.errstate(invalid="ignore", divide="ignore"):
-            denom = fm - 2.0 * f0 + fp
-            step = 0.5 * h * (fm - fp) / denom
-            take = np.isfinite(denom) & (denom < 0.0) & (np.abs(step) < h)
-        w_star = np.where(take, w_star + step, w_star)
-    return [math.exp(w) for w in w_star]
-
-
-def locate_peak(t: TargetFunction, c: float, s: float) -> float:
+def locate_peak(t: TargetFunction, c: float, s):
     """Argmax u* of the log-integrand, refined to ~1e-10 relative in u.
 
-    For exact power targets this matches the closed form x_peak * psi.
+    For exact power targets this matches the closed form x_peak * psi.  Given
+    a 1-D array of s, returns the list of the rows' u*, each as found alone;
+    a row leaves the bracket widening and the zoom once it is done.
 
     Raises:
         NoInteriorPeak: integrand monotone, or no maximum bracketed.
         NotIntegrable: the signs of a, b and c make the transform diverge.
         NumericOverflow: the stationary point is outside the float range.
     """
-    return _locate_peaks(t, c, np.array([s], dtype=float))[0]
+    s_rows = np.array(s, dtype=float, ndmin=1)
+    if not (s_rows > 0.0).all():
+        raise DomainError("s must be positive")
+    _require_interior_peak(t, c)
+    seeds = [_closed_form_seed(t, c, si) for si in s_rows.tolist()]
+    if None in seeds:
+        bad = s_rows[seeds.index(None)]
+        raise NumericOverflow(f"stationary point of g at s={bad:g} is not representable")
+    lo, hi = [math.log(u) - 0.7 for u in seeds], [math.log(u) + 0.7 for u in seeds]
+    # Widen until each bracket contains the maximum (perturbed targets shift
+    # it slightly off the closed form).
+    rows = list(range(s_rows.size))
+    for _ in range(60):
+        brackets = [(lo[i], 0.5 * (lo[i] + hi[i]), hi[i]) for i in rows]
+        g = _g_rows(t, c, s_rows[rows], np.array(brackets)).tolist()
+        rows = [i for i, (gl, gm, gh) in zip(rows, g) if gm < gl or gm < gh]
+        if not rows:
+            break
+        for i in rows:
+            lo[i], hi[i] = lo[i] - (hi[i] - lo[i]), hi[i] + (hi[i] - lo[i])
+    else:
+        raise NoInteriorPeak("no maximum of g bracketed around the closed-form seed")
+    # Zoom each row's grid onto its argmax until its spacing is fine enough.
+    w_star, spacing, rows = [0.0] * s_rows.size, [0.0] * s_rows.size, list(range(s_rows.size))
+    while rows:
+        ws = _linspace_rows(np.array(lo), np.array(hi), _PEAK_GRID_POINTS)
+        ks = _g_rows(t, c, s_rows[rows], ws).argmax(axis=1).tolist()
+        for i, w, k in zip(rows, ws, ks):
+            w_star[i], spacing[i] = float(w[k]), float(w[1] - w[0])
+        open_ = [j for j, i in enumerate(rows) if spacing[i] > _PEAK_GRID_SPACING]
+        lo = [ws[j, max(ks[j] - 1, 0)] for j in open_]
+        hi = [ws[j, min(ks[j] + 1, _PEAK_GRID_POINTS - 1)] for j in open_]
+        rows = [rows[j] for j in open_]
+    # Parabolic steps through g at w - h, w, w + h, on the final grid spacing
+    # and then on a 1e-5 stencil, taken only where the stencil is concave and
+    # the vertex lies within it.
+    for hs in (spacing, [_FINAL_STENCIL] * s_rows.size):
+        stencil = np.array([(w - h, w, w + h) for w, h in zip(w_star, hs)])
+        for i, (h, (fm, f0, fp)) in enumerate(zip(hs, _g_rows(t, c, s_rows, stencil).tolist())):
+            denom = fm - 2.0 * f0 + fp
+            if math.isfinite(denom) and denom < 0.0 and abs(step := 0.5 * h * (fm - fp) / denom) < h:
+                w_star[i] += step
+    peaks = [math.exp(w) for w in w_star]
+    return peaks if np.ndim(s) else peaks[0]
 
 
 def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
@@ -235,30 +229,29 @@ def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
     Raises:
         NotIntegrable: no edge with k < _MAX_WINDOW_PANELS qualifies.
     """
-    w_center = np.array([math.log(u) for u in _locate_peaks(t, c, s)])
-    m = _g_rows(t, c, s, w_center[:, None])[:, 0]
-    # Left frontiers are rows 0..r-1, right frontiers rows r..2r-1.
-    side = np.repeat([-1.0, 1.0], s.size)
-    center, shift, s2 = (np.concatenate((v, v)) for v in (w_center, m, s))
-    edge = np.empty(2 * s.size)
-    rows, k, size = np.arange(2 * s.size), 0, _FIRST_FRONTIER_CHUNK
-    while rows.size and k < _MAX_WINDOW_PANELS:
+    w_center = [math.log(u) for u in locate_peak(t, c, s)]
+    m = _g_rows(t, c, s, np.array(w_center)[:, None])[:, 0]
+    # Frontier q < r is row q's left one, q >= r row q - r's right one.
+    r, k, size = s.size, 0, _FIRST_FRONTIER_CHUNK
+    edge, probes = [0.0] * 2 * r, list(range(2 * r))
+    while k < _MAX_WINDOW_PANELS:
         ks = np.arange(k, min(k + size, _MAX_WINDOW_PANELS), dtype=float)
-        ws = center[rows, None] + side[rows, None] * (1.0 + ks)
-        g = _g_rows(t, c, s2[rows], ws)
-        below = g + ws - shift[rows, None] - center[rows, None] < -FRONTIER_DROP
-        hit = below.any(axis=1)
-        edge[rows[hit]] = ws[hit, np.argmax(below[hit], axis=1)]
-        rows, k, size = rows[~hit], k + ks.size, 2 * size
-    if rows.size:
-        raise NotIntegrable(
-            f"{'left' if side[rows[0]] < 0.0 else 'right'} frontier not reached "
-            f"within {_MAX_WINDOW_PANELS} panels"
-        )
-    return edge[: s.size], edge[s.size :], m
+        rows = [q % r for q in probes]
+        center = np.array([w_center[i] for i in rows])[:, None]
+        ws = center + np.array([-1.0 if q < r else 1.0 for q in probes])[:, None] * (1.0 + ks)
+        below = _g_rows(t, c, s[rows], ws) + ws - m[rows][:, None] - center < -FRONTIER_DROP
+        for q, b, w, j in zip(probes, below, ws, below.argmax(axis=1).tolist()):
+            edge[q] = float(w[j]) if b[j] else None
+        probes, k, size = [q for q in probes if edge[q] is None], k + ks.size, 2 * size
+        if not probes:
+            return np.array(edge[:r]), np.array(edge[r:]), m
+    raise NotIntegrable(
+        f"{'left' if probes[0] < r else 'right'} frontier not reached "
+        f"within {_MAX_WINDOW_PANELS} panels"
+    )
 
 
-def _trapezoid_rows(t, c, s, w_lo, w_hi, m, n: int) -> np.ndarray:
+def _trapezoid_rows(t, c, s, w_lo, w_hi, m, n: int) -> list[float]:
     """log of the shifted trapezoid estimate of int exp(g(e^w)+w) dw on n
     panels, per row, in slices of at most _MAX_POINTS_PER_CALL nodes."""
     # numpy reuses a large temporary only against a scalar or an operand of its
@@ -267,34 +260,37 @@ def _trapezoid_rows(t, c, s, w_lo, w_hi, m, n: int) -> np.ndarray:
     weights[0, 0] = weights[0, -1] = 0.5
     out, per_call = [], max(1, _MAX_POINTS_PER_CALL // (n + 1))
     for i in range(0, s.size, per_call):
-        lo, hi, mi = (v[i : i + per_call] for v in (w_lo, w_hi, m))
+        lo, hi, mi = w_lo[i : i + per_call], w_hi[i : i + per_call], m[i : i + per_call]
         ws = _linspace_rows(lo, hi, n + 1)
         vals = _g_rows(t, c, s[i : i + per_call], ws) + ws
         vals -= mi[:, None]
-        peak = np.max(vals, axis=1)
-        total = np.sum(weights * np.exp(vals - peak[:, None]), axis=1)
-        out += [a + p + math.log(v * (h - l) / n) for a, p, v, l, h in zip(mi, peak, total, lo, hi)]
+        peak = vals.max(axis=1)
+        total = (weights * np.exp(vals - peak[:, None])).sum(axis=1)
+        out += [a + p + math.log(v * (h - l) / n) for a, p, v, l, h in
+                zip(mi.tolist(), peak.tolist(), total.tolist(), lo.tolist(), hi.tolist())]
         del ws, vals  # before the next slice allocates its own
-    return np.array(out)
+    return out
 
 
 def _refine_rows(t, c, s, w_lo, w_hi, m, tol: float):
     """Interval-halving refinement; error = difference of successive levels.
     Rows that share an initial panel count refine together, and a row leaves
-    once it meets tol.  Returns (log_integral, quad_error, tol_met) arrays."""
-    log_integral, quad_error, tol_met = np.empty(s.size), np.empty(s.size), np.zeros(s.size, bool)
-    n0 = np.array([max(128, int((h - l) * _INITIAL_POINTS_PER_UNIT)) for l, h in zip(w_lo, w_hi)])
-    for n in sorted(set(n0.tolist())):  # np.unique would import numpy.ma (~40 ms)
-        rows = np.flatnonzero(n0 == n)
-        cur = _trapezoid_rows(t, c, s[rows], w_lo[rows], w_hi[rows], m[rows], n)
+    once it meets tol.  Returns (log_integral, quad_error, tol_met) lists."""
+    log_integral, quad_error, tol_met = [0.0] * s.size, [0.0] * s.size, [False] * s.size
+    n0 = [max(128, int((h - l) * _INITIAL_POINTS_PER_UNIT)) for l, h in zip(w_lo.tolist(), w_hi.tolist())]
+    for n in sorted(set(n0)):
+        rows = [i for i, ni in enumerate(n0) if ni == n]
+        group = (s, w_lo, w_hi, m) if len(rows) == s.size else [v[rows] for v in (s, w_lo, w_hi, m)]
+        cur = _trapezoid_rows(t, c, *group, n)
         for _ in range(_MAX_REFINEMENTS - 1):
             n *= 2
-            prev, cur = cur, _trapezoid_rows(t, c, s[rows], w_lo[rows], w_hi[rows], m[rows], n)
-            log_integral[rows], quad_error[rows] = cur, np.abs(cur - prev)
-            met = quad_error[rows] <= tol
-            tol_met[rows[met]] = True
-            rows, cur = rows[~met], cur[~met]
-            if not rows.size:
+            prev, cur = cur, _trapezoid_rows(t, c, *group, n)
+            for i, a, b in zip(rows, prev, cur):
+                log_integral[i], quad_error[i], tol_met[i] = b, abs(b - a), abs(b - a) <= tol
+            keep = [j for j, i in enumerate(rows) if not tol_met[i]]
+            if len(keep) < len(rows):
+                rows, cur, group = [rows[j] for j in keep], [cur[j] for j in keep], [v[keep] for v in group]
+            if not rows:
                 break
     return log_integral, quad_error, tol_met
 
@@ -354,8 +350,7 @@ def _transform_rows(t: TargetFunction, c: float, offset: float, s: list, tol: fl
     if log_integral[0] is None:
         window = _prepare_windows(t, c, rows)
         log_integral, quad_error, tol_met = _refine_rows(t, c, rows, *window, tol)
-    b = t.power_exponent
-    samples = []
+    b, samples = t.power_exponent, []
     for si, psi_i, li, err, met in zip(s, psi, log_integral, quad_error, tol_met):
         log_f = float(np.logaddexp(math.log(offset), li)) if offset > 0.0 else float(li)
         if psi_i is None:
@@ -405,14 +400,20 @@ def predict_log_f(p: UnifiedParams, psi: float, order: str = "corrected") -> flo
     return p.d * psi + 0.5 * math.log(psi) + 0.5 * math.log(2.0 * math.pi / abs(curvature))
 
 
-def sample_at_psi(
-    p: UnifiedParams, t: TargetFunction, psi: float, tol: float = 1e-8
-) -> TransformSample:
-    """Evaluate log f at the transform argument matching regime variable psi."""
-    return _samples_at_psis(p, t, [psi], tol)[0]
+def sample_at_psi(p: UnifiedParams, t: TargetFunction, psi, tol: float = 1e-8):
+    """Evaluate log f at the transform argument matching regime variable psi.
 
-
-def _samples_at_psis(p: UnifiedParams, t: TargetFunction, psis, tol: float):
-    """sample_at_psi at every psi of a sweep, in one batched engine pass."""
-    s = [s_for_psi(p.b, psi) for psi in psis]
-    return _transform_rows(t, p.c, p.offset, s, tol, list(psis))
+    Given a sequence of psi, evaluates all its points in one batched engine
+    pass and returns the list of their samples, each equal to the point's
+    sample on its own; a sweep raises what its first failing point raises.
+    """
+    psis = list(psi) if np.ndim(psi) else [psi]
+    try:
+        samples = _transform_rows(t, p.c, p.offset, [s_for_psi(p.b, x) for x in psis], tol, psis)
+    except Exception:
+        # Rows fail at different engine stages: a sweep replays its points one
+        # by one so that its first failing point raises its own exception.
+        for x in psis if len(psis) > 1 else ():
+            sample_at_psi(p, t, x, tol)
+        raise
+    return samples if np.ndim(psi) else samples[0]

@@ -233,7 +233,7 @@ class TestBatchedSweep:
         p = tl.validate(a, b, c, offset)
         t = tl.PurePower(a, b) if pert is None else tl.PerturbedPower(a, b, *pert)
         psis = self.GRID.psi_values + (100.0,)
-        batch = tl.transform._samples_at_psis(p, t, psis, 1e-8)
+        batch = tl.sample_at_psi(p, t, psis)
         assert [_fields(s) for s in batch] == [
             _fields(tl.sample_at_psi(p, t, psi)) for psi in psis
         ]
@@ -258,6 +258,24 @@ class TestBatchedSweep:
         tl.sample_at_psi(p, t, grid.psi_values[0])
         with pytest.raises(tl.NumericOverflow, match="not representable"):
             tl.evaluate_sweep(p, t, grid)
+
+    @pytest.mark.parametrize(
+        "psis,first_failure",
+        [([10.0, 1e6, -1.0], tl.NumericOverflow), ([10.0, -1.0, 1e6], tl.DomainError)],
+    )
+    def test_mixed_failures_raise_the_first_failing_point(self, psis, first_failure):
+        # The rows fail at different stages: psi=1e6 in the engine (its seed
+        # is unrepresentable), psi=-1 before it (in s_for_psi).  A sweep
+        # raises what its first failing point raises on its own.
+        a, b, c = -1.0, 1.001, 1.001 * math.exp(0.7)
+        p, t = tl.validate(a, b, c), tl.PurePower(a, b)
+        with pytest.raises(first_failure) as alone:
+            for psi in psis:
+                tl.sample_at_psi(p, t, psi)
+        with pytest.raises(tl.TauberError) as swept:
+            tl.sample_at_psi(p, t, psis)
+        assert type(swept.value) is first_failure
+        assert str(swept.value) == str(alone.value)
 
 
 class TestLogTransform:
