@@ -305,7 +305,6 @@ class ToleranceProfile:
     corrected_abs_top: float = 0.2
     exponent_rtol: float = 0.03
     inverse_rtol: float = 0.10
-    require_monotone: bool = True
     quad_tol: float = 1e-8
 
 
@@ -434,18 +433,17 @@ def verify_equivalence(
             passed=corr_gap <= profile.corrected_abs_top,
         )
     )
-    if profile.require_monotone:
-        half = len(samples) - len(samples) // 2
-        devs = np.abs(np.asarray(ratios[half - 1 :]) - 1.0)
-        monotone = bool(np.all(np.diff(devs) < 0.0))
-        checks.append(
-            CheckResult(
-                name="monotone_ratio_last_half",
-                value=float(np.max(np.diff(devs))) if len(devs) > 1 else 0.0,
-                limit=0.0,
-                passed=monotone,
-            )
+    half = len(samples) - len(samples) // 2
+    devs = np.abs(np.asarray(ratios[half - 1 :]) - 1.0)
+    monotone = bool(np.all(np.diff(devs) < 0.0))
+    checks.append(
+        CheckResult(
+            name="monotone_ratio_last_half",
+            value=float(np.max(np.diff(devs))) if len(devs) > 1 else 0.0,
+            limit=0.0,
+            passed=monotone,
         )
+    )
 
     fit = None
     a_hat = b_hat = None

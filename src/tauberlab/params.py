@@ -156,13 +156,8 @@ def _peak_curvature(a: float, b: float, c: float) -> tuple[float, float]:
     """x_peak and the curvature h''(x_peak) = a*b*(b-1)*x_peak**(b-2)."""
     # -c/(a*b) > 0 is guaranteed by a*b*c < 0.
     base = -c / (a * b)
-    x = base ** (1.0 / (b - 1.0))
-    if not (math.isfinite(x) and x > 0.0):
-        raise NumericOverflow(
-            f"saddle location (-c/(a*b))**(1/(b-1)) not representable "
-            f"(a={a:g}, b={b:g}, c={c:g})"
-        )
-    return x, a * b * (b - 1.0) * x ** (b - 2.0)
+    x = _positive_power(base, 1.0 / (b - 1.0), "saddle location x_peak")
+    return x, a * b * (b - 1.0) * _positive_power(x, b - 2.0, "x_peak**(b-2)")
 
 
 def compute_d(a: float, b: float, c: float) -> float:
@@ -174,7 +169,7 @@ def compute_d(a: float, b: float, c: float) -> float:
     """
     _check_admissible(a, b, c)
     base = -c / (a * b)
-    d = a * (1.0 - b) * base ** (b / (b - 1.0))
+    d = a * (1.0 - b) * _positive_power(base, b / (b - 1.0), "(-c/(a*b))**(b/(b-1))")
     if not math.isfinite(d) or d == 0.0:
         raise NumericOverflow(
             f"dual coefficient not representable for (a={a:g}, b={b:g}, c={c:g})"
@@ -197,8 +192,8 @@ def d_variants(a: float, b: float, c: float) -> tuple[float, float]:
     _check_admissible(a, b, c)
     base = -(a * b) / c
     pref = a * (1.0 - b)
-    stated = pref * base ** (b / (b - 1.0))
-    consistent = pref * base ** (b / (1.0 - b))
+    stated = pref * _positive_power(base, b / (b - 1.0), "d_stated base power")
+    consistent = pref * _positive_power(base, b / (1.0 - b), "d_consistent base power")
     if not (math.isfinite(stated) and math.isfinite(consistent)):
         raise NumericOverflow(
             f"dual-coefficient variants overflow for (a={a:g}, b={b:g}, c={c:g})"

@@ -6,25 +6,25 @@ exactly.  For power targets (PurePower, PerturbedPower) the integrand's
 dynamic range exceeds the floating-point range at moderate regime values
 (the peak value grows like d*psi), so a saddle-centered engine
 
-  1. locates the interior maximum u* of the log-integrand
-     g(u) = q(u*s) + c*u, whose existence the signs of a, b and c decide:
-     a bracket in w = log u around the pure power's stationary point is
-     widened until it holds the maximum and sampled on a 65-point grid,
-     which zooms in on its argmax until its spacing is at most 1e-3; two
-     parabolic steps, on that spacing and on a 1e-5 stencil, then refine
-     the argmax,
+  1. centres its window on the stationary point u* of the pure-power part
+     of the log-integrand g(u) = q(u*s) + c*u, in closed form; the signs of
+     a, b and c decide whether g has an interior maximum,
   2. switches to w = log u, where integrable endpoint behavior turns into
      exponential decay of the w-integrand exp(g(e^w) + w),
   3. places each window frontier at the first unit-panel edge w* -+ (1 + k)
-     where the shifted integrand has fallen 40 nats below its peak, probing
-     the candidate edges in chunks that double in size,
+     where the shifted integrand has fallen 40 nats below its value at w*,
+     probing the candidate edges in chunks that double in size,
   4. integrates exp(g(e^w) + w - m) by a nested trapezoid rule with interval
-     halving, m being the peak value of g; the error estimate is the
-     difference between successive refinements.
+     halving, m being g(u*); the error estimate is the difference between
+     successive refinements.
 
-Every step runs on all rows (s values) of a sweep at once: each bracket,
-grid, stencil, frontier chunk or trapezoid level is one vector evaluation of
-g over the rows still open.  Each row sees the nodes and float expressions
+No search refines u* for a perturbed target: on these analytic integrands the
+trapezoid rule in w converges geometrically wherever its nodes fall
+(Trefethen & Weideman, SIAM Rev. 56, 2014).
+
+Every step runs on all rows (s values) of a sweep at once: the centre value,
+each frontier chunk and each trapezoid level is one vector evaluation of g
+over the rows still open.  Each row sees the nodes and float expressions
 of a batch of one, so a sweep equals its points evaluated one by one.
 
 log f is then m + log(integral) combined with the offset in log space.
@@ -69,13 +69,6 @@ _MAX_WINDOW_PANELS = 800
 # Most frontiers sit within a few panels of the peak; probing four candidate
 # edges at once settles most of them in the first call.
 _FIRST_FRONTIER_CHUNK = 4
-_PEAK_GRID_POINTS = 65
-# The peak grid zooms in on its argmax until its spacing is at most this.  A
-# parabolic step on that spacing then lands close enough for the final
-# 1e-5 stencil, which works near the roundoff floor of g, to take its step
-# even where |g'''/g''| is as large as |b| <= 64 allows.
-_PEAK_GRID_SPACING = 1e-3
-_FINAL_STENCIL = 1e-5
 _MAX_REFINEMENTS = 14
 _INITIAL_POINTS_PER_UNIT = 8.0
 # A trapezoid level runs in slices of this many nodes (or one row): bounded memory.
@@ -164,14 +157,16 @@ def _closed_form_seed(t: TargetFunction, c: float, s: float) -> float | None:
 
 
 def locate_peak(t: TargetFunction, c: float, s):
-    """Argmax u* of the log-integrand, refined to ~1e-10 relative in u.
+    """Stationary point u* of g for the pure power a*x**b of the target.
 
-    For exact power targets this matches the closed form x_peak * psi.  Given
-    a 1-D array of s, returns the list of the rows' u*, each as found alone;
-    a row leaves the bracket widening and the zoom once it is done.
+    For exact power targets this is the argmax x_peak * psi in closed form; a
+    perturbed target's argmax lies near it, and the engine centres its window
+    there without refining it (see the module docstring).  Given a 1-D array
+    of s, returns the list of the rows' u*.
 
     Raises:
-        NoInteriorPeak: integrand monotone, or no maximum bracketed.
+        DomainError: s <= 0.
+        NoInteriorPeak: integrand monotone.
         NotIntegrable: the signs of a, b and c make the transform diverge.
         NumericOverflow: the stationary point is outside the float range.
     """
@@ -179,58 +174,29 @@ def locate_peak(t: TargetFunction, c: float, s):
     if not (s_rows > 0.0).all():
         raise DomainError("s must be positive")
     _require_interior_peak(t, c)
-    seeds = [_closed_form_seed(t, c, si) for si in s_rows.tolist()]
-    if None in seeds:
-        bad = s_rows[seeds.index(None)]
+    peaks = [_closed_form_seed(t, c, si) for si in s_rows.tolist()]
+    if None in peaks:
+        bad = s_rows[peaks.index(None)]
         raise NumericOverflow(f"stationary point of g at s={bad:g} is not representable")
-    lo, hi = [math.log(u) - 0.7 for u in seeds], [math.log(u) + 0.7 for u in seeds]
-    # Widen until each bracket contains the maximum (perturbed targets shift
-    # it slightly off the closed form).
-    rows = list(range(s_rows.size))
-    for _ in range(60):
-        brackets = [(lo[i], 0.5 * (lo[i] + hi[i]), hi[i]) for i in rows]
-        g = _g_rows(t, c, s_rows[rows], np.array(brackets)).tolist()
-        rows = [i for i, (gl, gm, gh) in zip(rows, g) if gm < gl or gm < gh]
-        if not rows:
-            break
-        for i in rows:
-            lo[i], hi[i] = lo[i] - (hi[i] - lo[i]), hi[i] + (hi[i] - lo[i])
-    else:
-        raise NoInteriorPeak("no maximum of g bracketed around the closed-form seed")
-    # Zoom each row's grid onto its argmax until its spacing is fine enough.
-    w_star, spacing, rows = [0.0] * s_rows.size, [0.0] * s_rows.size, list(range(s_rows.size))
-    while rows:
-        ws = _linspace_rows(np.array(lo), np.array(hi), _PEAK_GRID_POINTS)
-        ks = _g_rows(t, c, s_rows[rows], ws).argmax(axis=1).tolist()
-        for i, w, k in zip(rows, ws, ks):
-            w_star[i], spacing[i] = float(w[k]), float(w[1] - w[0])
-        open_ = [j for j, i in enumerate(rows) if spacing[i] > _PEAK_GRID_SPACING]
-        lo = [ws[j, max(ks[j] - 1, 0)] for j in open_]
-        hi = [ws[j, min(ks[j] + 1, _PEAK_GRID_POINTS - 1)] for j in open_]
-        rows = [rows[j] for j in open_]
-    # Parabolic steps through g at w - h, w, w + h, on the final grid spacing
-    # and then on a 1e-5 stencil, taken only where the stencil is concave and
-    # the vertex lies within it.
-    for hs in (spacing, [_FINAL_STENCIL] * s_rows.size):
-        stencil = np.array([(w - h, w, w + h) for w, h in zip(w_star, hs)])
-        for i, (h, (fm, f0, fp)) in enumerate(zip(hs, _g_rows(t, c, s_rows, stencil).tolist())):
-            denom = fm - 2.0 * f0 + fp
-            if math.isfinite(denom) and denom < 0.0 and abs(step := 0.5 * h * (fm - fp) / denom) < h:
-                w_star[i] += step
-    peaks = [math.exp(w) for w in w_star]
     return peaks if np.ndim(s) else peaks[0]
 
 
 def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
-    """Locate each row's peak and extend its log-u window to the first panel
-    edges w* -+ (1 + k) where the w-integrand, Jacobian term w included, is
-    FRONTIER_DROP nats below its peak; returns (w_lo, w_hi, m), m the peak of g.
+    """Centre each row's log-u window on locate_peak's u* and extend it to the
+    first panel edges w* -+ (1 + k) where the w-integrand, Jacobian term w
+    included, is FRONTIER_DROP nats below its value at w*; returns
+    (w_lo, w_hi, m), m = g(u*).  For a perturbed target m is at most the peak
+    of g, so each edge is at least FRONTIER_DROP nats below the peak too.
 
     Raises:
+        NumericOverflow: g(u*) is not a finite float.
         NotIntegrable: no edge with k < _MAX_WINDOW_PANELS qualifies.
     """
     w_center = [math.log(u) for u in locate_peak(t, c, s)]
     m = _g_rows(t, c, s, np.array(w_center)[:, None])[:, 0]
+    if not np.isfinite(m).all():
+        bad = s[~np.isfinite(m)][0]
+        raise NumericOverflow(f"peak value g(u*) at s={bad:g} is not a finite float")
     # Frontier q < r is row q's left one, q >= r row q - r's right one.
     r, k, size = s.size, 0, _FIRST_FRONTIER_CHUNK
     edge, probes = [0.0] * 2 * r, list(range(2 * r))
@@ -365,7 +331,6 @@ def log_transform(
     offset: float,
     s: float,
     tol: float = 1e-8,
-    psi: float | None = None,
 ) -> TransformSample:
     """Evaluate log f(s) = log(offset + int_0^inf P(u*s) e^{c*u} du).
 
@@ -380,7 +345,7 @@ def log_transform(
         EmptyMeasure: measure target without atoms.
         DomainError: s <= 0, offset < 0 or tol <= 0.
     """
-    return _transform_rows(t, c, offset, [s], tol, [psi])[0]
+    return _transform_rows(t, c, offset, [s], tol, [None])[0]
 
 
 def predict_log_f(p: UnifiedParams, psi: float, order: str = "corrected") -> float:

@@ -229,6 +229,9 @@ IN_PROCESS_CASES = {
         ("validate", "--config", "run.cfg"),
         "classical = kohlbecker\nalpha = 2\nB = 2\noffset = 5\n", 2,
         "stderr", "--offset applies to raw --a/--b/--c, not to --classical"),
+    "validate-d-overflow": (
+        ("validate", "--a", "-1", "--b", "1.001", "--c", "100"), None, 2,
+        "stderr", "error: NumericOverflow: (-c/(a*b))**(b/(b-1)) = 99.9001**1001"),
     "unknown-variant": (
         ("validate", "--classical", "weierstrass", "--alpha", "2", "--B", "2"), None, 2,
         "stderr", "unknown classical variant 'weierstrass'"),

@@ -79,7 +79,11 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "a,b,c",
-        [(1e9, 0.5, -1.0), (1e-9, 0.5, -1.0), (2.0, 65.0, -1.0), (2.0, 0.5, -1e9)],
+        [
+            (1e9, 0.5, -1.0), (1e-9, 0.5, -1.0), (2.0, 65.0, -1.0), (2.0, 0.5, -1e9),
+            # Inside the box, but d = a*(1-b)*(-c/(a*b))**(b/(b-1)) overflows.
+            (-1.0, 1.001, 100.0), (-1e-8, 1.0005, 1e8), (-1.0, 1.01, 1e4),
+        ],
     )
     def test_guardrails_raise_numeric_overflow(self, a, b, c):
         with pytest.raises(tl.NumericOverflow):

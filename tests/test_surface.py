@@ -33,6 +33,12 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     try:
         tracer.install()
         assert tl.validate is not before[0]["validate"]
+        p = tl.validate(2.0, 0.5, -1.0)
+        tl.verify_equivalence(p, tl.PurePower(2.0, 0.5), tl.make_grid(10.0, 1000.0, 8))
     finally:
         tracer.uninstall()
     assert [dict(vars(ns)) for ns in namespaces] == before
+    # A verify session must reach the engine through the names the tracer
+    # wraps, or the benchmark's per-layer metrics lose their spans.
+    names = {rec[tracer_mod.NAME] for rec in tracer.spans}
+    assert {"transform.sample_at_psi", "transform.locate_peak"} <= names

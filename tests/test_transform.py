@@ -54,6 +54,9 @@ class TestLocatePeak:
             (KOHL, -1.0, 100.0, 100.0),  # x_peak=1, psi=100
             (KASA, 1.0, 0.1, 50.0),  # x_peak=0.5, psi=100
             (DEBR, -1.0, 0.01, 10.0),  # x_peak=1, psi=10
+            # A perturbed target's window centres on its pure power's peak.
+            (tl.PerturbedPower(2.0, 0.5, "inverse-log", 0.2), -1.0, 100.0, 100.0),
+            (tl.PerturbedPower(-1.0, -1.0, "log-sine", 0.3), -1.0, 0.01, 10.0),
         ],
     )
     def test_matches_closed_form(self, target, c, s, expected):
@@ -79,29 +82,6 @@ class TestLocatePeak:
                 assert u * s ** (-b / (1.0 - b)) / x_peak == pytest.approx(
                     1.0, abs=1e-8
                 )
-
-    @pytest.mark.parametrize(
-        "target,c",
-        [
-            (tl.PerturbedPower(2.0, 0.5, "inverse-log", 0.2), -1.0),
-            (tl.PerturbedPower(-1.0, -1.0, "log-sine", 0.3), -1.0),
-        ],
-    )
-    @pytest.mark.parametrize("psi", [10.0, 100.0, 1000.0])
-    def test_perturbed_peak_is_stationary(self, target, c, psi):
-        # No closed form here: the peak must sit where the centred difference
-        # of g in w vanishes.  The Newton distance slope/curvature to that
-        # zero is the relative distance in u.
-        s = tl.s_for_psi(target.b, psi)
-        w = math.log(tl.locate_peak(target, c, s))
-        h = 1e-4
-        gm, g0, gp = (
-            tl.log_integrand(target, c, s, math.exp(w + k * h)) for k in (-1, 0, 1)
-        )
-        slope = (gp - gm) / (2.0 * h)
-        curvature = (gp - 2.0 * g0 + gm) / h**2
-        assert curvature < 0.0
-        assert abs(slope / curvature) <= 1e-8
 
     def test_closed_form_seed_survives_extreme_powers_of_s(self):
         # s**50 underflows at s=1e-10 and overflows at s=1e10, although the
@@ -146,7 +126,7 @@ class TestSearchCost:
         [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0), (-1.0, -1.0, -1.0, 0.0)],
     )
     def test_sample_makes_few_target_calls(self, a, b, c, offset):
-        # Peak search, window growth and refinement are vector probes: a
+        # Window centre, growth and refinement are vector probes: a
         # handful of log_amplitude calls per sample, not one per probe point.
         t = _CountingTarget(tl.PurePower(a, b))
         tl.sample_at_psi(tl.validate(a, b, c, offset), t, 100.0)
@@ -261,12 +241,17 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize(
         "psis,first_failure",
-        [([10.0, 1e6, -1.0], tl.NumericOverflow), ([10.0, -1.0, 1e6], tl.DomainError)],
+        [
+            ([10.0, 1e6, -1.0], tl.NumericOverflow),
+            ([10.0, -1.0, 1e6], tl.DomainError),
+            ([10.0, 1e4, 1e6], tl.NumericOverflow),
+        ],
     )
     def test_mixed_failures_raise_the_first_failing_point(self, psis, first_failure):
         # The rows fail at different stages: psi=1e6 in the engine (its seed
-        # is unrepresentable), psi=-1 before it (in s_for_psi).  A sweep
-        # raises what its first failing point raises on its own.
+        # is unrepresentable), psi=1e4 at the window centre (u* ~ e^708 is
+        # representable, g(u*) is not), psi=-1 before both (in s_for_psi).
+        # A sweep raises what its first failing point raises on its own.
         a, b, c = -1.0, 1.001, 1.001 * math.exp(0.7)
         p, t = tl.validate(a, b, c), tl.PurePower(a, b)
         with pytest.raises(first_failure) as alone:
@@ -343,6 +328,44 @@ class TestLogTransform:
                 with mp.workdps(30):
                     expected = oracle(a, b, c, offset, psi)
                 assert ts.log_f == pytest.approx(expected, abs=1e-6), (a, b, c, psi)
+
+    @pytest.mark.parametrize(
+        "a,b,c,family,k",
+        [(2.0, 0.5, -1.0, "inverse-log", 0.2), (-1.0, -1.0, -1.0, "log-sine", 0.3)],
+    )
+    @pytest.mark.parametrize("psi", [10.0, 100.0, 1000.0])
+    def test_perturbed_log_f_matches_mpmath_quadrature(self, a, b, c, family, k, psi):
+        # No closed form here: the reference integrates exp(G(w) - G(w*)),
+        # G(w) = q(e^w*s) + c*e^w + w, at 40 digits between the points where
+        # it is 110 nats down (found in Laplace widths 1/sqrt(|c*u*(1-b)|)
+        # from the pure power's peak w*), split at w* and at the kink of
+        # delta (x = 1).
+        mp = pytest.importorskip("mpmath")
+        p, t = tl.validate(a, b, c), tl.PerturbedPower(a, b, family, k)
+        smp = tl.sample_at_psi(p, t, psi)
+        with mp.workdps(40):
+            a_, b_, c_, k_, s = map(mp.mpf, (a, b, c, k, smp.s))
+
+            def G(w):
+                x = mp.exp(w) * s
+                delta = k_ / (1 + abs(mp.log(x)))
+                if family == "log-sine":
+                    delta *= mp.sin(mp.log(x))
+                return a_ * x**b_ * (1 + delta) + c_ * mp.exp(w) + w
+
+            u_star = (-c_ / (a_ * b_)) ** (1 / (b_ - 1)) * s ** (-b_ / (b_ - 1))
+            w_star, width = mp.log(u_star), 1 / mp.sqrt(abs(c_ * u_star * (1 - b_)))
+            shift = G(w_star)
+            lo = hi = w_star
+            while G(lo) - shift > -110:
+                lo -= width
+            while G(hi) - shift > -110:
+                hi += width
+            kink = -mp.log(s)
+            points = sorted([lo, w_star, hi] + ([kink] if lo < kink < hi else []))
+            integral = mp.quad(lambda w: mp.exp(G(w) - shift), points)
+            oracle = float(shift + mp.log(integral))
+        assert abs(smp.log_f - oracle) <= 1e-9, (family, psi, smp.log_f, oracle)
 
     def test_shift_scale_identity(self):
         # Substituting u -> u/k maps (c, s) -> (k*c, k*s) and divides f by k.
