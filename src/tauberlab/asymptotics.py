@@ -32,7 +32,7 @@ from .errors import (
     TauberError,
     ValidationError,
 )
-from .params import UnifiedParams, dual_exponent, recover_primal
+from .params import UnifiedParams, recover_primal
 from .targets import TargetFunction
 from .transform import TransformSample, predict_log_f, sample_at_psi
 
@@ -75,10 +75,6 @@ class EvalGrid:
 
     def __len__(self) -> int:
         return len(self.psi_values)
-
-    @property
-    def ratio(self) -> float:
-        return self.psi_values[1] / self.psi_values[0]
 
 
 def make_grid(psi_min: float, psi_max: float, n: int) -> EvalGrid:
@@ -320,7 +316,11 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Everything a verification run produced, including partial results."""
+    """Everything a verification run produced, including partial results.
+
+    inverse_passed is the inverse direction's verdict: the primal pair was
+    recovered and both of its relative gaps are within the profile's bound.
+    """
 
     params: UnifiedParams
     target_label: str
@@ -336,21 +336,12 @@ class EquivalenceReport:
     b_hat: float | None
     checks: tuple[CheckResult, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
+    inverse_passed: bool = False
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.passed is not None) and not any(
-            c.passed is None and c.limit is not None for c in self.checks
-        )
-
-    @property
-    def inverse_passed(self) -> bool:
-        """The primal pair was recovered and every inverse_* check passed."""
-        return self.a_hat is not None and all(
-            c.passed
-            for c in self.checks
-            if c.name.startswith("inverse_") and c.passed is not None
-        )
+        """Every bounded check passed; informational rows do not count."""
+        return all(c.passed for c in self.checks if c.limit is not None)
 
 
 def evaluate_sweep(
@@ -402,92 +393,50 @@ def verify_equivalence(
     ratios = tuple(s.log_f / ld for s, ld in zip(samples, lead))
 
     checks: list[CheckResult] = []
+
+    def bounded(name: str, value: float, limit: float) -> bool:
+        # A NaN value (a refused fit or inverse map) fails the comparison.
+        checks.append(CheckResult(name, value, limit, value <= limit))
+        return checks[-1].passed
+
     if mid_sample is not None:
         mid_ratio = mid_sample.log_f / (p.d * profile.psi_mid)
-        checks.append(
-            CheckResult(
-                name=f"ratio_dev_at_psi_{profile.psi_mid:g}",
-                value=abs(mid_ratio - 1.0),
-                limit=profile.ratio_rtol_mid,
-                passed=abs(mid_ratio - 1.0) <= profile.ratio_rtol_mid,
-            )
-        )
+        bounded(f"ratio_dev_at_psi_{profile.psi_mid:g}", abs(mid_ratio - 1.0),
+                profile.ratio_rtol_mid)
     else:
         notes.append(f"psi_mid={profile.psi_mid:g} outside grid; mid check skipped")
-
-    top_dev = abs(ratios[-1] - 1.0)
-    checks.append(
-        CheckResult(
-            name=f"ratio_dev_at_psi_{psi_hi:g}",
-            value=top_dev,
-            limit=profile.ratio_rtol_top,
-            passed=top_dev <= profile.ratio_rtol_top,
-        )
-    )
-    corr_gap = abs(samples[-1].log_f - corr[-1])
-    checks.append(
-        CheckResult(
-            name="corrected_gap_at_top",
-            value=corr_gap,
-            limit=profile.corrected_abs_top,
-            passed=corr_gap <= profile.corrected_abs_top,
-        )
-    )
+    bounded(f"ratio_dev_at_psi_{psi_hi:g}", abs(ratios[-1] - 1.0), profile.ratio_rtol_top)
+    bounded("corrected_gap_at_top", abs(samples[-1].log_f - corr[-1]), profile.corrected_abs_top)
+    # Monotone means every step of the last half brings the ratio closer to 1.
     half = len(samples) - len(samples) // 2
-    devs = np.abs(np.asarray(ratios[half - 1 :]) - 1.0)
-    monotone = bool(np.all(np.diff(devs) < 0.0))
-    checks.append(
-        CheckResult(
-            name="monotone_ratio_last_half",
-            value=float(np.max(np.diff(devs))) if len(devs) > 1 else 0.0,
-            limit=0.0,
-            passed=monotone,
-        )
-    )
+    steps = np.diff(np.abs(np.asarray(ratios[half - 1 :]) - 1.0))
+    checks.append(CheckResult(
+        "monotone_ratio_last_half", float(np.max(steps)) if steps.size else 0.0, 0.0,
+        bool(np.all(steps < 0.0)),
+    ))
 
-    fit = None
-    a_hat = b_hat = None
+    fit = a_hat = b_hat = None
+    inverse_passed = False
     try:
         fit = fit_exponent(samples)
     except TauberError as exc:
         notes.append(f"fit failed: {exc}")
-        checks.append(CheckResult("exponent_rel_gap", math.nan, profile.exponent_rtol, False))
+    exp_gap = math.nan if fit is None else abs(fit.exponent_hat - p.dual_exp) / abs(p.dual_exp)
+    bounded("exponent_rel_gap", exp_gap, profile.exponent_rtol)
     if fit is not None:
-        target_exp = dual_exponent(p.b)
-        exp_gap = abs(fit.exponent_hat - target_exp) / abs(target_exp)
-        checks.append(
-            CheckResult(
-                name="exponent_rel_gap",
-                value=exp_gap,
-                limit=profile.exponent_rtol,
-                passed=exp_gap <= profile.exponent_rtol,
-            )
-        )
         coeff_gap = abs(fit.coefficient_hat - p.d) / abs(p.d)
         checks.append(CheckResult("coefficient_rel_gap", coeff_gap, None, None))
         try:
             a_hat, b_hat = recover_primal(fit.coefficient_hat, fit.exponent_hat, p.c)
-            a_gap = abs(a_hat - p.a) / abs(p.a)
-            b_gap = abs(b_hat - p.b) / abs(p.b)
-            checks.append(
-                CheckResult(
-                    "inverse_a_rel_gap",
-                    a_gap,
-                    profile.inverse_rtol,
-                    a_gap <= profile.inverse_rtol,
-                )
-            )
-            checks.append(
-                CheckResult(
-                    "inverse_b_rel_gap",
-                    b_gap,
-                    profile.inverse_rtol,
-                    b_gap <= profile.inverse_rtol,
-                )
-            )
         except TauberError as exc:
             notes.append(f"inverse map failed: {exc}")
-            checks.append(CheckResult("inverse_a_rel_gap", math.nan, profile.inverse_rtol, False))
+            bounded("inverse_a_rel_gap", math.nan, profile.inverse_rtol)
+        else:
+            inverse_passed = all([
+                bounded(f"inverse_{name}_rel_gap", abs(hat - true) / abs(true),
+                        profile.inverse_rtol)
+                for name, hat, true in (("a", a_hat, p.a), ("b", b_hat, p.b))
+            ])
 
     return EquivalenceReport(
         params=p,
@@ -504,4 +453,5 @@ def verify_equivalence(
         b_hat=b_hat,
         checks=tuple(checks),
         notes=tuple(notes),
+        inverse_passed=inverse_passed,
     )

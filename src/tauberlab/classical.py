@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import SpecOutOfRange, ValidationError
-from .params import Regime, UnifiedParams, compute_d, validate
+from .params import Regime, UnifiedParams, validate
 
 __all__ = [
     "Kohlbecker",
@@ -147,7 +147,7 @@ def to_unified(
 def coefficient_identity_check(spec: ClassicalSpec) -> tuple[float, float, float]:
     """(unified d, classical coefficient, relative gap) for one spec."""
     red = to_unified(spec)
-    d = compute_d(red.params.a, red.params.b, red.params.c)
+    d = red.params.d
     gap = abs(d - red.classical_coefficient) / abs(red.classical_coefficient)
     return d, red.classical_coefficient, gap
 

@@ -182,7 +182,7 @@ def _write(path: str | None, text: str) -> None:
 
 def _echo_pairs(pairs) -> None:
     for key, value in pairs:
-        click.echo(f"{key} = {report.fmt(value) if isinstance(value, float) else value}")
+        click.echo(report.kv(key, value))
 
 
 class _Group(click.Group):

@@ -7,11 +7,11 @@ repr.  No timestamps, no environment-dependent content.
 
 from __future__ import annotations
 
-from .asymptotics import EquivalenceReport
+from .asymptotics import CheckResult, EquivalenceReport
 
-__all__ = ["fmt", "render_report", "render_samples_csv"]
+__all__ = ["fmt", "kv", "render_report", "render_samples_csv"]
 
-CSV_HEADER = "psi,s,log_f,prediction_leading,prediction_corrected,ratio"
+SAMPLE_COLUMNS = ("psi", "s", "log_f", "prediction_leading", "prediction_corrected", "ratio")
 
 
 def fmt(value: float) -> str:
@@ -19,95 +19,77 @@ def fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _kv(key: str, value) -> str:
-    if isinstance(value, float):
-        return f"{key} = {fmt(value)}"
-    return f"{key} = {value}"
+def kv(key: str, value) -> str:
+    """One ``key = value`` line; floats take the 12-digit report format."""
+    return f"{key} = {fmt(value) if isinstance(value, float) else value}"
+
+
+def _sample_rows(report: EquivalenceReport) -> list[tuple[float, ...]]:
+    """One row of SAMPLE_COLUMNS per sweep sample."""
+    return [
+        (s.psi, s.s, s.log_f, lead, corr, ratio)
+        for s, lead, corr, ratio in zip(
+            report.samples,
+            report.predictions_leading,
+            report.predictions_corrected,
+            report.ratios,
+        )
+    ]
+
+
+def _check_line(chk: CheckResult) -> str:
+    if chk.limit is None:
+        return kv(chk.name, f"{fmt(chk.value)} (informational)")
+    verdict = "pass" if chk.passed else "FAIL"
+    return kv(chk.name, f"{fmt(chk.value)} (limit {fmt(chk.limit)}) {verdict}")
 
 
 def render_report(report: EquivalenceReport, title: str = "verify") -> str:
     """Structured-text document: input echo, derived values, samples, checks."""
-    p = report.params
-    lines = [f"report = {title}"]
-    lines.append(f"status = {'pass' if report.passed else 'fail'}")
-    lines.append("")
-    lines.append("[input]")
-    lines.append(_kv("a", p.a))
-    lines.append(_kv("b", p.b))
-    lines.append(_kv("c", p.c))
-    lines.append(_kv("offset", p.offset))
-    lines.append(_kv("target", report.target_label))
-    lines.append(_kv("psi_min", report.grid.psi_values[0]))
-    lines.append(_kv("psi_max", report.grid.psi_values[-1]))
-    lines.append(_kv("n", len(report.grid)))
-    lines.append("")
-    lines.append("[derived]")
-    lines.append(_kv("regime", p.regime.value))
-    lines.append(_kv("d", p.d))
-    lines.append(_kv("dual_exp", p.dual_exp))
-    lines.append("")
-    lines.append("[samples]")
-    lines.append("psi s log_f prediction_leading prediction_corrected ratio")
-    for s, lead, corr, ratio in zip(
-        report.samples,
-        report.predictions_leading,
-        report.predictions_corrected,
-        report.ratios,
-    ):
-        lines.append(
-            " ".join(fmt(v) for v in (s.psi, s.s, s.log_f, lead, corr, ratio))
-        )
-    if report.mid_sample is not None:
-        ms = report.mid_sample
-        lines.append("")
-        lines.append("[mid]")
-        lines.append(_kv("psi", ms.psi))
-        lines.append(_kv("log_f", ms.log_f))
-        lines.append(_kv("ratio", ms.log_f / (p.d * ms.psi)))
-    lines.append("")
-    lines.append("[fit]")
-    if report.fit is not None:
-        lines.append(_kv("exponent_hat", report.fit.exponent_hat))
-        lines.append(_kv("coefficient_hat", report.fit.coefficient_hat))
-        lines.append(_kv("residual", report.fit.residual))
-        lines.append(
-            f"window = [{report.fit.window[0]}, {report.fit.window[1]})"
-        )
+    p, ms, fit = report.params, report.mid_sample, report.fit
+    a_hat, b_hat = report.a_hat, report.b_hat
+    lines = [f"report = {title}", f"status = {'pass' if report.passed else 'fail'}"]
+
+    def section(name: str, *body: str) -> None:
+        lines.extend(("", f"[{name}]", *body))
+
+    def pairs(name: str, items: list[tuple[str, object]]) -> None:
+        section(name, *(kv(key, value) for key, value in items))
+
+    pairs("input", [
+        ("a", p.a), ("b", p.b), ("c", p.c), ("offset", p.offset),
+        ("target", report.target_label), ("psi_min", report.grid.psi_values[0]),
+        ("psi_max", report.grid.psi_values[-1]), ("n", len(report.grid)),
+    ])
+    pairs("derived", [("regime", p.regime.value), ("d", p.d), ("dual_exp", p.dual_exp)])
+    section(
+        "samples",
+        " ".join(SAMPLE_COLUMNS),
+        *(" ".join(map(fmt, row)) for row in _sample_rows(report)),
+    )
+    if ms is not None:
+        pairs("mid", [("psi", ms.psi), ("log_f", ms.log_f), ("ratio", ms.log_f / (p.d * ms.psi))])
+    if fit is None:
+        pairs("fit", [("exponent_hat", "unavailable")])
     else:
-        lines.append("exponent_hat = unavailable")
-    if report.a_hat is not None and report.b_hat is not None:
-        lines.append("")
-        lines.append("[recovered]")
-        lines.append(_kv("a_hat", report.a_hat))
-        lines.append(_kv("b_hat", report.b_hat))
-        lines.append(_kv("a_rel_gap", abs(report.a_hat - p.a) / abs(p.a)))
-        lines.append(_kv("b_rel_gap", abs(report.b_hat - p.b) / abs(p.b)))
-    lines.append("")
-    lines.append("[checks]")
-    for chk in report.checks:
-        if chk.limit is None:
-            lines.append(f"{chk.name} = {fmt(chk.value)} (informational)")
-        else:
-            verdict = "pass" if chk.passed else "FAIL"
-            lines.append(
-                f"{chk.name} = {fmt(chk.value)} (limit {fmt(chk.limit)}) {verdict}"
-            )
-    for note in report.notes:
-        lines.append(f"note = {note}")
-    lines.append("")
-    return "\n".join(lines)
+        pairs("fit", [
+            ("exponent_hat", fit.exponent_hat), ("coefficient_hat", fit.coefficient_hat),
+            ("residual", fit.residual), ("window", f"[{fit.window[0]}, {fit.window[1]})"),
+        ])
+    if a_hat is not None and b_hat is not None:
+        pairs("recovered", [
+            ("a_hat", a_hat), ("b_hat", b_hat),
+            ("a_rel_gap", abs(a_hat - p.a) / abs(p.a)), ("b_rel_gap", abs(b_hat - p.b) / abs(p.b)),
+        ])
+    section(
+        "checks",
+        *map(_check_line, report.checks),
+        *(kv("note", note) for note in report.notes),
+    )
+    return "\n".join(lines) + "\n"
 
 
 def render_samples_csv(report: EquivalenceReport) -> str:
     """CSV of (psi, s, log_f, predictions, ratio) at full binary precision."""
-    rows = [CSV_HEADER]
-    for s, lead, corr, ratio in zip(
-        report.samples,
-        report.predictions_leading,
-        report.predictions_corrected,
-        report.ratios,
-    ):
-        rows.append(
-            ",".join(repr(v) for v in (s.psi, s.s, s.log_f, lead, corr, ratio))
-        )
+    rows = [",".join(SAMPLE_COLUMNS), *(",".join(map(repr, row)) for row in _sample_rows(report))]
     return "\n".join(rows) + "\n"

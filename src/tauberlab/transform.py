@@ -313,7 +313,7 @@ def _transform_rows(t: TargetFunction, c: float, offset: float, s: list, tol: fl
     rows = np.array(s, dtype=float)
     log_integral = [_exact_log_integral(t, c, si) for si in s]
     quad_error, tol_met = [0.0] * rows.size, [True] * rows.size
-    if log_integral[0] is None:
+    if rows.size and log_integral[0] is None:
         window = _prepare_windows(t, c, rows)
         log_integral, quad_error, tol_met = _refine_rows(t, c, rows, *window, tol)
     b, samples = t.power_exponent, []

@@ -1,12 +1,12 @@
 """Grids, index estimators, exponent fits, and equivalence verification."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import tauberlab as tl
+from tauberlab import report as tl_report
 
 
 def _synthetic_samples(model, lam_min=10.0, lam_max=1000.0, n=16):
@@ -225,9 +225,28 @@ class TestVerifyEquivalence:
         rep = tl.verify_equivalence(p, tl.PurePower(2.0, 0.5), grid)
         assert rep.a_hat is None
         assert not rep.inverse_passed
-        # Without any inverse row the missing pair alone decides.
-        kept = tuple(c for c in rep.checks if not c.name.startswith("inverse_"))
-        assert not dataclasses.replace(rep, checks=kept).inverse_passed
+        assert "inverse map failed: no positive stationary point" in rep.notes
+        gap = rep.checks[-1]
+        assert gap.name == "inverse_a_rel_gap"
+        assert math.isnan(gap.value) and gap.passed is False
+
+    def test_fit_failure_is_reported_not_raised(self, monkeypatch):
+        def refuse(samples):
+            raise tl.SignChange("log f changes sign inside the fit window")
+
+        monkeypatch.setattr("tauberlab.asymptotics.fit_exponent", refuse)
+        p = tl.validate(2.0, 0.5, -1.0)
+        rep = tl.verify_equivalence(p, tl.PurePower(2.0, 0.5), tl.make_grid(10, 1000, 16))
+        assert rep.fit is None and rep.a_hat is None
+        assert "fit failed: log f changes sign inside the fit window" in rep.notes
+        gap = rep.checks[-1]
+        assert gap.name == "exponent_rel_gap"
+        assert math.isnan(gap.value) and gap.passed is False
+        names = [c.name for c in rep.checks]
+        assert "coefficient_rel_gap" not in names
+        assert not any(n.startswith("inverse_") for n in names)
+        assert not rep.passed and not rep.inverse_passed
+        assert "\nexponent_hat = unavailable\n" in tl_report.render_report(rep)
 
     def test_perturbed_target_still_converges(self):
         p = tl.validate(2.0, 0.5, -1.0)

@@ -191,6 +191,72 @@ class TestReportRendering:
         text = report_mod.render_report(rep)
         assert "status = pass" in text  # vacuous checks pass
 
+    def test_full_report_text_is_pinned(self):
+        from tauberlab import report as report_mod
+
+        sample = tl.TransformSample
+        rep = tl.EquivalenceReport(
+            params=tl.validate(2.0, 0.5, -1.0),
+            target_label="pure-power(a=2, b=0.5)",
+            grid=tl.make_grid(10, 1000, 8),
+            profile=tl.ToleranceProfile(),
+            samples=(
+                sample(10.0, 10.0, 12.5, 0.0, True),
+                sample(1000.0, 1000.0, 1003.25, 0.5, False),
+            ),
+            predictions_leading=(10.0, 1000.0),
+            predictions_corrected=(12.0, 1003.5),
+            ratios=(1.25, 1.00325),
+            mid_sample=sample(100.0, 100.0, 103.0 + 1.0 / 3.0, 0.0, True),
+            fit=tl.AsymptoticFit(1.0, 0.75, 0.125, (1, 2)),
+            a_hat=2.5,
+            b_hat=0.5,
+            checks=(
+                tl.CheckResult("coefficient_rel_gap", 0.25, None, None),
+                tl.CheckResult("exponent_rel_gap", 0.0, 0.03, True),
+                tl.CheckResult("inverse_a_rel_gap", 0.25, 0.1, False),
+            ),
+            notes=("quadrature tolerance not met at psi=1000 (quad_error 0.5)",),
+        )
+        assert report_mod.render_report(rep, title="invert") == (
+            "report = invert\n"
+            "status = fail\n"
+            "\n"
+            "[input]\n"
+            "a = 2\nb = 0.5\nc = -1\noffset = 0\n"
+            "target = pure-power(a=2, b=0.5)\n"
+            "psi_min = 10\npsi_max = 1000\nn = 8\n"
+            "\n"
+            "[derived]\n"
+            "regime = kohlbecker\nd = 1\ndual_exp = 1\n"
+            "\n"
+            "[samples]\n"
+            "psi s log_f prediction_leading prediction_corrected ratio\n"
+            "10 10 12.5 10 12 1.25\n"
+            "1000 1000 1003.25 1000 1003.5 1.00325\n"
+            "\n"
+            "[mid]\n"
+            "psi = 100\nlog_f = 103.333333333\nratio = 1.03333333333\n"
+            "\n"
+            "[fit]\n"
+            "exponent_hat = 1\ncoefficient_hat = 0.75\nresidual = 0.125\n"
+            "window = [1, 2)\n"
+            "\n"
+            "[recovered]\n"
+            "a_hat = 2.5\nb_hat = 0.5\na_rel_gap = 0.25\nb_rel_gap = 0\n"
+            "\n"
+            "[checks]\n"
+            "coefficient_rel_gap = 0.25 (informational)\n"
+            "exponent_rel_gap = 0 (limit 0.03) pass\n"
+            "inverse_a_rel_gap = 0.25 (limit 0.1) FAIL\n"
+            "note = quadrature tolerance not met at psi=1000 (quad_error 0.5)\n"
+        )
+        assert report_mod.render_samples_csv(rep) == (
+            "psi,s,log_f,prediction_leading,prediction_corrected,ratio\n"
+            "10.0,10.0,12.5,10.0,12.0,1.25\n"
+            "1000.0,1000.0,1003.25,1000.0,1003.5,1.00325\n"
+        )
+
 
 K = ("--a", "2", "--b", "0.5", "--c", "-1")
 KASAHARA = ("--a", "-1", "--b", "2", "--c", "1", "--offset", "1")

@@ -239,6 +239,12 @@ class TestBatchedSweep:
         with pytest.raises(tl.NumericOverflow, match="not representable"):
             tl.evaluate_sweep(p, t, grid)
 
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_empty_sweep_gives_no_samples(self, empty):
+        p, t = tl.validate(2.0, 0.5, -1.0), tl.PurePower(2.0, 0.5)
+        assert tl.sample_at_psi(p, t, empty) == []
+        assert tl.locate_peak(t, p.c, empty) == []
+
     @pytest.mark.parametrize(
         "psis,first_failure",
         [
