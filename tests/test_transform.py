@@ -106,17 +106,20 @@ class TestLocatePeak:
 
 
 class _CountingTarget:
-    """Delegates to a target and counts its log_amplitude calls."""
+    """Delegates to a target, counts its log_amplitude calls and records the
+    shape of each call's input."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+        self.shapes = []
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def log_amplitude(self, x):
         self.calls += 1
+        self.shapes.append(np.shape(x))
         return self.inner.log_amplitude(x)
 
 
@@ -142,6 +145,18 @@ class TestSearchCost:
         t = _CountingTarget(tl.PurePower(a, b))
         tl.evaluate_sweep(tl.validate(a, b, c, offset), t, tl.make_grid(10.0, 1000.0, 16))
         assert t.calls <= 40
+
+    def test_refinement_calls_keep_the_memory_bound(self):
+        # The Kasahara peak is unresolved at psi >= 1e12 (ROADMAP item 2), so
+        # two rows refine to the cap of 128 * 2**13 panels.  A call takes at
+        # most _MAX_POINTS_PER_CALL nodes, or the nodes of one row.
+        a, b, c, offset = -1.0, 2.0, 1.0, 1.0
+        t = _CountingTarget(tl.PurePower(a, b))
+        samples = tl.sample_at_psi(tl.validate(a, b, c, offset), t, [1e11, 1e12, 1e13, 10.0])
+        assert [s.tol_met for s in samples] == [True, False, False, True]
+        cap, sizes = tl.transform._MAX_POINTS_PER_CALL, [math.prod(x) for x in t.shapes]
+        assert max(sizes) == 128 * 2**13 + 1
+        assert all(size <= cap or rows == 1 for size, (rows, _) in zip(sizes, t.shapes))
 
     @pytest.mark.parametrize(
         "target,c,s",
@@ -218,6 +233,29 @@ class TestBatchedSweep:
             _fields(tl.sample_at_psi(p, t, psi)) for psi in psis
         ]
         assert tl.evaluate_sweep(p, t, self.GRID) == batch[:-1]
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    @pytest.mark.parametrize(
+        "a,b,c,offset,pert",
+        [(-1.0, 2.0, 1.0, 1.0, None), (2.0, 0.5, -1.0, 0.0, ("inverse-log", 0.2))],
+    )
+    def test_rows_of_mixed_panel_counts_keep_input_order(self, a, b, c, offset, pert, order):
+        # Windows of 2-40 unit panels give initial panel counts from 128 to
+        # 320; the refinement sorts rows by panel count and must return them
+        # in the order given.
+        p = tl.validate(a, b, c, offset)
+        t = tl.PurePower(a, b) if pert is None else tl.PerturbedPower(a, b, *pert)
+        psis = self.GRID.psi_values + (100.0,)
+        if order == "reversed":
+            psis = psis[::-1]
+        else:
+            psis = [psis[k] for k in np.random.default_rng(11).permutation(len(psis))]
+        s = np.array([tl.s_for_psi(b, x) for x in psis])
+        w_lo, w_hi, _ = tl.transform._prepare_windows(t, c, s)
+        assert len({max(128, int(8.0 * (h - l))) for l, h in zip(w_lo, w_hi)}) >= 4
+        assert [_fields(s) for s in tl.sample_at_psi(p, t, psis)] == [
+            _fields(tl.sample_at_psi(p, t, psi)) for psi in psis
+        ]
 
     def test_guardrail_draws_match_per_psi_samples(self):
         for a, b, c in _guardrail_triples(seed=5, n=20):
