@@ -15,8 +15,9 @@ dynamic range exceeds the floating-point range at moderate regime values
      where the shifted integrand has fallen 40 nats below its value at w*,
      probing the candidate edges in chunks that double in size,
   4. integrates exp(g(e^w) + w - m) by a nested trapezoid rule with interval
-     halving, m being g(u*); the error estimate is the difference between
-     successive refinements.
+     halving, m being g(u*), starting from 8 panels per unit of w (at least
+     128); the error estimate is the difference between successive
+     refinements, and a row stops refining once it meets the tolerance.
 
 No search refines u* for a perturbed target: on these analytic integrands the
 trapezoid rule in w converges geometrically wherever its nodes fall
@@ -24,14 +25,17 @@ trapezoid rule in w converges geometrically wherever its nodes fall
 
 Every step runs on all rows (s values) of a sweep at once: the centre value,
 each frontier chunk and each trapezoid level is one vector evaluation of g
-over the rows still open.  Each row sees the nodes and float expressions
-of a batch of one, so a sweep equals its points evaluated one by one.
+over the rows still open.  A trapezoid level pads rows of different panel
+counts to one width.  Each row sees the nodes, float expressions and
+summation order of a batch of one, so a sweep equals its points evaluated
+one by one.
 
 log f is then m + log(integral) combined with the offset in log space.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -71,7 +75,7 @@ _MAX_WINDOW_PANELS = 800
 _FIRST_FRONTIER_CHUNK = 4
 _MAX_REFINEMENTS = 14
 _INITIAL_POINTS_PER_UNIT = 8.0
-# A trapezoid level runs in slices of this many nodes (or one row): bounded memory.
+# A trapezoid level runs in blocks of this many nodes (or one row): bounded memory.
 _MAX_POINTS_PER_CALL = 2**18
 
 
@@ -109,15 +113,6 @@ def _g_rows(t: TargetFunction, c: float, s: np.ndarray, w: np.ndarray) -> np.nda
         u = np.exp(w)
         vals = np.asarray(t.log_amplitude(s[:, None] * u) + c * u, dtype=float)
     return np.where(np.isnan(vals), -np.inf, vals)
-
-
-def _linspace_rows(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """np.linspace(lo[i], hi[i], n) as C-contiguous rows, by linspace's own
-    expressions, so that row sums run as on a 1-D grid."""
-    ws = np.arange(n, dtype=float) * ((hi - lo) / (n - 1))[:, None]
-    ws += lo[:, None]
-    ws[:, -1] = hi
-    return ws
 
 
 def _require_interior_peak(t: TargetFunction, c: float) -> None:
@@ -217,47 +212,73 @@ def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
     )
 
 
-def _trapezoid_rows(t, c, s, w_lo, w_hi, m, n: int) -> list[float]:
-    """log of the shifted trapezoid estimate of int exp(g(e^w)+w) dw on n
-    panels, per row, in slices of at most _MAX_POINTS_PER_CALL nodes."""
-    # numpy reuses a large temporary only against a scalar or an operand of its
-    # shape (hence 2-D weights and -=); a fresh large array pays page faults.
-    weights = np.ones((1, n + 1))
-    weights[0, 0] = weights[0, -1] = 0.5
-    out, per_call = [], max(1, _MAX_POINTS_PER_CALL // (n + 1))
-    for i in range(0, s.size, per_call):
-        lo, hi, mi = w_lo[i : i + per_call], w_hi[i : i + per_call], m[i : i + per_call]
-        ws = _linspace_rows(lo, hi, n + 1)
-        vals = _g_rows(t, c, s[i : i + per_call], ws) + ws
+def _trapezoid_rows(t, c, s, w_lo, w_hi, m, n: list[int]) -> list[float]:
+    """log of the shifted trapezoid estimate of int exp(g(e^w)+w) dw on n[i]
+    panels for row i, the n ascending.
+
+    Rows of any panel counts share one padded block of nodes, split only
+    where a block would pass _MAX_POINTS_PER_CALL nodes (or hold one row).
+    Row i takes np.linspace(w_lo[i], w_hi[i], n[i] + 1) by linspace's own
+    expressions and repeats its last node as padding, which leaves its max
+    unchanged; its sum runs over its own nodes, by numpy's pairwise rule for
+    a row of that length, so each row equals a batch of one bit for bit.
+    """
+    out, i = [], 0
+    while i < len(n):
+        j = i + 1
+        while j < len(n) and (j + 1 - i) * (n[j] + 1) <= _MAX_POINTS_PER_CALL:
+            j += 1
+        lo, hi, mi, ni = w_lo[i:j], w_hi[i:j], m[i:j], n[i:j]
+        last = (np.arange(j - i), np.array(ni))
+        ws = np.arange(ni[-1] + 1, dtype=float) * ((hi - lo) / last[1])[:, None]
+        ws += lo[:, None]
+        ws[last] = hi
+        if ni[0] < ni[-1]:  # the padding repeats each row's last node
+            np.minimum(ws, hi[:, None], out=ws)
+        # In place from here: a fresh large array pays page faults.
+        vals = _g_rows(t, c, s[i:j], ws) + ws
         vals -= mi[:, None]
         peak = vals.max(axis=1)
-        total = (weights * np.exp(vals - peak[:, None])).sum(axis=1)
-        out += [a + p + math.log(v * (h - l) / n) for a, p, v, l, h in
-                zip(mi.tolist(), peak.tolist(), total.tolist(), lo.tolist(), hi.tolist())]
-        del ws, vals  # before the next slice allocates its own
+        vals -= peak[:, None]
+        np.exp(vals, out=vals)
+        vals[:, 0] *= 0.5
+        vals[last] *= 0.5
+        total, k = [], 0
+        while k < len(ni):
+            r = bisect.bisect_right(ni, ni[k], k)
+            total += vals[k:r, : ni[k] + 1].sum(axis=1).tolist()
+            k = r
+        out += [a + p + math.log(v * (h - l) / nk) for a, p, v, l, h, nk in
+                zip(mi.tolist(), peak.tolist(), total, lo.tolist(), hi.tolist(), ni)]
+        del ws, vals  # before the next block allocates its own
+        i = j
     return out
 
 
 def _refine_rows(t, c, s, w_lo, w_hi, m, tol: float):
     """Interval-halving refinement; error = difference of successive levels.
-    Rows that share an initial panel count refine together, and a row leaves
-    once it meets tol.  Returns (log_integral, quad_error, tol_met) lists."""
+    Each level is one _trapezoid_rows call over the open rows, sorted by
+    initial panel count, and a row leaves once it meets tol.  Returns
+    (log_integral, quad_error, tol_met) lists in input order."""
     log_integral, quad_error, tol_met = [0.0] * s.size, [0.0] * s.size, [False] * s.size
     n0 = [max(128, int((h - l) * _INITIAL_POINTS_PER_UNIT)) for l, h in zip(w_lo.tolist(), w_hi.tolist())]
-    for n in sorted(set(n0)):
-        rows = [i for i, ni in enumerate(n0) if ni == n]
-        group = (s, w_lo, w_hi, m) if len(rows) == s.size else [v[rows] for v in (s, w_lo, w_hi, m)]
-        cur = _trapezoid_rows(t, c, *group, n)
-        for _ in range(_MAX_REFINEMENTS - 1):
-            n *= 2
-            prev, cur = cur, _trapezoid_rows(t, c, *group, n)
-            for i, a, b in zip(rows, prev, cur):
-                log_integral[i], quad_error[i], tol_met[i] = b, abs(b - a), abs(b - a) <= tol
-            keep = [j for j, i in enumerate(rows) if not tol_met[i]]
-            if len(keep) < len(rows):
-                rows, cur, group = [rows[j] for j in keep], [cur[j] for j in keep], [v[keep] for v in group]
-            if not rows:
-                break
+    rows = sorted(range(s.size), key=n0.__getitem__)
+    group = [s, w_lo, w_hi, m]
+    if rows != list(range(s.size)):
+        group = [v[rows] for v in group]
+    n = [n0[i] for i in rows]
+    cur = _trapezoid_rows(t, c, *group, n)
+    for _ in range(_MAX_REFINEMENTS - 1):
+        n = [2 * k for k in n]
+        prev, cur = cur, _trapezoid_rows(t, c, *group, n)
+        for i, a, b in zip(rows, prev, cur):
+            log_integral[i], quad_error[i], tol_met[i] = b, abs(b - a), abs(b - a) <= tol
+        keep = [j for j, i in enumerate(rows) if not tol_met[i]]
+        if not keep:
+            break
+        if len(keep) < len(rows):
+            rows, n, cur = ([v[j] for j in keep] for v in (rows, n, cur))
+            group = [v[keep] for v in group]
     return log_integral, quad_error, tol_met
 
 
@@ -297,7 +318,7 @@ def refinement_errors(
     """
     row = np.array([s], dtype=float)
     window = _prepare_windows(t, c, row)
-    values = [_trapezoid_rows(t, c, row, *window, n0 * 2**k)[0] for k in range(levels)]
+    values = [_trapezoid_rows(t, c, row, *window, [n0 * 2**k])[0] for k in range(levels)]
     return [float(abs(b - a)) for a, b in zip(values, values[1:])]
 
 
