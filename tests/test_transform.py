@@ -148,9 +148,9 @@ class TestSearchCost:
         assert t.calls <= 8
 
     def test_refinement_calls_keep_the_memory_bound(self):
-        # The Kasahara peak is unresolved at psi >= 1e12 (ROADMAP item 2), so
-        # two rows refine to the cap of 128 * 2**13 panels.  A call takes at
-        # most _MAX_POINTS_PER_CALL nodes, or the nodes of one row.
+        # At psi >= 1e12 the Kasahara peak is narrower than the initial
+        # panels, so two rows refine to the cap of 128 * 2**13 panels.  A call
+        # takes at most _MAX_POINTS_PER_CALL nodes, or the nodes of one row.
         a, b, c, offset = -1.0, 2.0, 1.0, 1.0
         t = _CountingTarget(tl.PurePower(a, b))
         samples = tl.sample_at_psi(tl.validate(a, b, c, offset), t, [1e11, 1e12, 1e13, 10.0])
