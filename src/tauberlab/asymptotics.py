@@ -343,6 +343,25 @@ class EquivalenceReport:
         """Every bounded check passed; informational rows do not count."""
         return all(c.passed for c in self.checks if c.limit is not None)
 
+    @property
+    def mid_ratio(self) -> float | None:
+        """log f / (d*psi) at psi_mid, the number its ratio check bounds."""
+        return None if self.mid_sample is None else _ratio(self.params, self.mid_sample)
+
+    @property
+    def recovered_gaps(self) -> tuple[float, float] | None:
+        """Relative gaps of a_hat and b_hat, the numbers the inverse checks bound."""
+        p, a, b = self.params, self.a_hat, self.b_hat
+        return None if a is None or b is None else (_rel_gap(a, p.a), _rel_gap(b, p.b))
+
+
+def _ratio(p: UnifiedParams, sample: TransformSample) -> float:
+    return sample.log_f / (p.d * sample.psi)
+
+
+def _rel_gap(value: float, true: float) -> float:
+    return abs(value - true) / abs(true)
+
 
 def evaluate_sweep(
     p: UnifiedParams,
@@ -400,8 +419,7 @@ def verify_equivalence(
         return checks[-1].passed
 
     if mid_sample is not None:
-        mid_ratio = mid_sample.log_f / (p.d * profile.psi_mid)
-        bounded(f"ratio_dev_at_psi_{profile.psi_mid:g}", abs(mid_ratio - 1.0),
+        bounded(f"ratio_dev_at_psi_{profile.psi_mid:g}", abs(_ratio(p, mid_sample) - 1.0),
                 profile.ratio_rtol_mid)
     else:
         notes.append(f"psi_mid={profile.psi_mid:g} outside grid; mid check skipped")
@@ -421,10 +439,10 @@ def verify_equivalence(
         fit = fit_exponent(samples)
     except TauberError as exc:
         notes.append(f"fit failed: {exc}")
-    exp_gap = math.nan if fit is None else abs(fit.exponent_hat - p.dual_exp) / abs(p.dual_exp)
+    exp_gap = math.nan if fit is None else _rel_gap(fit.exponent_hat, p.dual_exp)
     bounded("exponent_rel_gap", exp_gap, profile.exponent_rtol)
     if fit is not None:
-        coeff_gap = abs(fit.coefficient_hat - p.d) / abs(p.d)
+        coeff_gap = _rel_gap(fit.coefficient_hat, p.d)
         checks.append(CheckResult("coefficient_rel_gap", coeff_gap, None, None))
         try:
             a_hat, b_hat = recover_primal(fit.coefficient_hat, fit.exponent_hat, p.c)
@@ -433,8 +451,7 @@ def verify_equivalence(
             bounded("inverse_a_rel_gap", math.nan, profile.inverse_rtol)
         else:
             inverse_passed = all([
-                bounded(f"inverse_{name}_rel_gap", abs(hat - true) / abs(true),
-                        profile.inverse_rtol)
+                bounded(f"inverse_{name}_rel_gap", _rel_gap(hat, true), profile.inverse_rtol)
                 for name, hat, true in (("a", a_hat, p.a), ("b", b_hat, p.b))
             ])
 

@@ -47,7 +47,6 @@ def _check_line(chk: CheckResult) -> str:
 def render_report(report: EquivalenceReport, title: str = "verify") -> str:
     """Structured-text document: input echo, derived values, samples, checks."""
     p, ms, fit = report.params, report.mid_sample, report.fit
-    a_hat, b_hat = report.a_hat, report.b_hat
     lines = [f"report = {title}", f"status = {'pass' if report.passed else 'fail'}"]
 
     def section(name: str, *body: str) -> None:
@@ -68,7 +67,7 @@ def render_report(report: EquivalenceReport, title: str = "verify") -> str:
         *(" ".join(map(fmt, row)) for row in _sample_rows(report)),
     )
     if ms is not None:
-        pairs("mid", [("psi", ms.psi), ("log_f", ms.log_f), ("ratio", ms.log_f / (p.d * ms.psi))])
+        pairs("mid", [("psi", ms.psi), ("log_f", ms.log_f), ("ratio", report.mid_ratio)])
     if fit is None:
         pairs("fit", [("exponent_hat", "unavailable")])
     else:
@@ -76,11 +75,9 @@ def render_report(report: EquivalenceReport, title: str = "verify") -> str:
             ("exponent_hat", fit.exponent_hat), ("coefficient_hat", fit.coefficient_hat),
             ("residual", fit.residual), ("window", f"[{fit.window[0]}, {fit.window[1]})"),
         ])
-    if a_hat is not None and b_hat is not None:
-        pairs("recovered", [
-            ("a_hat", a_hat), ("b_hat", b_hat),
-            ("a_rel_gap", abs(a_hat - p.a) / abs(p.a)), ("b_rel_gap", abs(b_hat - p.b) / abs(p.b)),
-        ])
+    if report.recovered_gaps is not None:
+        gaps = zip(("a_rel_gap", "b_rel_gap"), report.recovered_gaps)
+        pairs("recovered", [("a_hat", report.a_hat), ("b_hat", report.b_hat), *gaps])
     section(
         "checks",
         *map(_check_line, report.checks),

@@ -4,33 +4,38 @@ The transform f(s) = offset + int_0^inf P(u*s) * exp(c*u) du of a tabulated
 measure's cumulative or tail function is a finite sum over its atoms, taken
 exactly.  For power targets (PurePower, PerturbedPower) the integrand's
 dynamic range exceeds the floating-point range at moderate regime values
-(the peak value grows like d*psi), so a saddle-centered engine
+(the peak value grows like d*psi), so a saddle-centred engine
 
-  1. centres its window on the stationary point u* of the pure-power part
-     of the log-integrand g(u) = q(u*s) + c*u, in closed form; the signs of
-     a, b and c decide whether g has an interior maximum,
-  2. switches to w = log u, where integrable endpoint behavior turns into
-     exponential decay of the w-integrand exp(g(e^w) + w),
-  3. places each window frontier at the first unit-panel edge w* -+ (1 + k)
-     where the shifted integrand has fallen 40 nats below its value at w*,
-     probing the candidate edges in chunks that double in size,
-  4. integrates exp(g(e^w) + w - m) by a nested trapezoid rule with interval
-     halving, m being g(u*), starting from 8 panels per unit of w (at least
-     128); the error estimate is the difference between successive
-     refinements, and a row stops refining once it meets the tolerance.
+  1. centres its window on the stationary point u* = x_peak*psi of the
+     pure-power part of the log-integrand g(u) = q(u*s) + c*u, in closed
+     form; the signs of a, b and c decide whether g has an interior maximum,
+  2. integrates exp(g(u) + v) over v = log(u/u*), forming u = u*·e^v and
+     x = s·u by multiplication; log u* is added once per row, not per node,
+  3. steps in the peak's Laplace width h = 1/sqrt(|(b-1)*c*u*|) =
+     1/sqrt(|b*d*psi|), kept in [2**-26, 1]: each frontier is the first edge
+     -+k*h probed, k every width up to 9 and then about 20% apart in chunks
+     that double, where the v-integrand is 40 nats below its value at u*,
+  4. integrates exp(g(u) + v - m), m = g(u*), by a nested trapezoid rule with
+     interval halving from _NODES_PER_WIDTH panels per width; the error
+     estimate is the difference between successive levels, and a row stops
+     refining once it meets the tolerance.
 
-No search refines u* for a perturbed target: on these analytic integrands the
-trapezoid rule in w converges geometrically wherever its nodes fall
-(Trefethen & Weideman, SIAM Rev. 56, 2014).
+So the resolution is the same at every psi.  On a pure power the v-integrand
+is analytic in a strip about the real axis, where the trapezoid rule
+converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  A
+perturbed family's delta has a derivative jump at x = 1, across which the rule
+converges only algebraically (Kasahara inverse-log at psi = 10: level
+differences 2e-4, 9e-6, 1e-5, 1e-6 from 32 panels times 2**3 to 2**6); the
+refinement halves on until they meet the tolerance.  No search refines u*.
+s = psi**((1-b)/b) is not a float at large psi once |b| is below about
+0.05, so the engine, which works at s, refuses those points (NumericOverflow).
 
 Every step runs on all rows (s values) of a sweep at once: the centre value,
 each frontier chunk and each trapezoid level is one vector evaluation of g
-over the rows still open.  A trapezoid level pads rows of different panel
-counts to one width.  Each row sees the nodes, float expressions and
-summation order of a batch of one, so a sweep equals its points evaluated
-one by one.
-
-log f is then m + log(integral) combined with the offset in log space.
+over the rows still open, a level padding rows of different panel counts to
+one width.  Each row sees the nodes, float expressions and summation order
+of a batch of one, so a sweep equals its points evaluated one by one.
+log f = m + log u* + log(integral), combined with the offset in log space.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ from .targets import MeasureTarget, TargetFunction
 
 __all__ = [
     "TransformSample",
-    "log_integrand",
     "locate_peak",
     "log_transform",
     "predict_log_f",
@@ -69,12 +73,18 @@ __all__ = [
 # below its peak.  exp(-40) ~ 4e-18 is below double roundoff of the total.
 FRONTIER_DROP = 40.0
 
-_MAX_WINDOW_PANELS = 800
-# Most frontiers sit within a few panels of the peak; probing four candidate
-# edges at once settles most of them in the first call.
-_FIRST_FRONTIER_CHUNK = 4
+# Floor of the window step h.  One step lowers g by about |(b-1)*c*u*|*h**2/2,
+# and g carries a roundoff of about eps*|c*u*|: below h = sqrt(eps) a step's
+# own drop is smaller than the integrand's roundoff.
+_MIN_STEP = 2.0**-26
+_MAX_WINDOW_WIDTHS = 800
+# Candidate frontier edges in widths from u*, 38 geometric steps to the cap.
+# The first chunk reaches 16 widths: a Gaussian peak falls 40 nats in 9.
+_FRONTIER_WIDTHS = np.array(
+    sorted({math.ceil(_MAX_WINDOW_WIDTHS ** (j / 37)) for j in range(38)}), dtype=float)
+_FIRST_FRONTIER_CHUNK = 12
 _MAX_REFINEMENTS = 14
-_INITIAL_POINTS_PER_UNIT = 8.0
+_NODES_PER_WIDTH = 3
 # A trapezoid level runs in blocks of this many nodes (or one row): bounded memory.
 _MAX_POINTS_PER_CALL = 2**18
 
@@ -96,23 +106,15 @@ class TransformSample:
     tol_met: bool = True
 
 
-def log_integrand(t: TargetFunction, c: float, s: float, u) -> float | np.ndarray:
-    """g(u) = q(u*s) + c*u for u > 0, s > 0."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("u must be positive")
-    if not s > 0.0:
-        raise DomainError("s must be positive")
-    values = t.log_amplitude(arr * s) + c * arr
-    return float(values) if arr.ndim == 0 else values
-
-
-def _g_rows(t: TargetFunction, c: float, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """g(e^w) for each row of w at that row's s; NaN (e.g. inf - inf) reads as -inf."""
+def _g_rows(t: TargetFunction, c: float, s, u_star, v) -> np.ndarray:
+    """g(u) + v at u = u*·e^v for each row of v at that row's s and u*;
+    NaN (e.g. inf - inf) reads as -inf."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u = np.exp(w)
+        u = u_star[:, None] * np.exp(v)
         vals = np.asarray(t.log_amplitude(s[:, None] * u) + c * u, dtype=float)
-    return np.where(np.isnan(vals), -np.inf, vals)
+        vals += v
+    vals[np.isnan(vals)] = -np.inf
+    return vals
 
 
 def _require_interior_peak(t: TargetFunction, c: float) -> None:
@@ -134,91 +136,76 @@ def _require_interior_peak(t: TargetFunction, c: float) -> None:
     raise NotIntegrable(f"transform diverges for a={a:g}, b={b:g}, c={c:g}")
 
 
-def _closed_form_seed(t: TargetFunction, c: float, s: float) -> float | None:
-    """Stationary point of g for the pure power a*x**b of t, if representable.
-
-    Solves a*b*(u*s)**b = -c*u in log space, so that no power of s can
-    overflow or underflow on the way to a representable u.
-    """
-    b = t.power_exponent
-    base = -c / (t.a * b)
-    if not 0.0 < base < math.inf:
-        return None
-    try:
-        u = math.exp((math.log(base) - b * math.log(s)) / (b - 1.0))
-    except OverflowError:
-        return None
-    return u if u > 0.0 else None
-
-
 def locate_peak(t: TargetFunction, c: float, s):
-    """Stationary point u* of g for the pure power a*x**b of the target.
-
-    For exact power targets this is the argmax x_peak * psi in closed form; a
-    perturbed target's argmax lies near it, and the engine centres its window
-    there without refining it (see the module docstring).  Given a 1-D array
-    of s, returns the list of the rows' u*.
+    """Stationary point u* = x_peak*psi(s) of g for the pure power a*x**b of
+    the target: its argmax in closed form, near a perturbed target's argmax,
+    which no search refines (see the module docstring).  Given a 1-D array of
+    s, returns the list of the rows' u*.
 
     Raises:
         DomainError: s <= 0.
         NoInteriorPeak: integrand monotone.
         NotIntegrable: the signs of a, b and c make the transform diverge.
-        NumericOverflow: the stationary point is outside the float range.
+        NumericOverflow: psi or the stationary point is outside the float range.
     """
     s_rows = np.array(s, dtype=float, ndmin=1)
     if not (s_rows > 0.0).all():
         raise DomainError("s must be positive")
     _require_interior_peak(t, c)
-    peaks = [_closed_form_seed(t, c, si) for si in s_rows.tolist()]
-    if None in peaks:
-        bad = s_rows[peaks.index(None)]
-        raise NumericOverflow(f"stationary point of g at s={bad:g} is not representable")
+    b = t.power_exponent
+    x_peak, _ = _peak_curvature(t.a, b, c)
+    peaks = [x_peak * psi_for_s(b, si) for si in s_rows.tolist()]
+    bad = [si for si, u in zip(s_rows.tolist(), peaks) if not 0.0 < u < math.inf]
+    if bad:
+        raise NumericOverflow(f"stationary point of g at s={bad[0]:g} is not representable")
     return peaks if np.ndim(s) else peaks[0]
 
 
 def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
-    """Centre each row's log-u window on locate_peak's u* and extend it to the
-    first panel edges w* -+ (1 + k) where the w-integrand, Jacobian term w
-    included, is FRONTIER_DROP nats below its value at w*; returns
-    (w_lo, w_hi, m), m = g(u*).  For a perturbed target m is at most the peak
-    of g, so each edge is at least FRONTIER_DROP nats below the peak too.
+    """Centre each row on locate_peak's u* and extend its v-window to the first
+    probed edges -+k*h, h the row's step, where the v-integrand is
+    FRONTIER_DROP nats below m = g(u*), which is at most the peak of g; returns
+    (u_star, v_lo, v_hi, m, n0), n0 being the row's first panel count.
 
     Raises:
         NumericOverflow: g(u*) is not a finite float.
-        NotIntegrable: no edge with k < _MAX_WINDOW_PANELS qualifies.
+        NotIntegrable: no edge within _MAX_WINDOW_WIDTHS widths qualifies.
     """
-    w_center = [math.log(u) for u in locate_peak(t, c, s)]
-    m = _g_rows(t, c, s, np.array(w_center)[:, None])[:, 0]
+    u_star = np.array(locate_peak(t, c, s))
+    r = s.size
+    m = _g_rows(t, c, s, u_star, np.zeros((r, 1)))[:, 0]
     if not np.isfinite(m).all():
         bad = s[~np.isfinite(m)][0]
         raise NumericOverflow(f"peak value g(u*) at s={bad:g} is not a finite float")
+    bc = (t.power_exponent - 1.0) * c
+    h = [min(1.0, max(_MIN_STEP, 1.0 / math.sqrt(abs(bc * u)))) for u in u_star.tolist()]
     # Frontier q < r is row q's left one, q >= r row q - r's right one.
-    r, k, size = s.size, 0, _FIRST_FRONTIER_CHUNK
-    edge, probes = [0.0] * 2 * r, list(range(2 * r))
-    while k < _MAX_WINDOW_PANELS:
-        ks = np.arange(k, min(k + size, _MAX_WINDOW_PANELS), dtype=float)
+    step = np.array([-x for x in h] + h)
+    edge, probes, k, size = [0.0] * 2 * r, list(range(2 * r)), 0, _FIRST_FRONTIER_CHUNK
+    while k < _FRONTIER_WIDTHS.size:
+        widths = _FRONTIER_WIDTHS[k : k + size]
         rows = [q % r for q in probes]
-        center = np.array([w_center[i] for i in rows])[:, None]
-        ws = center + np.array([-1.0 if q < r else 1.0 for q in probes])[:, None] * (1.0 + ks)
-        below = _g_rows(t, c, s[rows], ws) + ws - m[rows][:, None] - center < -FRONTIER_DROP
-        for q, b, w, j in zip(probes, below, ws, below.argmax(axis=1).tolist()):
-            edge[q] = float(w[j]) if b[j] else None
-        probes, k, size = [q for q in probes if edge[q] is None], k + ks.size, 2 * size
+        below = _g_rows(t, c, s[rows], u_star[rows], step[probes][:, None] * widths)
+        below = below - m[rows][:, None] < -FRONTIER_DROP
+        for q, hit, j in zip(probes, below, below.argmax(axis=1).tolist()):
+            edge[q] = float(widths[j]) if hit[j] else None
+        probes, k, size = [q for q in probes if edge[q] is None], k + size, 2 * size
         if not probes:
-            return np.array(edge[:r]), np.array(edge[r:]), m
+            n0 = [_NODES_PER_WIDTH * int(lo + hi) for lo, hi in zip(edge[:r], edge[r:])]
+            return u_star, step[:r] * edge[:r], step[r:] * edge[r:], m, n0
     raise NotIntegrable(
         f"{'left' if probes[0] < r else 'right'} frontier not reached "
-        f"within {_MAX_WINDOW_PANELS} panels"
+        f"within {_MAX_WINDOW_WIDTHS} widths"
     )
 
 
-def _trapezoid_rows(t, c, s, w_lo, w_hi, m, n: list[int]) -> list[float]:
-    """log of the shifted trapezoid estimate of int exp(g(e^w)+w) dw on n[i]
-    panels for row i, the n ascending.
+def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]) -> list[float]:
+    """log of the shifted trapezoid estimate of int exp(g(u*e^v) + v) dv on
+    n[i] panels for row i, the n ascending.
 
     Rows of any panel counts share one padded block of nodes, split only
     where a block would pass _MAX_POINTS_PER_CALL nodes (or hold one row).
-    Row i takes np.linspace(w_lo[i], w_hi[i], n[i] + 1) by linspace's own
+    Row i takes np.linspace(v_lo[i], v_hi[i], n[i] + 1) by linspace's own
     expressions and repeats its last node as padding, which leaves its max
     unchanged; its sum runs over its own nodes, by numpy's pairwise rule for
     a row of that length, so each row equals a batch of one bit for bit.
@@ -228,15 +215,15 @@ def _trapezoid_rows(t, c, s, w_lo, w_hi, m, n: list[int]) -> list[float]:
         j = i + 1
         while j < len(n) and (j + 1 - i) * (n[j] + 1) <= _MAX_POINTS_PER_CALL:
             j += 1
-        lo, hi, mi, ni = w_lo[i:j], w_hi[i:j], m[i:j], n[i:j]
+        lo, hi, mi, ni = v_lo[i:j], v_hi[i:j], m[i:j], n[i:j]
         last = (np.arange(j - i), np.array(ni))
-        ws = np.arange(ni[-1] + 1, dtype=float) * ((hi - lo) / last[1])[:, None]
-        ws += lo[:, None]
-        ws[last] = hi
+        vs = np.arange(ni[-1] + 1, dtype=float) * ((hi - lo) / last[1])[:, None]
+        vs += lo[:, None]
+        vs[last] = hi
         if ni[0] < ni[-1]:  # the padding repeats each row's last node
-            np.minimum(ws, hi[:, None], out=ws)
+            np.minimum(vs, hi[:, None], out=vs)
         # In place from here: a fresh large array pays page faults.
-        vals = _g_rows(t, c, s[i:j], ws) + ws
+        vals = _g_rows(t, c, s[i:j], u_star[i:j], vs)
         vals -= mi[:, None]
         peak = vals.max(axis=1)
         vals -= peak[:, None]
@@ -250,20 +237,19 @@ def _trapezoid_rows(t, c, s, w_lo, w_hi, m, n: list[int]) -> list[float]:
             k = r
         out += [a + p + math.log(v * (h - l) / nk) for a, p, v, l, h, nk in
                 zip(mi.tolist(), peak.tolist(), total, lo.tolist(), hi.tolist(), ni)]
-        del ws, vals  # before the next block allocates its own
+        del vs, vals  # before the next block allocates its own
         i = j
     return out
 
 
-def _refine_rows(t, c, s, w_lo, w_hi, m, tol: float):
-    """Interval-halving refinement; error = difference of successive levels.
-    Each level is one _trapezoid_rows call over the open rows, sorted by
-    initial panel count, and a row leaves once it meets tol.  Returns
+def _refine_rows(t, c, s, u_star, v_lo, v_hi, m, n0: list[int], tol: float):
+    """Interval-halving refinement from n0 panels; error = difference of
+    successive levels.  Each level is one _trapezoid_rows call over the open
+    rows, sorted by n0, and a row leaves once it meets tol.  Returns
     (log_integral, quad_error, tol_met) lists in input order."""
     log_integral, quad_error, tol_met = [0.0] * s.size, [0.0] * s.size, [False] * s.size
-    n0 = [max(128, int((h - l) * _INITIAL_POINTS_PER_UNIT)) for l, h in zip(w_lo.tolist(), w_hi.tolist())]
     rows = sorted(range(s.size), key=n0.__getitem__)
-    group = [s, w_lo, w_hi, m]
+    group = [s, u_star, v_lo, v_hi, m]
     if rows != list(range(s.size)):
         group = [v[rows] for v in group]
     n = [n0[i] for i in rows]
@@ -311,13 +297,10 @@ def _exact_log_integral(t: TargetFunction, c: float, s: float) -> float | None:
 def refinement_errors(
     t: TargetFunction, c: float, s: float, n0: int = 32, levels: int = 8
 ) -> list[float]:
-    """Successive-refinement error estimates |I_k - I_{k-1}| on log f.
-
-    Diagnostic used to confirm that the error estimate shrinks as the panel
-    resolution doubles, starting from a deliberately coarse n0.
-    """
+    """Successive-refinement error estimates |I_k - I_{k-1}| on log f, from a
+    deliberately coarse n0 panels: a diagnostic of the convergence rate."""
     row = np.array([s], dtype=float)
-    window = _prepare_windows(t, c, row)
+    window = _prepare_windows(t, c, row)[:-1]
     values = [_trapezoid_rows(t, c, row, *window, [n0 * 2**k])[0] for k in range(levels)]
     return [float(abs(b - a)) for a, b in zip(values, values[1:])]
 
@@ -337,6 +320,8 @@ def _transform_rows(t: TargetFunction, c: float, offset: float, s: list, tol: fl
     if rows.size and log_integral[0] is None:
         window = _prepare_windows(t, c, rows)
         log_integral, quad_error, tol_met = _refine_rows(t, c, rows, *window, tol)
+        # int_0^inf du = u* int dv: log u* enters once per row.
+        log_integral = [li + math.log(u) for li, u in zip(log_integral, window[0].tolist())]
     b, samples = t.power_exponent, []
     for si, psi_i, li, err, met in zip(s, psi, log_integral, quad_error, tol_met):
         log_f = float(np.logaddexp(math.log(offset), li)) if offset > 0.0 else float(li)

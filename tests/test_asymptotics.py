@@ -275,14 +275,18 @@ class TestVerifyEquivalence:
             assert s.psi == pytest.approx(psi, rel=1e-12)
 
     def test_notes_name_each_sample_that_missed_tolerance(self):
-        # Kasahara at psi=1e12: the peak is narrower than the first panels
-        # and refinement stops at its cap; every other sample, psi_mid=100
-        # included, meets 1e-8.
+        # Kasahara inverse-log at tol 1e-14: the kink at x = 1 slows the
+        # trapezoid rule, and the rows at psi = 20 and 35 stop at the
+        # refinement cap; every other sample, psi_mid=100 included, meets it.
         p = tl.validate(-1.0, 2.0, 1.0, offset=1.0)
-        rep = tl.verify_equivalence(p, tl.PurePower(-1.0, 2.0), tl.make_grid(10, 1e12, 12))
+        t = tl.PerturbedPower(-1.0, 2.0, "inverse-log", 0.4)
+        rep = tl.verify_equivalence(
+            p, t, tl.make_grid(20, 1000, 8), tl.ToleranceProfile(quad_tol=1e-14)
+        )
         missed = [s for s in rep.samples if not s.tol_met]
-        assert [s.psi for s in missed] == [1e12] and rep.mid_sample.tol_met
-        assert missed[0].quad_error > 1e-8
+        assert [s.psi for s in missed] == list(rep.grid.psi_values[:2]) and rep.mid_sample.tol_met
+        assert all(s.quad_error > 1e-14 for s in missed)
         assert [n for n in rep.notes if "tolerance" in n] == [
-            f"quadrature tolerance not met at psi=1e+12 (quad_error {missed[0].quad_error:.3g})"
+            f"quadrature tolerance not met at psi={psi} (quad_error {s.quad_error:.3g})"
+            for psi, s in zip(("20", "34.9736"), missed)
         ]

@@ -27,26 +27,6 @@ ORACLE_LOG_F = {
 }
 
 
-class TestLogIntegrand:
-    def test_direct_value(self):
-        assert tl.log_integrand(KOHL, -1.0, 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_peak_value_is_d_psi(self):
-        # At s=100 (psi=100) the maximum over u is d*psi = 100, at u=100.
-        assert tl.log_integrand(KOHL, -1.0, 100.0, 100.0) == pytest.approx(100.0)
-
-    def test_dominant_linear_decay(self):
-        # de Bruijn integrand ~ -u for large u.
-        val = tl.log_integrand(DEBR, -1.0, 1.0, 1e6)
-        assert val == pytest.approx(-1e6, rel=1e-5)
-
-    def test_domain_errors(self):
-        with pytest.raises(tl.DomainError):
-            tl.log_integrand(KOHL, -1.0, 1.0, 0.0)
-        with pytest.raises(tl.DomainError):
-            tl.log_integrand(KOHL, -1.0, -2.0, 1.0)
-
-
 class TestLocatePeak:
     @pytest.mark.parametrize(
         "target,c,s,expected",
@@ -85,19 +65,21 @@ class TestLocatePeak:
 
     def test_closed_form_seed_survives_extreme_powers_of_s(self):
         # s**50 underflows at s=1e-10 and overflows at s=1e10, although the
-        # stationary point u = ((1/50)*s**-50)**(1/49) is representable.
+        # stationary point u* = x_peak*psi = ((1/50)*s**-50)**(1/49) is
+        # representable; the window centres there and the transform is finite.
         t = tl.PurePower(-1.0, 50.0)
         for s in (1e-10, 1e10):
-            u = tl.transform._closed_form_seed(t, 1.0, s)
+            u = tl.locate_peak(t, 1.0, s)
             assert u == pytest.approx(
                 math.exp((math.log(1.0 / 50.0) - 50.0 * math.log(s)) / 49.0),
                 rel=1e-12,
             )
-            assert tl.locate_peak(t, 1.0, s) == pytest.approx(u, rel=1e-8)
-        # b close to 1 puts u itself out of range: no seed, no exception.
+            assert math.isfinite(tl.log_transform(t, 1.0, 0.0, s).log_f)
+        # b close to 1 puts psi, and with it u*, out of range: refused.
         near_one = tl.PurePower(-1.0, 1.001)
         for s in (1e-10, 1e10):
-            assert tl.transform._closed_form_seed(near_one, 1.0, s) is None
+            with pytest.raises(tl.NumericOverflow):
+                tl.locate_peak(near_one, 1.0, s)
 
     def test_no_interior_peak_for_monotone_integrand(self):
         # q decreasing and c < 0: supremum at u -> 0.
@@ -148,16 +130,41 @@ class TestSearchCost:
         assert t.calls <= 8
 
     def test_refinement_calls_keep_the_memory_bound(self):
-        # At psi >= 1e12 the Kasahara peak is narrower than the initial
-        # panels, so two rows refine to the cap of 128 * 2**13 panels.  A call
+        # The Kasahara inverse-log target has a kink at x = 1, where the
+        # trapezoid rule converges only algebraically: at tol 1e-14 the rows
+        # at psi = 10 and 15 refine to the cap of n0 * 2**13 panels.  A call
         # takes at most _MAX_POINTS_PER_CALL nodes, or the nodes of one row.
         a, b, c, offset = -1.0, 2.0, 1.0, 1.0
-        t = _CountingTarget(tl.PurePower(a, b))
-        samples = tl.sample_at_psi(tl.validate(a, b, c, offset), t, [1e11, 1e12, 1e13, 10.0])
+        t = _CountingTarget(tl.PerturbedPower(a, b, "inverse-log", 0.4))
+        psis = [1000.0, 10.0, 15.0, 100.0]
+        samples = tl.sample_at_psi(tl.validate(a, b, c, offset), t, psis, tol=1e-14)
         assert [s.tol_met for s in samples] == [True, False, False, True]
+        s = np.array([tl.s_for_psi(b, x) for x in psis])
+        n0 = tl.transform._prepare_windows(t, c, s)[-1]
         cap, sizes = tl.transform._MAX_POINTS_PER_CALL, [math.prod(x) for x in t.shapes]
-        assert max(sizes) == 128 * 2**13 + 1
+        assert max(sizes) == max(n0[1:3]) * 2**13 + 1
         assert all(size <= cap or rows == 1 for size, (rows, _) in zip(sizes, t.shapes))
+
+    def test_sessions_stay_within_the_parent_cost(self):
+        # log_amplitude calls and points are deterministic.  The five
+        # power-verify sessions (16-point grid plus psi_mid) made 30 calls on
+        # 59,625 points before the window step followed the Laplace width.
+        sessions = [
+            ((2.0, 0.5, -1.0, 0.0), None),
+            ((-1.0, 2.0, 1.0, 1.0), None),
+            ((-1.0, -1.0, -1.0, 0.0), None),
+            ((2.0, 0.5, -1.0, 0.0), ("inverse-log", 0.2)),
+            ((-1.0, -1.0, -1.0, 0.0), ("log-sine", 0.3)),
+        ]
+        calls = points = 0
+        for (a, b, c, offset), pert in sessions:
+            inner = tl.PurePower(a, b) if pert is None else tl.PerturbedPower(a, b, *pert)
+            t = _CountingTarget(inner)
+            tl.verify_equivalence(tl.validate(a, b, c, offset), t, tl.make_grid(10, 1000, 16))
+            calls += t.calls
+            points += sum(math.prod(x) for x in t.shapes)
+        assert calls <= 30
+        assert points <= 59625
 
     @pytest.mark.parametrize(
         "target,c,s",
@@ -170,24 +177,31 @@ class TestSearchCost:
         ],
     )
     def test_window_matches_unit_step_walk(self, target, c, s):
-        # Reference: walk out from the peak one unit panel at a time until
-        # the w-integrand g(e^w) + w is FRONTIER_DROP nats below its peak.
-        (w_lo,), (w_hi,), (m,) = tl.transform._prepare_windows(target, c, np.array([s]))
-        w_center = math.log(tl.locate_peak(target, c, s))
-        assert m == pytest.approx(
-            tl.log_integrand(target, c, s, math.exp(w_center)), rel=1e-14
+        # Reference: walk out from u* one Laplace width h = 1/sqrt(|b*d*psi|)
+        # at a time until the v-integrand g(u*e^v) + v is FRONTIER_DROP nats
+        # below g(u*); the engine's edge is the first probed width at or past it.
+        (u_star,), (v_lo,), (v_hi,), (m,), (n0,) = tl.transform._prepare_windows(
+            target, c, np.array([s])
         )
+        b = target.b
+        p, psi = tl.validate(target.a, b, c), tl.psi_for_s(b, s)
+        assert u_star == pytest.approx(tl.saddle_analysis(p).x_peak * psi, rel=1e-14)
+        h = 1.0 / math.sqrt(abs(b * p.d * psi))
 
-        def shifted(w):
-            return tl.log_integrand(target, c, s, math.exp(w)) + w - m - w_center
+        def shifted(v):
+            u = u_star * math.exp(v)
+            return float(target.log_amplitude(s * u)) + c * u + v - m
 
-        panels = []
+        assert shifted(0.0) == 0.0
+        widths = []
         for side in (-1.0, 1.0):
-            n = 1
-            while not shifted(w_center + side * n) < -tl.transform.FRONTIER_DROP:
-                n += 1
-            panels.append(n)
-        assert [w_center - w_lo, w_hi - w_center] == pytest.approx(panels, abs=1e-9)
+            k = 1
+            while not shifted(side * k * h) < -tl.transform.FRONTIER_DROP:
+                k += 1
+            probed = tl.transform._FRONTIER_WIDTHS
+            widths.append(probed[np.searchsorted(probed, k)])
+        assert [-v_lo / h, v_hi / h] == pytest.approx(widths, rel=1e-12)
+        assert n0 == tl.transform._NODES_PER_WIDTH * sum(widths)
 
 
 def _fields(sample):
@@ -241,9 +255,9 @@ class TestBatchedSweep:
         [(-1.0, 2.0, 1.0, 1.0, None), (2.0, 0.5, -1.0, 0.0, ("inverse-log", 0.2))],
     )
     def test_rows_of_mixed_panel_counts_keep_input_order(self, a, b, c, offset, pert, order):
-        # Windows of 2-40 unit panels give initial panel counts from 128 to
-        # 320; the refinement sorts rows by panel count and must return them
-        # in the order given.
+        # The rows' windows span from 19 to 164 Laplace widths, so their first
+        # panel counts differ; the refinement sorts rows by panel count and
+        # must return them in the order given.
         p = tl.validate(a, b, c, offset)
         t = tl.PurePower(a, b) if pert is None else tl.PerturbedPower(a, b, *pert)
         psis = self.GRID.psi_values + (100.0,)
@@ -252,8 +266,7 @@ class TestBatchedSweep:
         else:
             psis = [psis[k] for k in np.random.default_rng(11).permutation(len(psis))]
         s = np.array([tl.s_for_psi(b, x) for x in psis])
-        w_lo, w_hi, _ = tl.transform._prepare_windows(t, c, s)
-        assert len({max(128, int(8.0 * (h - l))) for l, h in zip(w_lo, w_hi)}) >= 4
+        assert len(set(tl.transform._prepare_windows(t, c, s)[-1])) >= 4
         assert [_fields(s) for s in tl.sample_at_psi(p, t, psis)] == [
             _fields(tl.sample_at_psi(p, t, psi)) for psi in psis
         ]
@@ -459,12 +472,14 @@ class TestLogTransform:
             assert errs[-1] <= 1e-10
 
     def test_tolerance_flagged_when_not_met(self):
-        # Kasahara at psi = 1e12: the peak is narrower than the first panel
-        # spacing, refinement stalls at the cap, and the sample comes back
-        # flagged instead of raising.
-        ts = tl.log_transform(KASA, 1.0, 1.0, 1e-6)
+        # Kasahara inverse-log at psi = 10: the kink at x = 1 slows the
+        # trapezoid rule to algebraic convergence, refinement stops at its
+        # cap short of tol 1e-14, and the sample comes back flagged instead
+        # of raising.
+        t = tl.PerturbedPower(-1.0, 2.0, "inverse-log", 0.4)
+        ts = tl.log_transform(t, 1.0, 1.0, tl.s_for_psi(2.0, 10.0), tol=1e-14)
         assert not ts.tol_met
-        assert ts.quad_error > 1e-8
+        assert ts.quad_error > 1e-14
 
     def test_measure_target_matches_direct_stieltjes(self):
         # For P = mu[0, .] and c = -1 the transform at s = lam equals
@@ -474,6 +489,63 @@ class TestLogTransform:
             ts = tl.log_transform(tl.MeasureTarget(m, "cumulative"), -1.0, 0.0, lam)
             direct = tl.measure_transform_kohlbecker(m, lam)
             assert ts.log_f == pytest.approx(direct, abs=1e-12)
+
+
+def _exact_log_f(a, b, c, offset, s):
+    """log f(s) for q = a*x**b at b = 1/2, 2 or -1, in closed form at 40
+    digits and rounded once to a float.  These are the README canonicals with
+    free a and c:
+
+        b = 1/2:  k = a*sqrt(s), g = -c,
+                  f = offset + 1/g + (k/(2g)) sqrt(pi/g) e^(k^2/(4g)) erfc(-k/(2 sqrt g))
+        b = 2:    r = -a*s^2,
+                  f = offset + (1/2) sqrt(pi/r) e^(c^2/(4r)) erfc(-c/(2 sqrt r))
+        b = -1:   f = 2 sqrt(|a|/(s|c|)) K_1(2 sqrt(|a||c|/s))
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a, c, s, offset = map(mp.mpf, (a, c, s, offset))
+        if b == 0.5:
+            k, g = a * mp.sqrt(s), -c
+            body = (k / (2 * g)) * mp.sqrt(mp.pi / g) * mp.exp(k * k / (4 * g))
+            f = 1 / g + body * mp.erfc(-k / (2 * mp.sqrt(g)))
+        elif b == 2.0:
+            r = -a * s * s
+            f = mp.sqrt(mp.pi / r) / 2 * mp.exp(c * c / (4 * r)) * mp.erfc(-c / (2 * mp.sqrt(r)))
+        else:
+            beta, g = -a / s, -c
+            f = 2 * mp.sqrt(beta / g) * mp.besselk(1, 2 * mp.sqrt(beta * g))
+        return float(mp.log(offset + f))
+
+
+class TestExactOracleAtLargePsi:
+    """Samples meet the exact closed forms at their own s up to psi = 1e16:
+    within max(1e-8, 16 ulp) of log f, with the tolerance met."""
+
+    @staticmethod
+    def check(a, b, c, offset, psi):
+        smp = tl.sample_at_psi(tl.validate(a, b, c, offset), tl.PurePower(a, b), psi)
+        exact = _exact_log_f(a, b, c, offset, smp.s)
+        where = (a, b, c, psi, smp.log_f, exact, smp.quad_error)
+        assert smp.tol_met, where
+        assert abs(smp.log_f - exact) <= max(1e-8, 16.0 * math.ulp(exact)), where
+
+    @pytest.mark.parametrize("psi", [1e12, 1e14, 1e16])
+    @pytest.mark.parametrize(
+        "a,b,c,offset",
+        [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0), (-1.0, -1.0, -1.0, 0.0)],
+    )
+    def test_canonicals(self, a, b, c, offset, psi):
+        self.check(a, b, c, offset, psi)
+
+    def test_guardrail_draws(self):
+        # b in {1/2, 2, -1} with free a and c, |a|, |c| log-uniform in
+        # [1e-8, 1e8] and psi log-uniform in [1, 1e16].
+        rng = np.random.default_rng(2014)
+        for k in range(30):
+            b, sa, sc = [(0.5, 1.0, -1.0), (2.0, -1.0, 1.0), (-1.0, -1.0, -1.0)][k % 3]
+            a, c = sa * 10.0 ** rng.uniform(-8.0, 8.0), sc * 10.0 ** rng.uniform(-8.0, 8.0)
+            self.check(a, b, c, 0.0, 10.0 ** rng.uniform(0.0, 16.0))
 
 
 class TestMeasureTransform:
