@@ -302,7 +302,8 @@ def recover_primal(d: float, e: float, c: float) -> tuple[float, float]:
     :func:`dual_exponent` to about 1e-9 relative.
 
     Raises:
-        InconsistentInputs: v0 <= 0 or the recovered triple fails validation.
+        InconsistentInputs: v0 <= 0, v0**b is not a positive float, or the
+            recovered triple fails validation.
     """
     _require_finite(d=d, e=e, c=c)
     b = primal_exponent(e)
@@ -313,7 +314,10 @@ def recover_primal(d: float, e: float, c: float) -> tuple[float, float]:
         raise InconsistentInputs(
             f"stationary point v0 = d*b/(c*(b-1)) = {v0!r} must be positive"
         )
-    a = (d - c * v0) / v0**b
+    try:
+        a = (d - c * v0) / _positive_power(v0, b, "v0**b")
+    except NumericOverflow as exc:
+        raise InconsistentInputs(f"recovered coefficient a = (d - c*v0)/v0**b: {exc}") from exc
     try:
         _check_admissible(a, b, c)
     except ValidationError as exc:

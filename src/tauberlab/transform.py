@@ -32,15 +32,15 @@ s = psi**((1-b)/b) is not a float at large psi once |b| is below about
 
 Every step runs on all rows (s values) of a sweep at once: the centre value,
 each frontier chunk and each trapezoid level is one vector evaluation of g
-over the rows still open, a level padding rows of different panel counts to
-one width.  Each row sees the nodes, float expressions and summation order
+over the rows still open, a level laying its rows' nodes end to end in one
+flat array.  Each row sees the nodes, float expressions and summation order
 of a batch of one, so a sweep equals its points evaluated one by one.
 log f = m + log u* + log(integral), combined with the offset in log space.
 """
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,7 +85,8 @@ _FRONTIER_WIDTHS = np.array(
 _FIRST_FRONTIER_CHUNK = 12
 _MAX_REFINEMENTS = 14
 _NODES_PER_WIDTH = 3
-# A trapezoid level runs in blocks of this many nodes (or one row): bounded memory.
+# Nodes per block of whole rows in a trapezoid level; a longer row is a block of
+# its own (n0 * 2**13 + 1 nodes at the cap), so no bound on a call's memory.
 _MAX_POINTS_PER_CALL = 2**18
 
 
@@ -107,11 +108,11 @@ class TransformSample:
 
 
 def _g_rows(t: TargetFunction, c: float, s, u_star, v) -> np.ndarray:
-    """g(u) + v at u = u*·e^v for each row of v at that row's s and u*;
+    """g(u) + v at u = u*·e^v, elementwise over s, u* and v (broadcast);
     NaN (e.g. inf - inf) reads as -inf."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        u = u_star[:, None] * np.exp(v)
-        vals = np.asarray(t.log_amplitude(s[:, None] * u) + c * u, dtype=float)
+        u = u_star * np.exp(v)
+        vals = np.asarray(t.log_amplitude(s * u) + c * u, dtype=float)
         vals += v
     vals[np.isnan(vals)] = -np.inf
     return vals
@@ -173,7 +174,7 @@ def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
     """
     u_star = np.array(locate_peak(t, c, s))
     r = s.size
-    m = _g_rows(t, c, s, u_star, np.zeros((r, 1)))[:, 0]
+    m = _g_rows(t, c, s, u_star, np.zeros(r))
     if not np.isfinite(m).all():
         bad = s[~np.isfinite(m)][0]
         raise NumericOverflow(f"peak value g(u*) at s={bad:g} is not a finite float")
@@ -185,7 +186,7 @@ def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
     while k < _FRONTIER_WIDTHS.size:
         widths = _FRONTIER_WIDTHS[k : k + size]
         rows = [q % r for q in probes]
-        below = _g_rows(t, c, s[rows], u_star[rows], step[probes][:, None] * widths)
+        below = _g_rows(t, c, s[rows, None], u_star[rows, None], step[probes, None] * widths)
         below = below - m[rows][:, None] < -FRONTIER_DROP
         for q, hit, j in zip(probes, below, below.argmax(axis=1).tolist()):
             edge[q] = float(widths[j]) if hit[j] else None
@@ -201,40 +202,43 @@ def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
 
 def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]) -> list[float]:
     """log of the shifted trapezoid estimate of int exp(g(u*e^v) + v) dv on
-    n[i] panels for row i, the n ascending.
+    n[i] panels for row i.
 
-    Rows of any panel counts share one padded block of nodes, split only
-    where a block would pass _MAX_POINTS_PER_CALL nodes (or hold one row).
-    Row i takes np.linspace(v_lo[i], v_hi[i], n[i] + 1) by linspace's own
-    expressions and repeats its last node as padding, which leaves its max
-    unchanged; its sum runs over its own nodes, by numpy's pairwise rule for
-    a row of that length, so each row equals a batch of one bit for bit.
+    Row i's n[i] + 1 nodes follow row i-1's in one flat array, in blocks of
+    whole rows of at most _MAX_POINTS_PER_CALL nodes (or one row).  Row i
+    takes np.linspace(v_lo[i], v_hi[i], n[i] + 1) by linspace's own
+    expressions; its max and sum run over its own nodes, the sum by numpy's
+    pairwise rule for a row of that length (np.add.reduceat's is not), so
+    each row equals a batch of one bit for bit.
     """
     out, i = [], 0
     while i < len(n):
-        j = i + 1
-        while j < len(n) and (j + 1 - i) * (n[j] + 1) <= _MAX_POINTS_PER_CALL:
-            j += 1
+        j, size = i + 1, n[i] + 1
+        while j < len(n) and size + n[j] + 1 <= _MAX_POINTS_PER_CALL:
+            j, size = j + 1, size + n[j] + 1
         lo, hi, mi, ni = v_lo[i:j], v_hi[i:j], m[i:j], n[i:j]
-        last = (np.arange(j - i), np.array(ni))
-        vs = np.arange(ni[-1] + 1, dtype=float) * ((hi - lo) / last[1])[:, None]
-        vs += lo[:, None]
-        vs[last] = hi
-        if ni[0] < ni[-1]:  # the padding repeats each row's last node
-            np.minimum(vs, hi[:, None], out=vs)
+        width = np.array(ni) + 1
+        end = np.cumsum(width) - 1
+        start = end - (width - 1)
+        # Each node's row.  A one-row block broadcasts: a cap row copies nothing per node.
+        row = np.repeat(np.arange(j - i), width) if j - i > 1 else slice(None)
         # In place from here: a fresh large array pays page faults.
-        vals = _g_rows(t, c, s[i:j], u_star[i:j], vs)
-        vals -= mi[:, None]
-        peak = vals.max(axis=1)
-        vals -= peak[:, None]
+        vs = np.arange(size, dtype=float)
+        vs -= start[row]
+        vs *= ((hi - lo) / (width - 1))[row]
+        vs += lo[row]
+        vs[end] = hi
+        vals = _g_rows(t, c, s[i:j][row], u_star[i:j][row], vs)
+        vals -= mi[row]
+        peak = np.maximum.reduceat(vals, start)
+        vals -= peak[row]
         np.exp(vals, out=vals)
-        vals[:, 0] *= 0.5
-        vals[last] *= 0.5
-        total, k = [], 0
-        while k < len(ni):
-            r = bisect.bisect_right(ni, ni[k], k)
-            total += vals[k:r, : ni[k] + 1].sum(axis=1).tolist()
-            k = r
+        vals[start] *= 0.5
+        vals[end] *= 0.5
+        total = []
+        for nk, run in itertools.groupby(ni):  # rows of equal n sum as one block
+            r, k = len(list(run)), start[len(total)]
+            total += vals[k : k + r * (nk + 1)].reshape(r, nk + 1).sum(axis=1).tolist()
         out += [a + p + math.log(v * (h - l) / nk) for a, p, v, l, h, nk in
                 zip(mi.tolist(), peak.tolist(), total, lo.tolist(), hi.tolist(), ni)]
         del vs, vals  # before the next block allocates its own
@@ -245,14 +249,10 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]) -> list[float]
 def _refine_rows(t, c, s, u_star, v_lo, v_hi, m, n0: list[int], tol: float):
     """Interval-halving refinement from n0 panels; error = difference of
     successive levels.  Each level is one _trapezoid_rows call over the open
-    rows, sorted by n0, and a row leaves once it meets tol.  Returns
-    (log_integral, quad_error, tol_met) lists in input order."""
+    rows, and a row leaves once it meets tol.  Returns (log_integral,
+    quad_error, tol_met) lists."""
     log_integral, quad_error, tol_met = [0.0] * s.size, [0.0] * s.size, [False] * s.size
-    rows = sorted(range(s.size), key=n0.__getitem__)
-    group = [s, u_star, v_lo, v_hi, m]
-    if rows != list(range(s.size)):
-        group = [v[rows] for v in group]
-    n = [n0[i] for i in rows]
+    rows, group, n = list(range(s.size)), [s, u_star, v_lo, v_hi, m], n0
     cur = _trapezoid_rows(t, c, *group, n)
     for _ in range(_MAX_REFINEMENTS - 1):
         n = [2 * k for k in n]
@@ -262,9 +262,8 @@ def _refine_rows(t, c, s, u_star, v_lo, v_hi, m, n0: list[int], tol: float):
         keep = [j for j, i in enumerate(rows) if not tol_met[i]]
         if not keep:
             break
-        if len(keep) < len(rows):
-            rows, n, cur = ([v[j] for j in keep] for v in (rows, n, cur))
-            group = [v[keep] for v in group]
+        rows, n, cur = ([v[j] for j in keep] for v in (rows, n, cur))
+        group = [v[keep] for v in group]
     return log_integral, quad_error, tol_met
 
 

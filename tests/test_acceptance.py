@@ -25,8 +25,8 @@ import subprocess
 import sys
 import time
 
+import mpmath as mp
 import numpy as np
-import pytest
 
 import tauberlab as tl
 
@@ -191,7 +191,6 @@ def test_criterion_2_formula_discrepancy_audit():
 
 
 def test_criterion_3_forward_equivalence():
-    mp = pytest.importorskip("mpmath")
     failures = []
     for name in CANONICAL:
         p, samples = _sweep(name)
@@ -231,7 +230,6 @@ def test_criterion_3_forward_equivalence():
 
 
 def test_criterion_4_exponent_recovery():
-    mp = pytest.importorskip("mpmath")
     start = time.perf_counter()
     failures = []
     for name in CANONICAL:

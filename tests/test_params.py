@@ -236,6 +236,15 @@ class TestRecoverPrimal:
         with pytest.raises(tl.InconsistentInputs):
             tl.recover_primal(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "d,e,c", [(10.0, -1.001, 1.0), (5.0, -1.0001, 1.0), (1e-3, -1.001, 1.0)]
+    )
+    def test_dual_exponent_near_minus_one(self, d, e, c):
+        # b = e/(1+e) is about 1e3 or 1e4, so v0**b leaves the float range:
+        # it overflows for v0 > 1 and underflows to 0 for v0 < 1.
+        with pytest.raises(tl.InconsistentInputs):
+            tl.recover_primal(d, e, c)
+
 
 class TestHEval:
     def test_examples(self):

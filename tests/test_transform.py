@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -133,7 +134,8 @@ class TestSearchCost:
         # The Kasahara inverse-log target has a kink at x = 1, where the
         # trapezoid rule converges only algebraically: at tol 1e-14 the rows
         # at psi = 10 and 15 refine to the cap of n0 * 2**13 panels.  A call
-        # takes at most _MAX_POINTS_PER_CALL nodes, or the nodes of one row.
+        # takes at most _MAX_POINTS_PER_CALL nodes, or the n0 * 2**k + 1
+        # nodes of exactly one row.
         a, b, c, offset = -1.0, 2.0, 1.0, 1.0
         t = _CountingTarget(tl.PerturbedPower(a, b, "inverse-log", 0.4))
         psis = [1000.0, 10.0, 15.0, 100.0]
@@ -143,12 +145,15 @@ class TestSearchCost:
         n0 = tl.transform._prepare_windows(t, c, s)[-1]
         cap, sizes = tl.transform._MAX_POINTS_PER_CALL, [math.prod(x) for x in t.shapes]
         assert max(sizes) == max(n0[1:3]) * 2**13 + 1
-        assert all(size <= cap or rows == 1 for size, (rows, _) in zip(sizes, t.shapes))
+        one_row = {n * 2**k + 1 for n in n0 for k in range(tl.transform._MAX_REFINEMENTS)}
+        assert all(size in one_row for size in sizes if size > cap)
 
     def test_sessions_stay_within_the_parent_cost(self):
         # log_amplitude calls and points are deterministic.  The five
-        # power-verify sessions (16-point grid plus psi_mid) made 30 calls on
-        # 59,625 points before the window step followed the Laplace width.
+        # power-verify sessions (16-point grid plus psi_mid) make 23 calls on
+        # 32,401 points, each trapezoid level evaluating exactly the
+        # sum of n_i + 1 nodes of its open rows; padding every row of a level
+        # to the widest row took 59,149 points.
         sessions = [
             ((2.0, 0.5, -1.0, 0.0), None),
             ((-1.0, 2.0, 1.0, 1.0), None),
@@ -163,8 +168,8 @@ class TestSearchCost:
             tl.verify_equivalence(tl.validate(a, b, c, offset), t, tl.make_grid(10, 1000, 16))
             calls += t.calls
             points += sum(math.prod(x) for x in t.shapes)
-        assert calls <= 30
-        assert points <= 59625
+        assert calls <= 23
+        assert points <= 32401
 
     @pytest.mark.parametrize(
         "target,c,s",
@@ -256,8 +261,8 @@ class TestBatchedSweep:
     )
     def test_rows_of_mixed_panel_counts_keep_input_order(self, a, b, c, offset, pert, order):
         # The rows' windows span from 19 to 164 Laplace widths, so their first
-        # panel counts differ; the refinement sorts rows by panel count and
-        # must return them in the order given.
+        # panel counts differ; each level lays the rows end to end in the
+        # order given, and must return them in that order.
         p = tl.validate(a, b, c, offset)
         t = tl.PurePower(a, b) if pert is None else tl.PerturbedPower(a, b, *pert)
         psis = self.GRID.psi_values + (100.0,)
@@ -270,6 +275,27 @@ class TestBatchedSweep:
         assert [_fields(s) for s in tl.sample_at_psi(p, t, psis)] == [
             _fields(tl.sample_at_psi(p, t, psi)) for psi in psis
         ]
+
+    @pytest.mark.parametrize("k", [0, 4, 10])
+    def test_levels_match_a_linspace_reference(self, k):
+        # Reference: each row on its own, nodes from np.linspace, a plain max
+        # and sum.  At k = 10 the rows hold 70k to 504k nodes, so a level has
+        # blocks of several rows and rows past _MAX_POINTS_PER_CALL.
+        a, b, c = -1.0, 2.0, 1.0
+        t = tl.PerturbedPower(a, b, "inverse-log", 0.4)
+        s = np.array([tl.s_for_psi(b, x) for x in tl.make_grid(10.0, 1000.0, 8).psi_values])
+        *window, n0 = tl.transform._prepare_windows(t, c, s[::-1])
+        n = [x * 2**k for x in n0]
+        reference = []
+        for si, u_star, lo, hi, m, ni in zip(s[::-1], *window, n):
+            v = np.linspace(lo, hi, ni + 1)
+            u = u_star * np.exp(v)
+            vals = t.log_amplitude(si * u) + c * u + v - m
+            peak = vals.max()
+            w = np.exp(vals - peak)
+            w[[0, -1]] *= 0.5
+            reference.append(m + peak + math.log(w.sum() * (hi - lo) / ni))
+        assert tl.transform._trapezoid_rows(t, c, s[::-1], *window, n) == reference
 
     def test_guardrail_draws_match_per_psi_samples(self):
         for a, b, c in _guardrail_triples(seed=5, n=20):
@@ -355,8 +381,6 @@ class TestLogTransform:
             assert ts.log_f == pytest.approx(0.0, abs=1e-9)
 
     def test_mpmath_oracle_crosscheck(self):
-        mp = pytest.importorskip("mpmath")
-
         def oracle(a, b, c, offset, psi):
             a, b, c, psi = map(mp.mpf, (a, b, c, psi))
             xm = (-c / (a * b)) ** (1 / (b - 1))
@@ -398,7 +422,6 @@ class TestLogTransform:
         # it is 110 nats down (found in Laplace widths 1/sqrt(|c*u*(1-b)|)
         # from the pure power's peak w*), split at w* and at the kink of
         # delta (x = 1).
-        mp = pytest.importorskip("mpmath")
         p, t = tl.validate(a, b, c), tl.PerturbedPower(a, b, family, k)
         smp = tl.sample_at_psi(p, t, psi)
         with mp.workdps(40):
@@ -502,7 +525,6 @@ def _exact_log_f(a, b, c, offset, s):
                   f = offset + (1/2) sqrt(pi/r) e^(c^2/(4r)) erfc(-c/(2 sqrt r))
         b = -1:   f = 2 sqrt(|a|/(s|c|)) K_1(2 sqrt(|a||c|/s))
     """
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         a, c, s, offset = map(mp.mpf, (a, c, s, offset))
         if b == 0.5:
@@ -556,7 +578,6 @@ class TestMeasureTransform:
     @staticmethod
     def oracle(m, kind, c, offset, s):
         # 40-digit sum of int_0^inf P(u*s) e^{c*u} du over the atoms.
-        mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             c, s = mp.mpf(c), mp.mpf(s)
             total = mp.mpf(offset)
