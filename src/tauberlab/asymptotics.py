@@ -47,7 +47,6 @@ __all__ = [
     "EpsilonCheck",
     "ClassMDiagnostic",
     "class_m_check",
-    "ToleranceProfile",
     "CheckResult",
     "EquivalenceReport",
     "evaluate_sweep",
@@ -55,6 +54,15 @@ __all__ = [
 ]
 
 _MIN_GRID_POINTS = 8
+# The stated targets of the equivalence checks: ratio gaps |log f/(d*psi) - 1|
+# at _PSI_MID and at the grid top, |log f - corrected prediction| in nats at
+# the top, and relative gaps of the fitted exponent and the recovered (a, b).
+_PSI_MID = 100.0
+_RATIO_RTOL_MID = 0.07
+_RATIO_RTOL_TOP = 0.015
+_CORRECTED_ABS_TOP = 0.2
+_EXPONENT_RTOL = 0.03
+_INVERSE_RTOL = 0.10
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,8 @@ class EvalGrid:
         v = np.asarray(self.psi_values)
         if v.size < _MIN_GRID_POINTS:
             raise BadRange(f"grid needs >= {_MIN_GRID_POINTS} points, got {v.size}")
+        if not np.isfinite(v).all():
+            raise BadRange("psi values must be finite")
         if v[0] < 1.0 or np.any(np.diff(v) <= 0.0):
             raise BadRange("psi values must be strictly increasing and >= 1")
         ratios = v[1:] / v[:-1]
@@ -85,6 +95,8 @@ def make_grid(psi_min: float, psi_max: float, n: int) -> EvalGrid:
         raise BadRange(
             f"need 1 <= psi_min < psi_max, got psi_min={psi_min:g}, psi_max={psi_max:g}"
         )
+    if not psi_max < math.inf:
+        raise BadRange(f"psi_max must be finite, got {psi_max:g}")
     points = np.exp(np.linspace(math.log(psi_min), math.log(psi_max), n))
     points[0], points[-1] = psi_min, psi_max
     return EvalGrid(tuple(float(p) for p in points))
@@ -156,7 +168,7 @@ class CkIndexResult:
 
 
 def ck_index(samples: list[tuple[float, float]]) -> CkIndexResult:
-    """tau_hat(x) = log(U(x)) / log(x) for samples (x > 1, U > 0).
+    """tau_hat(x) = log(U(x)) / log(x) for finite samples (x > 1, U > 0).
 
     The summary reports tau_hat at the largest x and the spread (max - min)
     over the last quarter of the samples, samples taken in increasing x.
@@ -165,6 +177,8 @@ def ck_index(samples: list[tuple[float, float]]) -> CkIndexResult:
         raise DomainError("need at least one sample")
     points = []
     for x, u in samples:
+        if not (math.isfinite(x) and math.isfinite(u)):
+            raise DomainError(f"samples must be finite, got ({x:g}, {u:g})")
         if not x > 1.0:
             raise DomainError(f"x must be > 1, got {x:g}")
         if not u > 0.0:
@@ -247,9 +261,12 @@ def class_m_check(
 ) -> ClassMDiagnostic:
     """Finite-grid check of U(x)/x**(tau+eps) -> 0 and U(x)/x**(tau-eps) -> inf.
 
-    Requires at least 8 samples spanning at least 3 decades in x.  Verdicts
-    follow the deterministic trend rule, so results are reproducible.
+    Requires at least 8 samples spanning at least 3 decades in x, and at least
+    one epsilon.  Verdicts follow the deterministic trend rule, so results are
+    reproducible.
     """
+    if not epsilons:
+        raise ValidationError("need at least one epsilon")
     if len(samples) < _MIN_GRID_POINTS:
         raise InsufficientSpan(f"need >= {_MIN_GRID_POINTS} samples, got {len(samples)}")
     ck = ck_index(samples)  # also validates x > 1, U > 0
@@ -286,25 +303,6 @@ def class_m_check(
 
 
 @dataclass(frozen=True)
-class ToleranceProfile:
-    """Pass/fail thresholds for the equivalence verification runs.
-
-    ratio bounds apply to |log f / (d*psi) - 1| at psi_mid and at the grid
-    top; corrected_abs_top bounds |log f - corrected prediction| in nats at
-    the top; exponent/inverse bounds are relative gaps of the fitted exponent
-    and of the recovered primal parameters.
-    """
-
-    psi_mid: float = 100.0
-    ratio_rtol_mid: float = 0.07
-    ratio_rtol_top: float = 0.015
-    corrected_abs_top: float = 0.2
-    exponent_rtol: float = 0.03
-    inverse_rtol: float = 0.10
-    quad_tol: float = 1e-8
-
-
-@dataclass(frozen=True)
 class CheckResult:
     """One named verification check; limit is None for informational rows."""
 
@@ -319,13 +317,12 @@ class EquivalenceReport:
     """Everything a verification run produced, including partial results.
 
     inverse_passed is the inverse direction's verdict: the primal pair was
-    recovered and both of its relative gaps are within the profile's bound.
+    recovered and both of its relative gaps are within the 10% target.
     """
 
     params: UnifiedParams
     target_label: str
     grid: EvalGrid
-    profile: ToleranceProfile
     samples: tuple[TransformSample, ...]
     predictions_leading: tuple[float, ...]
     predictions_corrected: tuple[float, ...]
@@ -383,12 +380,12 @@ def verify_equivalence(
     p: UnifiedParams,
     t: TargetFunction,
     grid: EvalGrid,
-    profile: ToleranceProfile = ToleranceProfile(),
+    quad_tol: float = 1e-8,
 ) -> EquivalenceReport:
     """Sweep, fit, and check the two-sided equivalence numerically.
 
-    Forward direction: the sweep's log f must track d*psi within the profile's
-    ratio bounds and approach it monotonically; the fitted exponent must match
+    Forward direction: the sweep's log f must track d*psi within the stated
+    ratio targets and approach it monotonically; the fitted exponent must match
     b/(1-b).  Inverse direction: mapping (coefficient_hat, exponent_hat, c)
     back through the stationary-point inversion must recover (a, b).
 
@@ -400,8 +397,8 @@ def verify_equivalence(
             "target log-amplitude is not the validated (a, b) power"
         )
     psi_lo, psi_hi = grid.psi_values[0], grid.psi_values[-1]
-    mid = (profile.psi_mid,) if psi_lo <= profile.psi_mid <= psi_hi else ()
-    samples = sample_at_psi(p, t, grid.psi_values + mid, tol=profile.quad_tol)
+    mid = (_PSI_MID,) if psi_lo <= _PSI_MID <= psi_hi else ()
+    samples = sample_at_psi(p, t, grid.psi_values + mid, tol=quad_tol)
     notes = [
         f"quadrature tolerance not met at psi={s.psi:g} (quad_error {s.quad_error:.3g})"
         for s in samples if not s.tol_met
@@ -419,12 +416,12 @@ def verify_equivalence(
         return checks[-1].passed
 
     if mid_sample is not None:
-        bounded(f"ratio_dev_at_psi_{profile.psi_mid:g}", abs(_ratio(p, mid_sample) - 1.0),
-                profile.ratio_rtol_mid)
+        bounded(f"ratio_dev_at_psi_{_PSI_MID:g}", abs(_ratio(p, mid_sample) - 1.0),
+                _RATIO_RTOL_MID)
     else:
-        notes.append(f"psi_mid={profile.psi_mid:g} outside grid; mid check skipped")
-    bounded(f"ratio_dev_at_psi_{psi_hi:g}", abs(ratios[-1] - 1.0), profile.ratio_rtol_top)
-    bounded("corrected_gap_at_top", abs(samples[-1].log_f - corr[-1]), profile.corrected_abs_top)
+        notes.append(f"psi_mid={_PSI_MID:g} outside grid; mid check skipped")
+    bounded(f"ratio_dev_at_psi_{psi_hi:g}", abs(ratios[-1] - 1.0), _RATIO_RTOL_TOP)
+    bounded("corrected_gap_at_top", abs(samples[-1].log_f - corr[-1]), _CORRECTED_ABS_TOP)
     # Monotone means every step of the last half brings the ratio closer to 1.
     half = len(samples) - len(samples) // 2
     steps = np.diff(np.abs(np.asarray(ratios[half - 1 :]) - 1.0))
@@ -440,7 +437,7 @@ def verify_equivalence(
     except TauberError as exc:
         notes.append(f"fit failed: {exc}")
     exp_gap = math.nan if fit is None else _rel_gap(fit.exponent_hat, p.dual_exp)
-    bounded("exponent_rel_gap", exp_gap, profile.exponent_rtol)
+    bounded("exponent_rel_gap", exp_gap, _EXPONENT_RTOL)
     if fit is not None:
         coeff_gap = _rel_gap(fit.coefficient_hat, p.d)
         checks.append(CheckResult("coefficient_rel_gap", coeff_gap, None, None))
@@ -448,10 +445,10 @@ def verify_equivalence(
             a_hat, b_hat = recover_primal(fit.coefficient_hat, fit.exponent_hat, p.c)
         except TauberError as exc:
             notes.append(f"inverse map failed: {exc}")
-            bounded("inverse_a_rel_gap", math.nan, profile.inverse_rtol)
+            bounded("inverse_a_rel_gap", math.nan, _INVERSE_RTOL)
         else:
             inverse_passed = all([
-                bounded(f"inverse_{name}_rel_gap", _rel_gap(hat, true), profile.inverse_rtol)
+                bounded(f"inverse_{name}_rel_gap", _rel_gap(hat, true), _INVERSE_RTOL)
                 for name, hat, true in (("a", a_hat, p.a), ("b", b_hat, p.b))
             ])
 
@@ -459,7 +456,6 @@ def verify_equivalence(
         params=p,
         target_label=t.label(),
         grid=grid,
-        profile=profile,
         samples=tuple(samples),
         predictions_leading=lead,
         predictions_corrected=corr,

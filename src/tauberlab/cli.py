@@ -125,8 +125,9 @@ class Options:
         grid = asymptotics.make_grid(
             self._get("psi-min", 10.0), self._get("psi-max", 1000.0), self._get("n", 16)
         )
-        profile = asymptotics.ToleranceProfile(quad_tol=self.flags["quad_tol"])
-        return asymptotics.verify_equivalence(p, targets.PurePower(p.a, p.b), grid, profile)
+        return asymptotics.verify_equivalence(
+            p, targets.PurePower(p.a, p.b), grid, quad_tol=self.flags["quad_tol"]
+        )
 
 
 _CLASSICAL = [

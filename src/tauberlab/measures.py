@@ -186,13 +186,8 @@ def kohlbecker_panel_bracket(m: TabulatedMeasure, lam: float) -> tuple[float, fl
 
     Only meaningful for measures produced by :func:`quantize_cumulative`.
     """
-    _require_atoms(m)
-    if not lam > 0.0:
-        raise DomainError("lam must be positive")
-    log_mass = np.log(np.asarray(m.masses))
-    lower = _log_sum_shifted(log_mass - np.asarray(m.locations) / lam)
-    upper = _log_sum_shifted(log_mass - _left_edges(m) / lam)
-    return lower, upper
+    lower = measure_transform_kohlbecker(m, lam)
+    return lower, _log_sum_shifted(np.log(np.asarray(m.masses)) - _left_edges(m) / lam)
 
 
 def kasahara_panel_bracket(m: TabulatedMeasure, lam: float) -> tuple[float, float]:
@@ -201,13 +196,8 @@ def kasahara_panel_bracket(m: TabulatedMeasure, lam: float) -> tuple[float, floa
     The kernel is increasing, so right-endpoint placement over-weights:
     log_lower uses left edges, log_upper is the direct transform.
     """
-    _require_atoms(m)
-    if lam < 0.0:
-        raise DomainError("lam must be >= 0")
-    log_mass = np.log(np.asarray(m.masses))
-    lower = _log_sum_shifted(log_mass + lam * _left_edges(m))
-    upper = _log_sum_shifted(log_mass + lam * np.asarray(m.locations))
-    return lower, upper
+    upper = measure_transform_kasahara(m, lam)
+    return _log_sum_shifted(np.log(np.asarray(m.masses)) + lam * _left_edges(m)), upper
 
 
 def kasahara_via_parts(m: TabulatedMeasure, lam: float) -> float:
@@ -242,6 +232,21 @@ def _geometric_grid(x_min: float, x_max: float, n: int) -> np.ndarray:
     return xs
 
 
+def _quantize(
+    fn: Callable[[float], float], x_min: float, x_max: float, n: int, tail: bool, error: str
+) -> TabulatedMeasure:
+    """Atoms at the edges [0, x_1..x_n] of a geometric grid where the mass
+    function fn drops by a positive amount: a cumulative drop is
+    F(x_i) - F(x_{i-1}), and F(0) at 0; a tail drop G(x_{i-1}) - G(x_i)."""
+    edges = np.concatenate([[0.0], _geometric_grid(x_min, x_max, n)])
+    values = np.asarray([float(fn(float(x))) for x in edges])
+    drops = -np.diff(values, prepend=values[0]) if tail else np.diff(values, prepend=0.0)
+    if np.any(drops < 0.0) or (tail and np.any(values < 0.0)):
+        raise ValidationError(error)
+    keep = drops > 0.0
+    return TabulatedMeasure(tuple(edges[keep]), tuple(drops[keep]))
+
+
 def quantize_cumulative(
     fn: Callable[[float], float], x_min: float, x_max: float, n: int
 ) -> TabulatedMeasure:
@@ -251,23 +256,8 @@ def quantize_cumulative(
     any) and atoms at grid points x_i carrying F(x_i) - F(x_{i-1}).  Panels
     with zero mass are dropped.
     """
-    xs = _geometric_grid(x_min, x_max, n)
-    values = np.asarray([float(fn(float(x))) for x in xs])
-    f0 = float(fn(0.0))
-    if f0 < 0.0 or np.any(np.diff(values) < 0.0) or values[0] < f0:
-        raise ValidationError("cumulative function must be nondecreasing and >= 0")
-    locations, masses = [], []
-    if f0 > 0.0:
-        locations.append(0.0)
-        masses.append(f0)
-    prev = f0
-    for x, v in zip(xs, values):
-        dm = v - prev
-        prev = v
-        if dm > 0.0:
-            locations.append(float(x))
-            masses.append(float(dm))
-    return TabulatedMeasure(tuple(locations), tuple(masses))
+    return _quantize(fn, x_min, x_max, n, False,
+                     "cumulative function must be nondecreasing and >= 0")
 
 
 def quantize_tail(
@@ -280,15 +270,5 @@ def quantize_tail(
     beyond the grid is omitted; pick x_max large enough that the kernel makes
     it negligible for the lam range of interest.
     """
-    xs = _geometric_grid(x_min, x_max, n)
-    edges = np.concatenate([[0.0], xs])
-    values = np.asarray([float(fn(float(x))) for x in edges])
-    if np.any(values < 0.0) or np.any(np.diff(values) > 0.0):
-        raise ValidationError("tail function must be nonincreasing and >= 0")
-    locations, masses = [], []
-    for i in range(1, len(edges)):
-        dm = values[i - 1] - values[i]
-        if dm > 0.0:
-            locations.append(float(edges[i]))
-            masses.append(float(dm))
-    return TabulatedMeasure(tuple(locations), tuple(masses))
+    return _quantize(fn, x_min, x_max, n, True,
+                     "tail function must be nonincreasing and >= 0")

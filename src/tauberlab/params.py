@@ -339,7 +339,8 @@ def h_eval(p: UnifiedParams, x):
 def _positive_power(base: float, exponent: float, what: str) -> float:
     """base**exponent, refusing a result that overflows or underflows to 0."""
     try:
-        value = base**exponent
+        # On Python floats: a numpy float64 power warns on overflow, not raises.
+        value = float(base) ** float(exponent)
     except OverflowError:
         value = math.inf
     if not (math.isfinite(value) and value > 0.0):

@@ -13,8 +13,9 @@ dynamic range exceeds the floating-point range at moderate regime values
      x = s·u by multiplication; log u* is added once per row, not per node,
   3. steps in the peak's Laplace width h = 1/sqrt(|(b-1)*c*u*|) =
      1/sqrt(|b*d*psi|), kept in [2**-26, 1]: each frontier is the first edge
-     -+k*h probed, k every width up to 9 and then about 20% apart in chunks
-     that double, where the v-integrand is 40 nats below its value at u*,
+     -+k*h probed, k every width up to 9 and then about 20% apart, in two
+     probe calls (to 16 widths, then to the cap), where the v-integrand is
+     40 nats below its value at u*,
   4. integrates exp(g(u) + v - m), m = g(u*), by a nested trapezoid rule with
      interval halving from _NODES_PER_WIDTH panels per width; the error
      estimate is the difference between successive levels, and a row stops
@@ -31,10 +32,10 @@ s = psi**((1-b)/b) is not a float at large psi once |b| is below about
 0.05, so the engine, which works at s, refuses those points (NumericOverflow).
 
 Every step runs on all rows (s values) of a sweep at once: the centre value,
-each frontier chunk and each trapezoid level is one vector evaluation of g
-over the rows still open, a level laying its rows' nodes end to end in one
-flat array.  Each row sees the nodes, float expressions and summation order
-of a batch of one, so a sweep equals its points evaluated one by one.
+each frontier probe call and each trapezoid level is one vector evaluation
+of g over the rows still open, a level laying its rows' nodes end to end in
+one flat array.  Each row sees the nodes, float expressions and summation
+order of a batch of one, so a sweep equals its points evaluated one by one.
 log f = m + log u* + log(integral), combined with the offset in log space.
 """
 
@@ -79,7 +80,8 @@ FRONTIER_DROP = 40.0
 _MIN_STEP = 2.0**-26
 _MAX_WINDOW_WIDTHS = 800
 # Candidate frontier edges in widths from u*, 38 geometric steps to the cap.
-# The first chunk reaches 16 widths: a Gaussian peak falls 40 nats in 9.
+# The first probe call reaches 16 widths (a Gaussian peak falls 40 nats in
+# 9), the second the cap.
 _FRONTIER_WIDTHS = np.array(
     sorted({math.ceil(_MAX_WINDOW_WIDTHS ** (j / 37)) for j in range(38)}), dtype=float)
 _FIRST_FRONTIER_CHUNK = 12
@@ -182,15 +184,14 @@ def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
     h = [min(1.0, max(_MIN_STEP, 1.0 / math.sqrt(abs(bc * u)))) for u in u_star.tolist()]
     # Frontier q < r is row q's left one, q >= r row q - r's right one.
     step = np.array([-x for x in h] + h)
-    edge, probes, k, size = [0.0] * 2 * r, list(range(2 * r)), 0, _FIRST_FRONTIER_CHUNK
-    while k < _FRONTIER_WIDTHS.size:
-        widths = _FRONTIER_WIDTHS[k : k + size]
+    edge, probes = [0.0] * 2 * r, list(range(2 * r))
+    for widths in np.split(_FRONTIER_WIDTHS, [_FIRST_FRONTIER_CHUNK]):
         rows = [q % r for q in probes]
         below = _g_rows(t, c, s[rows, None], u_star[rows, None], step[probes, None] * widths)
         below = below - m[rows][:, None] < -FRONTIER_DROP
         for q, hit, j in zip(probes, below, below.argmax(axis=1).tolist()):
             edge[q] = float(widths[j]) if hit[j] else None
-        probes, k, size = [q for q in probes if edge[q] is None], k + size, 2 * size
+        probes = [q for q in probes if edge[q] is None]
         if not probes:
             n0 = [_NODES_PER_WIDTH * int(lo + hi) for lo, hi in zip(edge[:r], edge[r:])]
             return u_star, step[:r] * edge[:r], step[r:] * edge[r:], m, n0
@@ -362,6 +363,8 @@ def predict_log_f(p: UnifiedParams, psi: float, order: str = "corrected") -> flo
     """
     if psi <= 0.0:
         raise DomainError("psi must be positive")
+    if not math.isfinite(psi):
+        raise DomainError(f"psi must be finite, got {psi:g}")
     if order == "leading":
         return p.d * psi
     if order != "corrected":

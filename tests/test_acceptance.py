@@ -416,8 +416,8 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
             [sys.executable, "-m", "tauberlab", *args], capture_output=True, text=True
         )
 
-    # Expected codes: the pass/fail split follows the default
-    # ToleranceProfile, whose desk-scale targets the kasahara canonical misses
+    # Expected codes: the pass/fail split follows the stated targets of the
+    # equivalence checks, whose desk-scale values the kasahara canonical misses
     # (pinned by test_kasahara_small_d_fails_ratio_checks); the exit-code
     # contract maps that to 1.
     matrix = [

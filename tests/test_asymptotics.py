@@ -25,7 +25,8 @@ class TestMakeGrid:
         assert g.psi_values[0] == 10.0 and g.psi_values[-1] == 1000.0
 
     @pytest.mark.parametrize(
-        "args", [(1.0, 100.0, 3), (1.0, 1.0, 8), (0.5, 100.0, 8), (10.0, 5.0, 8)]
+        "args",
+        [(1.0, 100.0, 3), (1.0, 1.0, 8), (0.5, 100.0, 8), (10.0, 5.0, 8), (1.0, math.inf, 16)],
     )
     def test_bad_ranges(self, args):
         with pytest.raises(tl.BadRange):
@@ -34,6 +35,10 @@ class TestMakeGrid:
     def test_non_geometric_rejected(self):
         with pytest.raises(tl.BadRange):
             tl.EvalGrid(tuple(float(x) for x in range(1, 10)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(tl.BadRange):
+            tl.EvalGrid((1.0,) + (math.nan,) * 7)
 
 
 class TestCkIndex:
@@ -72,6 +77,9 @@ class TestCkIndex:
             tl.ck_index([(2.0, 0.0)])
         with pytest.raises(tl.DomainError):
             tl.ck_index([])
+        for sample in ((math.inf, 2.0), (10.0, math.inf)):
+            with pytest.raises(tl.DomainError):
+                tl.ck_index([sample, (10.0, 5.0)])
 
 
 def _grid_samples(fn, x_min, x_max, n):
@@ -100,6 +108,12 @@ class TestClassMCheck:
         samples = _grid_samples(lambda x: math.exp(math.sqrt(x)), 10.0, 1e5, 16)
         for tau in (1.0, 2.0, 5.0):
             assert not tl.class_m_check(samples, tau=tau).consistent
+
+    def test_no_epsilon_rejected(self):
+        # With no epsilon there is no check, and all() of none is True.
+        samples = _grid_samples(lambda x: x**2, 10.0, 1e9, 16)
+        with pytest.raises(tl.ValidationError):
+            tl.class_m_check(samples, tau=5.0, epsilons=())
 
     def test_insufficient_span(self):
         with pytest.raises(tl.InsufficientSpan):
@@ -195,6 +209,21 @@ class TestVerifyEquivalence:
         assert rep.a_hat == pytest.approx(-1.0, rel=0.10)
         assert rep.b_hat == pytest.approx(-1.0, rel=0.10)
 
+    def test_checks_carry_the_stated_targets(self):
+        p = tl.validate(2.0, 0.5, -1.0)
+        rep = tl.verify_equivalence(p, tl.PurePower(2.0, 0.5), tl.make_grid(10, 1000, 16))
+        assert [(c.name, c.limit) for c in rep.checks] == [
+            ("ratio_dev_at_psi_100", 0.07),
+            ("ratio_dev_at_psi_1000", 0.015),
+            ("corrected_gap_at_top", 0.2),
+            ("monotone_ratio_last_half", 0.0),
+            ("exponent_rel_gap", 0.03),
+            ("coefficient_rel_gap", None),
+            ("inverse_a_rel_gap", 0.1),
+            ("inverse_b_rel_gap", 0.1),
+        ]
+        assert rep.checks[5].passed is None
+
     def test_kasahara_small_d_fails_ratio_checks(self):
         # With d = 1/4 the Gaussian-peak correction (0.5*log psi + 0.5*log pi)
         # is 11.5% of d*psi at psi=100 and 1.61% at psi=1000, so the default
@@ -280,9 +309,7 @@ class TestVerifyEquivalence:
         # refinement cap; every other sample, psi_mid=100 included, meets it.
         p = tl.validate(-1.0, 2.0, 1.0, offset=1.0)
         t = tl.PerturbedPower(-1.0, 2.0, "inverse-log", 0.4)
-        rep = tl.verify_equivalence(
-            p, t, tl.make_grid(20, 1000, 8), tl.ToleranceProfile(quad_tol=1e-14)
-        )
+        rep = tl.verify_equivalence(p, t, tl.make_grid(20, 1000, 8), quad_tol=1e-14)
         missed = [s for s in rep.samples if not s.tol_met]
         assert [s.psi for s in missed] == list(rep.grid.psi_values[:2]) and rep.mid_sample.tol_met
         assert all(s.quad_error > 1e-14 for s in missed)

@@ -175,7 +175,6 @@ class TestReportRendering:
             params=tl.validate(2.0, 0.5, -1.0),
             target_label="pure-power(a=2, b=0.5)",
             grid=tl.make_grid(10, 1000, 8),
-            profile=tl.ToleranceProfile(),
             samples=(),
             predictions_leading=(),
             predictions_corrected=(),
@@ -199,7 +198,6 @@ class TestReportRendering:
             params=tl.validate(2.0, 0.5, -1.0),
             target_label="pure-power(a=2, b=0.5)",
             grid=tl.make_grid(10, 1000, 8),
-            profile=tl.ToleranceProfile(),
             samples=(
                 sample(10.0, 10.0, 12.5, 0.0, True),
                 sample(1000.0, 1000.0, 1003.25, 0.5, False),
@@ -311,6 +309,12 @@ IN_PROCESS_CASES = {
     "ck-index-missing-file": (
         ("ck-index", "--input", "nope.tsv"), None, 2,
         "stderr", "error: MeasureFormatError: cannot read measure file nope.tsv"),
+    "verify-psi-max-inf": (
+        ("verify", *K, "--psi-max", "inf"), None, 2,
+        "stderr", "error: BadRange: psi_max must be finite"),
+    "predict-psi-nan": (
+        ("predict", *K, "--psi", "nan"), None, 2,
+        "stderr", "error: DomainError: psi must be finite"),
     "measure-missing-file": (
         ("measure", "--file", "nope.tsv", "--variant", "kohlbecker", "--lam", "1"), None, 2,
         "stderr", "error: MeasureFormatError: cannot read measure file nope.tsv"),

@@ -237,11 +237,14 @@ class TestRecoverPrimal:
             tl.recover_primal(1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize(
-        "d,e,c", [(10.0, -1.001, 1.0), (5.0, -1.0001, 1.0), (1e-3, -1.001, 1.0)]
+        "d,e,c",
+        [(10.0, -1.001, 1.0), (5.0, -1.0001, 1.0), (1e-3, -1.001, 1.0),
+         pytest.param(np.float64(10.0), np.float64(-1.001), 1.0, id="numpy-float64")],
     )
     def test_dual_exponent_near_minus_one(self, d, e, c):
         # b = e/(1+e) is about 1e3 or 1e4, so v0**b leaves the float range:
-        # it overflows for v0 > 1 and underflows to 0 for v0 < 1.
+        # it overflows for v0 > 1 and underflows to 0 for v0 < 1, with numpy
+        # float64 inputs too.
         with pytest.raises(tl.InconsistentInputs):
             tl.recover_primal(d, e, c)
 
@@ -274,12 +277,19 @@ class TestPsiMaps:
 
     @pytest.mark.parametrize(
         "to,b,x",
-        [("s", 1e-3, 1e16), ("psi", 0.999, 1e16)],
+        [("s", 1e-3, 1e16), ("psi", 0.999, 1e16),
+         pytest.param("s", 0.01, np.float64(1e5), id="numpy-float64")],
     )
     def test_overflow_refused(self, to, b, x):
-        # The power x**((1-b)/b) or x**(b/(1-b)) exceeds the float range.
+        # The power x**((1-b)/b) or x**(b/(1-b)) exceeds the float range; a
+        # numpy float64 x must raise too, not warn.
         with pytest.raises(tl.NumericOverflow):
             (tl.s_for_psi if to == "s" else tl.psi_for_s)(b, x)
+
+    def test_numpy_sweep_overflow_refused(self):
+        p = tl.validate(1.0, 0.01, -1.0)
+        with pytest.raises(tl.NumericOverflow):
+            tl.sample_at_psi(p, tl.PurePower(1.0, 0.01), np.array([10.0, 1e5]))
 
     @pytest.mark.parametrize(
         "to,b,x",

@@ -717,5 +717,6 @@ class TestPredictLogF:
         p = tl.validate(2.0, 0.5, -1.0)
         with pytest.raises(tl.ValidationError):
             tl.predict_log_f(p, 10.0, "cubic")
-        with pytest.raises(tl.DomainError):
-            tl.predict_log_f(p, 0.0)
+        for psi in (0.0, math.nan, math.inf):
+            with pytest.raises(tl.DomainError):
+                tl.predict_log_f(p, psi)
