@@ -21,13 +21,13 @@ dynamic range exceeds the floating-point range at moderate regime values
      estimate is the difference between successive levels, and a row stops
      refining once it meets the tolerance.
 
-So the resolution is the same at every psi.  On a pure power the v-integrand
-is analytic in a strip about the real axis, where the trapezoid rule
-converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014).  A
-perturbed family's delta has a derivative jump at x = 1, across which the rule
-converges only algebraically (Kasahara inverse-log at psi = 10: level
-differences 2e-4, 9e-6, 1e-5, 1e-6 from 32 panels times 2**3 to 2**6); the
-refinement halves on until they meet the tolerance.  No search refines u*.
+So the resolution is the same at every psi.  On a pure power and on both
+perturbed families, whose delta is analytic in log x, the v-integrand is
+analytic in a strip about the real axis, where the trapezoid rule converges
+geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014, section 5).  Every
+call evaluates at most _MAX_POINTS_PER_CALL nodes: a row whose next level
+would not fit stops refining with tol_met=False and its last level
+difference as quad_error.  No search refines u*.
 s = psi**((1-b)/b) is not a float at large psi once |b| is below about
 0.05, so the engine, which works at s, refuses those points (NumericOverflow).
 
@@ -85,10 +85,9 @@ _MAX_WINDOW_WIDTHS = 800
 _FRONTIER_WIDTHS = np.array(
     sorted({math.ceil(_MAX_WINDOW_WIDTHS ** (j / 37)) for j in range(38)}), dtype=float)
 _FIRST_FRONTIER_CHUNK = 12
-_MAX_REFINEMENTS = 14
 _NODES_PER_WIDTH = 3
-# Nodes per block of whole rows in a trapezoid level; a longer row is a block of
-# its own (n0 * 2**13 + 1 nodes at the cap), so no bound on a call's memory.
+# Nodes per block of whole rows in a trapezoid level.  A row refines only
+# while its next level fits, so this bounds every call's memory.
 _MAX_POINTS_PER_CALL = 2**18
 
 
@@ -99,7 +98,7 @@ class TransformSample:
     psi is the regime variable tied to s by s = psi**((1-b)/b) for the owning
     parameters (NaN when the target carries no power exponent). quad_error is
     an absolute error estimate on log_f (0 for an exact sum); tol_met records
-    whether the requested tolerance was reached before the refinement cap.
+    whether the requested tolerance was reached within the node budget.
     """
 
     psi: float
@@ -206,7 +205,7 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]) -> list[float]
     n[i] panels for row i.
 
     Row i's n[i] + 1 nodes follow row i-1's in one flat array, in blocks of
-    whole rows of at most _MAX_POINTS_PER_CALL nodes (or one row).  Row i
+    whole rows of at most _MAX_POINTS_PER_CALL nodes.  Row i
     takes np.linspace(v_lo[i], v_hi[i], n[i] + 1) by linspace's own
     expressions; its max and sum run over its own nodes, the sum by numpy's
     pairwise rule for a row of that length (np.add.reduceat's is not), so
@@ -221,8 +220,7 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]) -> list[float]
         width = np.array(ni) + 1
         end = np.cumsum(width) - 1
         start = end - (width - 1)
-        # Each node's row.  A one-row block broadcasts: a cap row copies nothing per node.
-        row = np.repeat(np.arange(j - i), width) if j - i > 1 else slice(None)
+        row = np.repeat(np.arange(j - i), width)  # each node's row
         # In place from here: a fresh large array pays page faults.
         vs = np.arange(size, dtype=float)
         vs -= start[row]
@@ -250,17 +248,20 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]) -> list[float]
 def _refine_rows(t, c, s, u_star, v_lo, v_hi, m, n0: list[int], tol: float):
     """Interval-halving refinement from n0 panels; error = difference of
     successive levels.  Each level is one _trapezoid_rows call over the open
-    rows, and a row leaves once it meets tol.  Returns (log_integral,
-    quad_error, tol_met) lists."""
+    rows.  A row leaves once it meets tol, or with tol_met=False once its
+    next level would exceed _MAX_POINTS_PER_CALL nodes (n0 is at most
+    6 * _MAX_WINDOW_WIDTHS, so the first two levels always fit).  Returns
+    (log_integral, quad_error, tol_met) lists."""
     log_integral, quad_error, tol_met = [0.0] * s.size, [0.0] * s.size, [False] * s.size
     rows, group, n = list(range(s.size)), [s, u_star, v_lo, v_hi, m], n0
     cur = _trapezoid_rows(t, c, *group, n)
-    for _ in range(_MAX_REFINEMENTS - 1):
+    while True:
         n = [2 * k for k in n]
         prev, cur = cur, _trapezoid_rows(t, c, *group, n)
         for i, a, b in zip(rows, prev, cur):
             log_integral[i], quad_error[i], tol_met[i] = b, abs(b - a), abs(b - a) <= tol
-        keep = [j for j, i in enumerate(rows) if not tol_met[i]]
+        keep = [j for j, (i, k) in enumerate(zip(rows, n))
+                if not tol_met[i] and 2 * k < _MAX_POINTS_PER_CALL]
         if not keep:
             break
         rows, n, cur = ([v[j] for j in keep] for v in (rows, n, cur))
@@ -298,7 +299,15 @@ def refinement_errors(
     t: TargetFunction, c: float, s: float, n0: int = 32, levels: int = 8
 ) -> list[float]:
     """Successive-refinement error estimates |I_k - I_{k-1}| on log f, from a
-    deliberately coarse n0 panels: a diagnostic of the convergence rate."""
+    deliberately coarse n0 panels: a diagnostic of the convergence rate.
+
+    Raises:
+        DomainError: the last level, n0 * 2**(levels - 1) panels, would
+            evaluate more than _MAX_POINTS_PER_CALL nodes.
+    """
+    if n0 * 2 ** (levels - 1) + 1 > _MAX_POINTS_PER_CALL:
+        raise DomainError(
+            f"n0={n0}, levels={levels} exceeds {_MAX_POINTS_PER_CALL} nodes per level")
     row = np.array([s], dtype=float)
     window = _prepare_windows(t, c, row)[:-1]
     values = [_trapezoid_rows(t, c, row, *window, [n0 * 2**k])[0] for k in range(levels)]
@@ -341,9 +350,9 @@ def log_transform(
     """Evaluate log f(s) = log(offset + int_0^inf P(u*s) e^{c*u} du).
 
     A tabulated measure's transform is an exact sum (quad_error 0).  For a
-    power target tol is the target absolute error on log f; if the
-    refinement cap is hit first, the best estimate is returned with
-    ``tol_met=False``.
+    power target tol is the target absolute error on log f; if the next
+    refinement level would exceed _MAX_POINTS_PER_CALL nodes first, the best
+    estimate is returned with ``tol_met=False``.
 
     Raises:
         NotIntegrable: integrand diverges at an endpoint.

@@ -224,6 +224,20 @@ class TestVerifyEquivalence:
         ]
         assert rep.checks[5].passed is None
 
+    @pytest.mark.parametrize(
+        "name,limit", [("kohlbecker", 8.0), ("kasahara", 2.0), ("de-bruijn", 16.0)]
+    )
+    def test_corrected_gap_limit_covers_roundoff_at_large_psi(self, name, limit):
+        # At psi = 1e16 the top |log f| is past 2**50, where one ulp of a
+        # double is at least 0.25 nats, above the 0.2-nat target.  The limit
+        # becomes 4 ulp of the top value; Kasahara, within 1 ulp of its exact
+        # transform there, is 0.5 nats from the corrected prediction.
+        a, b, c, offset = CANONICAL_FITS[name][:4]
+        p = tl.validate(a, b, c, offset)
+        rep = tl.verify_equivalence(p, tl.PurePower(a, b), tl.make_grid(1, 1e16, 17))
+        gap = next(c for c in rep.checks if c.name == "corrected_gap_at_top")
+        assert gap.limit == limit and gap.passed
+
     def test_kasahara_small_d_fails_ratio_checks(self):
         # With d = 1/4 the Gaussian-peak correction (0.5*log psi + 0.5*log pi)
         # is 11.5% of d*psi at psi=100 and 1.61% at psi=1000, so the default
@@ -303,17 +317,17 @@ class TestVerifyEquivalence:
         for s, psi in zip(rep.samples, grid.psi_values):
             assert s.psi == pytest.approx(psi, rel=1e-12)
 
-    def test_notes_name_each_sample_that_missed_tolerance(self):
-        # Kasahara inverse-log at tol 1e-14: the kink at x = 1 slows the
-        # trapezoid rule, and the rows at psi = 20 and 35 stop at the
-        # refinement cap; every other sample, psi_mid=100 included, meets it.
+    def test_notes_name_each_sample_that_missed_tolerance(self, kinked_kasahara):
+        # The kinked target at tol 1e-14: the kink at x = 1 slows the
+        # trapezoid rule, and the rows at psi = 20, 35 and 61 stop at the
+        # engine's node budget; every other sample, psi_mid=100 included,
+        # meets it.
         p = tl.validate(-1.0, 2.0, 1.0, offset=1.0)
-        t = tl.PerturbedPower(-1.0, 2.0, "inverse-log", 0.4)
-        rep = tl.verify_equivalence(p, t, tl.make_grid(20, 1000, 8), quad_tol=1e-14)
+        rep = tl.verify_equivalence(p, kinked_kasahara, tl.make_grid(20, 1000, 8), quad_tol=1e-14)
         missed = [s for s in rep.samples if not s.tol_met]
-        assert [s.psi for s in missed] == list(rep.grid.psi_values[:2]) and rep.mid_sample.tol_met
+        assert [s.psi for s in missed] == list(rep.grid.psi_values[:3]) and rep.mid_sample.tol_met
         assert all(s.quad_error > 1e-14 for s in missed)
         assert [n for n in rep.notes if "tolerance" in n] == [
             f"quadrature tolerance not met at psi={psi} (quad_error {s.quad_error:.3g})"
-            for psi, s in zip(("20", "34.9736"), missed)
+            for psi, s in zip(("20", "34.9736", "61.1575"), missed)
         ]
