@@ -296,8 +296,7 @@ def cmd_classical(opts, variant):
               help="epsilons for the diagnostic (repeatable)")
 def cmd_ck_index(input_path, tau, eps):
     """Log-quotient index estimates from tabulated (x, U) samples."""
-    m = measures.load_measure(input_path)  # same two-column format
-    samples = list(zip(m.locations, m.masses))
+    samples = measures._load_pairs(input_path)  # any order; ck_index sorts
     result = asymptotics.ck_index(samples)
     click.echo("x tau_hat")
     for x, t in result.points:

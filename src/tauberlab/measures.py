@@ -95,10 +95,9 @@ def _suffix_sums(masses) -> np.ndarray:
     return np.concatenate([np.cumsum(np.asarray(masses)[::-1])[::-1], [0.0]])
 
 
-def parse_measure_text(text: str, source: str = "<string>") -> TabulatedMeasure:
-    """Parse the two-column atom format; '#' lines and blank lines ignored."""
-    locations: list[float] = []
-    masses: list[float] = []
+def _rows(text: str, source: str):
+    """(lineno, first, second) per line of two numeric fields, '#' and blank
+    lines skipped, with no rule on the values or their order."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -109,11 +108,19 @@ def parse_measure_text(text: str, source: str = "<string>") -> TabulatedMeasure:
                 f"{source}:{lineno}: expected 'location<TAB>mass', got {raw!r}"
             )
         try:
-            loc, mass = float(parts[0]), float(parts[1])
+            first, second = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise MeasureFormatError(
                 f"{source}:{lineno}: non-numeric field in {raw!r}"
             ) from exc
+        yield lineno, first, second
+
+
+def parse_measure_text(text: str, source: str = "<string>") -> TabulatedMeasure:
+    """Parse the two-column atom format; '#' lines and blank lines ignored."""
+    locations: list[float] = []
+    masses: list[float] = []
+    for lineno, loc, mass in _rows(text, source):
         if locations and loc <= locations[-1]:
             raise MeasureFormatError(
                 f"{source}:{lineno}: locations must be strictly increasing"
@@ -126,13 +133,22 @@ def parse_measure_text(text: str, source: str = "<string>") -> TabulatedMeasure:
         raise MeasureFormatError(f"{source}: {exc}") from exc
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeasureFormatError(f"cannot read measure file {path}: {exc}") from exc
+
+
 def load_measure(path: str | Path) -> TabulatedMeasure:
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MeasureFormatError(f"cannot read measure file {p}: {exc}") from exc
-    return parse_measure_text(text, source=str(p))
+    return parse_measure_text(_read_text(p), source=str(p))
+
+
+def _load_pairs(path: str | Path) -> list[tuple[float, float]]:
+    """The (first, second) rows of a two-column file, in file order."""
+    p = Path(path)
+    return [(x, y) for _, x, y in _rows(_read_text(p), str(p))]
 
 
 def _log_sum_shifted(log_terms: np.ndarray) -> float:

@@ -11,8 +11,9 @@ from tauberlab.cli import cli
 
 
 def run_cli(*args, cwd=None):
+    # Warnings are errors here too, as in the in-process tests.
     return subprocess.run(
-        [sys.executable, "-m", "tauberlab", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "tauberlab", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -149,6 +150,18 @@ class TestDataCommands:
                           "--epsilon", "0.5")
         assert res_bad.returncode == 1
         assert "consistent_with_tau = False" in res_bad.stdout
+
+    def test_ck_index_accepts_any_order(self, tmp_path):
+        # ck_index sorts its samples, so the file's order must not matter.
+        lines = [f"{10.0**k}\t{(10.0**k) ** 3}" for k in range(1, 9)]
+        runs = []
+        for name, order in (("sorted", lines), ("shuffled", lines[::2] + lines[1::2][::-1])):
+            path = tmp_path / f"{name}.tsv"
+            path.write_text("\n".join(order) + "\n", encoding="utf-8")
+            res = run_cli("ck-index", "--input", str(path), "--tau", "3", "--epsilon", "0.5")
+            runs.append((res.returncode, res.stdout))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and "consistent_with_tau = True" in runs[0][1]
 
     def test_measure_ingestion(self, tmp_path):
         path = tmp_path / "atoms.tsv"
@@ -293,6 +306,10 @@ IN_PROCESS_CASES = {
         ("validate", "--config", "run.cfg"),
         "classical = kohlbecker\nalpha = 2\nB = 2\noffset = 5\n", 2,
         "stderr", "--offset applies to raw --a/--b/--c, not to --classical"),
+    "validate-h-peak-overflow": (
+        ("validate", "--a", "-35.9226308546618", "--b", "1.017781697399071",
+         "--c", "8526849.10586266"), None, 2,
+        "stderr", "error: NumericOverflow: h(x_peak) = nan"),
     "validate-d-overflow": (
         ("validate", "--a", "-1", "--b", "1.001", "--c", "100"), None, 2,
         "stderr", "error: NumericOverflow: (-c/(a*b))**(b/(b-1)) = 99.9001**1001"),

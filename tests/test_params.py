@@ -1,6 +1,7 @@
 """Validation, dual-coefficient closed forms, and saddle invariants."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -190,6 +191,48 @@ class TestSaddle:
                 assert np.all(tl.h_eval(p, grid) <= 1e-12 * scale)
                 assert math.copysign(1.0, p.d) == math.copysign(1.0, p.b)
 
+    @pytest.mark.parametrize(
+        "a,b,c",
+        [
+            # h(x_peak) overflows to NaN.
+            (-35.9226308546618, 1.017781697399071, 8526849.10586266),
+            (1243646.727069192, 0.9938868893061318, -17041.056669970476),
+            # d = 5e-324 is subnormal, so 1e-10*|d| rounds to 0.
+            (-0.6634491378833124, 1.0229653032791624, 4.124122724605254e-08),
+        ],
+    )
+    def test_roundoff_refused_without_warning(self, a, b, c):
+        # pytest turns a RuntimeWarning into an error, so a leaked numpy
+        # warning fails here instead of reaching NumericOverflow.
+        with pytest.raises(tl.NumericOverflow):
+            tl.saddle_analysis(tl.validate(a, b, c))
+
+    def test_closed_form_contract_near_b_one(self):
+        # |b - 1| log-uniform in [1e-14, 1e-1] is where x_peak, h(x_peak) and
+        # d come closest to the float limits.
+        rng = np.random.default_rng(16)
+        n = 10_000
+
+        def log_uniform(lo, hi):
+            return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+        b = 1.0 + rng.choice([-1.0, 1.0], n) * log_uniform(1e-14, 1e-1)
+        # Regime signs: a > 0 > c below b = 1 (Kohlbecker), a < 0 < c above.
+        sign = np.where(b < 1.0, 1.0, -1.0)
+        refused = 0
+        for a, bb, c in zip(sign * log_uniform(1e-8, 1e8), b, -sign * log_uniform(1e-8, 1e8)):
+            try:
+                p = tl.validate(a, bb, c)
+                sp = tl.saddle_analysis(p)
+            except tl.NumericOverflow:
+                refused += 1
+                continue
+            assert math.isfinite(sp.x_peak)
+            assert sp.curvature < 0.0
+            assert abs(sp.h_at_max) <= 1e-10 * abs(p.d)
+            assert abs(p.d) >= sys.float_info.min
+        assert 0 < refused < n
+
 
 class TestExponentDuality:
     def test_examples(self):
@@ -265,6 +308,12 @@ class TestHEval:
         p = tl.validate(2.0, 0.5, -1.0)
         for x in (0.0, -1.0):
             with pytest.raises(tl.DomainError):
+                tl.h_eval(p, x)
+
+    def test_overflow_raises_instead_of_warning(self):
+        p = tl.validate(-1.0, 2.0, 1.0)
+        for x in (1e200, np.array([1.0, 1e200])):
+            with pytest.raises(tl.NumericOverflow):
                 tl.h_eval(p, x)
 
 
