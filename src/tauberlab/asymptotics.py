@@ -124,7 +124,7 @@ def fit_exponent(samples: list[TransformSample]) -> AsymptoticFit:
     coefficient, which is the tail mean of log_f / lambda**exponent_hat.
 
     Raises:
-        DegenerateWindow: fewer than 8 samples or window too small.
+        DegenerateWindow: fewer than 8 samples, or lambda constant in the window.
         SignChange: log f changes sign or vanishes inside the window.
     """
     n = len(samples)
@@ -132,8 +132,6 @@ def fit_exponent(samples: list[TransformSample]) -> AsymptoticFit:
         raise DegenerateWindow(f"need >= {_MIN_GRID_POINTS} samples, got {n}")
     start = n - n // 2
     window = samples[start:]
-    if len(window) < 2:
-        raise DegenerateWindow("tail window must contain at least 2 samples")
     log_f = np.asarray([t.log_f for t in window])
     if np.any(log_f == 0.0) or np.any(np.isnan(log_f)):
         raise SignChange("log f vanishes inside the fit window")

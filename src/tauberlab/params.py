@@ -26,6 +26,10 @@ equivalently d = a*(1-b)*(-c/(a*b))**(b/(b-1)); concavity then gives h <= 0
 on x > 0 without sampling.  On the transform side
 ``log f(lam) ~ d * lam**(b/(1-b))`` in the regime psi = lam**(b/(1-b)) -> inf.
 
+:func:`validate` computes the saddle once, refusing with NumericOverflow a d
+that is zero, subnormal or not finite, an h''(x_peak) that is not finite and
+negative, and an h(x_peak) that does not vanish within 1e-10*|d|.
+
 All functions are pure and all containers frozen, so values can be shared
 freely between threads.
 """
@@ -98,6 +102,7 @@ class UnifiedParams:
         d: dual coefficient on the transform side.
         dual_exp: dual exponent b/(1-b).
         regime: regime tag determined by b.
+        saddle: the saddle data of h that validate checked.
     """
 
     a: float
@@ -107,6 +112,7 @@ class UnifiedParams:
     d: float
     dual_exp: float
     regime: Regime
+    saddle: SaddlePoint
 
 
 @dataclass(frozen=True)
@@ -167,12 +173,13 @@ def compute_d(a: float, b: float, c: float) -> float:
 
     This is the form consistent with the classical coefficient identities and
     with the value form d = a*x_peak**b + c*x_peak; see :func:`d_variants`
-    for the audit of the alternative reading with reciprocal base.
+    for the audit of the alternative reading with reciprocal base.  A zero or
+    subnormal d is refused: h(x_peak) = 0 within 1e-10*|d| is uncheckable.
     """
     _check_admissible(a, b, c)
     base = -c / (a * b)
     d = a * (1.0 - b) * _positive_power(base, b / (b - 1.0), "(-c/(a*b))**(b/(b-1))")
-    if not math.isfinite(d) or d == 0.0:
+    if not sys.float_info.min <= abs(d) < math.inf:
         raise NumericOverflow(
             f"dual coefficient not representable for (a={a:g}, b={b:g}, c={c:g})"
         )
@@ -209,15 +216,23 @@ def _regime_for(b: float) -> Regime:
     return Regime.DE_BRUIJN
 
 
+# Relative tolerance of h(x_peak) = 0; roughly 100x unit roundoff under the
+# condition numbers allowed by the guardrails.
+_H_AT_MAX_RTOL = 1e-10
+
+
 def validate(a: float, b: float, c: float, offset: float = 0.0) -> UnifiedParams:
-    """Validate (a, b, c, offset) and derive d, the dual exponent and regime.
+    """Validate (a, b, c, offset) and derive d, the dual exponent, the regime
+    and the saddle data of h (h'' < 0 on x > 0, so h <= h(x_peak) unsampled).
 
     Raises:
         DegenerateExponent: b in {0, 1}.
         ZeroRate: c = 0.
         SignConditionViolated: a*b*(b-1) >= 0 or a*b*c >= 0.
-        NumericOverflow: magnitudes outside the guardrails, or derived
-            quantities not representable.
+        NumericOverflow: magnitudes outside the guardrails; d zero, subnormal
+            or not finite; x_peak or x_peak**b not a positive float; the
+            curvature h''(x_peak) not finite and negative; or h(x_peak) not
+            within 1e-10*|d| of 0 (a NaN h(x_peak) from an overflow included).
         OffsetNotAllowed: offset != 0 while d < 0.
     """
     _check_admissible(a, b, c)
@@ -227,47 +242,30 @@ def validate(a: float, b: float, c: float, offset: float = 0.0) -> UnifiedParams
         raise OffsetNotAllowed(
             f"additive offset must be 0 when d < 0 (d={d:g}, offset={offset:g})"
         )
-    return UnifiedParams(
-        a=float(a),
-        b=float(b),
-        c=float(c),
-        offset=float(offset),
-        d=d,
-        dual_exp=dual_exponent(b),
-        regime=_regime_for(b),
-    )
-
-
-# Relative tolerance of h(x_peak) = 0; roughly 100x unit roundoff under the
-# condition numbers allowed by the guardrails.
-_H_AT_MAX_RTOL = 1e-10
-
-
-def saddle_analysis(p: UnifiedParams) -> SaddlePoint:
-    """Closed-form saddle data of h, refusing values drowned by roundoff.
-
-    The sign rule makes h''(x) < 0 for every x > 0, so h <= h(x_peak) with no
-    sampling.  Checks that the curvature is strictly negative, that d is a
-    normal float and that h(x_peak) vanishes within 1e-10*|d|; a NaN
-    h(x_peak) from an overflow fails that last check.
-    """
-    x_peak, curvature = _peak_curvature(p.a, p.b, p.c)
+    # On Python floats, an overflow in the saddle is an inf or NaN, not a numpy warning.
+    a, b, c = float(a), float(b), float(c)
+    x_peak, curvature = _peak_curvature(a, b, c)
     if not math.isfinite(curvature) or curvature >= 0.0:
         raise NumericOverflow(
             f"saddle curvature {curvature!r} not strictly negative; parameters "
             f"are outside the numerically trustworthy range"
         )
-    if abs(p.d) < sys.float_info.min:
-        raise NumericOverflow(
-            f"dual coefficient d = {p.d:g} is subnormal; h(x_peak) = 0 is uncheckable"
-        )
-    h_at_max = p.a * _positive_power(x_peak, p.b, "x_peak**b") + p.c * x_peak - p.d
-    if not abs(h_at_max) <= _H_AT_MAX_RTOL * abs(p.d):
+    h_at_max = a * _positive_power(x_peak, b, "x_peak**b") + c * x_peak - d
+    if not abs(h_at_max) <= _H_AT_MAX_RTOL * abs(d):
         raise NumericOverflow(
             f"h(x_peak) = {h_at_max:g} exceeds {_H_AT_MAX_RTOL:g}*|d|; closed "
             f"forms drowned by roundoff"
         )
-    return SaddlePoint(x_peak=x_peak, h_at_max=h_at_max, curvature=curvature)
+    return UnifiedParams(
+        a=a, b=b, c=c, offset=float(offset), d=d, dual_exp=dual_exponent(b),
+        regime=_regime_for(b), saddle=SaddlePoint(x_peak, h_at_max, curvature),
+    )
+
+
+def saddle_analysis(p: UnifiedParams) -> SaddlePoint:
+    """Closed-form saddle data of h: x_peak, h(x_peak) and h''(x_peak), as
+    computed and checked by :func:`validate`."""
+    return p.saddle
 
 
 def dual_exponent(b: float) -> float:

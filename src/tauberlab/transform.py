@@ -378,8 +378,8 @@ def predict_log_f(p: UnifiedParams, psi: float, order: str = "corrected") -> flo
         return p.d * psi
     if order != "corrected":
         raise ValidationError(f"order must be 'leading' or 'corrected', got {order!r}")
-    _, curvature = _peak_curvature(p.a, p.b, p.c)
-    return p.d * psi + 0.5 * math.log(psi) + 0.5 * math.log(2.0 * math.pi / abs(curvature))
+    curvature = abs(p.saddle.curvature)
+    return p.d * psi + 0.5 * math.log(psi) + 0.5 * math.log(2.0 * math.pi / curvature)
 
 
 def sample_at_psi(p: UnifiedParams, t: TargetFunction, psi, tol: float = 1e-8):

@@ -40,6 +40,13 @@ class TestMakeGrid:
         with pytest.raises(tl.BadRange):
             tl.EvalGrid((1.0,) + (math.nan,) * 7)
 
+    @pytest.mark.parametrize(
+        "values", [(1.0, 10.0, 100.0), tuple(1000.0 / 2.0**k for k in range(8))]
+    )
+    def test_short_or_decreasing_rejected(self, values):
+        with pytest.raises(tl.BadRange):
+            tl.EvalGrid(values)
+
 
 class TestCkIndex:
     def test_exact_power(self):
@@ -114,6 +121,11 @@ class TestClassMCheck:
         samples = _grid_samples(lambda x: x**2, 10.0, 1e9, 16)
         with pytest.raises(tl.ValidationError):
             tl.class_m_check(samples, tau=5.0, epsilons=())
+
+    def test_negative_epsilon_rejected(self):
+        samples = _grid_samples(lambda x: x**2, 10.0, 1e9, 16)
+        with pytest.raises(tl.ValidationError):
+            tl.class_m_check(samples, tau=5.0, epsilons=(0.5, -1.0))
 
     def test_insufficient_span(self):
         with pytest.raises(tl.InsufficientSpan):
@@ -316,6 +328,14 @@ class TestVerifyEquivalence:
         assert rep.mid_sample is not None
         for s, psi in zip(rep.samples, grid.psi_values):
             assert s.psi == pytest.approx(psi, rel=1e-12)
+
+    def test_grid_without_psi_mid_skips_the_mid_check(self):
+        p = tl.validate(2.0, 0.5, -1.0)
+        rep = tl.verify_equivalence(p, tl.PurePower(2.0, 0.5), tl.make_grid(200, 2000, 8))
+        assert rep.mid_sample is None
+        assert "psi_mid=100 outside grid; mid check skipped" in rep.notes
+        assert "ratio_dev_at_psi_100" not in [c.name for c in rep.checks]
+        assert "[mid]" not in tl_report.render_report(rep)
 
     def test_notes_name_each_sample_that_missed_tolerance(self, kinked_kasahara):
         # The kinked target at tol 1e-14: the kink at x = 1 slows the

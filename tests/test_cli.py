@@ -310,6 +310,14 @@ IN_PROCESS_CASES = {
         ("validate", "--a", "-35.9226308546618", "--b", "1.017781697399071",
          "--c", "8526849.10586266"), None, 2,
         "stderr", "error: NumericOverflow: h(x_peak) = nan"),
+    "verify-d-subnormal": (
+        ("verify", "--a", "-0.6634491378833124", "--b", "1.0229653032791624",
+         "--c", "4.124122724605254e-08"), None, 2,
+        "stderr", "error: NumericOverflow: dual coefficient not representable"),
+    "predict-h-peak-overflow": (
+        ("predict", "--a", "1243646.727069192", "--b", "0.9938868893061318",
+         "--c", "-17041.056669970476", "--psi", "100"), None, 2,
+        "stderr", "error: NumericOverflow: h(x_peak) = nan"),
     "validate-d-overflow": (
         ("validate", "--a", "-1", "--b", "1.001", "--c", "100"), None, 2,
         "stderr", "error: NumericOverflow: (-c/(a*b))**(b/(b-1)) = 99.9001**1001"),

@@ -203,9 +203,10 @@ class TestSaddle:
     )
     def test_roundoff_refused_without_warning(self, a, b, c):
         # pytest turns a RuntimeWarning into an error, so a leaked numpy
-        # warning fails here instead of reaching NumericOverflow.
+        # warning fails here instead of reaching NumericOverflow.  validate
+        # alone refuses: no command gets a triple whose saddle is untrusted.
         with pytest.raises(tl.NumericOverflow):
-            tl.saddle_analysis(tl.validate(a, b, c))
+            tl.validate(a, b, c)
 
     def test_closed_form_contract_near_b_one(self):
         # |b - 1| log-uniform in [1e-14, 1e-1] is where x_peak, h(x_peak) and

@@ -390,6 +390,26 @@ class TestLogTransform:
             ts = tl.log_transform(tl.PurePower(0.0, 0.5), -1.0, 0.0, s)
             assert ts.log_f == pytest.approx(0.0, abs=1e-9)
 
+    def test_frontier_not_reached(self):
+        # P == 1 behind the window of 2*x**0.5: the engine centres on
+        # u* = psi = s, but the v-integrand exp(-u* e^v + v) peaks at
+        # v = -log u*.  At s = 1 the window holds that peak and log f = 0 is
+        # exact; at larger s the integrand still rises 800 widths left of u*.
+        class Flat(tl.PurePower):
+            def log_amplitude(self, x):
+                return np.zeros_like(np.asarray(x, dtype=float))
+
+        ts = tl.log_transform(Flat(2.0, 0.5), -1.0, 0.0, 1.0)
+        assert ts.tol_met and ts.log_f == pytest.approx(0.0, abs=1e-12)
+        for s in (100.0, 1e4):
+            with pytest.raises(tl.NotIntegrable, match="left frontier not reached within 800"):
+                tl.log_transform(Flat(2.0, 0.5), -1.0, 0.0, s)
+
+    @pytest.mark.parametrize("family,k", [("cosine", 0.1), ("log-sine", 0.6)])
+    def test_perturbation_refused(self, family, k):
+        with pytest.raises(tl.ValidationError):
+            tl.PerturbedPower(2.0, 0.5, family, k)
+
     def test_mpmath_oracle_crosscheck(self):
         def oracle(a, b, c, offset, psi):
             a, b, c, psi = map(mp.mpf, (a, b, c, psi))
@@ -641,6 +661,8 @@ class TestMeasureTransform:
                 tl.log_transform(tl.MeasureTarget(self.M, "cumulative"), c, 0.0, 1.0)
         with pytest.raises(tl.ZeroRate):
             tl.log_transform(tl.MeasureTarget(self.M, "tail"), 0.0, 0.0, 1.0)
+        with pytest.raises(tl.ValidationError):
+            tl.MeasureTarget(self.M, "density")
 
     def test_engine_takes_power_targets_only(self):
         with pytest.raises(tl.ValidationError):
@@ -681,7 +703,7 @@ class TestSignConditions:
     @pytest.mark.parametrize(
         "a,b,c",
         [(1.0, 3.0, -1.0), (1.0, 0.5, 1.0), (-1.0, 0.5, 1.0), (1.0, -2.0, -1.0),
-         (-1.0, -2.0, 1.0)],
+         (-1.0, -2.0, 1.0), (0.0, 0.5, 1.0)],
     )
     def test_divergent_signs(self, a, b, c):
         with pytest.raises(tl.NotIntegrable):
