@@ -32,6 +32,7 @@ from .errors import (
     TauberError,
     ValidationError,
 )
+from .measures import _geometric_grid
 from .params import UnifiedParams, recover_primal
 from .targets import TargetFunction
 from .transform import TransformSample, predict_log_f, sample_at_psi
@@ -97,9 +98,7 @@ def make_grid(psi_min: float, psi_max: float, n: int) -> EvalGrid:
         )
     if not psi_max < math.inf:
         raise BadRange(f"psi_max must be finite, got {psi_max:g}")
-    points = np.exp(np.linspace(math.log(psi_min), math.log(psi_max), n))
-    points[0], points[-1] = psi_min, psi_max
-    return EvalGrid(tuple(float(p) for p in points))
+    return EvalGrid(tuple(float(p) for p in _geometric_grid(psi_min, psi_max, n)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 A measure is a finite list of atoms (location, mass) with strictly increasing
 nonnegative locations and strictly positive masses.  Transforms are computed
-by max-shifted summation so that kernels like exp(lam*x) never overflow.
+by max-shifted summation so that kernels like exp(lam*x) never overflow.  The
+log-space exponents are formed without numpy warnings: a term whose exponent
+is -inf vanishes, and a +inf or NaN exponent at the maximum (a log M outside
+the float range) raises NumericOverflow.
 
 The two-column text format used for ingestion is one atom per line,
 ``location<TAB>mass`` (whitespace-separated also accepted), lines beginning
@@ -18,7 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EmptyMeasure, MeasureFormatError, ValidationError
+from .errors import (
+    DomainError,
+    EmptyMeasure,
+    MeasureFormatError,
+    NumericOverflow,
+    ValidationError,
+)
 
 __all__ = [
     "TabulatedMeasure",
@@ -152,10 +161,13 @@ def _load_pairs(path: str | Path) -> list[tuple[float, float]]:
 
 
 def _log_sum_shifted(log_terms: np.ndarray) -> float:
-    """log(sum(exp(t_i))) via max shift; -inf for an empty/degenerate sum."""
+    """log(sum(exp(t_i))) via max shift; -inf when every term vanishes, and
+    NumericOverflow when a term is +inf or NaN (a sum beyond the float range)."""
     m = float(np.max(log_terms))
-    if not math.isfinite(m):
+    if m == -math.inf:
         return m
+    if not math.isfinite(m):
+        raise NumericOverflow(f"log of the exponential sum is not a finite float ({m!r})")
     return m + math.log(float(np.sum(np.exp(log_terms - m))))
 
 
@@ -169,8 +181,8 @@ def measure_transform_kohlbecker(m: TabulatedMeasure, lam: float) -> float:
     _require_atoms(m)
     if not lam > 0.0:
         raise DomainError("lam must be positive")
-    locs = np.asarray(m.locations)
-    log_terms = np.log(np.asarray(m.masses)) - locs / lam
+    with np.errstate(over="ignore"):
+        log_terms = np.log(np.asarray(m.masses)) - np.asarray(m.locations) / lam
     return _log_sum_shifted(log_terms)
 
 
@@ -179,8 +191,8 @@ def measure_transform_kasahara(m: TabulatedMeasure, lam: float) -> float:
     _require_atoms(m)
     if lam < 0.0:
         raise DomainError("lam must be >= 0")
-    locs = np.asarray(m.locations)
-    log_terms = np.log(np.asarray(m.masses)) + lam * locs
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_terms = np.log(np.asarray(m.masses)) + lam * np.asarray(m.locations)
     return _log_sum_shifted(log_terms)
 
 
@@ -203,7 +215,9 @@ def kohlbecker_panel_bracket(m: TabulatedMeasure, lam: float) -> tuple[float, fl
     Only meaningful for measures produced by :func:`quantize_cumulative`.
     """
     lower = measure_transform_kohlbecker(m, lam)
-    return lower, _log_sum_shifted(np.log(np.asarray(m.masses)) - _left_edges(m) / lam)
+    with np.errstate(over="ignore"):
+        log_terms = np.log(np.asarray(m.masses)) - _left_edges(m) / lam
+    return lower, _log_sum_shifted(log_terms)
 
 
 def kasahara_panel_bracket(m: TabulatedMeasure, lam: float) -> tuple[float, float]:
@@ -230,9 +244,9 @@ def kasahara_via_parts(m: TabulatedMeasure, lam: float) -> float:
     locs = np.asarray(m.locations)
     # Tail value on (x_{i-1}, x_i) is the mass at locations >= x_i.
     tails = _suffix_sums(m.masses)[:-1]
-    lo, hi = lam * np.concatenate([[0.0], locs[:-1]]), lam * locs
     # log(T_i * (e^hi - e^lo)), -inf for an empty panel; then log mu(0, inf).
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo, hi = lam * np.concatenate([[0.0], locs[:-1]]), lam * locs
         log_terms = np.log(tails) + hi + np.log(-np.expm1(lo - hi))
         log_terms = np.append(log_terms, np.log(m.mass_above_zero()))
     return _log_sum_shifted(log_terms)

@@ -26,9 +26,12 @@ equivalently d = a*(1-b)*(-c/(a*b))**(b/(b-1)); concavity then gives h <= 0
 on x > 0 without sampling.  On the transform side
 ``log f(lam) ~ d * lam**(b/(1-b))`` in the regime psi = lam**(b/(1-b)) -> inf.
 
-:func:`validate` computes the saddle once, refusing with NumericOverflow a d
-that is zero, subnormal or not finite, an h''(x_peak) that is not finite and
-negative, and an h(x_peak) that does not vanish within 1e-10*|d|.
+Admission turns (a, b, c) into Python floats once, so an overflow downstream
+is an inf or NaN that a check refuses, never a numpy warning.  :func:`validate`
+then computes the saddle once, refusing with NumericOverflow a d that is zero,
+subnormal or not finite, an h''(x_peak) that is not finite and negative, and
+an h(x_peak) that does not vanish within 1e-10*|d|.  The :func:`d_variants`
+audit refuses nothing: its stated d reads +-inf or 0 outside the float range.
 
 All functions are pure and all containers frozen, so values can be shared
 freely between threads.
@@ -135,8 +138,10 @@ def _require_finite(**values: float) -> None:
             raise ValidationError(f"{name} must be finite, got {v!r}")
 
 
-def _check_admissible(a: float, b: float, c: float) -> None:
-    """Raise unless (a, b, c) satisfies both sign conditions and guardrails."""
+def _check_admissible(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """(a, b, c) as Python floats (an overflow is then an inf, not a numpy
+    warning); raises unless they meet both sign conditions and guardrails."""
+    a, b, c = float(a), float(b), float(c)
     _require_finite(a=a, b=b, c=c)
     if b == 0.0 or b == 1.0:
         raise DegenerateExponent(f"exponent b must avoid {{0, 1}}, got b={b:g}")
@@ -152,31 +157,19 @@ def _check_admissible(a: float, b: float, c: float) -> None:
                 f"|{name}| = {abs(v):g} outside supported range "
                 f"[{COEFF_MIN:g}, {COEFF_MAX:g}]"
             )
-    concavity = a * b * (b - 1.0)
-    if not concavity < 0.0:
-        raise SignConditionViolated("a*b*(b-1)", concavity, a, b, c)
-    kernel_sign = a * b * c
-    if not kernel_sign < 0.0:
-        raise SignConditionViolated("a*b*c", kernel_sign, a, b, c)
+    for name, v in (("a*b*(b-1)", a * b * (b - 1.0)), ("a*b*c", a * b * c)):
+        if not v < 0.0:
+            raise SignConditionViolated(name, v, a, b, c)
+    return a, b, c
 
 
-def _peak_curvature(a: float, b: float, c: float) -> tuple[float, float]:
-    """x_peak and the curvature h''(x_peak) = a*b*(b-1)*x_peak**(b-2)."""
-    # -c/(a*b) > 0 is guaranteed by a*b*c < 0.
-    base = -c / (a * b)
-    x = _positive_power(base, 1.0 / (b - 1.0), "saddle location x_peak")
-    return x, a * b * (b - 1.0) * _positive_power(x, b - 2.0, "x_peak**(b-2)")
+def _x_peak(a: float, b: float, c: float) -> float:
+    """x_peak = (-c/(a*b))**(1/(b-1)), the maximizer of h (a*b*c < 0)."""
+    return _positive_power(-c / (a * b), 1.0 / (b - 1.0), "saddle location x_peak")
 
 
-def compute_d(a: float, b: float, c: float) -> float:
-    """Dual coefficient d = a*(1-b)*(-c/(a*b))**(b/(b-1)).
-
-    This is the form consistent with the classical coefficient identities and
-    with the value form d = a*x_peak**b + c*x_peak; see :func:`d_variants`
-    for the audit of the alternative reading with reciprocal base.  A zero or
-    subnormal d is refused: h(x_peak) = 0 within 1e-10*|d| is uncheckable.
-    """
-    _check_admissible(a, b, c)
+def _dual_coefficient(a: float, b: float, c: float) -> float:
+    """d of an admitted triple; refuses a d that is infinite, zero or subnormal."""
     base = -c / (a * b)
     d = a * (1.0 - b) * _positive_power(base, b / (b - 1.0), "(-c/(a*b))**(b/(b-1))")
     if not sys.float_info.min <= abs(d) < math.inf:
@@ -184,6 +177,13 @@ def compute_d(a: float, b: float, c: float) -> float:
             f"dual coefficient not representable for (a={a:g}, b={b:g}, c={c:g})"
         )
     return d
+
+
+def compute_d(a: float, b: float, c: float) -> float:
+    """Dual coefficient d = a*(1-b)*(-c/(a*b))**(b/(b-1)) = a*x_peak**b + c*x_peak,
+    the form of the classical coefficient identities (see :func:`d_variants` for
+    the reciprocal-base reading); a zero, subnormal or infinite d is refused."""
+    return _dual_coefficient(*_check_admissible(a, b, c))
 
 
 def d_variants(a: float, b: float, c: float) -> tuple[float, float]:
@@ -196,16 +196,16 @@ def d_variants(a: float, b: float, c: float) -> tuple[float, float]:
         d_consistent = a*(1-b) * (-a*b/c)**(b/(1-b))
 
     The two coincide exactly when |-a*b/c| = 1.  ``d_consistent`` is the value
-    of :func:`compute_d` and is the variant certified by the quadrature engine.
+    of :func:`compute_d` and is the variant certified by the quadrature engine;
+    ``d_stated`` is reported, not checked: +-inf or 0 outside the float range.
     """
-    consistent = compute_d(a, b, c)
-    base = -(a * b) / c
-    stated = a * (1.0 - b) * _positive_power(base, b / (b - 1.0), "d_stated base power")
-    if not math.isfinite(stated):
-        raise NumericOverflow(
-            f"dual-coefficient variants overflow for (a={a:g}, b={b:g}, c={c:g})"
-        )
-    return stated, consistent
+    a, b, c = _check_admissible(a, b, c)
+    consistent = _dual_coefficient(a, b, c)
+    try:
+        power = (-(a * b) / c) ** (b / (b - 1.0))
+    except OverflowError:
+        power = math.inf
+    return a * (1.0 - b) * power, consistent
 
 
 def _regime_for(b: float) -> Regime:
@@ -230,21 +230,19 @@ def validate(a: float, b: float, c: float, offset: float = 0.0) -> UnifiedParams
         ZeroRate: c = 0.
         SignConditionViolated: a*b*(b-1) >= 0 or a*b*c >= 0.
         NumericOverflow: magnitudes outside the guardrails; d zero, subnormal
-            or not finite; x_peak or x_peak**b not a positive float; the
-            curvature h''(x_peak) not finite and negative; or h(x_peak) not
-            within 1e-10*|d| of 0 (a NaN h(x_peak) from an overflow included).
+            or not finite; x_peak or x_peak**b not a positive float; h''(x_peak)
+            not finite and negative; or h(x_peak) not within 1e-10*|d| of 0.
         OffsetNotAllowed: offset != 0 while d < 0.
     """
-    _check_admissible(a, b, c)
+    a, b, c = _check_admissible(a, b, c)
     _require_finite(offset=offset)
-    d = compute_d(a, b, c)
+    d = _dual_coefficient(a, b, c)
     if d < 0.0 and offset != 0.0:
         raise OffsetNotAllowed(
             f"additive offset must be 0 when d < 0 (d={d:g}, offset={offset:g})"
         )
-    # On Python floats, an overflow in the saddle is an inf or NaN, not a numpy warning.
-    a, b, c = float(a), float(b), float(c)
-    x_peak, curvature = _peak_curvature(a, b, c)
+    x_peak = _x_peak(a, b, c)
+    curvature = a * b * (b - 1.0) * _positive_power(x_peak, b - 2.0, "x_peak**(b-2)")
     if not math.isfinite(curvature) or curvature >= 0.0:
         raise NumericOverflow(
             f"saddle curvature {curvature!r} not strictly negative; parameters "
@@ -295,6 +293,7 @@ def recover_primal(d: float, e: float, c: float) -> tuple[float, float]:
         InconsistentInputs: v0 <= 0, v0**b is not a positive float, or the
             recovered triple fails validation.
     """
+    d, e, c = float(d), float(e), float(c)
     _require_finite(d=d, e=e, c=c)
     b = primal_exponent(e)
     if b == 0.0 or b == 1.0:

@@ -57,7 +57,7 @@ from .errors import (
     ZeroRate,
 )
 from .measures import _log_sum_shifted, _require_atoms
-from .params import UnifiedParams, _peak_curvature, psi_for_s, s_for_psi
+from .params import UnifiedParams, _x_peak, psi_for_s, s_for_psi
 from .targets import MeasureTarget, TargetFunction
 
 __all__ = [
@@ -155,7 +155,7 @@ def locate_peak(t: TargetFunction, c: float, s):
         raise DomainError("s must be positive")
     _require_interior_peak(t, c)
     b = t.power_exponent
-    x_peak, _ = _peak_curvature(t.a, b, c)
+    x_peak = _x_peak(t.a, b, c)
     peaks = [x_peak * psi_for_s(b, si) for si in s_rows.tolist()]
     bad = [si for si, u in zip(s_rows.tolist(), peaks) if not 0.0 < u < math.inf]
     if bad:

@@ -180,6 +180,17 @@ class TestFitExponent:
         with pytest.raises(tl.SignChange):
             tl.fit_exponent(samples)
 
+    def test_vanishing_last_log_f_rejected(self):
+        samples = _synthetic_samples(lambda l: l)
+        samples[-1] = tl.TransformSample(psi=1000.0, s=1000.0, log_f=0.0, quad_error=0.0)
+        with pytest.raises(tl.SignChange, match="vanishes"):
+            tl.fit_exponent(samples)
+
+    def test_constant_lambda_rejected(self):
+        samples = [tl.TransformSample(psi=5.0, s=5.0, log_f=5.0, quad_error=0.0)] * 8
+        with pytest.raises(tl.DegenerateWindow, match="lambda constant"):
+            tl.fit_exponent(samples)
+
     def test_too_few_samples(self):
         with pytest.raises(tl.DegenerateWindow):
             tl.fit_exponent(_synthetic_samples(lambda l: l, n=5))

@@ -52,6 +52,11 @@ class TestToUnified:
             spec()
 
 
+def test_to_unified_refuses_a_variant_name():
+    with pytest.raises(tl.ValidationError, match="unknown classical spec"):
+        tl.to_unified("kohlbecker")
+
+
 def _random_specs(rng, n):
     for _ in range(n):
         yield tl.Kohlbecker(alpha=1.0 + rng.uniform(0.05, 9.0), B=rng.uniform(0.1, 10.0))

@@ -321,6 +321,13 @@ IN_PROCESS_CASES = {
     "validate-d-overflow": (
         ("validate", "--a", "-1", "--b", "1.001", "--c", "100"), None, 2,
         "stderr", "error: NumericOverflow: (-c/(a*b))**(b/(b-1)) = 99.9001**1001"),
+    "validate-d-stated-overflow": (
+        ("validate", "--a", "-1e8", "--b", "1.0001", "--c", "93243111.17428248"), None, 0,
+        "stdout", "d_stated_variant = inf\n"),
+    "validate-d-stated-overflow-kasahara": (
+        ("validate", "--a", "-15787882.360285742", "--b", "1.0246206765357095",
+         "--c", "0.5512759532684256"), None, 0,
+        "stdout", "d_stated_variant = inf\n"),
     "unknown-variant": (
         ("validate", "--classical", "weierstrass", "--alpha", "2", "--B", "2"), None, 2,
         "stderr", "unknown classical variant 'weierstrass'"),
@@ -340,6 +347,13 @@ IN_PROCESS_CASES = {
     "predict-psi-nan": (
         ("predict", *K, "--psi", "nan"), None, 2,
         "stderr", "error: DomainError: psi must be finite"),
+    "measure-kasahara-overflow": (
+        ("measure", "--file", "run.cfg", "--variant", "kasahara", "--lam", "1e10"),
+        "0\t1\n1e300\t1\n", 2,
+        "stderr", "error: NumericOverflow: log of the exponential sum is not a finite float"),
+    "measure-kohlbecker-vanishing-term": (
+        ("measure", "--file", "run.cfg", "--variant", "kohlbecker", "--lam", "1e-10"),
+        "0\t1\n1e300\t1\n", 0, "stdout", "lambda log_M\n1e-10 0\n"),
     "measure-missing-file": (
         ("measure", "--file", "nope.tsv", "--variant", "kohlbecker", "--lam", "1"), None, 2,
         "stderr", "error: MeasureFormatError: cannot read measure file nope.tsv"),

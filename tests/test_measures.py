@@ -24,6 +24,8 @@ class TestConstruction:
             tl.TabulatedMeasure((0.0, 1.0), (0.5, 0.0))  # zero mass
         with pytest.raises(tl.ValidationError):
             tl.TabulatedMeasure((0.0,), (0.5, 0.5))  # length mismatch
+        with pytest.raises(tl.ValidationError, match="finite"):
+            tl.TabulatedMeasure((0.0, math.inf), (1.0, 1.0))
 
     def test_cumulative_and_tail(self):
         m = tl.TabulatedMeasure((0.0, 1.0, 2.0), (1.0, 2.0, 4.0))
@@ -37,6 +39,10 @@ class TestConstruction:
         m = tl.quantize_tail(lambda x: math.exp(-x * x), 1e-3, 40.0, 8192)
         assert m.tail(41.0) == 0.0
         assert tl.MeasureTarget(m, "tail").log_amplitude(41.0) == -math.inf
+
+    def test_cumulative_amplitude(self):
+        target = tl.MeasureTarget(tl.TabulatedMeasure((1.0,), (2.0,)), "cumulative")
+        assert target.log_amplitude(np.array([0.5, 1.0])).tolist() == [-math.inf, math.log(2.0)]
 
 
 class TestParsing:
@@ -58,7 +64,7 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "text",
-        ["1.0\n", "1 2 3\n", "x\t1\n", "2\t1\n1\t1\n"],
+        ["1.0\n", "1 2 3\n", "x\t1\n", "2\t1\n1\t1\n", "0 1\n1 -1\n"],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(tl.MeasureFormatError):
@@ -100,11 +106,44 @@ class TestKasaharaTransform:
         m = tl.TabulatedMeasure((0.0, 1.0), (0.5, 0.5))
         assert tl.measure_transform_kasahara(m, 0.0) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize(
+        "fn", [tl.measure_transform_kasahara, tl.kasahara_via_parts])
+    def test_negative_lambda_refused(self, fn):
+        with pytest.raises(tl.DomainError, match="lam must be >= 0"):
+            fn(tl.TabulatedMeasure((0.0, 1.0), (1.0, 1.0)), -1.0)
+
     def test_shift_dominated_by_top_atom(self):
         m = tl.TabulatedMeasure((1.0, 500.0), (1.0, 1.0))
         # exp(lam*500) dwarfs exp(lam*1); max-shifted sum must stay finite.
         value = tl.measure_transform_kasahara(m, 10.0)
         assert value == pytest.approx(5000.0, abs=1e-9)
+
+
+# A log M outside the float range is refused, a vanishing term drops out, and
+# neither leaks a numpy RuntimeWarning (an error under the suite's filter).
+FAR = tl.TabulatedMeasure((0.0, 1e300), (1.0, 1.0))
+
+
+class TestOverflowRule:
+    @pytest.mark.parametrize(
+        "fn", [tl.measure_transform_kasahara, tl.kasahara_via_parts, tl.kasahara_panel_bracket])
+    def test_infinite_log_m_refused(self, fn):
+        with pytest.raises(tl.NumericOverflow, match="not a finite float"):
+            fn(FAR, 1e10)
+
+    def test_nan_exponent_refused(self):
+        # inf * 0 for the atom at the origin.
+        with pytest.raises(tl.NumericOverflow, match="nan"):
+            tl.measure_transform_kasahara(FAR, math.inf)
+
+    def test_vanishing_term_drops_out(self):
+        assert tl.measure_transform_kohlbecker(FAR, 1e-10) == 0.0
+        far3 = tl.TabulatedMeasure((0.0, 1e300, 1.1e300), (1.0, 1.0, 1.0))
+        assert tl.kohlbecker_panel_bracket(far3, 1e-10) == (0.0, math.log(2.0))
+
+    def test_tail_route_refuses_infinite_log_f(self):
+        with pytest.raises(tl.NumericOverflow):
+            tl.log_transform(tl.MeasureTarget(FAR, "tail"), 1.0, 0.0, 1e-10)
 
 
 class TestPartsIdentity:
@@ -165,6 +204,15 @@ class TestQuantization:
             tl.quantize_cumulative(lambda x: -x, 0.1, 10.0, 16)
         with pytest.raises(tl.ValidationError):
             tl.quantize_tail(lambda x: x, 0.1, 10.0, 16)
+
+    @pytest.mark.parametrize(
+        "quantize,args,message",
+        [(tl.quantize_cumulative, (0.0, 1.0, 8), "need 0 < x_min < x_max"),
+         (tl.quantize_tail, (0.1, 1.0, 1), "need at least 2 grid points")],
+    )
+    def test_bad_grid_refused(self, quantize, args, message):
+        with pytest.raises(tl.ValidationError, match=message):
+            quantize(lambda x: 1.0, *args)
 
     def test_kohlbecker_bracket_contains_quadrature_route(self):
         # Quantized mu[0,x] = exp(2*sqrt(x)) versus the integral route

@@ -152,6 +152,20 @@ class TestDVariants:
                 _, consistent = tl.d_variants(a, b, c)
                 assert consistent == pytest.approx(tl.compute_d(a, b, c), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "a,b,c,stated,consistent",
+        [
+            # The stated power overflows: the audit reports +inf, not a refusal.
+            (-1e8, 1.0001, 93243111.17428248, math.inf, 5.044978353477935e-301),
+            (-15787882.360285742, 1.0246206765357095, 0.5512759532684256,
+             math.inf, 6.597730537913163e-306),
+            # a*(1-b) times the stated power underflows to 0.
+            (-1e-8, 1.000000001, 1.0000007090452255e-08, 0.0, 3.1622780414947405e+290),
+        ],
+    )
+    def test_stated_variant_outside_float_range_is_reported(self, a, b, c, stated, consistent):
+        assert tl.d_variants(a, b, c) == (stated, consistent)
+
     def test_variants_agree_iff_unit_base(self):
         rng = np.random.default_rng(7)
         for a, b, c in _random_triples(rng, "kasahara", 200):
@@ -161,6 +175,25 @@ class TestDVariants:
                 assert stated == pytest.approx(consistent, rel=1e-9)
             elif abs(math.log(base)) > 1e-3:
                 assert stated != pytest.approx(consistent, rel=1e-6)
+
+
+class TestNumpyInputs:
+    """A numpy float64 input gives the Python-float outcome: the admission step
+    converts it, so no numpy RuntimeWarning (an error under the suite's
+    warning filter) stands in for the refusal."""
+
+    @pytest.mark.parametrize("fn", [tl.validate, tl.compute_d])
+    def test_unrepresentable_d_refused(self, fn):
+        with pytest.raises(tl.NumericOverflow, match="dual coefficient not representable"):
+            fn(np.float64(1e8), 0.9999, -93220735.51272528)
+
+    def test_d_variants_reports_overflow(self):
+        assert tl.d_variants(np.float64(-1e8), 1.0001, 93243111.17428248) == (
+            math.inf, 5.044978353477935e-301)
+
+    def test_recover_primal_stationary_point_refused(self):
+        with pytest.raises(tl.InconsistentInputs, match="stationary point v0 .* must be positive"):
+            tl.recover_primal(np.float64(1e300), np.float64(1e15), np.float64(1e-8))
 
 
 class TestSaddle:
@@ -207,6 +240,11 @@ class TestSaddle:
         # alone refuses: no command gets a triple whose saddle is untrusted.
         with pytest.raises(tl.NumericOverflow):
             tl.validate(a, b, c)
+
+    def test_curvature_underflow_refused(self):
+        # x_peak**(b-2) underflows, so h''(x_peak) rounds to -0.0.
+        with pytest.raises(tl.NumericOverflow, match="saddle curvature -0.0 not strictly negative"):
+            tl.validate(-1e-8, 1.0000000000000002, 1.0000000000001535e-08)
 
     def test_closed_form_contract_near_b_one(self):
         # |b - 1| log-uniform in [1e-14, 1e-1] is where x_peak, h(x_peak) and
@@ -280,6 +318,16 @@ class TestRecoverPrimal:
         with pytest.raises(tl.InconsistentInputs):
             tl.recover_primal(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("e,c,b", [(0.0, -1.0, 0), (1e17, 1.0, 1)])
+    def test_degenerate_recovered_exponent(self, e, c, b):
+        # e = 1e17 rounds b = e/(1+e) to exactly 1.
+        with pytest.raises(tl.InconsistentInputs, match=f"recovered exponent b={b} is degenerate"):
+            tl.recover_primal(1.0, e, c)
+
+    def test_inadmissible_recovered_triple(self):
+        with pytest.raises(tl.InconsistentInputs, match="inadmissible: .c. = 1e-09 outside"):
+            tl.recover_primal(1.0, 1.0, -1e-9)
+
     @pytest.mark.parametrize(
         "d,e,c",
         [(10.0, -1.001, 1.0), (5.0, -1.0001, 1.0), (1e-3, -1.001, 1.0),
@@ -335,6 +383,11 @@ class TestPsiMaps:
         # numpy float64 x must raise too, not warn.
         with pytest.raises(tl.NumericOverflow):
             (tl.s_for_psi if to == "s" else tl.psi_for_s)(b, x)
+
+    @pytest.mark.parametrize("fn", [tl.s_for_psi, tl.psi_for_s])
+    def test_non_positive_argument_refused(self, fn):
+        with pytest.raises(tl.DomainError):
+            fn(0.5, 0.0)
 
     def test_numpy_sweep_overflow_refused(self):
         p = tl.validate(1.0, 0.01, -1.0)

@@ -82,6 +82,10 @@ class TestLocatePeak:
             with pytest.raises(tl.NumericOverflow):
                 tl.locate_peak(near_one, 1.0, s)
 
+    def test_non_positive_s_refused(self):
+        with pytest.raises(tl.DomainError, match="s must be positive"):
+            tl.locate_peak(KOHL, -1.0, 0.0)
+
     def test_no_interior_peak_for_monotone_integrand(self):
         # q decreasing and c < 0: supremum at u -> 0.
         with pytest.raises(tl.NoInteriorPeak):
