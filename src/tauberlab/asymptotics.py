@@ -73,15 +73,15 @@ class EvalGrid:
     psi_values: tuple[float, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.psi_values)
-        if v.size < _MIN_GRID_POINTS:
-            raise BadRange(f"grid needs >= {_MIN_GRID_POINTS} points, got {v.size}")
-        if not np.isfinite(v).all():
+        v = self.psi_values
+        if len(v) < _MIN_GRID_POINTS:
+            raise BadRange(f"grid needs >= {_MIN_GRID_POINTS} points, got {len(v)}")
+        if not all(math.isfinite(x) for x in v):
             raise BadRange("psi values must be finite")
-        if v[0] < 1.0 or np.any(np.diff(v) <= 0.0):
+        if v[0] < 1.0 or any(hi <= lo for lo, hi in zip(v, v[1:])):
             raise BadRange("psi values must be strictly increasing and >= 1")
-        ratios = v[1:] / v[:-1]
-        if np.max(ratios) - np.min(ratios) > 1e-12 * np.max(ratios):
+        ratios = [hi / lo for lo, hi in zip(v, v[1:])]
+        if max(ratios) - min(ratios) > 1e-12 * max(ratios):
             raise BadRange("psi values must be geometrically spaced")
 
     def __len__(self) -> int:
@@ -131,12 +131,12 @@ def fit_exponent(samples: list[TransformSample]) -> AsymptoticFit:
         raise DegenerateWindow(f"need >= {_MIN_GRID_POINTS} samples, got {n}")
     start = n - n // 2
     window = samples[start:]
-    log_f = np.asarray([t.log_f for t in window])
-    if np.any(log_f == 0.0) or np.any(np.isnan(log_f)):
+    values = [t.log_f for t in window]
+    if any(y == 0.0 or math.isnan(y) for y in values):
         raise SignChange("log f vanishes inside the fit window")
-    signs = np.sign(log_f)
-    if np.any(signs != signs[0]):
+    if any((y > 0.0) != (values[0] > 0.0) for y in values):
         raise SignChange("log f changes sign inside the fit window")
+    log_f = np.asarray(values)
     lam = np.asarray([t.s for t in window])
     x = np.log(lam)
     if np.ptp(x) == 0.0:

@@ -13,29 +13,31 @@ dynamic range exceeds the floating-point range at moderate regime values
      x = s·u by multiplication; log u* is added once per row, not per node,
   3. steps in the peak's Laplace width h = 1/sqrt(|(b-1)*c*u*|) =
      1/sqrt(|b*d*psi|), kept in [2**-26, 1]: each frontier is the first edge
-     -+k*h probed, k every width up to 9 and then about 20% apart, in two
-     probe calls (to 16 widths, then to the cap), where the v-integrand is
-     40 nats below its value at u*,
+     -+k*h probed, k every width up to 9 and then about 20% apart up to the
+     cap, where the v-integrand is 40 nats below its value at u*; the centre
+     and every candidate edge of a row are one evaluation,
   4. integrates exp(g(u) + v - m), m = g(u*), by a nested trapezoid rule with
      interval halving from _NODES_PER_WIDTH panels per width; the error
      estimate is the difference between successive levels, and a row stops
-     refining once it meets the tolerance.
+     refining once it meets the tolerance.  Each step evaluates only its fine
+     level of 2n panels and reads the coarse level of n panels off the even
+     nodes, which are the coarse level's nodes bit for bit.
 
 So the resolution is the same at every psi.  On a pure power and on both
 perturbed families, whose delta is analytic in log x, the v-integrand is
 analytic in a strip about the real axis, where the trapezoid rule converges
 geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014, section 5).  Every
-call evaluates at most _MAX_POINTS_PER_CALL nodes: a row whose next level
-would not fit stops refining with tol_met=False and its last level
-difference as quad_error.  No search refines u*.
+call evaluates at most _MAX_POINTS_PER_CALL nodes, in blocks of whole rows:
+a row whose next level would not fit stops refining with tol_met=False and
+its last level difference as quad_error.  No search refines u*.
 s = psi**((1-b)/b) is not a float at large psi once |b| is below about
 0.05, so the engine, which works at s, refuses those points (NumericOverflow).
 
-Every step runs on all rows (s values) of a sweep at once: the centre value,
-each frontier probe call and each trapezoid level is one vector evaluation
-of g over the rows still open, a level laying its rows' nodes end to end in
-one flat array.  Each row sees the nodes, float expressions and summation
-order of a batch of one, so a sweep equals its points evaluated one by one.
+Every step runs on all rows (s values) of a sweep at once: the centre and
+frontier block and each refinement step are each one vector evaluation of g
+over the rows still open, a level laying its rows' nodes end to end in one
+flat array.  Each row sees the nodes, float expressions and summation order
+of a batch of one, so a sweep equals its points evaluated one by one.
 log f = m + log u* + log(integral), combined with the offset in log space.
 """
 
@@ -79,12 +81,12 @@ FRONTIER_DROP = 40.0
 # own drop is smaller than the integrand's roundoff.
 _MIN_STEP = 2.0**-26
 _MAX_WINDOW_WIDTHS = 800
-# Candidate frontier edges in widths from u*, 38 geometric steps to the cap.
-# The first probe call reaches 16 widths (a Gaussian peak falls 40 nats in
-# 9), the second the cap.
+# Candidate frontier edges in widths from u*, 38 geometric steps to the cap
+# (a Gaussian peak falls 40 nats in 9).
 _FRONTIER_WIDTHS = np.array(
     sorted({math.ceil(_MAX_WINDOW_WIDTHS ** (j / 37)) for j in range(38)}), dtype=float)
-_FIRST_FRONTIER_CHUNK = 12
+# A row's centre v = 0, then its left and its right candidate edges.
+_CENTRE_AND_EDGES = np.concatenate(([0.0], -_FRONTIER_WIDTHS, _FRONTIER_WIDTHS))
 _NODES_PER_WIDTH = 3
 # Nodes per block of whole rows in a trapezoid level.  A row refines only
 # while its next level fits, so this bounds every call's memory.
@@ -163,118 +165,142 @@ def locate_peak(t: TargetFunction, c: float, s):
     return peaks if np.ndim(s) else peaks[0]
 
 
+def _row_blocks(sizes: list[int]):
+    """(i, j) spans of whole rows, in order, of at most _MAX_POINTS_PER_CALL
+    nodes together, rows i..j-1 holding sizes[i..j-1] nodes."""
+    i = 0
+    while i < len(sizes):
+        j, size = i + 1, sizes[i]
+        while j < len(sizes) and size + sizes[j] <= _MAX_POINTS_PER_CALL:
+            j, size = j + 1, size + sizes[j]
+        yield i, j
+        i = j
+
+
 def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
     """Centre each row on locate_peak's u* and extend its v-window to the first
     probed edges -+k*h, h the row's step, where the v-integrand is
     FRONTIER_DROP nats below m = g(u*), which is at most the peak of g; returns
-    (u_star, v_lo, v_hi, m, n0), n0 being the row's first panel count.
+    (u_star, v_lo, v_hi, m, n0), n0 being the row's first panel count.  A row's
+    centre and all its candidate edges are one block of g.
 
     Raises:
         NumericOverflow: g(u*) is not a finite float.
         NotIntegrable: no edge within _MAX_WINDOW_WIDTHS widths qualifies.
     """
     u_star = np.array(locate_peak(t, c, s))
-    r = s.size
-    m = _g_rows(t, c, s, u_star, np.zeros(r))
+    bc = (t.power_exponent - 1.0) * c
+    h = np.array([min(1.0, max(_MIN_STEP, 1.0 / math.sqrt(abs(bc * u))))
+                  for u in u_star.tolist()])
+    vals = np.empty((s.size, _CENTRE_AND_EDGES.size))
+    for i, j in _row_blocks([_CENTRE_AND_EDGES.size] * s.size):
+        v = h[i:j, None] * _CENTRE_AND_EDGES
+        vals[i:j] = _g_rows(t, c, s[i:j, None], u_star[i:j, None], v)
+    m = vals[:, 0].copy()
     if not np.isfinite(m).all():
         bad = s[~np.isfinite(m)][0]
         raise NumericOverflow(f"peak value g(u*) at s={bad:g} is not a finite float")
-    bc = (t.power_exponent - 1.0) * c
-    h = [min(1.0, max(_MIN_STEP, 1.0 / math.sqrt(abs(bc * u)))) for u in u_star.tolist()]
-    # Frontier q < r is row q's left one, q >= r row q - r's right one.
-    step = np.array([-x for x in h] + h)
-    edge, probes = [0.0] * 2 * r, list(range(2 * r))
-    for widths in np.split(_FRONTIER_WIDTHS, [_FIRST_FRONTIER_CHUNK]):
-        rows = [q % r for q in probes]
-        below = _g_rows(t, c, s[rows, None], u_star[rows, None], step[probes, None] * widths)
-        below = below - m[rows][:, None] < -FRONTIER_DROP
-        for q, hit, j in zip(probes, below, below.argmax(axis=1).tolist()):
-            edge[q] = float(widths[j]) if hit[j] else None
-        probes = [q for q in probes if edge[q] is None]
-        if not probes:
-            n0 = [_NODES_PER_WIDTH * int(lo + hi) for lo, hi in zip(edge[:r], edge[r:])]
-            return u_star, step[:r] * edge[:r], step[r:] * edge[r:], m, n0
-    raise NotIntegrable(
-        f"{'left' if probes[0] < r else 'right'} frontier not reached "
-        f"within {_MAX_WINDOW_WIDTHS} widths"
-    )
+    below = (vals[:, 1:] - m[:, None] < -FRONTIER_DROP).reshape(s.size, 2, -1)
+    reached = below.any(axis=2)
+    if not reached.all():
+        side = "left" if not reached[:, 0].all() else "right"
+        raise NotIntegrable(f"{side} frontier not reached within {_MAX_WINDOW_WIDTHS} widths")
+    edge = _FRONTIER_WIDTHS[below.argmax(axis=2)]  # first qualifying edge per side
+    n0 = (_NODES_PER_WIDTH * (edge[:, 0] + edge[:, 1]).astype(int)).tolist()
+    return u_star, -h * edge[:, 0], h * edge[:, 1], m, n0
 
 
-def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]) -> list[float]:
-    """log of the shifted trapezoid estimate of int exp(g(u*e^v) + v) dv on
-    n[i] panels for row i.
+def _log_trapezoid(vals: np.ndarray, n: list[int], m, lo, hi) -> list[float]:
+    """m + log of the trapezoid sum of exp(vals) on (hi - lo) / n steps, per
+    row, row i's n[i] + 1 values of g - m laid end to end in vals (which is
+    overwritten).  Each row's max and sum run over its own values, the sum by
+    numpy's pairwise rule for a row of that length (np.add.reduceat's is not),
+    so each row equals a batch of one bit for bit."""
+    width = np.array(n) + 1
+    start = np.cumsum(width) - width
+    peak = np.maximum.reduceat(vals, start)
+    vals -= np.repeat(peak, width)
+    np.exp(vals, out=vals)
+    vals[start] *= 0.5
+    vals[start + width - 1] *= 0.5
+    total = []
+    for nk, run in itertools.groupby(n):  # rows of equal n sum as one block
+        r, k = len(list(run)), start[len(total)]
+        total += vals[k : k + r * (nk + 1)].reshape(r, nk + 1).sum(axis=1).tolist()
+    return [a + p + math.log(v * (h - l) / nk) for a, p, v, l, h, nk in
+            zip(m.tolist(), peak.tolist(), total, lo.tolist(), hi.tolist(), n)]
+
+
+def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int], levels: int = 2):
+    """log of the shifted trapezoid estimates of int exp(g(u*e^v) + v) dv on
+    n[i] >> k panels for row i, every k < levels, from one evaluation of g on
+    n[i] panels; returns one list of row estimates per k.
 
     Row i's n[i] + 1 nodes follow row i-1's in one flat array, in blocks of
-    whole rows of at most _MAX_POINTS_PER_CALL nodes.  Row i
-    takes np.linspace(v_lo[i], v_hi[i], n[i] + 1) by linspace's own
-    expressions; its max and sum run over its own nodes, the sum by numpy's
-    pairwise rule for a row of that length (np.add.reduceat's is not), so
-    each row equals a batch of one bit for bit.
+    whole rows of at most _MAX_POINTS_PER_CALL nodes.  Row i takes
+    np.linspace(v_lo[i], v_hi[i], n[i] + 1) by linspace's own expressions.
+    Its node j*2**k, j*2**k*((hi-lo)/n), equals j*((hi-lo)/(n >> k)) bit for
+    bit, the step scaling by a power of two exactly, so level k reads its
+    nodes off every 2**k-th node and equals its own evaluation bit for bit.
     """
-    out, i = [], 0
-    while i < len(n):
-        j, size = i + 1, n[i] + 1
-        while j < len(n) and size + n[j] + 1 <= _MAX_POINTS_PER_CALL:
-            j, size = j + 1, size + n[j] + 1
+    out = [[] for _ in range(levels)]
+    for i, j in _row_blocks([k + 1 for k in n]):
         lo, hi, mi, ni = v_lo[i:j], v_hi[i:j], m[i:j], n[i:j]
         width = np.array(ni) + 1
-        end = np.cumsum(width) - 1
-        start = end - (width - 1)
-        row = np.repeat(np.arange(j - i), width)  # each node's row
-        # In place from here: a fresh large array pays page faults.
-        vs = np.arange(size, dtype=float)
-        vs -= start[row]
-        vs *= ((hi - lo) / (width - 1))[row]
-        vs += lo[row]
-        vs[end] = hi
-        vals = _g_rows(t, c, s[i:j][row], u_star[i:j][row], vs)
-        vals -= mi[row]
-        peak = np.maximum.reduceat(vals, start)
-        vals -= peak[row]
-        np.exp(vals, out=vals)
-        vals[start] *= 0.5
-        vals[end] *= 0.5
-        total = []
-        for nk, run in itertools.groupby(ni):  # rows of equal n sum as one block
-            r, k = len(list(run)), start[len(total)]
-            total += vals[k : k + r * (nk + 1)].reshape(r, nk + 1).sum(axis=1).tolist()
-        out += [a + p + math.log(v * (h - l) / nk) for a, p, v, l, h, nk in
-                zip(mi.tolist(), peak.tolist(), total, lo.tolist(), hi.tolist(), ni)]
-        del vs, vals  # before the next block allocates its own
-        i = j
+        start = np.cumsum(width) - width
+        # np.repeat(x, width) gives each node its row's x.  In place from
+        # here: a fresh large array pays page faults.
+        vs = np.arange(width.sum(), dtype=float)
+        vs -= np.repeat(start, width)
+        vs *= np.repeat((hi - lo) / (width - 1), width)
+        vs += np.repeat(lo, width)
+        vs[start + width - 1] = hi
+        vals = _g_rows(t, c, np.repeat(s[i:j], width), np.repeat(u_star[i:j], width), vs)
+        del vs
+        vals -= np.repeat(mi, width)
+        for k in range(levels - 1, 0, -1):  # coarse levels copy their nodes first
+            nk = [x >> k for x in ni]
+            wk = np.array(nk) + 1
+            # Coarse node p of a row starting at coarse position q is fine
+            # node start + (p - q) * 2**k.
+            node = np.arange(wk.sum()) << k
+            node += np.repeat(start - ((np.cumsum(wk) - wk) << k), wk)
+            out[k] += _log_trapezoid(vals[node], nk, mi, lo, hi)
+        out[0] += _log_trapezoid(vals, ni, mi, lo, hi)
+        del vals  # before the next block allocates its own
     return out
 
 
 def _refine_rows(t, c, s, u_star, v_lo, v_hi, m, n0: list[int], tol: float):
     """Interval-halving refinement from n0 panels; error = difference of
-    successive levels.  Each level is one _trapezoid_rows call over the open
-    rows.  A row leaves once it meets tol, or with tol_met=False once its
-    next level would exceed _MAX_POINTS_PER_CALL nodes (n0 is at most
-    6 * _MAX_WINDOW_WIDTHS, so the first two levels always fit).  Returns
-    (log_integral, quad_error, tol_met) lists."""
+    successive levels.  Each step is one _trapezoid_rows evaluation of the
+    open rows' fine level of 2n panels, which gives the coarse level of n
+    panels off its even nodes.  A row leaves once it meets tol, or with
+    tol_met=False once its next fine level would exceed _MAX_POINTS_PER_CALL
+    nodes (n0 is at most 6 * _MAX_WINDOW_WIDTHS, so the first step always
+    fits).  Returns (log_integral, quad_error, tol_met) lists."""
     log_integral, quad_error, tol_met = [0.0] * s.size, [0.0] * s.size, [False] * s.size
     rows, group, n = list(range(s.size)), [s, u_star, v_lo, v_hi, m], n0
-    cur = _trapezoid_rows(t, c, *group, n)
     while True:
         n = [2 * k for k in n]
-        prev, cur = cur, _trapezoid_rows(t, c, *group, n)
-        for i, a, b in zip(rows, prev, cur):
+        fine, coarse = _trapezoid_rows(t, c, *group, n)
+        for i, a, b in zip(rows, coarse, fine):
             log_integral[i], quad_error[i], tol_met[i] = b, abs(b - a), abs(b - a) <= tol
         keep = [j for j, (i, k) in enumerate(zip(rows, n))
                 if not tol_met[i] and 2 * k < _MAX_POINTS_PER_CALL]
         if not keep:
             break
-        rows, n, cur = ([v[j] for j in keep] for v in (rows, n, cur))
+        rows, n = ([v[j] for j in keep] for v in (rows, n))
         group = [v[keep] for v in group]
     return log_integral, quad_error, tol_met
 
 
-def _exact_log_integral(t: TargetFunction, c: float, s: float) -> float | None:
-    """log int_0^inf P(u*s) e^{c*u} du in closed form, or None for the engine.
+def _exact_log_integral(t: TargetFunction, c: float, s: float) -> float:
+    """log int_0^inf P(u*s) e^{c*u} du in closed form, for a measure target or
+    a power target with a = 0, whose P is 1.
 
     With z_i = c*x_i/s an atom (x_i, m_i) adds m_i e^{z_i}/(-c) to the
-    cumulative kind (c < 0) and m_i (e^{z_i} - 1)/c to the tail kind.  A power
-    target with a = 0 has P = 1.
+    cumulative kind (c < 0) and m_i (e^{z_i} - 1)/c to the tail kind.
     """
     if isinstance(t, MeasureTarget):
         _require_atoms(t.measure)
@@ -288,18 +314,17 @@ def _exact_log_integral(t: TargetFunction, c: float, s: float) -> float | None:
                 # log|e^z - 1| = max(z, 0) + log(1 - e^-|z|); an atom at 0 adds -inf.
                 z = np.maximum(z, 0.0) + np.log(-np.expm1(-np.abs(z)))
             return _log_sum_shifted(np.log(t.measure.masses) + z) - math.log(abs(c))
-    if getattr(t, "a", None) == 0.0:
-        if not c < 0.0:
-            raise NotIntegrable("P = 1 needs c < 0")
-        return -math.log(-c)
-    return None
+    if not c < 0.0:
+        raise NotIntegrable("P = 1 needs c < 0")
+    return -math.log(-c)
 
 
 def refinement_errors(
     t: TargetFunction, c: float, s: float, n0: int = 32, levels: int = 8
 ) -> list[float]:
     """Successive-refinement error estimates |I_k - I_{k-1}| on log f, from a
-    deliberately coarse n0 panels: a diagnostic of the convergence rate.
+    deliberately coarse n0 panels: a diagnostic of the convergence rate.  One
+    evaluation on the finest level gives every coarser level off its nodes.
 
     Raises:
         DomainError: the last level, n0 * 2**(levels - 1) panels, would
@@ -310,8 +335,8 @@ def refinement_errors(
             f"n0={n0}, levels={levels} exceeds {_MAX_POINTS_PER_CALL} nodes per level")
     row = np.array([s], dtype=float)
     window = _prepare_windows(t, c, row)[:-1]
-    values = [_trapezoid_rows(t, c, row, *window, [n0 * 2**k])[0] for k in range(levels)]
-    return [float(abs(b - a)) for a, b in zip(values, values[1:])]
+    values = _trapezoid_rows(t, c, row, *window, [n0 * 2 ** (levels - 1)], levels)[::-1]
+    return [float(abs(b - a)) for (a,), (b,) in zip(values, values[1:])]
 
 
 def _transform_rows(t: TargetFunction, c: float, offset: float, s: list, tol: float, psi):
@@ -323,20 +348,24 @@ def _transform_rows(t: TargetFunction, c: float, offset: float, s: list, tol: fl
         raise DomainError("offset must be >= 0")
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    rows = np.array(s, dtype=float)
-    log_integral = [_exact_log_integral(t, c, si) for si in s]
-    quad_error, tol_met = [0.0] * rows.size, [True] * rows.size
-    if rows.size and log_integral[0] is None:
+    exact = isinstance(t, MeasureTarget) or getattr(t, "a", None) == 0.0
+    log_integral = [_exact_log_integral(t, c, si) for si in s] if exact else []
+    quad_error, tol_met = [0.0] * len(s), [True] * len(s)
+    if s and not exact:
+        rows = np.array(s, dtype=float)
         window = _prepare_windows(t, c, rows)
         log_integral, quad_error, tol_met = _refine_rows(t, c, rows, *window, tol)
         # int_0^inf du = u* int dv: log u* enters once per row.
         log_integral = [li + math.log(u) for li, u in zip(log_integral, window[0].tolist())]
+    if offset > 0.0:
+        log_f = np.logaddexp(math.log(offset), np.array(log_integral, dtype=float)).tolist()
+    else:
+        log_f = [float(li) for li in log_integral]
     b, samples = t.power_exponent, []
-    for si, psi_i, li, err, met in zip(s, psi, log_integral, quad_error, tol_met):
-        log_f = float(np.logaddexp(math.log(offset), li)) if offset > 0.0 else float(li)
+    for si, psi_i, lf, err, met in zip(s, psi, log_f, quad_error, tol_met):
         if psi_i is None:
             psi_i = psi_for_s(b, si) if b not in (None, 0.0, 1.0) else float("nan")
-        samples.append(TransformSample(float(psi_i), float(si), log_f, float(err), bool(met)))
+        samples.append(TransformSample(float(psi_i), float(si), lf, float(err), bool(met)))
     return samples
 
 
@@ -369,17 +398,26 @@ def predict_log_f(p: UnifiedParams, psi: float, order: str = "corrected") -> flo
     order="leading" gives d*psi; order="corrected" adds the Gaussian-peak
     refinement 0.5*log(psi) + 0.5*log(2*pi/|h''(x_peak)|) obtained from
     f ~ psi * e^{d*psi} * sqrt(2*pi / (psi*|h''(x_peak)|)).
+
+    Raises:
+        DomainError: psi is not positive and finite.
+        NumericOverflow: the prediction is outside the float range.
     """
+    psi = float(psi)
     if psi <= 0.0:
         raise DomainError("psi must be positive")
     if not math.isfinite(psi):
         raise DomainError(f"psi must be finite, got {psi:g}")
-    if order == "leading":
-        return p.d * psi
-    if order != "corrected":
+    if order not in ("leading", "corrected"):
         raise ValidationError(f"order must be 'leading' or 'corrected', got {order!r}")
-    curvature = abs(p.saddle.curvature)
-    return p.d * psi + 0.5 * math.log(psi) + 0.5 * math.log(2.0 * math.pi / curvature)
+    if order == "leading":
+        value = p.d * psi
+    else:
+        curvature = abs(p.saddle.curvature)
+        value = p.d * psi + 0.5 * math.log(psi) + 0.5 * math.log(2.0 * math.pi / curvature)
+    if not math.isfinite(value):
+        raise NumericOverflow(f"predicted log f at psi={psi:g} is not a finite float")
+    return value
 
 
 def sample_at_psi(p: UnifiedParams, t: TargetFunction, psi, tol: float = 1e-8):

@@ -56,6 +56,15 @@ class TestValidateCommand:
         assert "ConfigParse" in res.stderr
 
 
+class TestPredictCommand:
+    def test_overflow_refused(self):
+        # d = 16, so d*psi leaves the float range.
+        res = run_cli("predict", "--a", "8", "--b", "0.5", "--c", "-1", "--psi", "1.5e307")
+        assert res.returncode == 2
+        assert "error: NumericOverflow: predicted log f" in res.stderr
+        assert res.stdout == ""
+
+
 class TestVerifyCommand:
     def test_kohlbecker_pass_and_artifacts(self, tmp_path):
         out, csv = tmp_path / "rep.txt", tmp_path / "rep.csv"

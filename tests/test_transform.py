@@ -6,6 +6,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tauberlab as tl
 
@@ -116,11 +118,12 @@ class TestSearchCost:
         [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0), (-1.0, -1.0, -1.0, 0.0)],
     )
     def test_sample_makes_few_target_calls(self, a, b, c, offset):
-        # Window centre, growth and refinement are vector probes: a
-        # handful of log_amplitude calls per sample, not one per probe point.
+        # The window centre and all candidate edges are one call, and each
+        # refinement step is one call that gives two levels: a converged
+        # sample takes two log_amplitude calls, not one per probe point.
         t = _CountingTarget(tl.PurePower(a, b))
         tl.sample_at_psi(tl.validate(a, b, c, offset), t, 100.0)
-        assert t.calls <= 16
+        assert t.calls <= 2
 
     @pytest.mark.parametrize(
         "a,b,c,offset",
@@ -128,11 +131,11 @@ class TestSearchCost:
     )
     def test_sweep_evaluates_all_points_per_call(self, a, b, c, offset):
         # Every step of a sweep is one call over all its open rows, whatever
-        # their panel counts, so 16 points cost about as many calls as one
-        # (160-184 point by point).
+        # their panel counts, so 16 points cost as many calls as one (32
+        # point by point).
         t = _CountingTarget(tl.PurePower(a, b))
         tl.evaluate_sweep(tl.validate(a, b, c, offset), t, tl.make_grid(10.0, 1000.0, 16))
-        assert t.calls <= 8
+        assert t.calls <= 2
 
     def test_refinement_calls_keep_the_memory_bound(self, kinked_kasahara):
         # The kinked target's derivative jump at x = 1 slows the trapezoid
@@ -148,12 +151,23 @@ class TestSearchCost:
         cap, sizes = tl.transform._MAX_POINTS_PER_CALL, [math.prod(x) for x in t.shapes]
         assert cap // 2 < max(sizes) <= cap
 
+    def test_centre_and_frontier_calls_keep_the_memory_bound(self):
+        # A row's centre and candidate edges take 69 nodes, so 12,000 rows
+        # are split into calls of whole rows, as the trapezoid levels are.
+        t = _CountingTarget(DEBR)
+        tl.evaluate_sweep(tl.validate(-1.0, -1.0, -1.0), t, tl.make_grid(10.0, 1000.0, 12000))
+        cap, sizes = tl.transform._MAX_POINTS_PER_CALL, [math.prod(x) for x in t.shapes]
+        assert sum(sizes[:4]) == 12000 * tl.transform._CENTRE_AND_EDGES.size
+        assert max(sizes) <= cap
+
     def test_sessions_stay_within_the_parent_cost(self):
         # log_amplitude calls and points are deterministic.  The five
-        # power-verify sessions (16-point grid plus psi_mid) make 23 calls on
-        # 32,401 points, each trapezoid level evaluating exactly the
-        # sum of n_i + 1 nodes of its open rows; padding every row of a level
-        # to the widest row took 59,149 points.
+        # power-verify sessions (16-point grid plus psi_mid) make 10 calls on
+        # 25,654 points: one centre-and-frontier call and one refinement
+        # step per session, the step evaluating exactly the sum of n_i + 1
+        # nodes of its rows' fine level and reading the coarse level off it.
+        # Two evaluations per step took 23 calls on 32,401 points; padding
+        # every row of a level to the widest row took 59,149.
         sessions = [
             ((2.0, 0.5, -1.0, 0.0), None),
             ((-1.0, 2.0, 1.0, 1.0), None),
@@ -168,22 +182,22 @@ class TestSearchCost:
             tl.verify_equivalence(tl.validate(a, b, c, offset), t, tl.make_grid(10, 1000, 16))
             calls += t.calls
             points += sum(math.prod(x) for x in t.shapes)
-        assert calls <= 23
-        assert points <= 32401
+        assert calls <= 10
+        assert points <= 25654
 
     def test_perturbed_kasahara_sweep_converges(self):
         # The library inverse-log family is analytic in log x, so the
         # trapezoid rule converges geometrically there: every row of the
-        # Kasahara sweep meets tol 1e-12 within a few levels (6 calls on
-        # 16,554 points).  The kinked target of conftest.py takes 3.05M points
+        # Kasahara sweep meets tol 1e-12 within two refinement steps (3 calls
+        # on 12,099 points).  The kinked target of conftest.py takes 3.05M points
         # on this sweep and stops 6 of its 17 rows at the node budget.
         a, b, c, offset = -1.0, 2.0, 1.0, 1.0
         t = _CountingTarget(tl.PerturbedPower(a, b, "inverse-log", 0.4))
         psis = tl.make_grid(10, 1000, 16).psi_values + (100.0,)
         samples = tl.sample_at_psi(tl.validate(a, b, c, offset), t, psis, tol=1e-12)
         assert all(s.tol_met for s in samples)
-        assert t.calls <= 8
-        assert sum(math.prod(x) for x in t.shapes) <= 20000
+        assert t.calls <= 3
+        assert sum(math.prod(x) for x in t.shapes) <= 12099
 
     @pytest.mark.parametrize(
         "target,c,s",
@@ -292,24 +306,33 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("k", [0, 4, 10])
     def test_levels_match_a_linspace_reference(self, k):
-        # Reference: each row on its own, nodes from np.linspace, a plain max
-        # and sum.  At k = 10 the rows hold 70k to 504k nodes, so a level has
-        # blocks of several rows and rows past _MAX_POINTS_PER_CALL.
+        # Reference: each row and level on its own, nodes from np.linspace, a
+        # plain max and sum.  One evaluation on the fine level of n panels,
+        # n = n0 * 2**(k + 1), gives it and, off its even nodes, the coarse
+        # level of n/2 panels; k = 0 is the first refinement step.  At k = 10
+        # the fine rows hold 141k to 1M nodes, so a level has blocks of
+        # several rows and rows past _MAX_POINTS_PER_CALL.
         a, b, c = -1.0, 2.0, 1.0
         t = tl.PerturbedPower(a, b, "inverse-log", 0.4)
         s = np.array([tl.s_for_psi(b, x) for x in tl.make_grid(10.0, 1000.0, 8).psi_values])
         *window, n0 = tl.transform._prepare_windows(t, c, s[::-1])
-        n = [x * 2**k for x in n0]
-        reference = []
-        for si, u_star, lo, hi, m, ni in zip(s[::-1], *window, n):
-            v = np.linspace(lo, hi, ni + 1)
-            u = u_star * np.exp(v)
-            vals = t.log_amplitude(si * u) + c * u + v - m
-            peak = vals.max()
-            w = np.exp(vals - peak)
-            w[[0, -1]] *= 0.5
-            reference.append(m + peak + math.log(w.sum() * (hi - lo) / ni))
-        assert tl.transform._trapezoid_rows(t, c, s[::-1], *window, n) == reference
+        n = [x * 2 ** (k + 1) for x in n0]
+
+        def reference(panels):
+            out = []
+            for si, u_star, lo, hi, m, ni in zip(s[::-1], *window, panels):
+                v = np.linspace(lo, hi, ni + 1)
+                u = u_star * np.exp(v)
+                vals = t.log_amplitude(si * u) + c * u + v - m
+                peak = vals.max()
+                w = np.exp(vals - peak)
+                w[[0, -1]] *= 0.5
+                out.append(m + peak + math.log(w.sum() * (hi - lo) / ni))
+            return out
+
+        fine, coarse = tl.transform._trapezoid_rows(t, c, s[::-1], *window, n)
+        assert fine == reference(n)
+        assert coarse == reference([x // 2 for x in n])
 
     def test_guardrail_draws_match_per_psi_samples(self):
         for a, b, c in _guardrail_triples(seed=5, n=20):
@@ -318,6 +341,44 @@ class TestBatchedSweep:
             assert [_fields(s) for s in batch] == [
                 _fields(tl.sample_at_psi(p, t, psi)) for psi in self.GRID.psi_values
             ], (a, b, c)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        regime=st.sampled_from([((0.05, 0.95), 1.0, -1.0), ((1.05, 64.0), -1.0, 1.0),
+                                ((-64.0, -0.05), -1.0, -1.0)]),
+        u_b=st.floats(0.0, 1.0),
+        log_a=st.floats(-8.0, 8.0),
+        log_c=st.floats(-8.0, 8.0),
+        family=st.sampled_from([None, "inverse-log", "log-sine"]),
+        log_psis=st.lists(st.floats(0.0, 16.0), min_size=1, max_size=5),
+        tol=st.sampled_from([1e-8, 1e-12, 1e-14]),
+    )
+    def test_sweep_equals_its_points_over_the_guardrail_box(
+        self, regime, u_b, log_a, log_c, family, log_psis, tol
+    ):
+        # Small tolerances keep rows refining past the first step; large psi
+        # and small |b| make points fail, and then the sweep raises what its
+        # first failing point raises.
+        (b_lo, b_hi), sa, sc = regime
+        b = math.copysign(abs(b_lo) ** (1.0 - u_b) * abs(b_hi) ** u_b, b_lo)
+        a, c = sa * 10.0**log_a, sc * 10.0**log_c
+        try:
+            p = tl.validate(a, b, c)
+        except tl.TauberError:
+            return
+        t = tl.PurePower(a, b) if family is None else tl.PerturbedPower(a, b, family, 0.3)
+        psis = [10.0**x for x in log_psis]
+
+        def outcome(f):
+            try:
+                return f()
+            except tl.TauberError as exc:
+                return type(exc), str(exc)
+
+        alone = [outcome(lambda x=x: _fields(tl.sample_at_psi(p, t, x, tol))) for x in psis]
+        swept = outcome(lambda: [_fields(x) for x in tl.sample_at_psi(p, t, psis, tol)])
+        failed = [r for r in alone if isinstance(r, tuple)]
+        assert swept == (failed[0] if failed else alone)
 
     def test_unrepresentable_seed_raises_as_one_row(self):
         # b close to 1: the stationary point u* = e^(1000*0.7 + log psi)
@@ -530,6 +591,18 @@ class TestLogTransform:
             for prev, nxt in zip(errs, errs[1:]):
                 assert nxt <= max(prev, floor)
             assert errs[-1] <= 1e-10
+
+    def test_refinement_errors_read_every_level_off_one_evaluation(self):
+        # The finest level's every 2**k-th node gives the level of n/2**k
+        # panels, equal to its own evaluation bit for bit.
+        t = _CountingTarget(DEBR)
+        errs = tl.transform.refinement_errors(t, -1.0, 0.01, n0=4, levels=8)
+        assert t.calls == 2  # the centre and frontier, then the finest level
+        row = np.array([0.01])
+        window = tl.transform._prepare_windows(DEBR, -1.0, row)[:-1]
+        values = [tl.transform._trapezoid_rows(DEBR, -1.0, row, *window, [4 * 2**k], 1)[0][0]
+                  for k in range(8)]
+        assert errs == [abs(b - a) for a, b in zip(values, values[1:])]
 
     def test_refinement_errors_keep_the_node_budget(self):
         # The last level of n0 * 2**(levels - 1) panels must fit one call.
@@ -756,6 +829,19 @@ class TestPredictLogF:
             for prev, nxt in zip(gaps, gaps[1:]):
                 assert nxt <= prev + 1e-6
             assert gaps[-1] <= 0.2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("psi", [1.5e307, np.float64(1.5e307)])
+    @pytest.mark.parametrize("order", ["leading", "corrected"])
+    def test_overflow_refused(self, psi, order):
+        # d = 16: d*psi is not a float, whether psi is a Python or numpy float.
+        with pytest.raises(tl.NumericOverflow, match="predicted log f"):
+            tl.predict_log_f(tl.validate(8.0, 0.5, -1.0), psi, order)
+
+    def test_numpy_psi_gives_the_python_float(self):
+        p = tl.validate(2.0, 0.5, -1.0)
+        got = tl.predict_log_f(p, np.float64(100.0))
+        assert type(got) is float and got == tl.predict_log_f(p, 100.0)
 
     def test_rejects_bad_order_and_psi(self):
         p = tl.validate(2.0, 0.5, -1.0)
