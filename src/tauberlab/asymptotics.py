@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     InconsistentInputs,
     InsufficientSpan,
+    NumericOverflow,
     SignChange,
     TauberError,
     ValidationError,
@@ -35,7 +36,7 @@ from .errors import (
 from .measures import _geometric_grid
 from .params import UnifiedParams, recover_primal
 from .targets import TargetFunction
-from .transform import TransformSample, predict_log_f, sample_at_psi
+from .transform import TransformSample, _predictions, sample_at_psi
 
 __all__ = [
     "EvalGrid",
@@ -136,17 +137,21 @@ def fit_exponent(samples: list[TransformSample]) -> AsymptoticFit:
         raise SignChange("log f vanishes inside the fit window")
     if any((y > 0.0) != (values[0] > 0.0) for y in values):
         raise SignChange("log f changes sign inside the fit window")
+    # The ufuncs are called directly: np.add.reduce(v) / k is v.mean() and
+    # x.max() - x.min() is np.ptp(x), bit for bit, without their wrappers.
+    k = len(window)
     log_f = np.asarray(values)
     lam = np.asarray([t.s for t in window])
     x = np.log(lam)
-    if np.ptp(x) == 0.0:
+    if x.max() - x.min() == 0.0:
         raise DegenerateWindow("lambda constant across the fit window")
     y = np.log(np.abs(log_f))
-    xc = x - x.mean()
-    slope = float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
-    intercept = float(y.mean() - slope * x.mean())
-    residual = float(np.max(np.abs(y - (intercept + slope * x))))
-    coefficient = float(np.mean(log_f / lam**slope))
+    x_mean, y_mean = np.add.reduce(x) / k, np.add.reduce(y) / k
+    xc = x - x_mean
+    slope = float(np.dot(xc, y - y_mean) / np.dot(xc, xc))
+    intercept = float(y_mean - slope * x_mean)
+    residual = float(np.abs(y - (intercept + slope * x)).max())
+    coefficient = float(np.add.reduce(log_f / lam**slope) / k)
     return AsymptoticFit(
         exponent_hat=slope,
         coefficient_hat=coefficient,
@@ -261,7 +266,14 @@ def class_m_check(
     Requires at least 8 samples spanning at least 3 decades in x, and at least
     one epsilon.  Verdicts follow the deterministic trend rule, so results are
     reproducible.
+
+    Raises:
+        DomainError: tau is not finite.
+        ValidationError: no epsilon, or one that is not positive and finite.
+        NumericOverflow: a log trajectory leaves the float range.
     """
+    if not math.isfinite(tau):
+        raise DomainError(f"tau must be finite, got {tau:g}")
     if not epsilons:
         raise ValidationError("need at least one epsilon")
     if len(samples) < _MIN_GRID_POINTS:
@@ -279,10 +291,14 @@ def class_m_check(
     log_x = np.log(xs)
     checks = []
     for eps in epsilons:
-        if not eps > 0.0:
-            raise ValidationError("epsilons must be positive")
-        upper = log_u - (tau + eps) * log_x
-        lower = log_u - (tau - eps) * log_x
+        if not 0.0 < eps < math.inf:
+            raise ValidationError(f"epsilons must be positive and finite, got {eps:g}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            upper = log_u - (tau + eps) * log_x
+            lower = log_u - (tau - eps) * log_x
+        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+            raise NumericOverflow(
+                f"log U/x**(tau -+ eps) at tau={tau:g}, eps={eps:g} is not a finite float")
         checks.append(
             EpsilonCheck(
                 epsilon=float(eps),
@@ -357,6 +373,15 @@ def _rel_gap(value: float, true: float) -> float:
     return abs(value - true) / abs(true)
 
 
+def _monotone_check(ratios: tuple[float, ...]) -> CheckResult:
+    """Every step of the ratios brings the ratio closer to 1; the value is the
+    largest step of |ratio - 1|, NaN if any step is NaN (numpy's max rule)."""
+    gaps = [abs(r - 1.0) for r in ratios]
+    steps = [hi - lo for lo, hi in zip(gaps, gaps[1:])]
+    value = math.nan if any(map(math.isnan, steps)) else max(steps, default=0.0)
+    return CheckResult("monotone_ratio_last_half", value, 0.0, all(st < 0.0 for st in steps))
+
+
 def evaluate_sweep(
     p: UnifiedParams,
     t: TargetFunction,
@@ -401,8 +426,9 @@ def verify_equivalence(
         for s in samples if not s.tol_met
     ]
     mid_sample = samples.pop() if mid else None
-    lead = tuple(predict_log_f(p, s.psi, "leading") for s in samples)
-    corr = tuple(predict_log_f(p, s.psi, "corrected") for s in samples)
+    psis = [s.psi for s in samples]
+    lead = tuple(_predictions(p, psis, "leading"))
+    corr = tuple(_predictions(p, psis, "corrected"))
     ratios = tuple(s.log_f / ld for s, ld in zip(samples, lead))
 
     checks: list[CheckResult] = []
@@ -423,13 +449,7 @@ def verify_equivalence(
     top = max(abs(samples[-1].log_f), abs(corr[-1]))
     bounded("corrected_gap_at_top", abs(samples[-1].log_f - corr[-1]),
             max(_CORRECTED_ABS_TOP, 4.0 * math.ulp(top)))
-    # Monotone means every step of the last half brings the ratio closer to 1.
-    half = len(samples) - len(samples) // 2
-    steps = np.diff(np.abs(np.asarray(ratios[half - 1 :]) - 1.0))
-    checks.append(CheckResult(
-        "monotone_ratio_last_half", float(np.max(steps)) if steps.size else 0.0, 0.0,
-        bool(np.all(steps < 0.0)),
-    ))
+    checks.append(_monotone_check(ratios[len(samples) - len(samples) // 2 - 1 :]))
 
     fit = a_hat = b_hat = None
     inverse_passed = False

@@ -21,6 +21,7 @@ The shared dual coefficient reproduces each classical coefficient exactly;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -39,6 +40,14 @@ __all__ = [
 ]
 
 
+def _require_finite(spec, *fields: str) -> None:
+    """Refuse the first of the spec's fields that is not a finite float."""
+    for name in fields:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise SpecOutOfRange(f"{type(spec).__name__} needs a finite {name}, got {value:g}")
+
+
 @dataclass(frozen=True)
 class Kohlbecker:
     """Measure growth log mu[0,x] ~ B*x**(1/alpha); alpha > 1, B > 0."""
@@ -47,6 +56,7 @@ class Kohlbecker:
     B: float
 
     def __post_init__(self):
+        _require_finite(self, "alpha", "B")
         if not self.alpha > 1.0:
             raise SpecOutOfRange(f"Kohlbecker needs alpha > 1, got {self.alpha:g}")
         if not self.B > 0.0:
@@ -62,6 +72,7 @@ class DeBruijn:
     rate: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, "beta", "B", "rate")
         if not self.beta < 0.0:
             raise SpecOutOfRange(f"DeBruijn needs beta < 0, got {self.beta:g}")
         if not self.B < 0.0:
@@ -78,6 +89,7 @@ class Kasahara:
     B: float
 
     def __post_init__(self):
+        _require_finite(self, "alpha", "B")
         if not 0.0 < self.alpha < 1.0:
             raise SpecOutOfRange(f"Kasahara needs 0 < alpha < 1, got {self.alpha:g}")
         if not self.B > 0.0:

@@ -12,6 +12,8 @@ from .asymptotics import CheckResult, EquivalenceReport
 __all__ = ["fmt", "kv", "render_report", "render_samples_csv"]
 
 SAMPLE_COLUMNS = ("psi", "s", "log_f", "prediction_leading", "prediction_corrected", "ratio")
+# A [samples] row in one format: "%.12g" of a float is fmt's text, byte for byte.
+_SAMPLE_ROW = " ".join(["%.12g"] * len(SAMPLE_COLUMNS))
 
 
 def fmt(value: float) -> str:
@@ -64,7 +66,7 @@ def render_report(report: EquivalenceReport, title: str = "verify") -> str:
     section(
         "samples",
         " ".join(SAMPLE_COLUMNS),
-        *(" ".join(map(fmt, row)) for row in _sample_rows(report)),
+        *(_SAMPLE_ROW % row for row in _sample_rows(report)),
     )
     if ms is not None:
         pairs("mid", [("psi", ms.psi), ("log_f", ms.log_f), ("ratio", report.mid_ratio)])

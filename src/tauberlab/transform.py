@@ -117,7 +117,7 @@ def _g_rows(t: TargetFunction, c: float, s, u_star, v) -> np.ndarray:
         u = u_star * np.exp(v)
         vals = np.asarray(t.log_amplitude(s * u) + c * u, dtype=float)
         vals += v
-    vals[np.isnan(vals)] = -np.inf
+        np.fmax(vals, -np.inf, out=vals)
     return vals
 
 
@@ -223,10 +223,11 @@ def _log_trapezoid(vals: np.ndarray, n: list[int], m, lo, hi) -> list[float]:
     np.exp(vals, out=vals)
     vals[start] *= 0.5
     vals[start + width - 1] *= 0.5
-    total = []
+    total, k = [], 0
     for nk, run in itertools.groupby(n):  # rows of equal n sum as one block
-        r, k = len(list(run)), start[len(total)]
-        total += vals[k : k + r * (nk + 1)].reshape(r, nk + 1).sum(axis=1).tolist()
+        r, w = len(list(run)), nk + 1
+        total += np.add.reduce(vals[k : k + r * w].reshape(r, w), axis=1).tolist()
+        k += r * w
     return [a + p + math.log(v * (h - l) / nk) for a, p, v, l, h, nk in
             zip(m.tolist(), peak.tolist(), total, lo.tolist(), hi.tolist(), n)]
 
@@ -346,8 +347,8 @@ def _transform_rows(t: TargetFunction, c: float, offset: float, s: list, tol: fl
         raise DomainError("s must be positive")
     if offset < 0.0:
         raise DomainError("offset must be >= 0")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol:g}")
     exact = isinstance(t, MeasureTarget) or getattr(t, "a", None) == 0.0
     log_integral = [_exact_log_integral(t, c, si) for si in s] if exact else []
     quad_error, tol_met = [0.0] * len(s), [True] * len(s)
@@ -387,7 +388,7 @@ def log_transform(
         NotIntegrable: integrand diverges at an endpoint.
         NoInteriorPeak: power integrand monotone (see locate_peak).
         EmptyMeasure: measure target without atoms.
-        DomainError: s <= 0, offset < 0 or tol <= 0.
+        DomainError: s <= 0, offset < 0, or tol not positive and finite.
     """
     return _transform_rows(t, c, offset, [s], tol, [None])[0]
 
@@ -410,14 +411,24 @@ def predict_log_f(p: UnifiedParams, psi: float, order: str = "corrected") -> flo
         raise DomainError(f"psi must be finite, got {psi:g}")
     if order not in ("leading", "corrected"):
         raise ValidationError(f"order must be 'leading' or 'corrected', got {order!r}")
-    if order == "leading":
-        value = p.d * psi
-    else:
-        curvature = abs(p.saddle.curvature)
-        value = p.d * psi + 0.5 * math.log(psi) + 0.5 * math.log(2.0 * math.pi / curvature)
-    if not math.isfinite(value):
-        raise NumericOverflow(f"predicted log f at psi={psi:g} is not a finite float")
-    return value
+    return _predictions(p, [psi], order)[0]
+
+
+def _predictions(p: UnifiedParams, psis: list[float], order: str) -> list[float]:
+    """predict_log_f at each psi, positive finite Python floats, by the same
+    expressions: d*psi, then + 0.5*log(psi) + 0.5*log(2*pi/|h''|).
+
+    Raises:
+        NumericOverflow: at the first prediction that is not a finite float.
+    """
+    values = [p.d * psi for psi in psis]
+    if order == "corrected":
+        width_term = 0.5 * math.log(2.0 * math.pi / abs(p.saddle.curvature))
+        values = [v + 0.5 * math.log(psi) + width_term for v, psi in zip(values, psis)]
+    for psi, v in zip(psis, values):
+        if not math.isfinite(v):
+            raise NumericOverflow(f"predicted log f at psi={psi:g} is not a finite float")
+    return values
 
 
 def sample_at_psi(p: UnifiedParams, t: TargetFunction, psi, tol: float = 1e-8):

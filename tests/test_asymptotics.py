@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tauberlab as tl
+from tauberlab import asymptotics
 from tauberlab import report as tl_report
 
 
@@ -127,6 +128,28 @@ class TestClassMCheck:
         with pytest.raises(tl.ValidationError):
             tl.class_m_check(samples, tau=5.0, epsilons=(0.5, -1.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        samples = _grid_samples(lambda x: x**2, 10.0, 1e9, 16)
+        with pytest.raises(tl.DomainError, match="tau must be finite"):
+            tl.class_m_check(samples, tau=tau)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, eps):
+        samples = _grid_samples(lambda x: x**2, 10.0, 1e9, 16)
+        with pytest.raises(tl.ValidationError, match="positive and finite"):
+            tl.class_m_check(samples, tau=2.0, epsilons=(0.5, eps))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau, eps", [(2.0, 1e308), (1e308, 0.5), (-1e308, 0.5)])
+    def test_trajectory_outside_the_float_range_refused(self, tau, eps):
+        # (tau + eps) * log x overflows on x up to 1e9.
+        samples = _grid_samples(lambda x: x**2, 10.0, 1e9, 16)
+        with pytest.raises(tl.NumericOverflow, match="not a finite float"):
+            tl.class_m_check(samples, tau=tau, epsilons=(eps,))
+
     def test_insufficient_span(self):
         with pytest.raises(tl.InsufficientSpan):
             tl.class_m_check(_grid_samples(lambda x: x, 10.0, 100.0, 16), 1.0)
@@ -195,6 +218,33 @@ class TestFitExponent:
         with pytest.raises(tl.DegenerateWindow):
             tl.fit_exponent(_synthetic_samples(lambda l: l, n=5))
 
+    def test_equals_the_numpy_wrapper_form_bit_for_bit(self):
+        # fit_exponent calls the ufunc reductions directly.  The reference is
+        # the np.mean / np.ptp / np.max form; windows of 4 to 40 samples take
+        # both of numpy's sums, plain below 8 values and blocked pairwise above.
+        def reference(samples):
+            window = samples[len(samples) - len(samples) // 2 :]
+            log_f = np.asarray([t.log_f for t in window])
+            lam = np.asarray([t.s for t in window])
+            x = np.log(lam)
+            assert np.ptp(x) != 0.0
+            y = np.log(np.abs(log_f))
+            xc = x - x.mean()
+            slope = float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+            intercept = float(y.mean() - slope * x.mean())
+            residual = float(np.max(np.abs(y - (intercept + slope * x))))
+            return slope, float(np.mean(log_f / lam**slope)), residual
+
+        rng = np.random.default_rng(20)
+        for n in range(8, 81):
+            lam = np.exp(np.sort(rng.uniform(0.0, 20.0, n)))
+            sign, coeff, power = rng.choice([-1.0, 1.0]), rng.uniform(0.2, 3.0), rng.uniform(0.2, 2.0)
+            log_f = sign * coeff * lam**power * np.exp(rng.normal(0.0, 0.1, n))
+            samples = [tl.TransformSample(float(l), float(l), float(v), 0.0)
+                       for l, v in zip(lam, log_f)]
+            fit = tl.fit_exponent(samples)
+            assert (fit.exponent_hat, fit.coefficient_hat, fit.residual) == reference(samples)
+
 
 # Fit results on the canonical 16-point sweeps, frozen from the quadrature
 # engine after cross-checking log f against the mpmath oracle.
@@ -260,6 +310,16 @@ class TestVerifyEquivalence:
         rep = tl.verify_equivalence(p, tl.PurePower(a, b), tl.make_grid(1, 1e16, 17))
         gap = next(c for c in rep.checks if c.name == "corrected_gap_at_top")
         assert gap.limit == limit and gap.passed
+
+    @pytest.mark.parametrize("grid", [(10.0, 1000.0, 16), (1.0, 1e16, 17)])
+    @pytest.mark.parametrize("name", sorted(CANONICAL_FITS))
+    def test_predictions_are_predict_log_f(self, name, grid):
+        a, b, c, offset = CANONICAL_FITS[name][:4]
+        p = tl.validate(a, b, c, offset)
+        rep = tl.verify_equivalence(p, tl.PurePower(a, b), tl.make_grid(*grid))
+        for order, got in (("leading", rep.predictions_leading),
+                           ("corrected", rep.predictions_corrected)):
+            assert got == tuple(tl.predict_log_f(p, s.psi, order) for s in rep.samples)
 
     def test_kasahara_small_d_fails_ratio_checks(self):
         # With d = 1/4 the Gaussian-peak correction (0.5*log psi + 0.5*log pi)
@@ -362,3 +422,29 @@ class TestVerifyEquivalence:
             f"quadrature tolerance not met at psi={psi} (quad_error {s.quad_error:.3g})"
             for psi, s in zip(("20", "34.9736", "61.1575"), missed)
         ]
+
+
+class TestMonotoneCheck:
+    def test_equals_the_numpy_formula(self):
+        # The check runs on Python floats; the reference is the numpy form,
+        # whose max is NaN when any step is NaN.
+        def reference(ratios):
+            steps = np.diff(np.abs(np.asarray(ratios) - 1.0))
+            return float(np.max(steps)) if steps.size else 0.0, bool(np.all(steps < 0.0))
+
+        rng = np.random.default_rng(21)
+        cases = []
+        for n in range(2, 20):
+            gaps = np.sort(rng.uniform(1e-6, 0.3, n))[::-1]
+            decreasing = (1.0 + rng.choice([-1.0, 1.0], n) * gaps).tolist()
+            with_nan = list(decreasing)
+            with_nan[rng.integers(n)] = math.nan
+            cases += [decreasing, rng.uniform(0.7, 1.3, n).tolist(), with_nan]
+        verdicts = set()
+        for ratios in cases:
+            row = asymptotics._monotone_check(tuple(ratios))
+            value, passed = reference(ratios)
+            assert (row.name, row.limit, row.passed) == ("monotone_ratio_last_half", 0.0, passed)
+            assert row.value == value or math.isnan(row.value) and math.isnan(value)
+            verdicts.add((passed, math.isnan(value)))
+        assert verdicts == {(True, False), (False, False), (False, True)}

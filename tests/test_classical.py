@@ -1,5 +1,6 @@
 """Classical theorem adapters: reductions, coefficient identities, inversion."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,26 @@ class TestToUnified:
     def test_out_of_range_rejected(self, spec):
         with pytest.raises(tl.SpecOutOfRange):
             spec()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: tl.Kohlbecker(alpha=v, B=2.0), "alpha"),
+        (lambda v: tl.Kohlbecker(alpha=2.0, B=v), "B"),
+        (lambda v: tl.DeBruijn(beta=v, B=-1.0), "beta"),
+        (lambda v: tl.DeBruijn(beta=-1.0, B=v), "B"),
+        (lambda v: tl.DeBruijn(beta=-1.0, B=-1.0, rate=v), "rate"),
+        (lambda v: tl.Kasahara(alpha=v, B=1.0), "alpha"),
+        (lambda v: tl.Kasahara(alpha=0.5, B=v), "B"),
+    ],
+    ids=["kohlbecker-alpha", "kohlbecker-B", "debruijn-beta", "debruijn-B",
+         "debruijn-rate", "kasahara-alpha", "kasahara-B"],
+)
+def test_non_finite_field_rejected_by_name(make, field, value):
+    with pytest.raises(tl.SpecOutOfRange, match=f"needs a finite {field}, got"):
+        make(value)
 
 
 def test_to_unified_refuses_a_variant_name():

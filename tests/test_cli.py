@@ -281,6 +281,8 @@ class TestReportRendering:
 K = ("--a", "2", "--b", "0.5", "--c", "-1")
 KASAHARA = ("--a", "-1", "--b", "2", "--c", "1", "--offset", "1")
 DE_BRUIJN = ("--a", "-1", "--b", "-1", "--c", "-1")
+# U = x**2 at x = 10 .. 1e8: eight samples over seven decades.
+CK_SAMPLES = "".join(f"{10.0**k}\t{10.0 ** (2 * k)}\n" for k in range(1, 9))
 
 # (args, config file text or None, exit code, stream, fragment).  A config
 # text is written to run.cfg in the working directory first.
@@ -347,6 +349,27 @@ IN_PROCESS_CASES = {
     "invert-kohlbecker": (("invert", *K), None, 0, "stdout", "status = pass\n"),
     "invert-kasahara": (("invert", *KASAHARA), None, 1, "stdout", "status = fail\n"),
     "invert-de-bruijn": (("invert", *DE_BRUIJN), None, 0, "stdout", "status = pass\n"),
+    "ck-index-tau-nan": (
+        ("ck-index", "--input", "run.cfg", "--tau", "nan"), CK_SAMPLES, 2,
+        "stderr", "error: DomainError: tau must be finite, got nan"),
+    "ck-index-tau-inf": (
+        ("ck-index", "--input", "run.cfg", "--tau", "inf"), CK_SAMPLES, 2,
+        "stderr", "error: DomainError: tau must be finite, got inf"),
+    "ck-index-epsilon-inf": (
+        ("ck-index", "--input", "run.cfg", "--tau", "2", "--epsilon", "inf"), CK_SAMPLES, 2,
+        "stderr", "error: ValidationError: epsilons must be positive and finite, got inf"),
+    "ck-index-epsilon-overflow": (
+        ("ck-index", "--input", "run.cfg", "--tau", "2", "--epsilon", "1e308"), CK_SAMPLES, 2,
+        "stderr", "error: NumericOverflow: log U/x**(tau -+ eps) at tau=2, eps=1e+308"),
+    "verify-quad-tol-inf": (
+        ("verify", *K, "--quad-tol", "inf"), None, 2,
+        "stderr", "error: DomainError: tol must be positive and finite, got inf"),
+    "classical-kohlbecker-alpha-inf": (
+        ("classical", "--variant", "kohlbecker", "--alpha", "inf", "--B", "1"), None, 2,
+        "stderr", "error: SpecOutOfRange: Kohlbecker needs a finite alpha, got inf"),
+    "classical-debruijn-rate-inf": (
+        ("classical", "--variant", "debruijn", "--beta", "-1", "--B", "-1", "--rate", "inf"),
+        None, 2, "stderr", "error: SpecOutOfRange: DeBruijn needs a finite rate, got inf"),
     "ck-index-missing-file": (
         ("ck-index", "--input", "nope.tsv"), None, 2,
         "stderr", "error: MeasureFormatError: cannot read measure file nope.tsv"),

@@ -581,6 +581,13 @@ class TestLogTransform:
         with pytest.raises(tl.DomainError):
             tl.log_transform(KOHL, -1.0, 0.0, 1.0, tol=0.0)
 
+    def test_infinite_tolerance_refused(self):
+        p = tl.validate(2.0, 0.5, -1.0)
+        with pytest.raises(tl.DomainError, match="tol must be positive and finite"):
+            tl.sample_at_psi(p, KOHL, [10.0, 100.0], tol=math.inf)
+        with pytest.raises(tl.DomainError, match="tol must be positive and finite"):
+            tl.log_transform(KOHL, -1.0, 0.0, 1.0, tol=math.inf)
+
     def test_refinement_errors_decrease(self):
         # Richardson-consistent: the successive-refinement estimate shrinks
         # (down to the floating-point noise floor) as resolution doubles.
