@@ -272,13 +272,30 @@ def class_m_check(
         ValidationError: no epsilon, or one that is not positive and finite.
         NumericOverflow: a log trajectory leaves the float range.
     """
+    _require_class_m_inputs(samples, tau, epsilons)
+    return _class_m_diagnostic(ck_index(samples), samples, tau, epsilons)
+
+
+def _require_class_m_inputs(
+    samples: list[tuple[float, float]], tau: float, epsilons: tuple[float, ...]
+) -> None:
+    """class_m_check's refusals that come before the index estimate."""
     if not math.isfinite(tau):
         raise DomainError(f"tau must be finite, got {tau:g}")
     if not epsilons:
         raise ValidationError("need at least one epsilon")
     if len(samples) < _MIN_GRID_POINTS:
         raise InsufficientSpan(f"need >= {_MIN_GRID_POINTS} samples, got {len(samples)}")
-    ck = ck_index(samples)  # also validates x > 1, U > 0
+
+
+def _class_m_diagnostic(
+    ck: CkIndexResult,
+    samples: list[tuple[float, float]],
+    tau: float,
+    epsilons: tuple[float, ...],
+) -> ClassMDiagnostic:
+    """class_m_check on inputs _require_class_m_inputs accepted, ck being
+    ck_index(samples), which validates x > 1 and U > 0."""
     order = sorted(range(len(samples)), key=lambda i: samples[i][0])
     xs = np.asarray([samples[i][0] for i in order], dtype=float)
     us = np.asarray([samples[i][1] for i in order], dtype=float)

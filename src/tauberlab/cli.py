@@ -305,7 +305,11 @@ def cmd_ck_index(input_path, tau, eps):
     click.echo(f"spread_last_quarter = {report.fmt(result.spread_last_quarter)}")
     if tau is None:
         return
-    diag = asymptotics.class_m_check(samples, tau, tuple(eps) or (0.5, 1.0))
+    # class_m_check without its second ck_index: the index estimate printed
+    # above is the one the diagnostic reads.
+    eps = tuple(eps) or (0.5, 1.0)
+    asymptotics._require_class_m_inputs(samples, tau, eps)
+    diag = asymptotics._class_m_diagnostic(result, samples, tau, eps)
     for chk in diag.epsilon_checks:
         click.echo(
             f"epsilon {report.fmt(chk.epsilon)}: upper {chk.upper_verdict.value}, "

@@ -21,7 +21,9 @@ dynamic range exceeds the floating-point range at moderate regime values
      estimate is the difference between successive levels, and a row stops
      refining once it meets the tolerance.  Each step evaluates only its fine
      level of 2n panels and reads the coarse level of n panels off the even
-     nodes, which are the coarse level's nodes bit for bit.
+     nodes, which are the coarse level's nodes bit for bit.  A level puts
+     one pad slot of -inf ahead of each row, so one maximum.reduceat and one
+     add.reduceat give every row's peak and its sum.
 
 So the resolution is the same at every psi.  On a pure power and on both
 perturbed families, whose delta is analytic in log x, the v-integrand is
@@ -43,7 +45,6 @@ log f = m + log u* + log(integral), combined with the offset in log space.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -190,8 +191,8 @@ def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
     """
     u_star = np.array(locate_peak(t, c, s))
     bc = (t.power_exponent - 1.0) * c
-    h = np.array([min(1.0, max(_MIN_STEP, 1.0 / math.sqrt(abs(bc * u))))
-                  for u in u_star.tolist()])
+    with np.errstate(divide="ignore"):  # bc*u* underflowing to 0 gives h = 1
+        h = np.minimum(1.0, np.maximum(_MIN_STEP, 1.0 / np.sqrt(np.abs(bc * u_star))))
     vals = np.empty((s.size, _CENTRE_AND_EDGES.size))
     for i, j in _row_blocks([_CENTRE_AND_EDGES.size] * s.size):
         v = h[i:j, None] * _CENTRE_AND_EDGES
@@ -210,26 +211,22 @@ def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
     return u_star, -h * edge[:, 0], h * edge[:, 1], m, n0
 
 
-def _log_trapezoid(vals: np.ndarray, n: list[int], m, lo, hi) -> list[float]:
+def _log_trapezoid(vals: np.ndarray, pad, width, m, lo, hi) -> list[float]:
     """m + log of the trapezoid sum of exp(vals) on (hi - lo) / n steps, per
     row, row i's n[i] + 1 values of g - m laid end to end in vals (which is
-    overwritten).  Each row's max and sum run over its own values, the sum by
-    numpy's pairwise rule for a row of that length (np.add.reduceat's is not),
-    so each row equals a batch of one bit for bit."""
-    width = np.array(n) + 1
-    start = np.cumsum(width) - width
-    peak = np.maximum.reduceat(vals, start)
+    overwritten), each after one pad slot holding -inf: row i takes
+    width[i] = n[i] + 2 slots from slot pad[i].  One maximum.reduceat and one
+    add.reduceat give every row's max and sum: reduceat adds a segment's
+    first element, the pad's exp(-inf) = 0, to numpy's pairwise sum of the
+    rest, so each row equals np.add.reduce of that row, a batch of one, bit
+    for bit."""
+    peak = np.maximum.reduceat(vals, pad)
     vals -= np.repeat(peak, width)
     np.exp(vals, out=vals)
-    vals[start] *= 0.5
-    vals[start + width - 1] *= 0.5
-    total, k = [], 0
-    for nk, run in itertools.groupby(n):  # rows of equal n sum as one block
-        r, w = len(list(run)), nk + 1
-        total += np.add.reduce(vals[k : k + r * w].reshape(r, w), axis=1).tolist()
-        k += r * w
-    return [a + p + math.log(v * (h - l) / nk) for a, p, v, l, h, nk in
-            zip(m.tolist(), peak.tolist(), total, lo.tolist(), hi.tolist(), n)]
+    vals[pad + 1] *= 0.5
+    vals[pad + width - 1] *= 0.5
+    scaled = np.add.reduceat(vals, pad) * (hi - lo) / (width - 2)
+    return [a + math.log(v) for a, v in zip((m + peak).tolist(), scaled.tolist())]
 
 
 def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int], levels: int = 2):
@@ -243,6 +240,9 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int], levels: int = 
     Its node j*2**k, j*2**k*((hi-lo)/n), equals j*((hi-lo)/(n >> k)) bit for
     bit, the step scaling by a power of two exactly, so level k reads its
     nodes off every 2**k-th node and equals its own evaluation bit for bit.
+    Each level puts a pad slot of -inf ahead of each row: the fine level by
+    one masked copy, a coarse level by the gather that reads its nodes off
+    the fine level, pointing its pads at the fine pads.
     """
     out = [[] for _ in range(levels)]
     for i, j in _row_blocks([k + 1 for k in n]):
@@ -251,7 +251,7 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int], levels: int = 
         start = np.cumsum(width) - width
         # np.repeat(x, width) gives each node its row's x.  In place from
         # here: a fresh large array pays page faults.
-        vs = np.arange(width.sum(), dtype=float)
+        vs = np.arange(sum(ni) + j - i, dtype=float)
         vs -= np.repeat(start, width)
         vs *= np.repeat((hi - lo) / (width - 1), width)
         vs += np.repeat(lo, width)
@@ -259,16 +259,24 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int], levels: int = 
         vals = _g_rows(t, c, np.repeat(s[i:j], width), np.repeat(u_star[i:j], width), vs)
         del vs
         vals -= np.repeat(mi, width)
+        pad = start + np.arange(j - i)  # row r's pad slot, its nodes after it
+        keep = np.ones(vals.size + j - i, dtype=bool)
+        keep[pad] = False
+        fine = np.empty(keep.size)
+        fine[keep] = vals
+        fine[pad] = -np.inf
+        del vals, keep
         for k in range(levels - 1, 0, -1):  # coarse levels copy their nodes first
-            nk = [x >> k for x in ni]
-            wk = np.array(nk) + 1
-            # Coarse node p of a row starting at coarse position q is fine
-            # node start + (p - q) * 2**k.
-            node = np.arange(wk.sum()) << k
-            node += np.repeat(start - ((np.cumsum(wk) - wk) << k), wk)
-            out[k] += _log_trapezoid(vals[node], nk, mi, lo, hi)
-        out[0] += _log_trapezoid(vals, ni, mi, lo, hi)
-        del vals  # before the next block allocates its own
+            wk = np.array([x >> k for x in ni]) + 2
+            q = np.cumsum(wk) - wk
+            # Slot p of the row padded at coarse slot q and fine slot pad
+            # reads fine slot pad + 1 + (p - q - 1) * 2**k; slot q reads pad.
+            node = np.arange(q[-1] + wk[-1]) << k
+            node += np.repeat(pad + 1 - ((q + 1) << k), wk)
+            node[q] = pad
+            out[k] += _log_trapezoid(fine[node], q, wk, mi, lo, hi)
+        out[0] += _log_trapezoid(fine, pad, width + 1, mi, lo, hi)
+        del fine  # before the next block allocates its own
     return out
 
 

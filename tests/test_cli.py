@@ -172,6 +172,18 @@ class TestDataCommands:
         assert runs[0] == runs[1]
         assert runs[0][0] == 0 and "consistent_with_tau = True" in runs[0][1]
 
+    def test_ck_index_with_tau_estimates_the_index_once(self, tmp_path, monkeypatch):
+        # The diagnostic reads the index estimate the command printed.
+        path = tmp_path / "samples.tsv"
+        path.write_text("".join(f"{10.0**k}\t{(10.0**k) ** 3}\n" for k in range(1, 9)),
+                        encoding="utf-8")
+        calls, ck_index = [], tl.asymptotics.ck_index
+        monkeypatch.setattr("tauberlab.asymptotics.ck_index",
+                            lambda samples: calls.append(1) or ck_index(samples))
+        res = CliRunner().invoke(cli, ["ck-index", "--input", str(path), "--tau", "3"])
+        assert res.exit_code == 0 and "consistent_with_tau = True" in res.output
+        assert len(calls) == 1
+
     def test_measure_ingestion(self, tmp_path):
         path = tmp_path / "atoms.tsv"
         path.write_text("# atoms\n0\t1\n2.5\t1\n", encoding="utf-8")

@@ -1,7 +1,10 @@
 """Quadrature engine: peaks, transforms, predictions, and the mpmath oracle."""
 
+import cProfile
 import dataclasses
 import math
+import pstats
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -185,6 +188,27 @@ class TestSearchCost:
         assert calls <= 10
         assert points <= 25654
 
+    @pytest.mark.parametrize("a,b,c,offset", [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0)])
+    def test_sweep_makes_as_many_reductions_as_one_point(self, a, b, c, offset):
+        # Each trapezoid level is one maximum.reduceat and one add.reduceat
+        # over all its rows, so a 17-point sweep, whose rows start from 10 to
+        # 12 distinct panel counts, makes as many ufunc reductions as one
+        # point.  One sum per run of equal panel counts made 30 (Kohlbecker)
+        # and 32 (Kasahara) against 10.
+        p, t = tl.validate(a, b, c, offset), tl.PurePower(a, b)
+        psis = tl.make_grid(10.0, 1000.0, 16).psi_values + (100.0,)
+        s = np.array([tl.s_for_psi(b, x) for x in psis])
+        assert len(set(tl.transform._prepare_windows(t, c, s)[-1])) >= 10
+        names = ("<method 'reduce' of 'numpy.ufunc' objects>",
+                 "<method 'reduceat' of 'numpy.ufunc' objects>")
+
+        def reductions(psi):
+            prof = cProfile.Profile()
+            prof.runcall(tl.sample_at_psi, p, t, psi)
+            return sum(v[1] for k, v in pstats.Stats(prof).stats.items() if k[2] in names)
+
+        assert reductions(psis) == reductions(100.0)
+
     def test_perturbed_kasahara_sweep_converges(self):
         # The library inverse-log family is analytic in log x, so the
         # trapezoid rule converges geometrically there: every row of the
@@ -257,6 +281,21 @@ def _guardrail_triples(seed: int, n: int) -> list[tuple[float, float, float]]:
     return triples
 
 
+def _linspace_levels(t, c, s, window, panels) -> list[float]:
+    """Reference trapezoid level: each row on its own, nodes from np.linspace,
+    a plain max and sum (w.sum() is np.add.reduce(w))."""
+    out = []
+    for si, u_star, lo, hi, m, ni in zip(s, *window, panels):
+        v = np.linspace(lo, hi, ni + 1)
+        u = u_star * np.exp(v)
+        vals = t.log_amplitude(si * u) + c * u + v - m
+        peak = vals.max()
+        w = np.exp(vals - peak)
+        w[[0, -1]] *= 0.5
+        out.append(m + peak + math.log(w.sum() * (hi - lo) / ni))
+    return out
+
+
 class TestBatchedSweep:
     """A sweep is one batched engine pass that equals its points one by one."""
 
@@ -318,21 +357,30 @@ class TestBatchedSweep:
         *window, n0 = tl.transform._prepare_windows(t, c, s[::-1])
         n = [x * 2 ** (k + 1) for x in n0]
 
-        def reference(panels):
-            out = []
-            for si, u_star, lo, hi, m, ni in zip(s[::-1], *window, panels):
-                v = np.linspace(lo, hi, ni + 1)
-                u = u_star * np.exp(v)
-                vals = t.log_amplitude(si * u) + c * u + v - m
-                peak = vals.max()
-                w = np.exp(vals - peak)
-                w[[0, -1]] *= 0.5
-                out.append(m + peak + math.log(w.sum() * (hi - lo) / ni))
-            return out
-
         fine, coarse = tl.transform._trapezoid_rows(t, c, s[::-1], *window, n)
-        assert fine == reference(n)
-        assert coarse == reference([x // 2 for x in n])
+        assert fine == _linspace_levels(t, c, s[::-1], window, n)
+        assert coarse == _linspace_levels(t, c, s[::-1], window, [x // 2 for x in n])
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 1500)),
+                         min_size=1, max_size=8))
+    def test_padded_level_sums_equal_each_rows_own_sum(self, rows):
+        # A level sums its rows in one add.reduceat, each row after a pad
+        # slot of exp(-inf) = 0.  Rows of 3 to 3,001 fine and 2 to 1,501
+        # coarse nodes cross numpy's 8- and 128-element pairwise blocks, in
+        # drawn order, and a 4,096-node cap splits a level into blocks of
+        # whole rows.  Every row must equal its plain np.add.reduce bit for
+        # bit, so a numpy whose reduceat sums in another order fails here.
+        a, b, c = -1.0, 2.0, 1.0
+        t = tl.PerturbedPower(a, b, "inverse-log", 0.4)
+        psis = tl.make_grid(10.0, 1000.0, 16).psi_values
+        s = np.array([tl.s_for_psi(b, psis[i]) for i, _ in rows])
+        window = tl.transform._prepare_windows(t, c, s)[:-1]
+        n = [2 * k for _, k in rows]
+        with mock.patch.object(tl.transform, "_MAX_POINTS_PER_CALL", 4096):
+            fine, coarse = tl.transform._trapezoid_rows(t, c, s, *window, n)
+        assert fine == _linspace_levels(t, c, s, window, n)
+        assert coarse == _linspace_levels(t, c, s, window, [x // 2 for x in n])
 
     def test_guardrail_draws_match_per_psi_samples(self):
         for a, b, c in _guardrail_triples(seed=5, n=20):
@@ -587,6 +635,13 @@ class TestLogTransform:
             tl.sample_at_psi(p, KOHL, [10.0, 100.0], tol=math.inf)
         with pytest.raises(tl.DomainError, match="tol must be positive and finite"):
             tl.log_transform(KOHL, -1.0, 0.0, 1.0, tol=math.inf)
+
+    def test_step_of_an_underflowing_width_product_is_one(self):
+        # At s = 5e-324 the product (b-1)*c*u* underflows to 0: the Laplace
+        # width is unbounded and the step takes its cap h = 1, with no
+        # division warning, so the window is the one at s = 1e-300.
+        _, lo, hi, _, n0 = tl.transform._prepare_windows(KOHL, -1.0, np.array([5e-324, 1e-300]))
+        assert lo[0] == lo[1] and hi[0] == hi[1] and n0[0] == n0[1]
 
     def test_refinement_errors_decrease(self):
         # Richardson-consistent: the successive-refinement estimate shrinks
