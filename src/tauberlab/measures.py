@@ -25,8 +25,10 @@ from .errors import (
     DomainError,
     EmptyMeasure,
     MeasureFormatError,
+    NotIntegrable,
     NumericOverflow,
     ValidationError,
+    ZeroRate,
 )
 
 __all__ = [
@@ -49,14 +51,19 @@ class TabulatedMeasure:
 
     locations: strictly increasing, >= 0.
     masses: strictly positive, same length.
+
+    Both are tuples of floats, checked once.  Every sum over the atoms reads
+    four read-only arrays held beside them: the locations, the log-masses,
+    the cumulative sums with a leading 0 and the suffix sums with a trailing
+    0.
     """
 
     locations: tuple[float, ...]
     masses: tuple[float, ...]
 
     def __post_init__(self):
-        locs = np.asarray(self.locations, dtype=float)
-        mass = np.asarray(self.masses, dtype=float)
+        locs = np.array(self.locations, dtype=float)
+        mass = np.array(self.masses, dtype=float)
         if locs.shape != mass.shape or locs.ndim != 1:
             raise ValidationError("locations and masses must be 1-d and equal length")
         if locs.size:
@@ -68,40 +75,33 @@ class TabulatedMeasure:
                 raise ValidationError("locations must be strictly increasing")
             if np.any(mass <= 0.0):
                 raise ValidationError("masses must be strictly positive")
-        object.__setattr__(self, "locations", tuple(float(x) for x in locs))
-        object.__setattr__(self, "masses", tuple(float(m) for m in mass))
+        object.__setattr__(self, "locations", tuple(locs.tolist()))
+        object.__setattr__(self, "masses", tuple(mass.tolist()))
+        held = (locs, np.log(mass), np.concatenate([[0.0], np.cumsum(mass)]),
+                np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]]))
+        for name, arr in zip(("_x", "_log_m", "_cum", "_suffix"), held):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.locations)
 
     @property
     def total_mass(self) -> float:
-        return float(math.fsum(self.masses))
+        return math.fsum(self.masses)
 
     def mass_above_zero(self) -> float:
-        """Total mass on the open half line (0, inf)."""
-        return float(
-            math.fsum(m for x, m in zip(self.locations, self.masses) if x > 0.0)
-        )
+        """Total mass on (0, inf); only the first atom can sit at 0."""
+        return math.fsum(self.masses[1:] if self.locations[:1] == (0.0,) else self.masses)
 
     def cumulative(self, x):
         """mu[0, x]: mass at locations <= x (vectorized)."""
-        locs = np.asarray(self.locations)
-        cum = np.concatenate([[0.0], np.cumsum(self.masses)])
-        idx = np.searchsorted(locs, np.asarray(x, dtype=float), side="right")
-        return cum[idx]
+        return self._cum[np.searchsorted(self._x, np.asarray(x, dtype=float), side="right")]
 
     def tail(self, x):
         """mu(x, inf): mass at locations strictly greater than x (0 past the
         last atom, since it is read from suffix sums)."""
-        locs = np.asarray(self.locations)
-        idx = np.searchsorted(locs, np.asarray(x, dtype=float), side="right")
-        return _suffix_sums(self.masses)[idx]
-
-
-def _suffix_sums(masses) -> np.ndarray:
-    """S[i] = sum(masses[i:]) for i = 0..n."""
-    return np.concatenate([np.cumsum(np.asarray(masses)[::-1])[::-1], [0.0]])
+        return self._suffix[np.searchsorted(self._x, np.asarray(x, dtype=float), side="right")]
 
 
 def _rows(text: str, source: str):
@@ -182,26 +182,23 @@ def measure_transform_kohlbecker(m: TabulatedMeasure, lam: float) -> float:
     if not lam > 0.0:
         raise DomainError("lam must be positive")
     with np.errstate(over="ignore"):
-        log_terms = np.log(np.asarray(m.masses)) - np.asarray(m.locations) / lam
-    return _log_sum_shifted(log_terms)
+        return _log_sum_shifted(m._log_m - m._x / lam)
 
 
 def measure_transform_kasahara(m: TabulatedMeasure, lam: float) -> float:
     """log of sum_i mass_i * exp(lam * x_i), lam >= 0 (finite atom list)."""
     _require_atoms(m)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise DomainError("lam must be >= 0")
     with np.errstate(over="ignore", invalid="ignore"):
-        log_terms = np.log(np.asarray(m.masses)) + lam * np.asarray(m.locations)
-    return _log_sum_shifted(log_terms)
+        return _log_sum_shifted(m._log_m + lam * m._x)
 
 
 def _left_edges(m: TabulatedMeasure) -> np.ndarray:
     # Panel convention of the quantizers: atom i carries the mass of
     # (x_{i-1}, x_i]; the first panel starts at its own location (zero width)
     # when built by quantize_cumulative, at 0 when built by quantize_tail.
-    locs = np.asarray(m.locations)
-    return np.concatenate([[locs[0]], locs[:-1]])
+    return np.concatenate([m._x[:1], m._x[:-1]])
 
 
 def kohlbecker_panel_bracket(m: TabulatedMeasure, lam: float) -> tuple[float, float]:
@@ -216,8 +213,7 @@ def kohlbecker_panel_bracket(m: TabulatedMeasure, lam: float) -> tuple[float, fl
     """
     lower = measure_transform_kohlbecker(m, lam)
     with np.errstate(over="ignore"):
-        log_terms = np.log(np.asarray(m.masses)) - _left_edges(m) / lam
-    return lower, _log_sum_shifted(log_terms)
+        return lower, _log_sum_shifted(m._log_m - _left_edges(m) / lam)
 
 
 def kasahara_panel_bracket(m: TabulatedMeasure, lam: float) -> tuple[float, float]:
@@ -227,7 +223,7 @@ def kasahara_panel_bracket(m: TabulatedMeasure, lam: float) -> tuple[float, floa
     log_lower uses left edges, log_upper is the direct transform.
     """
     upper = measure_transform_kasahara(m, lam)
-    return _log_sum_shifted(np.log(np.asarray(m.masses)) + lam * _left_edges(m)), upper
+    return _log_sum_shifted(m._log_m + lam * _left_edges(m)), upper
 
 
 def kasahara_via_parts(m: TabulatedMeasure, lam: float) -> float:
@@ -239,17 +235,34 @@ def kasahara_via_parts(m: TabulatedMeasure, lam: float) -> float:
     transform up to roundoff; it exercises an independent summation path.
     """
     _require_atoms(m)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise DomainError("lam must be >= 0")
-    locs = np.asarray(m.locations)
-    # Tail value on (x_{i-1}, x_i) is the mass at locations >= x_i.
-    tails = _suffix_sums(m.masses)[:-1]
-    # log(T_i * (e^hi - e^lo)), -inf for an empty panel; then log mu(0, inf).
+    # Tail value T_i on (x_{i-1}, x_i) is the mass at locations >= x_i, and
+    # log(T_i * (e^hi - e^lo)) is -inf for an empty panel; then log mu(0, inf).
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lo, hi = lam * np.concatenate([[0.0], locs[:-1]]), lam * locs
-        log_terms = np.log(tails) + hi + np.log(-np.expm1(lo - hi))
+        lo, hi = lam * np.concatenate([[0.0], m._x[:-1]]), lam * m._x
+        log_terms = np.log(m._suffix[:-1]) + hi + np.log(-np.expm1(lo - hi))
         log_terms = np.append(log_terms, np.log(m.mass_above_zero()))
     return _log_sum_shifted(log_terms)
+
+
+def _log_integral(m: TabulatedMeasure, kind: str, c: float, s: float) -> float:
+    """log int_0^inf P(u*s) e^{c*u} du for P = mu[0, x] or mu(x, inf) (kind).
+
+    With z_i = c*x_i/s an atom (x_i, m_i) adds m_i e^{z_i}/(-c) to the
+    cumulative kind (c < 0) and m_i (e^{z_i} - 1)/c to the tail kind.
+    """
+    _require_atoms(m)
+    if kind == "cumulative" and not c < 0.0:
+        raise NotIntegrable("mu[0, x] does not vanish at infinity; need c < 0")
+    if c == 0.0:
+        raise ZeroRate("the tail transform needs c != 0")
+    with np.errstate(over="ignore", divide="ignore"):
+        z = c * m._x / s
+        if kind == "tail":
+            # log|e^z - 1| = max(z, 0) + log(1 - e^-|z|); an atom at 0 adds -inf.
+            z = np.maximum(z, 0.0) + np.log(-np.expm1(-np.abs(z)))
+        return _log_sum_shifted(m._log_m + z) - math.log(abs(c))
 
 
 def _geometric_grid(x_min: float, x_max: float, n: int) -> np.ndarray:
@@ -267,14 +280,19 @@ def _quantize(
 ) -> TabulatedMeasure:
     """Atoms at the edges [0, x_1..x_n] of a geometric grid where the mass
     function fn drops by a positive amount: a cumulative drop is
-    F(x_i) - F(x_{i-1}), and F(0) at 0; a tail drop G(x_{i-1}) - G(x_i)."""
+    F(x_i) - F(x_{i-1}), and F(0) at 0; a tail drop G(x_{i-1}) - G(x_i).
+    A value of fn that is not finite is refused, as a NaN drop would vanish."""
     edges = np.concatenate([[0.0], _geometric_grid(x_min, x_max, n)])
     values = np.asarray([float(fn(float(x))) for x in edges])
+    finite = np.isfinite(values)
+    if not finite.all():
+        x = float(edges[np.argmin(finite)])
+        raise ValidationError(f"mass function is not finite at x = {x!r}")
     drops = -np.diff(values, prepend=values[0]) if tail else np.diff(values, prepend=0.0)
     if np.any(drops < 0.0) or (tail and np.any(values < 0.0)):
         raise ValidationError(error)
     keep = drops > 0.0
-    return TabulatedMeasure(tuple(edges[keep]), tuple(drops[keep]))
+    return TabulatedMeasure(edges[keep], drops[keep])
 
 
 def quantize_cumulative(

@@ -57,9 +57,8 @@ from .errors import (
     NotIntegrable,
     NumericOverflow,
     ValidationError,
-    ZeroRate,
 )
-from .measures import _log_sum_shifted, _require_atoms
+from .measures import _log_integral
 from .params import UnifiedParams, _x_peak, psi_for_s, s_for_psi
 from .targets import MeasureTarget, TargetFunction
 
@@ -306,23 +305,9 @@ def _refine_rows(t, c, s, u_star, v_lo, v_hi, m, n0: list[int], tol: float):
 
 def _exact_log_integral(t: TargetFunction, c: float, s: float) -> float:
     """log int_0^inf P(u*s) e^{c*u} du in closed form, for a measure target or
-    a power target with a = 0, whose P is 1.
-
-    With z_i = c*x_i/s an atom (x_i, m_i) adds m_i e^{z_i}/(-c) to the
-    cumulative kind (c < 0) and m_i (e^{z_i} - 1)/c to the tail kind.
-    """
+    a power target with a = 0, whose P is 1."""
     if isinstance(t, MeasureTarget):
-        _require_atoms(t.measure)
-        if t.kind == "cumulative" and not c < 0.0:
-            raise NotIntegrable("mu[0, x] does not vanish at infinity; need c < 0")
-        if c == 0.0:
-            raise ZeroRate("the tail transform needs c != 0")
-        with np.errstate(over="ignore", divide="ignore"):
-            z = c * np.asarray(t.measure.locations) / s
-            if t.kind == "tail":
-                # log|e^z - 1| = max(z, 0) + log(1 - e^-|z|); an atom at 0 adds -inf.
-                z = np.maximum(z, 0.0) + np.log(-np.expm1(-np.abs(z)))
-            return _log_sum_shifted(np.log(t.measure.masses) + z) - math.log(abs(c))
+        return _log_integral(t.measure, t.kind, c, s)
     if not c < 0.0:
         raise NotIntegrable("P = 1 needs c < 0")
     return -math.log(-c)

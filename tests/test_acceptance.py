@@ -21,9 +21,11 @@ gap and a 20.1% error in the recovered a.  All nine criteria pass.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -411,9 +413,14 @@ def test_criterion_8_measure_function_agreement():
 def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
     failures = []
 
+    # The child imports this checkout's package, installed or not.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
     def run(*args):
         return subprocess.run(
-            [sys.executable, "-m", "tauberlab", *args], capture_output=True, text=True
+            [sys.executable, "-m", "tauberlab", *args], capture_output=True, text=True, env=env
         )
 
     # Expected codes: the pass/fail split follows the stated targets of the

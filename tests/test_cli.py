@@ -1,7 +1,9 @@
 """End-to-end CLI: exit codes, determinism, config files, ingestion."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,13 +12,19 @@ import tauberlab as tl
 from tauberlab.cli import cli
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*args, cwd=None):
-    # Warnings are errors here too, as in the in-process tests.
+    # Warnings are errors here too, as in the in-process tests.  The child
+    # imports this checkout's package, installed or not.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "tauberlab", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -395,6 +403,9 @@ IN_PROCESS_CASES = {
         ("measure", "--file", "run.cfg", "--variant", "kasahara", "--lam", "1e10"),
         "0\t1\n1e300\t1\n", 2,
         "stderr", "error: NumericOverflow: log of the exponential sum is not a finite float"),
+    "measure-kasahara-lam-nan": (
+        ("measure", "--file", "run.cfg", "--variant", "kasahara", "--lam", "nan"),
+        "0\t1\n1\t1\n", 2, "stderr", "error: DomainError: lam must be >= 0"),
     "measure-kohlbecker-vanishing-term": (
         ("measure", "--file", "run.cfg", "--variant", "kohlbecker", "--lam", "1e-10"),
         "0\t1\n1e300\t1\n", 0, "stdout", "lambda log_M\n1e-10 0\n"),

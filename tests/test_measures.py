@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tauberlab as tl
+from tauberlab.measures import _log_sum_shifted
 
 
 class TestConstruction:
@@ -112,6 +115,12 @@ class TestKasaharaTransform:
         with pytest.raises(tl.DomainError, match="lam must be >= 0"):
             fn(tl.TabulatedMeasure((0.0, 1.0), (1.0, 1.0)), -1.0)
 
+    @pytest.mark.parametrize(
+        "fn", [tl.measure_transform_kasahara, tl.kasahara_panel_bracket, tl.kasahara_via_parts])
+    def test_nan_lambda_refused(self, fn):
+        with pytest.raises(tl.DomainError, match="lam must be >= 0"):
+            fn(tl.TabulatedMeasure((0.0, 1.0), (1.0, 1.0)), math.nan)
+
     def test_shift_dominated_by_top_atom(self):
         m = tl.TabulatedMeasure((1.0, 500.0), (1.0, 1.0))
         # exp(lam*500) dwarfs exp(lam*1); max-shifted sum must stay finite.
@@ -205,6 +214,16 @@ class TestQuantization:
         with pytest.raises(tl.ValidationError):
             tl.quantize_tail(lambda x: x, 0.1, 10.0, 16)
 
+    def test_non_finite_mass_function_refused(self):
+        # A NaN drop once fell out of the kept atoms, leaving 43.9 of 100.
+        fn = lambda x: math.nan if 3.0 < x < 50.0 else min(x, 100.0)
+        with pytest.raises(tl.ValidationError, match="not finite at x = ") as info:
+            tl.quantize_cumulative(fn, 0.1, 1000.0, 40)
+        x = float(str(info.value).rsplit(" ", 1)[-1])
+        assert 3.0 < x < 3.0 * (1e4 ** (1 / 39))  # the first grid point past 3
+        with pytest.raises(tl.ValidationError, match=r"not finite at x = 0\.0"):
+            tl.quantize_tail(lambda x: math.inf if x == 0.0 else 1.0, 0.1, 10.0, 8)
+
     @pytest.mark.parametrize(
         "quantize,args,message",
         [(tl.quantize_cumulative, (0.0, 1.0, 8), "need 0 < x_min < x_max"),
@@ -235,3 +254,145 @@ class TestQuantization:
             ts = tl.log_transform(tl.PurePower(-1.0, 2.0), 1.0, 1.0, 1.0 / lam)
             slack = ts.quad_error + 1e-6
             assert lo - slack <= ts.log_f <= hi + slack
+
+
+# References for TestHeldArrays: each output formed from the measure's tuples
+# on every call, with the expressions the sums had before the measure held
+# its arrays.
+def _ref_cumulative(m, x):
+    cum = np.concatenate([[0.0], np.cumsum(m.masses)])
+    return cum[np.searchsorted(np.asarray(m.locations), np.asarray(x, dtype=float), side="right")]
+
+
+def _ref_suffix_sums(m):
+    return np.concatenate([np.cumsum(np.asarray(m.masses)[::-1])[::-1], [0.0]])
+
+
+def _ref_tail(m, x):
+    idx = np.searchsorted(np.asarray(m.locations), np.asarray(x, dtype=float), side="right")
+    return _ref_suffix_sums(m)[idx]
+
+
+def _ref_left_edges(m):
+    locs = np.asarray(m.locations)
+    return np.concatenate([[locs[0]], locs[:-1]])
+
+
+def _ref_kohlbecker(m, lam, locs=None):
+    locs = np.asarray(m.locations) if locs is None else locs
+    with np.errstate(over="ignore"):
+        return _log_sum_shifted(np.log(np.asarray(m.masses)) - locs / lam)
+
+
+def _ref_kasahara(m, lam, locs=None):
+    locs = np.asarray(m.locations) if locs is None else locs
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _log_sum_shifted(np.log(np.asarray(m.masses)) + lam * locs)
+
+
+def _ref_kohlbecker_bracket(m, lam):
+    lower = _ref_kohlbecker(m, lam)
+    return lower, _ref_kohlbecker(m, lam, _ref_left_edges(m))
+
+
+def _ref_kasahara_bracket(m, lam):
+    upper = _ref_kasahara(m, lam)
+    return _ref_kasahara(m, lam, _ref_left_edges(m)), upper
+
+
+def _ref_parts(m, lam):
+    locs = np.asarray(m.locations)
+    above = math.fsum(w for x, w in zip(m.locations, m.masses) if x > 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo, hi = lam * np.concatenate([[0.0], locs[:-1]]), lam * locs
+        log_terms = np.log(_ref_suffix_sums(m)[:-1]) + hi + np.log(-np.expm1(lo - hi))
+        log_terms = np.append(log_terms, np.log(above))
+    return _log_sum_shifted(log_terms)
+
+
+def _ref_route(m, kind, c, s):
+    if kind == "cumulative" and not c < 0.0:
+        raise tl.NotIntegrable("mu[0, x] does not vanish at infinity; need c < 0")
+    with np.errstate(over="ignore", divide="ignore"):
+        z = c * np.asarray(m.locations) / s
+        if kind == "tail":
+            z = np.maximum(z, 0.0) + np.log(-np.expm1(-np.abs(z)))
+        return _log_sum_shifted(np.log(m.masses) + z) - math.log(abs(c))
+
+
+def _outcome(fn, *args):
+    """repr of the value (lists for arrays), or the refusal's class and message."""
+    try:
+        value = fn(*args)
+    except tl.TauberError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(value.tolist() if isinstance(value, np.ndarray) else value)
+
+
+@st.composite
+def _measures(draw):
+    locs = sorted(set(draw(st.lists(
+        st.floats(-6.0, 5.0).map(lambda e: 10.0**e), min_size=1, max_size=40))))
+    if draw(st.booleans()):
+        locs = [0.0, *locs]
+    masses = draw(st.lists(st.floats(-300.0, 3.0).map(lambda e: 10.0**e),
+                           min_size=len(locs), max_size=len(locs)))
+    return tl.TabulatedMeasure(tuple(locs), tuple(masses))
+
+
+LAMS = (1e-300, 1e-3, 0.37, 1.0, 7.5, 1e3, 1e10, math.inf)
+
+
+class TestHeldArrays:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(m=_measures())
+    def test_every_output_equals_the_tuple_reference(self, m):
+        locs = np.asarray(m.locations)
+        xs = np.concatenate([[0.0, 0.5, 1e5, 2e5], locs, np.nextafter(locs, -1.0)])
+        pairs = [
+            (_outcome(lambda: m.total_mass), _outcome(math.fsum, m.masses)),
+            (_outcome(m.mass_above_zero),
+             _outcome(math.fsum, [w for x, w in zip(m.locations, m.masses) if x > 0.0])),
+            (_outcome(m.cumulative, xs), _outcome(_ref_cumulative, m, xs)),
+            (_outcome(m.tail, xs), _outcome(_ref_tail, m, xs)),
+        ]
+        for kind, ref in (("cumulative", _ref_cumulative), ("tail", _ref_tail)):
+            target = tl.MeasureTarget(m, kind)
+            with np.errstate(divide="ignore"):
+                pairs.append((_outcome(target.log_amplitude, xs), _outcome(np.log, ref(m, xs))))
+            for c in (-2.0, -1e-3, 0.5, 3.0):
+                for s in (1e-3, 1.0, 40.0):
+                    pairs.append((
+                        _outcome(lambda: tl.log_transform(target, c, 0.0, s).log_f),
+                        _outcome(_ref_route, m, kind, c, s)))
+        for lam in LAMS:
+            pairs += [
+                (_outcome(tl.measure_transform_kohlbecker, m, lam),
+                 _outcome(_ref_kohlbecker, m, lam)),
+                (_outcome(tl.kohlbecker_panel_bracket, m, lam),
+                 _outcome(_ref_kohlbecker_bracket, m, lam)),
+            ]
+        for lam in (0.0, *LAMS):
+            pairs += [
+                (_outcome(tl.measure_transform_kasahara, m, lam),
+                 _outcome(_ref_kasahara, m, lam)),
+                (_outcome(tl.kasahara_panel_bracket, m, lam),
+                 _outcome(_ref_kasahara_bracket, m, lam)),
+                (_outcome(tl.kasahara_via_parts, m, lam), _outcome(_ref_parts, m, lam)),
+            ]
+        for got, expected in pairs:
+            assert got == expected
+
+    def test_fields_are_float_tuples_and_held_arrays_are_read_only(self):
+        locs = np.array([0.0, 0.1, 2.5])
+        m = tl.TabulatedMeasure(locs, [1, 1e-300, 0.3])
+        # The benchmark's fixture writer prints the atoms with {x!r}, which
+        # the parser must read back: a numpy scalar prints as np.float64(...).
+        for values in (m.locations, m.masses):
+            assert type(values) is tuple
+            assert all(type(v) is float and float(repr(v)) == v for v in values)
+        assert m == tl.TabulatedMeasure((0.0, 0.1, 2.5), (1.0, 1e-300, 0.3))
+        assert locs.flags.writeable  # the caller's array is copied, not frozen
+        for held in (m._x, m._log_m, m._cum, m._suffix):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 1.0
