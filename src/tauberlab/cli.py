@@ -17,22 +17,26 @@ Exit codes: 0 success / verification passed, 1 verification failed,
 
 Options may also come from a config file of ``key = value`` lines via
 ``--config``; explicit flags override file values.  The config keys are
-``a b c offset classical alpha B beta rate psi-min psi-max n``;
-``--quad-tol``, ``--out`` and ``--csv`` are flags only.
+``a b c offset classical alpha B beta rate psi-min psi-max n``, and any
+other key is refused; ``--quad-tol``, ``--out`` and ``--csv`` are flags only.
+
+The options are parsed with the standard library's argparse.  Options take
+no abbreviations, and an option's value may begin with "-" (``--a -1e8``,
+``--c -inf``).  ``run(argv)`` runs one command line in this process and
+returns its exit code.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
+import re
 import sys
 from pathlib import Path
-
-import click
 
 from . import asymptotics, classical, measures, params, report, targets, transform
 from .errors import ConfigParseError, TauberError
 
-__all__ = ["main", "cli"]
+__all__ = ["main", "run"]
 
 _EXIT_VERIFY_FAILED = 1
 _EXIT_INPUT_ERROR = 2
@@ -61,16 +65,19 @@ def _load_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ConfigParseError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_CASTS:
+            raise ConfigParseError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
 class Options:
     """The shared options of one command, read flag first, then config, then default."""
 
-    def __init__(self, flags: dict, cfg: dict[str, str]):
-        self.flags = flags
-        self.cfg = cfg
+    def __init__(self, args: argparse.Namespace):
+        self.flags = vars(args)
+        self.cfg = _load_config(args.config)
 
     def _get(self, key: str, default=None):
         flag = self.flags.get(key.replace("-", "_"))
@@ -130,50 +137,19 @@ class Options:
         )
 
 
-_CLASSICAL = [
-    click.option("--alpha", type=float, default=None, help="classical alpha"),
-    click.option("--B", "B", type=float, default=None, help="classical B"),
-    click.option("--beta", type=float, default=None, help="classical beta"),
-    click.option("--rate", type=float, default=None, help="de Bruijn rate constant"),
-    click.option("--config", type=str, default=None, help="key = value config file"),
-]
-_PARAMS = [
-    click.option("--a", type=float, default=None, help="primal coefficient a"),
-    click.option("--b", type=float, default=None, help="primal exponent b"),
-    click.option("--c", type=float, default=None, help="kernel rate c"),
-    click.option("--offset", type=float, default=None, help="transform offset"),
-    click.option(
-        "--classical",
-        type=str,
-        default=None,
-        help="classical variant: kohlbecker | debruijn | kasahara",
-    ),
-    *_CLASSICAL,
-]
-_GRID = [
-    *_PARAMS,
-    click.option("--psi-min", type=float, default=None),
-    click.option("--psi-max", type=float, default=None),
-    click.option("--n", type=int, default=None),
-    click.option("--quad-tol", type=float, default=1e-8, show_default=True),
-]
-_SHARED = {key.replace("-", "_") for key in _CONFIG_CASTS} | {"quad_tol"}
+class _Parser(argparse.ArgumentParser):
+    """argparse with no option prefixes and no ``-h``, whose option values may
+    begin with "-"."""
 
-
-def _resolved(options):
-    """Add shared ``options`` ahead of the command's own; pass it one Options."""
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def command(config, **kwargs):
-            flags = {k: kwargs.pop(k) for k in _SHARED & kwargs.keys()}
-            return fn(Options(flags, _load_config(config)), **kwargs)
-
-        for opt in reversed(options):
-            command = opt(command)
-        return command
-
-    return decorate
+    def __init__(self, add_help=True, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        if add_help:
+            self.add_argument("--help", action="help", help="show this message and exit")
+        # argparse reads an argument that begins with "-" as an option name
+        # unless it matches this pattern.  Its own pattern matches only "-1"
+        # and "-1.5", so "--a -1e8" and "--c -inf" would end in "expected one
+        # argument".
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -181,180 +157,193 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _echo_pairs(pairs) -> None:
+def _print_pairs(pairs) -> None:
     for key, value in pairs:
-        click.echo(report.kv(key, value))
+        print(report.kv(key, value))
 
 
-class _Group(click.Group):
-    """Reports any TauberError of a command as an input error (exit 2)."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except TauberError as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            raise click.exceptions.Exit(_EXIT_INPUT_ERROR) from None
-
-
-@click.group(cls=_Group)
-def cli():
-    """Numerical laboratory for exponential-type Tauberian equivalences."""
-
-
-@cli.command("validate")
-@_resolved(_PARAMS)
-def cmd_validate(opts):
+def cmd_validate(args) -> int:
     """Validate parameters and print the derived dual quantities."""
-    p = opts.params()
+    p = Options(args).params()
     saddle = params.saddle_analysis(p)
     stated, _ = params.d_variants(p.a, p.b, p.c)
-    _echo_pairs([
+    _print_pairs([
         ("a", p.a), ("b", p.b), ("c", p.c), ("offset", p.offset),
         ("regime", p.regime.value), ("d", p.d), ("dual_exp", p.dual_exp),
         ("x_peak", saddle.x_peak), ("curvature", saddle.curvature),
         ("d_stated_variant", stated),
     ])
+    return 0
 
 
-@cli.command("predict")
-@_resolved(_PARAMS)
-@click.option("--psi", type=float, required=True, help="regime variable psi")
-@click.option(
-    "--order",
-    type=click.Choice(["leading", "corrected"]),
-    default="corrected",
-    show_default=True,
-)
-def cmd_predict(opts, psi, order):
+def cmd_predict(args) -> int:
     """Closed-form prediction of log f at a given psi."""
-    value = transform.predict_log_f(opts.params(), psi, order)
-    click.echo(f"predict_log_f({order}) = {report.fmt(value)}")
+    value = transform.predict_log_f(Options(args).params(), args.psi, args.order)
+    print(f"predict_log_f({args.order}) = {report.fmt(value)}")
+    return 0
 
 
-@cli.command("verify")
-@_resolved(_GRID)
-@click.option("--out", type=str, default=None, help="write report to this path")
-@click.option("--csv", "csv_path", type=str, default=None, help="write sample CSV")
-def cmd_verify(opts, out, csv_path):
+def cmd_verify(args) -> int:
     """Sweep the transform and check the equivalence forward and backward."""
-    rep = opts.verify()
+    rep = Options(args).verify()
     text = report.render_report(rep, title="verify")
-    click.echo(text, nl=False)
-    _write(out, text)
-    _write(csv_path, report.render_samples_csv(rep))
-    if not rep.passed:
-        raise click.exceptions.Exit(_EXIT_VERIFY_FAILED)
+    print(text, end="")
+    _write(args.out, text)
+    _write(args.csv, report.render_samples_csv(rep))
+    return 0 if rep.passed else _EXIT_VERIFY_FAILED
 
 
-@cli.command("sweep")
-@_resolved(_GRID)
-@click.option("--csv", "csv_path", type=str, default=None, help="write sample CSV")
-def cmd_sweep(opts, csv_path):
+def cmd_sweep(args) -> int:
     """Emit the sweep sample table without pass/fail judgment."""
-    csv_text = report.render_samples_csv(opts.verify())
-    click.echo(csv_text, nl=False)
-    _write(csv_path, csv_text)
+    csv_text = report.render_samples_csv(Options(args).verify())
+    print(csv_text, end="")
+    _write(args.csv, csv_text)
+    return 0
 
 
-@cli.command("invert")
-@_resolved(_GRID)
-@click.option("--out", type=str, default=None, help="write report to this path")
-def cmd_invert(opts, out):
+def cmd_invert(args) -> int:
     """Recover (a, b) from the fitted transform sweep and report the gaps."""
-    rep = opts.verify()
+    rep = Options(args).verify()
     text = report.render_report(rep, title="invert")
-    click.echo(text, nl=False)
-    _write(out, text)
-    if not rep.inverse_passed:
-        raise click.exceptions.Exit(_EXIT_VERIFY_FAILED)
+    print(text, end="")
+    _write(args.out, text)
+    return 0 if rep.inverse_passed else _EXIT_VERIFY_FAILED
 
 
-@cli.command("classical")
-@click.option("--variant", type=str, required=True)
-@_resolved(_CLASSICAL)
-def cmd_classical(opts, variant):
+def cmd_classical(args) -> int:
     """Reduce a classical spec and certify its coefficient identity."""
-    spec = opts.classical(variant)
+    spec = Options(args).classical(args.variant)
     red = classical.to_unified(spec)
     d, coeff, gap = classical.coefficient_identity_check(spec)
     p = red.params
-    _echo_pairs([
-        ("variant", variant.lower()), ("a", p.a), ("b", p.b), ("c", p.c),
+    _print_pairs([
+        ("variant", args.variant.lower()), ("a", p.a), ("b", p.b), ("c", p.c),
         ("offset", p.offset), ("regime", p.regime.value), ("unified_d", d),
         ("classical_coefficient", coeff), ("rel_gap", gap),
         ("lambda_exponent", red.lambda_exponent), ("lambda_map", red.lambda_map),
     ])
+    return 0
 
 
-@cli.command("ck-index")
-@click.option("--input", "input_path", type=str, required=True,
-              help="two-column file: x<TAB>U(x)")
-@click.option("--tau", type=float, default=None,
-              help="run the pinching diagnostic at this index")
-@click.option("--epsilon", "eps", type=float, multiple=True,
-              help="epsilons for the diagnostic (repeatable)")
-def cmd_ck_index(input_path, tau, eps):
+def cmd_ck_index(args) -> int:
     """Log-quotient index estimates from tabulated (x, U) samples."""
-    samples = measures._load_pairs(input_path)  # any order; ck_index sorts
+    samples = measures._load_pairs(args.input)  # any order; ck_index sorts
     result = asymptotics.ck_index(samples)
-    click.echo("x tau_hat")
+    print("x tau_hat")
     for x, t in result.points:
-        click.echo(f"{report.fmt(x)} {report.fmt(t)}")
-    click.echo(f"tau_at_top = {report.fmt(result.tau_at_top)}")
-    click.echo(f"spread_last_quarter = {report.fmt(result.spread_last_quarter)}")
-    if tau is None:
-        return
+        print(f"{report.fmt(x)} {report.fmt(t)}")
+    print(f"tau_at_top = {report.fmt(result.tau_at_top)}")
+    print(f"spread_last_quarter = {report.fmt(result.spread_last_quarter)}")
+    if args.tau is None:
+        return 0
     # class_m_check without its second ck_index: the index estimate printed
     # above is the one the diagnostic reads.
-    eps = tuple(eps) or (0.5, 1.0)
-    asymptotics._require_class_m_inputs(samples, tau, eps)
-    diag = asymptotics._class_m_diagnostic(result, samples, tau, eps)
+    eps = tuple(args.epsilon or (0.5, 1.0))
+    asymptotics._require_class_m_inputs(samples, args.tau, eps)
+    diag = asymptotics._class_m_diagnostic(result, samples, args.tau, eps)
     for chk in diag.epsilon_checks:
-        click.echo(
+        print(
             f"epsilon {report.fmt(chk.epsilon)}: upper {chk.upper_verdict.value}, "
             f"lower {chk.lower_verdict.value}"
         )
-    click.echo(f"consistent_with_tau = {diag.consistent}")
-    if not diag.consistent:
-        raise click.exceptions.Exit(_EXIT_VERIFY_FAILED)
+    print(f"consistent_with_tau = {diag.consistent}")
+    return 0 if diag.consistent else _EXIT_VERIFY_FAILED
 
 
-@cli.command("measure")
-@click.option("--file", "path", type=str, required=True,
-              help="two-column atom file: location<TAB>mass")
-@click.option("--variant", type=click.Choice(["kohlbecker", "kasahara"]),
-              required=True)
-@click.option("--lam", type=float, multiple=True, required=True,
-              help="transform argument lambda (repeatable)")
-def cmd_measure(path, variant, lam):
+def cmd_measure(args) -> int:
     """Exponential transform of a tabulated measure at given lambdas."""
-    m = measures.load_measure(path)
+    m = measures.load_measure(args.file)
     fn = (
         measures.measure_transform_kohlbecker
-        if variant == "kohlbecker"
+        if args.variant == "kohlbecker"
         else measures.measure_transform_kasahara
     )
-    values = [(x, fn(m, x)) for x in lam]
-    click.echo("lambda log_M")
+    values = [(x, fn(m, x)) for x in args.lam]
+    print("lambda log_M")
     for x, v in values:
-        click.echo(f"{report.fmt(x)} {report.fmt(v)}")
+        print(f"{report.fmt(x)} {report.fmt(v)}")
+    return 0
+
+
+def _parser() -> _Parser:
+    classical_opts = _Parser(add_help=False)
+    classical_opts.add_argument("--alpha", type=float, help="classical alpha")
+    classical_opts.add_argument("--B", type=float, help="classical B")
+    classical_opts.add_argument("--beta", type=float, help="classical beta")
+    classical_opts.add_argument("--rate", type=float, help="de Bruijn rate constant")
+    classical_opts.add_argument("--config", help="key = value config file")
+    params_opts = _Parser(add_help=False)
+    params_opts.add_argument("--a", type=float, help="primal coefficient a")
+    params_opts.add_argument("--b", type=float, help="primal exponent b")
+    params_opts.add_argument("--c", type=float, help="kernel rate c")
+    params_opts.add_argument("--offset", type=float, help="transform offset")
+    params_opts.add_argument(
+        "--classical", help="classical variant: kohlbecker | debruijn | kasahara")
+    grid_opts = _Parser(add_help=False)
+    grid_opts.add_argument("--psi-min", type=float)
+    grid_opts.add_argument("--psi-max", type=float)
+    grid_opts.add_argument("--n", type=int)
+    grid_opts.add_argument("--quad-tol", type=float, default=1e-8,
+                           help="quadrature tolerance (default: %(default)s)")
+
+    parser = _Parser(prog="tauberlab", description=(
+        "Numerical laboratory for exponential-type Tauberian equivalences."))
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name, fn, *parents):
+        sub = commands.add_parser(name, parents=parents, help=fn.__doc__,
+                                  description=fn.__doc__)
+        sub.set_defaults(run=fn)
+        return sub
+
+    command("validate", cmd_validate, params_opts, classical_opts)
+    predict = command("predict", cmd_predict, params_opts, classical_opts)
+    predict.add_argument("--psi", type=float, required=True, help="regime variable psi")
+    predict.add_argument("--order", choices=["leading", "corrected"], default="corrected",
+                         help="(default: %(default)s)")
+    verify = command("verify", cmd_verify, params_opts, classical_opts, grid_opts)
+    verify.add_argument("--out", help="write report to this path")
+    verify.add_argument("--csv", help="write sample CSV")
+    sweep = command("sweep", cmd_sweep, params_opts, classical_opts, grid_opts)
+    sweep.add_argument("--csv", help="write sample CSV")
+    invert = command("invert", cmd_invert, params_opts, classical_opts, grid_opts)
+    invert.add_argument("--out", help="write report to this path")
+    command("classical", cmd_classical, classical_opts).add_argument(
+        "--variant", required=True)
+    ck_index = command("ck-index", cmd_ck_index)
+    ck_index.add_argument("--input", required=True, help="two-column file: x<TAB>U(x)")
+    ck_index.add_argument("--tau", type=float,
+                          help="run the pinching diagnostic at this index")
+    ck_index.add_argument("--epsilon", type=float, action="append",
+                          help="epsilons for the diagnostic (repeatable)")
+    measure = command("measure", cmd_measure)
+    measure.add_argument("--file", required=True,
+                         help="two-column atom file: location<TAB>mass")
+    measure.add_argument("--variant", choices=["kohlbecker", "kasahara"], required=True)
+    measure.add_argument("--lam", type=float, action="append", required=True,
+                         help="transform argument lambda (repeatable)")
+    return parser
+
+
+def run(argv: list[str] | None = None) -> int:
+    """Run one command line (default ``sys.argv[1:]``) and return its exit code."""
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (2), already printed
+        return exc.code
+    try:
+        return args.run(args)
+    except TauberError as exc:
+        sys.stdout.flush()  # what a command printed stays ahead of its error
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _EXIT_INPUT_ERROR
 
 
 def main() -> None:
-    try:
-        # With standalone_mode off, click returns Exit codes instead of
-        # calling sys.exit, letting us own the exit-code contract.
-        rv = cli.main(standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(_EXIT_INPUT_ERROR)
-    except click.exceptions.Abort:
-        sys.exit(_EXIT_INPUT_ERROR)
-    if isinstance(rv, int) and rv != 0:
-        sys.exit(rv)
+    """Console entry point: return on exit code 0, else raise SystemExit(code)."""
+    code = run()
+    if code:
+        sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -94,14 +94,22 @@ class TabulatedMeasure:
         """Total mass on (0, inf); only the first atom can sit at 0."""
         return math.fsum(self.masses[1:] if self.locations[:1] == (0.0,) else self.masses)
 
+    def _atoms_at_or_below(self, x):
+        # searchsorted sorts NaN past every atom, which would give a NaN x
+        # the total mass.
+        arr = np.asarray(x, dtype=float)
+        if np.isnan(arr).any():
+            raise DomainError("a measure's cumulative and tail are undefined at x = nan")
+        return np.searchsorted(self._x, arr, side="right")
+
     def cumulative(self, x):
-        """mu[0, x]: mass at locations <= x (vectorized)."""
-        return self._cum[np.searchsorted(self._x, np.asarray(x, dtype=float), side="right")]
+        """mu[0, x]: mass at locations <= x (vectorized); refuses a NaN x."""
+        return self._cum[self._atoms_at_or_below(x)]
 
     def tail(self, x):
         """mu(x, inf): mass at locations strictly greater than x (0 past the
-        last atom, since it is read from suffix sums)."""
-        return self._suffix[np.searchsorted(self._x, np.asarray(x, dtype=float), side="right")]
+        last atom, since it is read from suffix sums); refuses a NaN x."""
+        return self._suffix[self._atoms_at_or_below(x)]
 
 
 def _rows(text: str, source: str):

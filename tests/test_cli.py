@@ -1,15 +1,15 @@
 """End-to-end CLI: exit codes, determinism, config files, ingestion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import tauberlab as tl
-from tauberlab.cli import cli
+from tauberlab import cli
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -26,6 +26,13 @@ def run_cli(*args, cwd=None):
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def invoke(capsys, *args):
+    """Run the CLI in this process: (exit code, stdout, stderr)."""
+    code = cli.run(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 class TestValidateCommand:
@@ -180,7 +187,7 @@ class TestDataCommands:
         assert runs[0] == runs[1]
         assert runs[0][0] == 0 and "consistent_with_tau = True" in runs[0][1]
 
-    def test_ck_index_with_tau_estimates_the_index_once(self, tmp_path, monkeypatch):
+    def test_ck_index_with_tau_estimates_the_index_once(self, tmp_path, monkeypatch, capsys):
         # The diagnostic reads the index estimate the command printed.
         path = tmp_path / "samples.tsv"
         path.write_text("".join(f"{10.0**k}\t{(10.0**k) ** 3}\n" for k in range(1, 9)),
@@ -188,8 +195,8 @@ class TestDataCommands:
         calls, ck_index = [], tl.asymptotics.ck_index
         monkeypatch.setattr("tauberlab.asymptotics.ck_index",
                             lambda samples: calls.append(1) or ck_index(samples))
-        res = CliRunner().invoke(cli, ["ck-index", "--input", str(path), "--tau", "3"])
-        assert res.exit_code == 0 and "consistent_with_tau = True" in res.output
+        code, out, _ = invoke(capsys, "ck-index", "--input", str(path), "--tau", "3")
+        assert code == 0 and "consistent_with_tau = True" in out
         assert len(calls) == 1
 
     def test_measure_ingestion(self, tmp_path):
@@ -324,6 +331,12 @@ IN_PROCESS_CASES = {
     "config-cast-error": (
         ("validate", "--config", "run.cfg"), "a = x\nb = 0.5\nc = -1\n", 2,
         "stderr", "error: ConfigParseError: config key 'a': could not convert"),
+    "config-unknown-key": (
+        ("verify", "--config", "run.cfg"), "a = 2\nb = 0.5\nc = -1\npsi_min = 20\n", 2,
+        "stderr", "error: ConfigParseError: run.cfg:4: unknown key 'psi_min'\n"),
+    "config-flag-only-key": (
+        ("verify", "--config", "run.cfg"), "a = 2\nb = 0.5\nc = -1\nquad-tol = 1e-3\n", 2,
+        "stderr", "error: ConfigParseError: run.cfg:4: unknown key 'quad-tol'\n"),
     "config-missing": (
         ("validate", "--config", "absent.cfg"), None, 2,
         "stderr", "error: ConfigParseError: cannot read config file absent.cfg"),
@@ -420,10 +433,95 @@ IN_PROCESS_CASES = {
     list(IN_PROCESS_CASES.values()),
     ids=list(IN_PROCESS_CASES),
 )
-def test_cli_in_process(tmp_path, monkeypatch, args, config, code, stream, fragment):
+def test_cli_in_process(tmp_path, monkeypatch, capsys, args, config, code, stream, fragment):
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
-    res = CliRunner().invoke(cli, list(args))
-    assert res.exit_code == code, (res.stdout, res.stderr)
-    assert fragment in getattr(res, stream)
+    res_code, out, err = invoke(capsys, *args)
+    assert res_code == code, (out, err)
+    assert fragment in {"stdout": out, "stderr": err}[stream]
+
+
+# Every command and the flags its --help must list; the group's --help lists
+# the commands.
+_CLASSICAL_FLAGS = ("--alpha", "--B", "--beta", "--rate", "--config")
+_PARAMS_FLAGS = ("--a", "--b", "--c", "--offset", "--classical", *_CLASSICAL_FLAGS)
+_GRID_FLAGS = (*_PARAMS_FLAGS, "--psi-min", "--psi-max", "--n", "--quad-tol")
+COMMAND_FLAGS = {
+    "validate": _PARAMS_FLAGS,
+    "predict": (*_PARAMS_FLAGS, "--psi", "--order"),
+    "verify": (*_GRID_FLAGS, "--out", "--csv"),
+    "sweep": (*_GRID_FLAGS, "--csv"),
+    "invert": (*_GRID_FLAGS, "--out"),
+    "classical": ("--variant", *_CLASSICAL_FLAGS),
+    "ck-index": ("--input", "--tau", "--epsilon"),
+    "measure": ("--file", "--variant", "--lam"),
+}
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_FLAGS])
+def test_help_lists_every_flag(capsys, command):
+    args = ("--help",) if command is None else (command, "--help")
+    code, out, err = invoke(capsys, *args)
+    assert code == 0, err
+    for word in COMMAND_FLAGS if command is None else COMMAND_FLAGS[command]:
+        assert re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", out), word
+
+
+USAGE_ERRORS = {
+    "no-arguments": (),
+    "unknown-command": ("frobnicate",),
+    "unknown-option": ("validate", *K, "--zzz", "1"),
+    "non-float": ("validate", "--a", "x", "--b", "0.5", "--c", "-1"),
+    "missing-psi": ("predict", *K),
+    "missing-lam": ("measure", "--file", "atoms.tsv", "--variant", "kohlbecker"),
+    "unknown-order": ("predict", *K, "--psi", "100", "--order", "third"),
+    "bare-epsilon": ("ck-index", "--input", "samples.tsv", "--tau", "3", "--epsilon"),
+    "non-int-n": ("verify", *K, "--n", "3.5"),
+    "option-prefix": ("verify", *K, "--qu", "1e-4"),
+    "no-short-help": ("validate", "-h"),
+}
+
+
+@pytest.mark.parametrize("args", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_error_exits_2_before_any_output(capsys, args):
+    code, out, err = invoke(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.strip()
+
+
+# An option's value may begin with "-": each is read as the value of --a.
+NEGATIVE_VALUES = {
+    "-1e8": ("stdout", "a = -100000000\n"),
+    "-inf": ("stderr", "error: ValidationError: a must be finite, got -inf\n"),
+    "-1e-3": ("stdout", "a = -0.001\n"),
+    "-.5": ("stdout", "a = -0.5\n"),
+}
+
+
+@pytest.mark.parametrize("value", list(NEGATIVE_VALUES))
+def test_negative_values_are_option_values(capsys, value):
+    stream, fragment = NEGATIVE_VALUES[value]
+    code, out, err = invoke(capsys, "validate", "--a", value, "--b", "-1", "--c", "-1")
+    assert code == (0 if stream == "stdout" else 2), err
+    assert fragment in {"stdout": out, "stderr": err}[stream]
+
+
+def test_main_returns_on_exit_0_and_raises_any_other_code(capsys, monkeypatch):
+    # The console script and the benchmark's child process rely on this.
+    monkeypatch.setattr(sys, "argv", ["tauberlab", "validate", *K])
+    assert cli.main() is None
+    monkeypatch.setattr(sys, "argv", ["tauberlab", "validate", "--a", "1", "--b", "2", "--c", "-1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    assert "error: SignConditionViolated" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_click():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, tauberlab.cli; print('click' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr

@@ -37,6 +37,17 @@ class TestConstruction:
         assert m.tail(1.0) == 4.0  # strictly greater than x
         assert m.tail(5.0) == 0.0
 
+    def test_nan_x_is_refused_and_infinities_kept(self):
+        # searchsorted alone puts NaN past every atom: total mass and 0.
+        m = tl.TabulatedMeasure((1.0, 2.0), (2.0, 3.0))
+        for fn in (m.cumulative, m.tail, tl.MeasureTarget(m, "cumulative").log_amplitude,
+                   tl.MeasureTarget(m, "tail").log_amplitude):
+            for x in (math.nan, np.array([0.5, math.nan, 3.0])):
+                with pytest.raises(tl.DomainError, match="x = nan"):
+                    fn(x)
+        assert m.cumulative(np.array([-math.inf, math.inf])).tolist() == [0.0, 5.0]
+        assert m.tail(np.array([-math.inf, math.inf])).tolist() == [5.0, 0.0]
+
     def test_tail_is_exactly_zero_past_last_atom(self):
         # total_mass - cumulative(x) left a 1.67e-15 residue on this fixture.
         m = tl.quantize_tail(lambda x: math.exp(-x * x), 1e-3, 40.0, 8192)
