@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,6 @@ from .errors import (
 )
 from .measures import _geometric_grid
 from .params import UnifiedParams, recover_primal
-from .targets import TargetFunction
 from .transform import TransformSample, _predictions, sample_at_psi
 
 __all__ = [
@@ -69,12 +69,14 @@ _INVERSE_RTOL = 0.10
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Strictly increasing geometric psi grid with at least 8 points."""
+    """Strictly increasing geometric psi grid with at least 8 points, held as
+    a tuple of Python floats whatever sequence it was built from."""
 
     psi_values: tuple[float, ...]
 
     def __post_init__(self):
-        v = self.psi_values
+        v = tuple(map(float, self.psi_values))
+        object.__setattr__(self, "psi_values", v)
         if len(v) < _MIN_GRID_POINTS:
             raise BadRange(f"grid needs >= {_MIN_GRID_POINTS} points, got {len(v)}")
         if not all(math.isfinite(x) for x in v):
@@ -91,6 +93,10 @@ class EvalGrid:
 
 def make_grid(psi_min: float, psi_max: float, n: int) -> EvalGrid:
     """n geometric points from psi_min to psi_max inclusive, psi_min >= 1."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise BadRange(f"n must be an integer, got {n!r}") from None
     if n < _MIN_GRID_POINTS:
         raise BadRange(f"n must be >= {_MIN_GRID_POINTS}, got {n}")
     if not (1.0 <= psi_min < psi_max):
@@ -99,7 +105,7 @@ def make_grid(psi_min: float, psi_max: float, n: int) -> EvalGrid:
         )
     if not psi_max < math.inf:
         raise BadRange(f"psi_max must be finite, got {psi_max:g}")
-    return EvalGrid(tuple(float(p) for p in _geometric_grid(psi_min, psi_max, n)))
+    return EvalGrid(_geometric_grid(psi_min, psi_max, n))
 
 
 @dataclass(frozen=True)
@@ -401,7 +407,7 @@ def _monotone_check(ratios: tuple[float, ...]) -> CheckResult:
 
 def evaluate_sweep(
     p: UnifiedParams,
-    t: TargetFunction,
+    t,
     grid: EvalGrid,
     quad_tol: float = 1e-8,
 ) -> list[TransformSample]:
@@ -409,15 +415,13 @@ def evaluate_sweep(
     return sample_at_psi(p, t, grid.psi_values, tol=quad_tol)
 
 
-def _target_matches(p: UnifiedParams, t: TargetFunction) -> bool:
-    b = t.power_exponent
-    a = getattr(t, "a", None)
-    return b is not None and a is not None and a == p.a and b == p.b
+def _target_matches(p: UnifiedParams, t) -> bool:
+    return getattr(t, "a", None) == p.a and getattr(t, "b", None) == p.b
 
 
 def verify_equivalence(
     p: UnifiedParams,
-    t: TargetFunction,
+    t,
     grid: EvalGrid,
     quad_tol: float = 1e-8,
 ) -> EquivalenceReport:

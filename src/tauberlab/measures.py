@@ -276,6 +276,8 @@ def _log_integral(m: TabulatedMeasure, kind: str, c: float, s: float) -> float:
 def _geometric_grid(x_min: float, x_max: float, n: int) -> np.ndarray:
     if not (0.0 < x_min < x_max):
         raise ValidationError("need 0 < x_min < x_max")
+    if not x_max < math.inf:
+        raise ValidationError(f"x_max must be finite, got {x_max:g}")
     if n < 2:
         raise ValidationError("need at least 2 grid points")
     xs = np.exp(np.linspace(math.log(x_min), math.log(x_max), n))

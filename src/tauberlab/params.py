@@ -233,6 +233,7 @@ def validate(a: float, b: float, c: float, offset: float = 0.0) -> UnifiedParams
             or not finite; x_peak or x_peak**b not a positive float; h''(x_peak)
             not finite and negative; or h(x_peak) not within 1e-10*|d| of 0.
         OffsetNotAllowed: offset != 0 while d < 0.
+        DomainError: offset < 0.
     """
     a, b, c = _check_admissible(a, b, c)
     _require_finite(offset=offset)
@@ -241,6 +242,8 @@ def validate(a: float, b: float, c: float, offset: float = 0.0) -> UnifiedParams
         raise OffsetNotAllowed(
             f"additive offset must be 0 when d < 0 (d={d:g}, offset={offset:g})"
         )
+    if offset < 0.0:
+        raise DomainError("offset must be >= 0")
     x_peak = _x_peak(a, b, c)
     curvature = a * b * (b - 1.0) * _positive_power(x_peak, b - 2.0, "x_peak**(b-2)")
     if not math.isfinite(curvature) or curvature >= 0.0:

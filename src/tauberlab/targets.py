@@ -1,9 +1,16 @@
-"""Target functions: descriptions of P through its log-amplitude q(x) = log P(x)."""
+"""Target functions: descriptions of P through its log-amplitude q(x) = log P(x).
+
+The engine reads a target's coefficient ``a``, exponent ``b``,
+``log_amplitude(x)`` and ``label()``: any object whose ``a`` and ``b`` are not
+None is a power target, integrated by the saddle-centred engine about the
+stationary point of a*x**b (PurePower, PerturbedPower).  A MeasureTarget
+carries no ``a`` or ``b`` and takes the exact sum over its atoms; any other
+target is refused.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -11,28 +18,11 @@ from .errors import ValidationError
 from .measures import TabulatedMeasure
 
 __all__ = [
-    "TargetFunction",
     "PurePower",
     "PerturbedPower",
     "MeasureTarget",
     "PERTURBATION_FAMILIES",
 ]
-
-
-@runtime_checkable
-class TargetFunction(Protocol):
-    """Evaluable contract for q(x) = log P(x), x > 0.
-
-    ``power_exponent`` is the growth exponent b when the target is an exact or
-    perturbed power, else None.
-    """
-
-    @property
-    def power_exponent(self) -> float | None: ...
-
-    def log_amplitude(self, x): ...
-
-    def label(self) -> str: ...
 
 
 @dataclass(frozen=True)
@@ -41,10 +31,6 @@ class PurePower:
 
     a: float
     b: float
-
-    @property
-    def power_exponent(self) -> float | None:
-        return self.b
 
     def log_amplitude(self, x):
         return self.a * np.asarray(x, dtype=float) ** self.b
@@ -100,10 +86,6 @@ class PerturbedPower:
                 f"|magnitude| must be <= {_MAX_PERTURBATION}, got {self.magnitude:g}"
             )
 
-    @property
-    def power_exponent(self) -> float | None:
-        return self.b
-
     def log_amplitude(self, x):
         arr = np.asarray(x, dtype=float)
         delta = PERTURBATION_FAMILIES[self.family](self.magnitude, np.log(arr))
@@ -132,10 +114,6 @@ class MeasureTarget:
             raise ValidationError(
                 f"kind must be 'cumulative' or 'tail', got {self.kind!r}"
             )
-
-    @property
-    def power_exponent(self) -> float | None:
-        return None
 
     def log_amplitude(self, x):
         arr = np.asarray(x, dtype=float)

@@ -46,6 +46,7 @@ log f = m + log u* + log(integral), combined with the offset in log space.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ from .errors import (
 )
 from .measures import _log_integral
 from .params import UnifiedParams, _x_peak, psi_for_s, s_for_psi
-from .targets import MeasureTarget, TargetFunction
+from .targets import MeasureTarget
 
 __all__ = [
     "TransformSample",
@@ -110,7 +111,7 @@ class TransformSample:
     tol_met: bool = True
 
 
-def _g_rows(t: TargetFunction, c: float, s, u_star, v) -> np.ndarray:
+def _g_rows(t, c: float, s, u_star, v) -> np.ndarray:
     """g(u) + v at u = u*·e^v, elementwise over s, u* and v (broadcast);
     NaN (e.g. inf - inf) reads as -inf."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -121,14 +122,14 @@ def _g_rows(t: TargetFunction, c: float, s, u_star, v) -> np.ndarray:
     return vals
 
 
-def _require_interior_peak(t: TargetFunction, c: float) -> None:
+def _require_interior_peak(t, c: float) -> None:
     """Refuse a target whose log-integrand g has no interior maximum.
 
     For q = a*x**b, perturbed or not, g has one exactly when a*b*c < 0 and
     a*b*(b-1) < 0.  Otherwise g is monotone: decreasing and integrable
     (NoInteriorPeak) when a < 0, b > 0 and c < 0, else not integrable.
     """
-    b, a = t.power_exponent, getattr(t, "a", None)
+    a, b = getattr(t, "a", None), getattr(t, "b", None)
     if b is None or a is None:
         raise ValidationError(f"the engine takes power targets only, got {t.label()}")
     if b in (0.0, 1.0):
@@ -140,7 +141,7 @@ def _require_interior_peak(t: TargetFunction, c: float) -> None:
     raise NotIntegrable(f"transform diverges for a={a:g}, b={b:g}, c={c:g}")
 
 
-def locate_peak(t: TargetFunction, c: float, s):
+def locate_peak(t, c: float, s):
     """Stationary point u* = x_peak*psi(s) of g for the pure power a*x**b of
     the target: its argmax in closed form, near a perturbed target's argmax,
     which no search refines (see the module docstring).  Given a 1-D array of
@@ -156,9 +157,8 @@ def locate_peak(t: TargetFunction, c: float, s):
     if not (s_rows > 0.0).all():
         raise DomainError("s must be positive")
     _require_interior_peak(t, c)
-    b = t.power_exponent
-    x_peak = _x_peak(t.a, b, c)
-    peaks = [x_peak * psi_for_s(b, si) for si in s_rows.tolist()]
+    x_peak = _x_peak(t.a, t.b, c)
+    peaks = [x_peak * psi_for_s(t.b, si) for si in s_rows.tolist()]
     bad = [si for si, u in zip(s_rows.tolist(), peaks) if not 0.0 < u < math.inf]
     if bad:
         raise NumericOverflow(f"stationary point of g at s={bad[0]:g} is not representable")
@@ -177,7 +177,7 @@ def _row_blocks(sizes: list[int]):
         i = j
 
 
-def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
+def _prepare_windows(t, c: float, s: np.ndarray):
     """Centre each row on locate_peak's u* and extend its v-window to the first
     probed edges -+k*h, h the row's step, where the v-integrand is
     FRONTIER_DROP nats below m = g(u*), which is at most the peak of g; returns
@@ -189,7 +189,7 @@ def _prepare_windows(t: TargetFunction, c: float, s: np.ndarray):
         NotIntegrable: no edge within _MAX_WINDOW_WIDTHS widths qualifies.
     """
     u_star = np.array(locate_peak(t, c, s))
-    bc = (t.power_exponent - 1.0) * c
+    bc = (t.b - 1.0) * c
     with np.errstate(divide="ignore"):  # bc*u* underflowing to 0 gives h = 1
         h = np.minimum(1.0, np.maximum(_MIN_STEP, 1.0 / np.sqrt(np.abs(bc * u_star))))
     vals = np.empty((s.size, _CENTRE_AND_EDGES.size))
@@ -303,7 +303,7 @@ def _refine_rows(t, c, s, u_star, v_lo, v_hi, m, n0: list[int], tol: float):
     return log_integral, quad_error, tol_met
 
 
-def _exact_log_integral(t: TargetFunction, c: float, s: float) -> float:
+def _exact_log_integral(t, c: float, s: float) -> float:
     """log int_0^inf P(u*s) e^{c*u} du in closed form, for a measure target or
     a power target with a = 0, whose P is 1."""
     if isinstance(t, MeasureTarget):
@@ -313,17 +313,23 @@ def _exact_log_integral(t: TargetFunction, c: float, s: float) -> float:
     return -math.log(-c)
 
 
-def refinement_errors(
-    t: TargetFunction, c: float, s: float, n0: int = 32, levels: int = 8
-) -> list[float]:
+def refinement_errors(t, c: float, s: float, n0: int = 32, levels: int = 8) -> list[float]:
     """Successive-refinement error estimates |I_k - I_{k-1}| on log f, from a
     deliberately coarse n0 panels: a diagnostic of the convergence rate.  One
     evaluation on the finest level gives every coarser level off its nodes.
 
     Raises:
-        DomainError: the last level, n0 * 2**(levels - 1) panels, would
-            evaluate more than _MAX_POINTS_PER_CALL nodes.
+        DomainError: n0 or levels is not an integer >= 1, or the last level,
+            n0 * 2**(levels - 1) panels, would evaluate more than
+            _MAX_POINTS_PER_CALL nodes.
     """
+    try:
+        n0, levels = operator.index(n0), operator.index(levels)
+    except TypeError:
+        raise DomainError(
+            f"n0 and levels must be integers, got n0={n0!r}, levels={levels!r}") from None
+    if n0 < 1 or levels < 1:
+        raise DomainError(f"n0 and levels must be >= 1, got n0={n0}, levels={levels}")
     if n0 * 2 ** (levels - 1) + 1 > _MAX_POINTS_PER_CALL:
         raise DomainError(
             f"n0={n0}, levels={levels} exceeds {_MAX_POINTS_PER_CALL} nodes per level")
@@ -333,13 +339,15 @@ def refinement_errors(
     return [float(abs(b - a)) for (a,), (b,) in zip(values, values[1:])]
 
 
-def _transform_rows(t: TargetFunction, c: float, offset: float, s: list, tol: float, psi):
+def _transform_rows(t, c: float, offset: float, s: list, tol: float, psi):
     """log_transform at each s of a batch, with its psi (or None); power
     targets take one engine pass for all rows."""
     if not all(si > 0.0 for si in s):
         raise DomainError("s must be positive")
     if offset < 0.0:
         raise DomainError("offset must be >= 0")
+    if not math.isfinite(offset):
+        raise DomainError(f"offset must be finite, got {offset:g}")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol:g}")
     exact = isinstance(t, MeasureTarget) or getattr(t, "a", None) == 0.0
@@ -355,7 +363,7 @@ def _transform_rows(t: TargetFunction, c: float, offset: float, s: list, tol: fl
         log_f = np.logaddexp(math.log(offset), np.array(log_integral, dtype=float)).tolist()
     else:
         log_f = [float(li) for li in log_integral]
-    b, samples = t.power_exponent, []
+    b, samples = getattr(t, "b", None), []
     for si, psi_i, lf, err, met in zip(s, psi, log_f, quad_error, tol_met):
         if psi_i is None:
             psi_i = psi_for_s(b, si) if b not in (None, 0.0, 1.0) else float("nan")
@@ -364,7 +372,7 @@ def _transform_rows(t: TargetFunction, c: float, offset: float, s: list, tol: fl
 
 
 def log_transform(
-    t: TargetFunction,
+    t,
     c: float,
     offset: float,
     s: float,
@@ -381,7 +389,8 @@ def log_transform(
         NotIntegrable: integrand diverges at an endpoint.
         NoInteriorPeak: power integrand monotone (see locate_peak).
         EmptyMeasure: measure target without atoms.
-        DomainError: s <= 0, offset < 0, or tol not positive and finite.
+        DomainError: s <= 0, offset < 0 or not finite, or tol not positive
+            and finite.
     """
     return _transform_rows(t, c, offset, [s], tol, [None])[0]
 
@@ -424,7 +433,7 @@ def _predictions(p: UnifiedParams, psis: list[float], order: str) -> list[float]
     return values
 
 
-def sample_at_psi(p: UnifiedParams, t: TargetFunction, psi, tol: float = 1e-8):
+def sample_at_psi(p: UnifiedParams, t, psi, tol: float = 1e-8):
     """Evaluate log f at the transform argument matching regime variable psi.
 
     Given a sequence of psi, evaluates all its points in one batched engine

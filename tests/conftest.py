@@ -16,7 +16,7 @@ class KinkedPower(tl.PurePower):
     trapezoid rule converges only algebraically, so rows at small psi refine
     until the engine's node budget stops them.  The library families are
     smooth; this target keeps that path under test.  It is a PurePower by
-    type, with the same a and power_exponent, so verify_equivalence takes it.
+    type, with the same a and b, so verify_equivalence takes it.
     """
 
     k: float = 0.4

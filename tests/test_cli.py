@@ -409,6 +409,15 @@ IN_PROCESS_CASES = {
     "verify-psi-max-inf": (
         ("verify", *K, "--psi-max", "inf"), None, 2,
         "stderr", "error: BadRange: psi_max must be finite"),
+    "validate-offset-negative": (
+        ("validate", *K, "--offset", "-1"), None, 2,
+        "stderr", "error: DomainError: offset must be >= 0\n"),
+    "predict-offset-negative": (
+        ("predict", *K, "--offset", "-1", "--psi", "100"), None, 2,
+        "stderr", "error: DomainError: offset must be >= 0\n"),
+    "verify-offset-negative": (
+        ("verify", *K, "--offset", "-1"), None, 2,
+        "stderr", "error: DomainError: offset must be >= 0\n"),
     "predict-psi-nan": (
         ("predict", *K, "--psi", "nan"), None, 2,
         "stderr", "error: DomainError: psi must be finite"),
