@@ -248,10 +248,11 @@ class EpsilonCheck:
 
 @dataclass(frozen=True)
 class ClassMDiagnostic:
-    """Index diagnostic: is U consistent with pinching index tau?"""
+    """Index diagnostic: is U consistent with pinching index tau?  estimate is
+    the ck_index of the samples it was computed from."""
 
     tau: float
-    tau_sequence: tuple[tuple[float, float], ...]
+    estimate: CkIndexResult
     epsilon_checks: tuple[EpsilonCheck, ...]
 
     @property
@@ -271,37 +272,21 @@ def class_m_check(
 
     Requires at least 8 samples spanning at least 3 decades in x, and at least
     one epsilon.  Verdicts follow the deterministic trend rule, so results are
-    reproducible.
+    reproducible.  The diagnostic carries the samples' ck_index as estimate.
 
     Raises:
-        DomainError: tau is not finite.
+        DomainError: tau is not finite, or a sample that ck_index refuses.
         ValidationError: no epsilon, or one that is not positive and finite.
+        InsufficientSpan: fewer than 8 samples, or a span under 3 decades.
         NumericOverflow: a log trajectory leaves the float range.
     """
-    _require_class_m_inputs(samples, tau, epsilons)
-    return _class_m_diagnostic(ck_index(samples), samples, tau, epsilons)
-
-
-def _require_class_m_inputs(
-    samples: list[tuple[float, float]], tau: float, epsilons: tuple[float, ...]
-) -> None:
-    """class_m_check's refusals that come before the index estimate."""
     if not math.isfinite(tau):
         raise DomainError(f"tau must be finite, got {tau:g}")
     if not epsilons:
         raise ValidationError("need at least one epsilon")
     if len(samples) < _MIN_GRID_POINTS:
         raise InsufficientSpan(f"need >= {_MIN_GRID_POINTS} samples, got {len(samples)}")
-
-
-def _class_m_diagnostic(
-    ck: CkIndexResult,
-    samples: list[tuple[float, float]],
-    tau: float,
-    epsilons: tuple[float, ...],
-) -> ClassMDiagnostic:
-    """class_m_check on inputs _require_class_m_inputs accepted, ck being
-    ck_index(samples), which validates x > 1 and U > 0."""
+    estimate = ck_index(samples)  # validates x > 1 and U > 0
     order = sorted(range(len(samples)), key=lambda i: samples[i][0])
     xs = np.asarray([samples[i][0] for i in order], dtype=float)
     us = np.asarray([samples[i][1] for i in order], dtype=float)
@@ -331,11 +316,7 @@ def _class_m_diagnostic(
                 lower_verdict=_trend_verdict(lower),
             )
         )
-    return ClassMDiagnostic(
-        tau=float(tau),
-        tau_sequence=ck.points,
-        epsilon_checks=tuple(checks),
-    )
+    return ClassMDiagnostic(tau=float(tau), estimate=estimate, epsilon_checks=tuple(checks))
 
 
 @dataclass(frozen=True)

@@ -228,19 +228,18 @@ def cmd_classical(args) -> int:
 def cmd_ck_index(args) -> int:
     """Log-quotient index estimates from tabulated (x, U) samples."""
     samples = measures._load_pairs(args.input)  # any order; ck_index sorts
-    result = asymptotics.ck_index(samples)
+    if args.tau is None:
+        diag, result = None, asymptotics.ck_index(samples)
+    else:
+        diag = asymptotics.class_m_check(samples, args.tau, tuple(args.epsilon or (0.5, 1.0)))
+        result = diag.estimate
     print("x tau_hat")
     for x, t in result.points:
         print(f"{report.fmt(x)} {report.fmt(t)}")
     print(f"tau_at_top = {report.fmt(result.tau_at_top)}")
     print(f"spread_last_quarter = {report.fmt(result.spread_last_quarter)}")
-    if args.tau is None:
+    if diag is None:
         return 0
-    # class_m_check without its second ck_index: the index estimate printed
-    # above is the one the diagnostic reads.
-    eps = tuple(args.epsilon or (0.5, 1.0))
-    asymptotics._require_class_m_inputs(samples, args.tau, eps)
-    diag = asymptotics._class_m_diagnostic(result, samples, args.tau, eps)
     for chk in diag.epsilon_checks:
         print(
             f"epsilon {report.fmt(chk.epsilon)}: upper {chk.upper_verdict.value}, "
@@ -334,7 +333,6 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except TauberError as exc:
-        sys.stdout.flush()  # what a command printed stays ahead of its error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _EXIT_INPUT_ERROR
 

@@ -15,6 +15,7 @@ with '#' ignored.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -278,6 +279,10 @@ def _geometric_grid(x_min: float, x_max: float, n: int) -> np.ndarray:
         raise ValidationError("need 0 < x_min < x_max")
     if not x_max < math.inf:
         raise ValidationError(f"x_max must be finite, got {x_max:g}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValidationError(f"n must be an integer, got {n!r}") from None
     if n < 2:
         raise ValidationError("need at least 2 grid points")
     xs = np.exp(np.linspace(math.log(x_min), math.log(x_max), n))

@@ -293,15 +293,20 @@ def recover_primal(d: float, e: float, c: float) -> tuple[float, float]:
     :func:`dual_exponent` to about 1e-9 relative.
 
     Raises:
-        InconsistentInputs: v0 <= 0, v0**b is not a positive float, or the
-            recovered triple fails validation.
+        ZeroRate: c = 0.
+        InconsistentInputs: v0 is not a positive float (c*(b-1) underflowing
+            to 0 included), v0**b is not a positive float, or the recovered
+            triple fails validation.
     """
     d, e, c = float(d), float(e), float(c)
     _require_finite(d=d, e=e, c=c)
+    if c == 0.0:
+        raise ZeroRate("transform rate c must be nonzero")
     b = primal_exponent(e)
     if b == 0.0 or b == 1.0:
         raise InconsistentInputs(f"recovered exponent b={b:g} is degenerate")
-    v0 = d * b / (c * (b - 1.0))
+    denominator = c * (b - 1.0)
+    v0 = d * b / denominator if denominator else math.nan
     if not (math.isfinite(v0) and v0 > 0.0):
         raise InconsistentInputs(
             f"stationary point v0 = d*b/(c*(b-1)) = {v0!r} must be positive"
@@ -333,11 +338,12 @@ def h_eval(p: UnifiedParams, x):
 
 
 def _positive_power(base: float, exponent: float, what: str) -> float:
-    """base**exponent, refusing a result that overflows or underflows to 0."""
+    """base**exponent, refusing a result that overflows or underflows to 0,
+    and 0 to a negative power."""
     try:
         # On Python floats: a numpy float64 power warns on overflow, not raises.
         value = float(base) ** float(exponent)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not (math.isfinite(value) and value > 0.0):
         raise NumericOverflow(
@@ -350,11 +356,13 @@ def s_for_psi(b: float, psi: float) -> float:
     """Transform argument s = psi**((1-b)/b) for the regime variable psi.
 
     Raises:
-        DomainError: psi <= 0.
+        DomainError: psi <= 0 or not finite.
         NumericOverflow: s overflows or underflows to 0.
     """
     if psi <= 0.0:
         raise DomainError("psi must be positive")
+    if not math.isfinite(psi):
+        raise DomainError(f"psi must be finite, got {psi:g}")
     return _positive_power(psi, (1.0 - b) / b, "s")
 
 
@@ -362,9 +370,9 @@ def psi_for_s(b: float, s: float) -> float:
     """Regime variable psi = s**(b/(1-b)) for transform argument s.
 
     Raises:
-        DomainError: s <= 0.
+        DomainError: s is not positive (NaN included).
         NumericOverflow: psi overflows or underflows to 0.
     """
-    if s <= 0.0:
+    if not s > 0.0:
         raise DomainError("s must be positive")
     return _positive_power(s, b / (1.0 - b), "psi")

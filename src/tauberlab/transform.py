@@ -54,6 +54,7 @@ import numpy as np
 from .errors import (
     DegenerateExponent,
     DomainError,
+    InconsistentInputs,
     NoInteriorPeak,
     NotIntegrable,
     NumericOverflow,
@@ -439,7 +440,14 @@ def sample_at_psi(p: UnifiedParams, t, psi, tol: float = 1e-8):
     Given a sequence of psi, evaluates all its points in one batched engine
     pass and returns the list of their samples, each equal to the point's
     sample on its own; a sweep raises what its first failing point raises.
+
+    Raises:
+        InconsistentInputs: a power target whose a or b is not p's; s comes
+            from p.b, so it would be sampled off its own regime grid.
     """
+    a, b = getattr(t, "a", None), getattr(t, "b", None)
+    if a is not None and b is not None and (a, b) != (p.a, p.b):
+        raise InconsistentInputs("target log-amplitude is not the validated (a, b) power")
     psis = list(psi) if np.ndim(psi) else [psi]
     try:
         samples = _transform_rows(t, p.c, p.offset, [s_for_psi(p.b, x) for x in psis], tol, psis)

@@ -167,6 +167,10 @@ class TestClassMCheck:
         diag = tl.class_m_check(samples, tau=tau, epsilons=(0.1, 0.5))
         assert diag.consistent
 
+    def test_diagnostic_carries_its_index_estimate(self):
+        samples = _grid_samples(lambda x: 5.0 * x**3, 10.0, 1e24, 32)[::-1]
+        assert tl.class_m_check(samples, 3.0).estimate == tl.ck_index(samples)
+
 
 class TestFitExponent:
     def test_exact_linear_model(self):

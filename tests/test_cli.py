@@ -451,6 +451,23 @@ def test_cli_in_process(tmp_path, monkeypatch, capsys, args, config, code, strea
     assert fragment in {"stdout": out, "stderr": err}[stream]
 
 
+@pytest.mark.parametrize("samples, flags, fragment", [
+    (CK_SAMPLES, ("--tau", "nan"), "DomainError: tau must be finite, got nan"),
+    (CK_SAMPLES, ("--tau", "2", "--epsilon", "inf"), "epsilons must be positive"),
+    ("".join(CK_SAMPLES.splitlines(keepends=True)[:4]), ("--tau", "2"),
+     "InsufficientSpan: need >= 8 samples, got 4"),
+    # The --tau refusal comes before the samples' own.
+    (CK_SAMPLES + "1\t1\n", ("--tau", "nan"), "tau must be finite"),
+], ids=["tau-nan", "epsilon-inf", "four-samples", "tau-before-samples"])
+def test_ck_index_prints_nothing_before_it_refuses(tmp_path, capsys, samples, flags,
+                                                   fragment):
+    path = tmp_path / "samples.tsv"
+    path.write_text(samples, encoding="utf-8")
+    code, out, err = invoke(capsys, "ck-index", "--input", str(path), *flags)
+    assert (code, out) == (2, "")
+    assert fragment in err
+
+
 # Every command and the flags its --help must list; the group's --help lists
 # the commands.
 _CLASSICAL_FLAGS = ("--alpha", "--B", "--beta", "--rate", "--config")

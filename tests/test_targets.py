@@ -94,6 +94,38 @@ REFUSALS = {
         _refinement(n0=-4), tl.DomainError, "n0 and levels must be >= 1"),
     "refinement-n0-float": (
         _refinement(n0=32.0), tl.DomainError, "n0 and levels must be integers"),
+    # a*b overflows, so the base of x_peak, -c/(a*b), is 0.0.
+    "log-transform-x-peak-base-zero": (
+        lambda: tl.log_transform(tl.PurePower(-1e308, -64.0), -1.0, 0.0, 1.0),
+        tl.NumericOverflow, "saddle location x_peak = 0"),
+    # -c/(a*b) underflows to 0.0.
+    "log-transform-x-peak-base-underflow": (
+        lambda: tl.log_transform(tl.PurePower(-1e200, -3.0), -1e-200, 0.0, 1.0),
+        tl.NumericOverflow, "saddle location x_peak = 0"),
+    "recover-primal-c-zero": (
+        lambda: tl.recover_primal(1.0, 1.0, 0.0), tl.ZeroRate, "c must be nonzero"),
+    "recover-primal-c-times-b-minus-1-underflow": (
+        lambda: tl.recover_primal(1.0, 1.0, 5e-324), tl.InconsistentInputs,
+        "stationary point v0"),
+    "quantize-cumulative-float-n": (
+        lambda: tl.quantize_cumulative(lambda x: min(x, 1.0), 1.0, 4.0, 4.5),
+        tl.ValidationError, "n must be an integer, got 4.5"),
+    "quantize-tail-float-n": (
+        lambda: tl.quantize_tail(lambda x: max(4.0 - x, 0.0), 1.0, 4.0, 4.5),
+        tl.ValidationError, "n must be an integer, got 4.5"),
+    "sample-at-psi-nan": (
+        lambda: tl.sample_at_psi(tl.validate(2, 0.5, -1), tl.PurePower(2, 0.5), math.nan),
+        tl.DomainError, "psi must be finite, got nan"),
+    "sample-at-psi-inf": (
+        lambda: tl.sample_at_psi(tl.validate(2, 0.5, -1), tl.PurePower(2, 0.5), math.inf),
+        tl.DomainError, "psi must be finite, got inf"),
+    "s-for-psi-nan": (
+        lambda: tl.s_for_psi(0.5, math.nan), tl.DomainError, "psi must be finite, got nan"),
+    "psi-for-s-nan": (
+        lambda: tl.psi_for_s(0.5, math.nan), tl.DomainError, "s must be positive"),
+    "sample-at-psi-other-power": (
+        lambda: tl.sample_at_psi(tl.validate(2, 0.5, -1), tl.PurePower(2, 0.25), 100.0),
+        tl.InconsistentInputs, "target log-amplitude is not the validated"),
 }
 
 
