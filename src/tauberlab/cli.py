@@ -13,7 +13,8 @@ Usage:
     tauberlab measure --file atoms.tsv --variant kohlbecker --lam 10
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 input or configuration error.
+2 input or configuration error, or an --out or --csv file that cannot be
+written.  The files are written before anything is printed.
 
 Options may also come from a config file of ``key = value`` lines via
 ``--config``; explicit flags override file values.  The config keys are
@@ -34,7 +35,7 @@ import sys
 from pathlib import Path
 
 from . import asymptotics, classical, measures, params, report, targets, transform
-from .errors import ConfigParseError, TauberError
+from .errors import ConfigParseError, TauberError, ValidationError
 
 __all__ = ["main", "run"]
 
@@ -153,8 +154,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(path: str | None, text: str) -> None:
-    if path is not None:
+    """Write text to path, if given; a failed write is a ValidationError."""
+    if path is None:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _print_pairs(pairs) -> None:
@@ -165,12 +171,11 @@ def _print_pairs(pairs) -> None:
 def cmd_validate(args) -> int:
     """Validate parameters and print the derived dual quantities."""
     p = Options(args).params()
-    saddle = params.saddle_analysis(p)
     stated, _ = params.d_variants(p.a, p.b, p.c)
     _print_pairs([
         ("a", p.a), ("b", p.b), ("c", p.c), ("offset", p.offset),
         ("regime", p.regime.value), ("d", p.d), ("dual_exp", p.dual_exp),
-        ("x_peak", saddle.x_peak), ("curvature", saddle.curvature),
+        ("x_peak", p.saddle.x_peak), ("curvature", p.saddle.curvature),
         ("d_stated_variant", stated),
     ])
     return 0
@@ -187,17 +192,17 @@ def cmd_verify(args) -> int:
     """Sweep the transform and check the equivalence forward and backward."""
     rep = Options(args).verify()
     text = report.render_report(rep, title="verify")
-    print(text, end="")
     _write(args.out, text)
     _write(args.csv, report.render_samples_csv(rep))
+    print(text, end="")
     return 0 if rep.passed else _EXIT_VERIFY_FAILED
 
 
 def cmd_sweep(args) -> int:
     """Emit the sweep sample table without pass/fail judgment."""
     csv_text = report.render_samples_csv(Options(args).verify())
-    print(csv_text, end="")
     _write(args.csv, csv_text)
+    print(csv_text, end="")
     return 0
 
 
@@ -205,8 +210,8 @@ def cmd_invert(args) -> int:
     """Recover (a, b) from the fitted transform sweep and report the gaps."""
     rep = Options(args).verify()
     text = report.render_report(rep, title="invert")
-    print(text, end="")
     _write(args.out, text)
+    print(text, end="")
     return 0 if rep.inverse_passed else _EXIT_VERIFY_FAILED
 
 

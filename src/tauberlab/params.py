@@ -44,8 +44,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DegenerateExponent,
     DomainError,
@@ -62,13 +60,11 @@ __all__ = [
     "UnifiedParams",
     "SaddlePoint",
     "validate",
-    "compute_d",
     "d_variants",
     "saddle_analysis",
     "dual_exponent",
     "primal_exponent",
     "recover_primal",
-    "h_eval",
     "s_for_psi",
     "psi_for_s",
     "MAX_ABS_EXPONENT",
@@ -179,13 +175,6 @@ def _dual_coefficient(a: float, b: float, c: float) -> float:
     return d
 
 
-def compute_d(a: float, b: float, c: float) -> float:
-    """Dual coefficient d = a*(1-b)*(-c/(a*b))**(b/(b-1)) = a*x_peak**b + c*x_peak,
-    the form of the classical coefficient identities (see :func:`d_variants` for
-    the reciprocal-base reading); a zero, subnormal or infinite d is refused."""
-    return _dual_coefficient(*_check_admissible(a, b, c))
-
-
 def d_variants(a: float, b: float, c: float) -> tuple[float, float]:
     """Audit pair (d_stated, d_consistent) of the two dual-coefficient readings.
 
@@ -195,8 +184,8 @@ def d_variants(a: float, b: float, c: float) -> tuple[float, float]:
         d_stated     = a*(1-b) * (-a*b/c)**(b/(b-1))
         d_consistent = a*(1-b) * (-a*b/c)**(b/(1-b))
 
-    The two coincide exactly when |-a*b/c| = 1.  ``d_consistent`` is the value
-    of :func:`compute_d` and is the variant certified by the quadrature engine;
+    The two coincide exactly when |-a*b/c| = 1.  ``d_consistent`` is the d of
+    :func:`validate` and is the variant certified by the quadrature engine;
     ``d_stated`` is reported, not checked: +-inf or 0 outside the float range.
     """
     a, b, c = _check_admissible(a, b, c)
@@ -289,7 +278,7 @@ def recover_primal(d: float, e: float, c: float) -> tuple[float, float]:
     """Invert (d, dual exponent e, rate c) back to the primal pair (a, b).
 
     Uses b = e/(1+e), the positive stationary point v0 = d*b/(c*(b-1)) and
-    a = (d - c*v0)/v0**b.  Round-trips with :func:`compute_d` and
+    a = (d - c*v0)/v0**b.  Round-trips with the d of :func:`validate` and
     :func:`dual_exponent` to about 1e-9 relative.
 
     Raises:
@@ -324,19 +313,6 @@ def recover_primal(d: float, e: float, c: float) -> tuple[float, float]:
     return a, b
 
 
-def h_eval(p: UnifiedParams, x):
-    """Evaluate h(x) = a*x**b + c*x - d for x > 0 (scalar or array); raises
-    NumericOverflow where h is not a finite float."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("h is defined for finite x > 0 only")
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = p.a * arr**p.b + p.c * arr - p.d
-    if not np.all(np.isfinite(values)):
-        raise NumericOverflow("h(x) is not a finite float on the given points")
-    return float(values) if np.isscalar(x) or arr.ndim == 0 else values
-
-
 def _positive_power(base: float, exponent: float, what: str) -> float:
     """base**exponent, refusing a result that overflows or underflows to 0,
     and 0 to a negative power."""
@@ -355,24 +331,33 @@ def _positive_power(base: float, exponent: float, what: str) -> float:
 def s_for_psi(b: float, psi: float) -> float:
     """Transform argument s = psi**((1-b)/b) for the regime variable psi.
 
+    A subnormal s keeps fewer than 53 bits, so a transform evaluated there
+    would not be the one at psi; it is refused, as a subnormal d is.
+
     Raises:
         DomainError: psi <= 0 or not finite.
-        NumericOverflow: s overflows or underflows to 0.
+        NumericOverflow: s overflows, or is subnormal or 0.
     """
     if psi <= 0.0:
         raise DomainError("psi must be positive")
     if not math.isfinite(psi):
         raise DomainError(f"psi must be finite, got {psi:g}")
-    return _positive_power(psi, (1.0 - b) / b, "s")
+    exponent = (1.0 - b) / b
+    s = _positive_power(psi, exponent, "s")
+    if s < sys.float_info.min:
+        raise NumericOverflow(f"s = {psi:g}**{exponent:g} = {s:g} is subnormal")
+    return s
 
 
 def psi_for_s(b: float, s: float) -> float:
     """Regime variable psi = s**(b/(1-b)) for transform argument s.
 
     Raises:
-        DomainError: s is not positive (NaN included).
+        DomainError: s is not positive (NaN included) or not finite.
         NumericOverflow: psi overflows or underflows to 0.
     """
     if not s > 0.0:
         raise DomainError("s must be positive")
+    if s == math.inf:
+        raise DomainError("s must be finite, got inf")
     return _positive_power(s, b / (1.0 - b), "psi")

@@ -33,7 +33,9 @@ call evaluates at most _MAX_POINTS_PER_CALL nodes, in blocks of whole rows:
 a row whose next level would not fit stops refining with tol_met=False and
 its last level difference as quad_error.  No search refines u*.
 s = psi**((1-b)/b) is not a float at large psi once |b| is below about
-0.05, so the engine, which works at s, refuses those points (NumericOverflow).
+0.05, and for b < 0 it turns subnormal, keeping fewer than 53 bits, before
+it underflows (from psi about 6.7e153 at b = -1).  The engine works at s, so
+sample_at_psi refuses those points (NumericOverflow).
 
 Every step runs on all rows (s values) of a sweep at once: the centre and
 frontier block and each refinement step are each one vector evaluation of g
@@ -46,7 +48,6 @@ log f = m + log u* + log(integral), combined with the offset in log space.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,6 @@ __all__ = [
     "log_transform",
     "predict_log_f",
     "sample_at_psi",
-    "refinement_errors",
     "FRONTIER_DROP",
 ]
 
@@ -229,22 +229,22 @@ def _log_trapezoid(vals: np.ndarray, pad, width, m, lo, hi) -> list[float]:
     return [a + math.log(v) for a, v in zip((m + peak).tolist(), scaled.tolist())]
 
 
-def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int], levels: int = 2):
+def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]):
     """log of the shifted trapezoid estimates of int exp(g(u*e^v) + v) dv on
-    n[i] >> k panels for row i, every k < levels, from one evaluation of g on
-    n[i] panels; returns one list of row estimates per k.
+    n[i] and n[i] // 2 panels for row i (n[i] even), from one evaluation of g
+    on n[i] panels; returns the lists (fine, coarse) of row estimates.
 
     Row i's n[i] + 1 nodes follow row i-1's in one flat array, in blocks of
     whole rows of at most _MAX_POINTS_PER_CALL nodes.  Row i takes
     np.linspace(v_lo[i], v_hi[i], n[i] + 1) by linspace's own expressions.
-    Its node j*2**k, j*2**k*((hi-lo)/n), equals j*((hi-lo)/(n >> k)) bit for
-    bit, the step scaling by a power of two exactly, so level k reads its
-    nodes off every 2**k-th node and equals its own evaluation bit for bit.
-    Each level puts a pad slot of -inf ahead of each row: the fine level by
-    one masked copy, a coarse level by the gather that reads its nodes off
-    the fine level, pointing its pads at the fine pads.
+    Its node 2j, 2j*((hi-lo)/n), equals j*((hi-lo)/(n/2)) bit for bit, the
+    step scaling by 2 exactly, so the coarse level reads its nodes off the
+    even nodes and equals its own evaluation bit for bit.  Each level puts a
+    pad slot of -inf ahead of each row: the fine level by one masked copy,
+    the coarse level by the gather that reads its nodes off the fine level,
+    pointing its pads at the fine pads.
     """
-    out = [[] for _ in range(levels)]
+    fine_rows, coarse_rows = [], []
     for i, j in _row_blocks([k + 1 for k in n]):
         lo, hi, mi, ni = v_lo[i:j], v_hi[i:j], m[i:j], n[i:j]
         width = np.array(ni) + 1
@@ -266,18 +266,18 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int], levels: int = 
         fine[keep] = vals
         fine[pad] = -np.inf
         del vals, keep
-        for k in range(levels - 1, 0, -1):  # coarse levels copy their nodes first
-            wk = np.array([x >> k for x in ni]) + 2
-            q = np.cumsum(wk) - wk
-            # Slot p of the row padded at coarse slot q and fine slot pad
-            # reads fine slot pad + 1 + (p - q - 1) * 2**k; slot q reads pad.
-            node = np.arange(q[-1] + wk[-1]) << k
-            node += np.repeat(pad + 1 - ((q + 1) << k), wk)
-            node[q] = pad
-            out[k] += _log_trapezoid(fine[node], q, wk, mi, lo, hi)
-        out[0] += _log_trapezoid(fine, pad, width + 1, mi, lo, hi)
+        # The coarse level copies its nodes first: n // 2 + 1 nodes and a
+        # pad per row.  Slot p of the row padded at coarse slot q and fine
+        # slot pad reads fine slot pad + 1 + (p - q - 1) * 2; slot q reads pad.
+        wk = (width - 1) // 2 + 2
+        q = np.cumsum(wk) - wk
+        node = np.arange(q[-1] + wk[-1]) * 2
+        node += np.repeat(pad + 1 - (q + 1) * 2, wk)
+        node[q] = pad
+        coarse_rows += _log_trapezoid(fine[node], q, wk, mi, lo, hi)
+        fine_rows += _log_trapezoid(fine, pad, width + 1, mi, lo, hi)
         del fine  # before the next block allocates its own
-    return out
+    return fine_rows, coarse_rows
 
 
 def _refine_rows(t, c, s, u_star, v_lo, v_hi, m, n0: list[int], tol: float):
@@ -312,32 +312,6 @@ def _exact_log_integral(t, c: float, s: float) -> float:
     if not c < 0.0:
         raise NotIntegrable("P = 1 needs c < 0")
     return -math.log(-c)
-
-
-def refinement_errors(t, c: float, s: float, n0: int = 32, levels: int = 8) -> list[float]:
-    """Successive-refinement error estimates |I_k - I_{k-1}| on log f, from a
-    deliberately coarse n0 panels: a diagnostic of the convergence rate.  One
-    evaluation on the finest level gives every coarser level off its nodes.
-
-    Raises:
-        DomainError: n0 or levels is not an integer >= 1, or the last level,
-            n0 * 2**(levels - 1) panels, would evaluate more than
-            _MAX_POINTS_PER_CALL nodes.
-    """
-    try:
-        n0, levels = operator.index(n0), operator.index(levels)
-    except TypeError:
-        raise DomainError(
-            f"n0 and levels must be integers, got n0={n0!r}, levels={levels!r}") from None
-    if n0 < 1 or levels < 1:
-        raise DomainError(f"n0 and levels must be >= 1, got n0={n0}, levels={levels}")
-    if n0 * 2 ** (levels - 1) + 1 > _MAX_POINTS_PER_CALL:
-        raise DomainError(
-            f"n0={n0}, levels={levels} exceeds {_MAX_POINTS_PER_CALL} nodes per level")
-    row = np.array([s], dtype=float)
-    window = _prepare_windows(t, c, row)[:-1]
-    values = _trapezoid_rows(t, c, row, *window, [n0 * 2 ** (levels - 1)], levels)[::-1]
-    return [float(abs(b - a)) for (a,), (b,) in zip(values, values[1:])]
 
 
 def _transform_rows(t, c: float, offset: float, s: list, tol: float, psi):

@@ -451,6 +451,23 @@ def test_cli_in_process(tmp_path, monkeypatch, capsys, args, config, code, strea
     assert fragment in {"stdout": out, "stderr": err}[stream]
 
 
+@pytest.mark.parametrize("args", [
+    ("verify", *K, "--out", "nodir/x"),
+    ("verify", *K, "--csv", "nodir/x"),
+    ("sweep", *K, "--csv", "nodir/x"),
+    ("invert", *K, "--out", "nodir/x"),
+], ids=["verify-out", "verify-csv", "sweep-csv", "invert-out"])
+def test_a_failed_write_is_refused_before_any_output(tmp_path, monkeypatch, capsys, args):
+    # The files are written before the report is printed, so a path that
+    # cannot be written exits 2 with nothing on stdout, not 1 (a failed
+    # verification) after the report.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ValidationError: cannot write nodir/x: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("samples, flags, fragment", [
     (CK_SAMPLES, ("--tau", "nan"), "DomainError: tau must be finite, got nan"),
     (CK_SAMPLES, ("--tau", "2", "--epsilon", "inf"), "epsilons must be positive"),

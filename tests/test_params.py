@@ -16,6 +16,11 @@ CANONICAL = {
 }
 
 
+def _h(p, x):
+    """The saddle function h(x) = a*x**b + c*x - d from p's own fields."""
+    return p.a * x**p.b + p.c * x - p.d
+
+
 def _random_triples(rng, regime, n):
     """Admissible (a, b, c) with magnitudes in [0.1, 10] and regime signs."""
     mag_a = rng.uniform(0.1, 10.0, n)
@@ -110,24 +115,26 @@ class TestValidate:
 
 
 class TestComputeD:
+    """The d that validate computes."""
+
     @pytest.mark.parametrize(
         "a,b,c,expected",
         [(-1.0, 2.0, 1.0, 0.25), (2.0, 0.5, -1.0, 1.0), (-1.0, -1.0, -1.0, -2.0)],
     )
     def test_examples(self, a, b, c, expected):
-        assert tl.compute_d(a, b, c) == pytest.approx(expected, rel=1e-12)
+        assert tl.validate(a, b, c).d == pytest.approx(expected, rel=1e-12)
 
     def test_kasahara_d_matches_classical_coefficient(self):
         # (1-alpha)*(alpha/B)**(alpha/(1-alpha)), alpha=0.5, B=1.
         alpha, B = 0.5, 1.0
         classical = (1.0 - alpha) * (alpha / B) ** (alpha / (1.0 - alpha))
-        assert tl.compute_d(-1.0, 2.0, 1.0) == pytest.approx(classical, rel=1e-14)
+        assert tl.validate(-1.0, 2.0, 1.0).d == pytest.approx(classical, rel=1e-14)
 
     def test_agrees_with_value_form_on_random_triples(self):
         rng = np.random.default_rng(1234)
         for regime in ("kohlbecker", "kasahara", "de-bruijn"):
             for a, b, c in _random_triples(rng, regime, 300):
-                d = tl.compute_d(a, b, c)
+                d = tl.validate(a, b, c).d
                 x = (-c / (a * b)) ** (1.0 / (b - 1.0))
                 value_form = a * x**b + c * x
                 assert d == pytest.approx(value_form, rel=1e-12)
@@ -150,7 +157,7 @@ class TestDVariants:
         for regime in ("kohlbecker", "kasahara", "de-bruijn"):
             for a, b, c in _random_triples(rng, regime, 100):
                 _, consistent = tl.d_variants(a, b, c)
-                assert consistent == pytest.approx(tl.compute_d(a, b, c), rel=1e-12)
+                assert consistent == pytest.approx(tl.validate(a, b, c).d, rel=1e-12)
 
     @pytest.mark.parametrize(
         "a,b,c,stated,consistent",
@@ -182,7 +189,7 @@ class TestNumpyInputs:
     converts it, so no numpy RuntimeWarning (an error under the suite's
     warning filter) stands in for the refusal."""
 
-    @pytest.mark.parametrize("fn", [tl.validate, tl.compute_d])
+    @pytest.mark.parametrize("fn", [tl.validate])
     def test_unrepresentable_d_refused(self, fn):
         with pytest.raises(tl.NumericOverflow, match="dual coefficient not representable"):
             fn(np.float64(1e8), 0.9999, -93220735.51272528)
@@ -206,9 +213,10 @@ class TestSaddle:
         ],
     )
     def test_examples(self, a, b, c, x_peak, curvature):
-        sp = tl.saddle_analysis(tl.validate(a, b, c))
+        p = tl.validate(a, b, c)
+        sp = tl.saddle_analysis(p)
         assert sp.x_peak == pytest.approx(x_peak, rel=1e-12)
-        assert abs(sp.h_at_max) <= 1e-10 * abs(tl.compute_d(a, b, c))
+        assert abs(sp.h_at_max) <= 1e-10 * abs(p.d)
         assert sp.curvature == pytest.approx(curvature, rel=1e-12)
 
     def test_invariants_on_random_triples(self):
@@ -221,7 +229,7 @@ class TestSaddle:
                 assert abs(sp.h_at_max) <= 1e-10 * scale
                 assert sp.curvature < 0.0
                 grid = sp.x_peak * np.logspace(-2, 2, 64)
-                assert np.all(tl.h_eval(p, grid) <= 1e-12 * scale)
+                assert np.all(_h(p, grid) <= 1e-12 * scale)
                 assert math.copysign(1.0, p.d) == math.copysign(1.0, p.b)
 
     @pytest.mark.parametrize(
@@ -308,7 +316,7 @@ class TestRecoverPrimal:
         rng = np.random.default_rng(55)
         for regime in ("kohlbecker", "kasahara", "de-bruijn"):
             for a, b, c in _random_triples(rng, regime, 300):
-                d = tl.compute_d(a, b, c)
+                d = tl.validate(a, b, c).d
                 a_hat, b_hat = tl.recover_primal(d, tl.dual_exponent(b), c)
                 assert a_hat == pytest.approx(a, rel=1e-9)
                 assert b_hat == pytest.approx(b, rel=1e-9)
@@ -342,28 +350,17 @@ class TestRecoverPrimal:
 
 
 class TestHEval:
+    """h evaluated from the fields that validate returns."""
+
     def test_examples(self):
         p = tl.validate(2.0, 0.5, -1.0)
-        assert tl.h_eval(p, 1.0) == pytest.approx(0.0, abs=1e-12)
-        assert tl.h_eval(p, 4.0) == pytest.approx(-1.0, rel=1e-12)
+        assert _h(p, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert _h(p, 4.0) == pytest.approx(-1.0, rel=1e-12)
 
     def test_zero_at_peak_for_any_valid_params(self):
         for a, b, c, *_ in CANONICAL.values():
             p = tl.validate(a, b, c)
-            x_peak = tl.saddle_analysis(p).x_peak
-            assert abs(tl.h_eval(p, x_peak)) <= 1e-10
-
-    def test_domain_error(self):
-        p = tl.validate(2.0, 0.5, -1.0)
-        for x in (0.0, -1.0):
-            with pytest.raises(tl.DomainError):
-                tl.h_eval(p, x)
-
-    def test_overflow_raises_instead_of_warning(self):
-        p = tl.validate(-1.0, 2.0, 1.0)
-        for x in (1e200, np.array([1.0, 1e200])):
-            with pytest.raises(tl.NumericOverflow):
-                tl.h_eval(p, x)
+            assert abs(_h(p, p.saddle.x_peak)) <= 1e-10
 
 
 class TestPsiMaps:

@@ -1,5 +1,6 @@
 """The package's public surface and the functions the benchmark wraps."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -42,3 +43,17 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     # wraps, or the benchmark's per-layer metrics lose their spans.
     names = {rec[tracer_mod.NAME] for rec in tracer.spans}
     assert {"transform.sample_at_psi", "transform.locate_peak"} <= names
+
+
+def test_params_imports_no_numpy_and_the_deleted_names_stay_gone():
+    # params is pure Python floats, so a command that only validates need not
+    # load numpy.
+    tree = ast.parse(Path(params.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "numpy"], imported
+    for name in ("h_eval", "compute_d", "refinement_errors"):
+        assert name not in tl.__all__
+        assert not any(hasattr(m, name) for m in MODULES), name

@@ -62,10 +62,6 @@ def test_a_grid_built_from_a_list_holds_python_floats():
         report.render_report(tl.verify_equivalence(p, target, grid)))
 
 
-def _refinement(**kw):
-    return lambda: tl.refinement_errors(tl.PurePower(2.0, 0.5), -1.0, 1.0, **kw)
-
-
 # (callable, refusal class, message fragment)
 REFUSALS = {
     "validate-offset-negative": (
@@ -87,13 +83,6 @@ REFUSALS = {
     "quantize-x-max-inf": (
         lambda: tl.quantize_cumulative(lambda x: min(x, 1.0), 1.0, math.inf, 4),
         tl.ValidationError, "x_max must be finite, got inf"),
-    "refinement-levels-zero": (
-        _refinement(levels=0), tl.DomainError, "n0 and levels must be >= 1"),
-    "refinement-n0-zero": (_refinement(n0=0), tl.DomainError, "n0 and levels must be >= 1"),
-    "refinement-n0-negative": (
-        _refinement(n0=-4), tl.DomainError, "n0 and levels must be >= 1"),
-    "refinement-n0-float": (
-        _refinement(n0=32.0), tl.DomainError, "n0 and levels must be integers"),
     # a*b overflows, so the base of x_peak, -c/(a*b), is 0.0.
     "log-transform-x-peak-base-zero": (
         lambda: tl.log_transform(tl.PurePower(-1e308, -64.0), -1.0, 0.0, 1.0),
@@ -123,6 +112,14 @@ REFUSALS = {
         lambda: tl.s_for_psi(0.5, math.nan), tl.DomainError, "psi must be finite, got nan"),
     "psi-for-s-nan": (
         lambda: tl.psi_for_s(0.5, math.nan), tl.DomainError, "s must be positive"),
+    "psi-for-s-inf": (
+        lambda: tl.psi_for_s(0.5, math.inf), tl.DomainError, "s must be finite, got inf"),
+    "log-transform-s-inf": (
+        lambda: tl.log_transform(tl.PurePower(2.0, 0.5), -1.0, 0.0, math.inf),
+        tl.DomainError, "s must be finite, got inf"),
+    # s = 1e154**-2 = 1e-308 keeps fewer than 53 bits.
+    "s-for-psi-subnormal": (
+        lambda: tl.s_for_psi(-1.0, 1e154), tl.NumericOverflow, "is subnormal"),
     "sample-at-psi-other-power": (
         lambda: tl.sample_at_psi(tl.validate(2, 0.5, -1), tl.PurePower(2, 0.25), 100.0),
         tl.InconsistentInputs, "target log-amplitude is not the validated"),
@@ -140,5 +137,3 @@ def test_numeric_inputs_are_refused_without_warnings(call, error, fragment):
 def test_numpy_integers_are_taken_as_counts():
     grid = tl.make_grid(10.0, 1000.0, np.int64(9))
     assert grid == tl.make_grid(10.0, 1000.0, 9)
-    errors = tl.refinement_errors(tl.PurePower(2.0, 0.5), -1.0, 1.0, np.int64(8), np.int32(3))
-    assert errors == tl.refinement_errors(tl.PurePower(2.0, 0.5), -1.0, 1.0, 8, 3)

@@ -4,6 +4,7 @@ import cProfile
 import dataclasses
 import math
 import pstats
+import sys
 from unittest import mock
 
 import mpmath as mp
@@ -644,10 +645,17 @@ class TestLogTransform:
         assert lo[0] == lo[1] and hi[0] == hi[1] and n0[0] == n0[1]
 
     def test_refinement_errors_decrease(self):
-        # Richardson-consistent: the successive-refinement estimate shrinks
-        # (down to the floating-point noise floor) as resolution doubles.
+        # Richardson-consistent: the successive-refinement estimate
+        # |fine - coarse| at n0 * 2**k panels shrinks (down to the
+        # floating-point noise floor) as resolution doubles.
         for target, c, s in [(KOHL, -1.0, 100.0), (DEBR, -1.0, 0.01)]:
-            errs = tl.transform.refinement_errors(target, c, s, n0=4, levels=8)
+            row = np.array([s])
+            window = tl.transform._prepare_windows(target, c, row)[:-1]
+            errs = []
+            for k in range(1, 8):
+                (fine,), (coarse,) = tl.transform._trapezoid_rows(
+                    target, c, row, *window, [4 * 2**k])
+                errs.append(abs(fine - coarse))
             assert errs[0] > 0.0
             floor = 1e-12
             for prev, nxt in zip(errs, errs[1:]):
@@ -655,22 +663,15 @@ class TestLogTransform:
             assert errs[-1] <= 1e-10
 
     def test_refinement_errors_read_every_level_off_one_evaluation(self):
-        # The finest level's every 2**k-th node gives the level of n/2**k
-        # panels, equal to its own evaluation bit for bit.
-        t = _CountingTarget(DEBR)
-        errs = tl.transform.refinement_errors(t, -1.0, 0.01, n0=4, levels=8)
-        assert t.calls == 2  # the centre and frontier, then the finest level
+        # One _trapezoid_rows call gives both levels of a row from one
+        # evaluation: the coarse level is read off the fine level's even
+        # nodes (the _linspace_levels tests pin it to its own evaluation).
         row = np.array([0.01])
         window = tl.transform._prepare_windows(DEBR, -1.0, row)[:-1]
-        values = [tl.transform._trapezoid_rows(DEBR, -1.0, row, *window, [4 * 2**k], 1)[0][0]
-                  for k in range(8)]
-        assert errs == [abs(b - a) for a, b in zip(values, values[1:])]
-
-    def test_refinement_errors_keep_the_node_budget(self):
-        # The last level of n0 * 2**(levels - 1) panels must fit one call.
-        assert len(tl.transform.refinement_errors(KOHL, -1.0, 100.0, n0=32, levels=13)) == 12
-        with pytest.raises(tl.DomainError):
-            tl.transform.refinement_errors(KOHL, -1.0, 100.0, n0=32, levels=14)
+        t = _CountingTarget(DEBR)
+        fine, coarse = tl.transform._trapezoid_rows(t, -1.0, row, *window, [512])
+        assert t.calls == 1 and t.shapes == [(513,)]
+        assert len(fine) == len(coarse) == 1
 
     def test_tolerance_flagged_when_not_met(self, kinked_kasahara):
         # The kinked target at psi = 10: the kink at x = 1 slows the
@@ -745,6 +746,27 @@ class TestExactOracleAtLargePsi:
             b, sa, sc = [(0.5, 1.0, -1.0), (2.0, -1.0, 1.0), (-1.0, -1.0, -1.0)][k % 3]
             a, c = sa * 10.0 ** rng.uniform(-8.0, 8.0), sc * 10.0 ** rng.uniform(-8.0, 8.0)
             self.check(a, b, c, 0.0, 10.0 ** rng.uniform(0.0, 16.0))
+
+
+class TestSubnormalS:
+    """At b = -1, s = psi**-2 turns subnormal from psi about 6.7e153, where it
+    keeps fewer than 53 bits.  A sample meets the exact log f at the psi it
+    was asked for, log(2*psi*K_1(2*psi)) in 40-digit mpmath, or is refused
+    where s is subnormal, never labelled with a psi its s does not carry."""
+
+    @pytest.mark.parametrize("psi", [
+        *(10.0 ** k for k in range(150, 159)), 6.6e153, 6.7e153, 6.71e153, 6.8e153])
+    def test_de_bruijn_samples_meet_the_oracle_at_psi_or_are_refused(self, psi):
+        with mp.workdps(40):
+            x = mp.mpf(psi)
+            exact = float(mp.log(2 * x * mp.besselk(1, 2 * x)))
+            s_subnormal = x**-2 < sys.float_info.min
+        try:
+            smp = tl.sample_at_psi(tl.validate(-1.0, -1.0, -1.0), DEBR, psi)
+        except tl.NumericOverflow:
+            assert s_subnormal, psi
+            return
+        assert abs(smp.log_f - exact) <= 4.0 * math.ulp(exact), (smp, exact)
 
 
 class TestMeasureTransform:
