@@ -230,11 +230,10 @@ def _trend_verdict(log_traj: np.ndarray) -> TrendVerdict:
 
 @dataclass(frozen=True)
 class EpsilonCheck:
-    """Trajectories U/x**(tau+eps) and U/x**(tau-eps) with their verdicts."""
+    """Verdicts on the trajectories U/x**(tau+eps) (upper) and U/x**(tau-eps)
+    (lower)."""
 
     epsilon: float
-    upper_log_trajectory: tuple[float, ...]
-    lower_log_trajectory: tuple[float, ...]
     upper_verdict: TrendVerdict
     lower_verdict: TrendVerdict
 
@@ -287,9 +286,7 @@ def class_m_check(
     if len(samples) < _MIN_GRID_POINTS:
         raise InsufficientSpan(f"need >= {_MIN_GRID_POINTS} samples, got {len(samples)}")
     estimate = ck_index(samples)  # validates x > 1 and U > 0
-    order = sorted(range(len(samples)), key=lambda i: samples[i][0])
-    xs = np.asarray([samples[i][0] for i in order], dtype=float)
-    us = np.asarray([samples[i][1] for i in order], dtype=float)
+    xs, us = np.array(sorted(samples, key=lambda xu: xu[0]), dtype=float).T.copy()
     if xs[-1] / xs[0] < 10.0**_MIN_SPAN_DECADES:
         raise InsufficientSpan(
             f"samples span {math.log10(xs[-1] / xs[0]):.2f} decades, need >= "
@@ -310,8 +307,6 @@ def class_m_check(
         checks.append(
             EpsilonCheck(
                 epsilon=float(eps),
-                upper_log_trajectory=tuple(float(v) for v in upper),
-                lower_log_trajectory=tuple(float(v) for v in lower),
                 upper_verdict=_trend_verdict(upper),
                 lower_verdict=_trend_verdict(lower),
             )

@@ -236,7 +236,8 @@ def cmd_ck_index(args) -> int:
     if args.tau is None:
         diag, result = None, asymptotics.ck_index(samples)
     else:
-        diag = asymptotics.class_m_check(samples, args.tau, tuple(args.epsilon or (0.5, 1.0)))
+        epsilons = {} if args.epsilon is None else {"epsilons": tuple(args.epsilon)}
+        diag = asymptotics.class_m_check(samples, args.tau, **epsilons)
         result = diag.estimate
     print("x tau_hat")
     for x, t in result.points:

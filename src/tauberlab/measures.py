@@ -113,7 +113,7 @@ class TabulatedMeasure:
         return self._suffix[self._atoms_at_or_below(x)]
 
 
-def _rows(text: str, source: str):
+def _rows(text: str, source: str, columns: str):
     """(lineno, first, second) per line of two numeric fields, '#' and blank
     lines skipped, with no rule on the values or their order."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -123,7 +123,7 @@ def _rows(text: str, source: str):
         parts = line.split()
         if len(parts) != 2:
             raise MeasureFormatError(
-                f"{source}:{lineno}: expected 'location<TAB>mass', got {raw!r}"
+                f"{source}:{lineno}: expected '{columns}', got {raw!r}"
             )
         try:
             first, second = float(parts[0]), float(parts[1])
@@ -138,7 +138,7 @@ def parse_measure_text(text: str, source: str = "<string>") -> TabulatedMeasure:
     """Parse the two-column atom format; '#' lines and blank lines ignored."""
     locations: list[float] = []
     masses: list[float] = []
-    for lineno, loc, mass in _rows(text, source):
+    for lineno, loc, mass in _rows(text, source, "location<TAB>mass"):
         if locations and loc <= locations[-1]:
             raise MeasureFormatError(
                 f"{source}:{lineno}: locations must be strictly increasing"
@@ -164,9 +164,9 @@ def load_measure(path: str | Path) -> TabulatedMeasure:
 
 
 def _load_pairs(path: str | Path) -> list[tuple[float, float]]:
-    """The (first, second) rows of a two-column file, in file order."""
+    """The (x, U(x)) rows of a two-column file, in file order."""
     p = Path(path)
-    return [(x, y) for _, x, y in _rows(_read_text(p), str(p))]
+    return [(x, y) for _, x, y in _rows(_read_text(p), str(p), "x<TAB>U(x)")]
 
 
 def _log_sum_shifted(log_terms: np.ndarray) -> float:
@@ -186,19 +186,23 @@ def _require_atoms(m: TabulatedMeasure) -> None:
 
 
 def measure_transform_kohlbecker(m: TabulatedMeasure, lam: float) -> float:
-    """log of sum_i mass_i * exp(-x_i / lam), lam > 0."""
+    """log of sum_i mass_i * exp(-x_i / lam), 0 < lam < inf."""
     _require_atoms(m)
     if not lam > 0.0:
         raise DomainError("lam must be positive")
+    if lam == math.inf:
+        raise DomainError("lam must be finite, got inf")
     with np.errstate(over="ignore"):
         return _log_sum_shifted(m._log_m - m._x / lam)
 
 
 def measure_transform_kasahara(m: TabulatedMeasure, lam: float) -> float:
-    """log of sum_i mass_i * exp(lam * x_i), lam >= 0 (finite atom list)."""
+    """log of sum_i mass_i * exp(lam * x_i), 0 <= lam < inf (finite atom list)."""
     _require_atoms(m)
     if not lam >= 0.0:
         raise DomainError("lam must be >= 0")
+    if lam == math.inf:
+        raise DomainError("lam must be finite, got inf")
     with np.errstate(over="ignore", invalid="ignore"):
         return _log_sum_shifted(m._log_m + lam * m._x)
 
@@ -246,6 +250,8 @@ def kasahara_via_parts(m: TabulatedMeasure, lam: float) -> float:
     _require_atoms(m)
     if not lam >= 0.0:
         raise DomainError("lam must be >= 0")
+    if lam == math.inf:
+        raise DomainError("lam must be finite, got inf")
     # Tail value T_i on (x_{i-1}, x_i) is the mass at locations >= x_i, and
     # log(T_i * (e^hi - e^lo)) is -inf for an empty panel; then log mu(0, inf).
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -128,7 +128,8 @@ def _require_interior_peak(t, c: float) -> None:
 
     For q = a*x**b, perturbed or not, g has one exactly when a*b*c < 0 and
     a*b*(b-1) < 0.  Otherwise g is monotone: decreasing and integrable
-    (NoInteriorPeak) when a < 0, b > 0 and c < 0, else not integrable.
+    (NoInteriorPeak) when c < 0 and a = 0 (where g = c*u) or a < 0 < b, else
+    not integrable.
     """
     a, b = getattr(t, "a", None), getattr(t, "b", None)
     if b is None or a is None:
@@ -137,7 +138,7 @@ def _require_interior_peak(t, c: float) -> None:
         raise DegenerateExponent(f"b = {b:g} leaves g without an interior maximum")
     if a * b * c < 0.0 and a * b * (b - 1.0) < 0.0:
         return
-    if a < 0.0 and b > 0.0 and c < 0.0:
+    if c < 0.0 and (a == 0.0 or a < 0.0 < b):
         raise NoInteriorPeak("log-integrand decreasing on u > 0; no interior maximum")
     raise NotIntegrable(f"transform diverges for a={a:g}, b={b:g}, c={c:g}")
 
@@ -211,6 +212,19 @@ def _prepare_windows(t, c: float, s: np.ndarray):
     return u_star, -h * edge[:, 0], h * edge[:, 1], m, n0
 
 
+def _padded(vals: np.ndarray, start: np.ndarray):
+    """vals, rows laid end to end from slots start, copied with one pad slot
+    of -inf ahead of each row; returns (array, pad), pad[r] being row r's pad
+    slot, its values after it."""
+    pad = start + np.arange(start.size)
+    keep = np.ones(vals.size + start.size, dtype=bool)
+    keep[pad] = False
+    out = np.empty(keep.size)
+    out[keep] = vals
+    out[pad] = -np.inf
+    return out, pad
+
+
 def _log_trapezoid(vals: np.ndarray, pad, width, m, lo, hi) -> list[float]:
     """m + log of the trapezoid sum of exp(vals) on (hi - lo) / n steps, per
     row, row i's n[i] + 1 values of g - m laid end to end in vals (which is
@@ -239,19 +253,19 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]):
     np.linspace(v_lo[i], v_hi[i], n[i] + 1) by linspace's own expressions.
     Its node 2j, 2j*((hi-lo)/n), equals j*((hi-lo)/(n/2)) bit for bit, the
     step scaling by 2 exactly, so the coarse level reads its nodes off the
-    even nodes and equals its own evaluation bit for bit.  Each level puts a
-    pad slot of -inf ahead of each row: the fine level by one masked copy,
-    the coarse level by the gather that reads its nodes off the fine level,
-    pointing its pads at the fine pads.
+    even nodes and equals its own evaluation bit for bit.  A padded fine row
+    takes n[i] + 2 slots, an even count, so every pad sits at an even slot
+    and every even node at an odd one: the odd slots are the coarse nodes,
+    rows end to end, row i's from slot pad[i] // 2.
     """
     fine_rows, coarse_rows = [], []
     for i, j in _row_blocks([k + 1 for k in n]):
-        lo, hi, mi, ni = v_lo[i:j], v_hi[i:j], m[i:j], n[i:j]
-        width = np.array(ni) + 1
+        lo, hi, mi, ni = v_lo[i:j], v_hi[i:j], m[i:j], np.array(n[i:j])
+        width = ni + 1
         start = np.cumsum(width) - width
         # np.repeat(x, width) gives each node its row's x.  In place from
         # here: a fresh large array pays page faults.
-        vs = np.arange(sum(ni) + j - i, dtype=float)
+        vs = np.arange(start[-1] + width[-1], dtype=float)
         vs -= np.repeat(start, width)
         vs *= np.repeat((hi - lo) / (width - 1), width)
         vs += np.repeat(lo, width)
@@ -259,23 +273,10 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]):
         vals = _g_rows(t, c, np.repeat(s[i:j], width), np.repeat(u_star[i:j], width), vs)
         del vs
         vals -= np.repeat(mi, width)
-        pad = start + np.arange(j - i)  # row r's pad slot, its nodes after it
-        keep = np.ones(vals.size + j - i, dtype=bool)
-        keep[pad] = False
-        fine = np.empty(keep.size)
-        fine[keep] = vals
-        fine[pad] = -np.inf
-        del vals, keep
-        # The coarse level copies its nodes first: n // 2 + 1 nodes and a
-        # pad per row.  Slot p of the row padded at coarse slot q and fine
-        # slot pad reads fine slot pad + 1 + (p - q - 1) * 2; slot q reads pad.
-        wk = (width - 1) // 2 + 2
-        q = np.cumsum(wk) - wk
-        node = np.arange(q[-1] + wk[-1]) * 2
-        node += np.repeat(pad + 1 - (q + 1) * 2, wk)
-        node[q] = pad
-        coarse_rows += _log_trapezoid(fine[node], q, wk, mi, lo, hi)
-        fine_rows += _log_trapezoid(fine, pad, width + 1, mi, lo, hi)
+        fine, pad = _padded(vals, start)
+        del vals
+        coarse_rows += _log_trapezoid(*_padded(fine[1::2], pad // 2), ni // 2 + 2, mi, lo, hi)
+        fine_rows += _log_trapezoid(fine, pad, ni + 2, mi, lo, hi)
         del fine  # before the next block allocates its own
     return fine_rows, coarse_rows
 
@@ -304,31 +305,26 @@ def _refine_rows(t, c, s, u_star, v_lo, v_hi, m, n0: list[int], tol: float):
     return log_integral, quad_error, tol_met
 
 
-def _exact_log_integral(t, c: float, s: float) -> float:
-    """log int_0^inf P(u*s) e^{c*u} du in closed form, for a measure target or
-    a power target with a = 0, whose P is 1."""
-    if isinstance(t, MeasureTarget):
-        return _log_integral(t.measure, t.kind, c, s)
-    if not c < 0.0:
-        raise NotIntegrable("P = 1 needs c < 0")
-    return -math.log(-c)
-
-
 def _transform_rows(t, c: float, offset: float, s: list, tol: float, psi):
-    """log_transform at each s of a batch, with its psi (or None); power
-    targets take one engine pass for all rows."""
+    """log_transform at each s of a batch, with its psi (or None): a measure
+    target takes its exact sum, any other target one engine pass for all
+    rows."""
     if not all(si > 0.0 for si in s):
         raise DomainError("s must be positive")
+    if math.inf in s:
+        raise DomainError("s must be finite, got inf")
     if offset < 0.0:
         raise DomainError("offset must be >= 0")
     if not math.isfinite(offset):
         raise DomainError(f"offset must be finite, got {offset:g}")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol:g}")
-    exact = isinstance(t, MeasureTarget) or getattr(t, "a", None) == 0.0
-    log_integral = [_exact_log_integral(t, c, si) for si in s] if exact else []
-    quad_error, tol_met = [0.0] * len(s), [True] * len(s)
-    if s and not exact:
+    if not s:
+        return []
+    if isinstance(t, MeasureTarget):
+        log_integral = [_log_integral(t.measure, t.kind, c, si) for si in s]
+        quad_error, tol_met = [0.0] * len(s), [True] * len(s)
+    else:
         rows = np.array(s, dtype=float)
         window = _prepare_windows(t, c, rows)
         log_integral, quad_error, tol_met = _refine_rows(t, c, rows, *window, tol)
@@ -337,11 +333,11 @@ def _transform_rows(t, c: float, offset: float, s: list, tol: float, psi):
     if offset > 0.0:
         log_f = np.logaddexp(math.log(offset), np.array(log_integral, dtype=float)).tolist()
     else:
-        log_f = [float(li) for li in log_integral]
+        log_f = log_integral
     b, samples = getattr(t, "b", None), []
     for si, psi_i, lf, err, met in zip(s, psi, log_f, quad_error, tol_met):
         if psi_i is None:
-            psi_i = psi_for_s(b, si) if b not in (None, 0.0, 1.0) else float("nan")
+            psi_i = float("nan") if b is None else psi_for_s(b, si)
         samples.append(TransformSample(float(psi_i), float(si), lf, float(err), bool(met)))
     return samples
 
@@ -364,8 +360,8 @@ def log_transform(
         NotIntegrable: integrand diverges at an endpoint.
         NoInteriorPeak: power integrand monotone (see locate_peak).
         EmptyMeasure: measure target without atoms.
-        DomainError: s <= 0, offset < 0 or not finite, or tol not positive
-            and finite.
+        DomainError: s, or tol, not positive and finite, or offset < 0 or not
+            finite.
     """
     return _transform_rows(t, c, offset, [s], tol, [None])[0]
 

@@ -1,5 +1,6 @@
 """Grids, index estimators, exponent fits, and equivalence verification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -170,6 +171,16 @@ class TestClassMCheck:
     def test_diagnostic_carries_its_index_estimate(self):
         samples = _grid_samples(lambda x: 5.0 * x**3, 10.0, 1e24, 32)[::-1]
         assert tl.class_m_check(samples, 3.0).estimate == tl.ck_index(samples)
+
+    def test_shuffled_samples_give_the_sorted_diagnostic(self):
+        # The trend rule reads the samples in increasing x, whatever their
+        # order; each check keeps its epsilon and its two verdicts only.
+        samples = _grid_samples(lambda x: x**2 * (1.0 + 0.5 / math.log(x)), 10.0, 1e9, 16)
+        shuffled = [samples[k] for k in np.random.default_rng(7).permutation(len(samples))]
+        diag = tl.class_m_check(shuffled, 2.0, epsilons=(0.05, 0.5))
+        assert diag == tl.class_m_check(samples, 2.0, epsilons=(0.05, 0.5))
+        assert [f.name for f in dataclasses.fields(tl.EpsilonCheck)] == [
+            "epsilon", "upper_verdict", "lower_verdict"]
 
 
 class TestFitExponent:

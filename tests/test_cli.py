@@ -475,7 +475,8 @@ def test_a_failed_write_is_refused_before_any_output(tmp_path, monkeypatch, caps
      "InsufficientSpan: need >= 8 samples, got 4"),
     # The --tau refusal comes before the samples' own.
     (CK_SAMPLES + "1\t1\n", ("--tau", "nan"), "tau must be finite"),
-], ids=["tau-nan", "epsilon-inf", "four-samples", "tau-before-samples"])
+    (CK_SAMPLES + "1e9 2 3\n", (), "expected 'x<TAB>U(x)', got '1e9 2 3'"),
+], ids=["tau-nan", "epsilon-inf", "four-samples", "tau-before-samples", "bad-line"])
 def test_ck_index_prints_nothing_before_it_refuses(tmp_path, capsys, samples, flags,
                                                    fragment):
     path = tmp_path / "samples.tsv"
@@ -484,6 +485,16 @@ def test_ck_index_prints_nothing_before_it_refuses(tmp_path, capsys, samples, fl
     assert (code, out) == (2, "")
     assert fragment in err
 
+
+
+@pytest.mark.parametrize("variant", ["kohlbecker", "kasahara"])
+def test_measure_refuses_an_infinite_lambda_before_any_output(tmp_path, capsys, variant):
+    path = tmp_path / "atoms.tsv"
+    path.write_text("0\t1\n1\t2\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "measure", "--file", str(path), "--variant", variant,
+                            "--lam", "1", "--lam", "inf")
+    assert (code, out) == (2, "")
+    assert err == "error: DomainError: lam must be finite, got inf\n"
 
 # Every command and the flags its --help must list; the group's --help lists
 # the commands.

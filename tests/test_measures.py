@@ -152,9 +152,11 @@ class TestOverflowRule:
             fn(FAR, 1e10)
 
     def test_nan_exponent_refused(self):
-        # inf * 0 for the atom at the origin.
+        # inf - inf for the panel (1e300, 1.1e300], both edges times lam
+        # beyond the float range.
+        far3 = tl.TabulatedMeasure((0.0, 1e300, 1.1e300), (1.0, 1.0, 1.0))
         with pytest.raises(tl.NumericOverflow, match="nan"):
-            tl.measure_transform_kasahara(FAR, math.inf)
+            tl.kasahara_via_parts(far3, 1e10)
 
     def test_vanishing_term_drops_out(self):
         assert tl.measure_transform_kohlbecker(FAR, 1e-10) == 0.0
@@ -289,13 +291,20 @@ def _ref_left_edges(m):
     return np.concatenate([[locs[0]], locs[:-1]])
 
 
+def _ref_finite_lam(lam):
+    if lam == math.inf:
+        raise tl.DomainError("lam must be finite, got inf")
+
+
 def _ref_kohlbecker(m, lam, locs=None):
+    _ref_finite_lam(lam)
     locs = np.asarray(m.locations) if locs is None else locs
     with np.errstate(over="ignore"):
         return _log_sum_shifted(np.log(np.asarray(m.masses)) - locs / lam)
 
 
 def _ref_kasahara(m, lam, locs=None):
+    _ref_finite_lam(lam)
     locs = np.asarray(m.locations) if locs is None else locs
     with np.errstate(over="ignore", invalid="ignore"):
         return _log_sum_shifted(np.log(np.asarray(m.masses)) + lam * locs)
@@ -312,6 +321,7 @@ def _ref_kasahara_bracket(m, lam):
 
 
 def _ref_parts(m, lam):
+    _ref_finite_lam(lam)
     locs = np.asarray(m.locations)
     above = math.fsum(w for x, w in zip(m.locations, m.masses) if x > 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -117,6 +117,31 @@ REFUSALS = {
     "log-transform-s-inf": (
         lambda: tl.log_transform(tl.PurePower(2.0, 0.5), -1.0, 0.0, math.inf),
         tl.DomainError, "s must be finite, got inf"),
+    "log-transform-measure-s-inf": (
+        lambda: tl.log_transform(tl.MeasureTarget(MEASURE), -1.0, 0.0, math.inf),
+        tl.DomainError, "s must be finite, got inf"),
+    # a = 0 leaves g = c*u: decreasing for c < 0, divergent for c > 0.
+    "log-transform-a-zero-c-negative": (
+        lambda: tl.log_transform(tl.PurePower(0.0, 0.5), -1.0, 0.0, 1.0),
+        tl.NoInteriorPeak, "no interior maximum"),
+    "log-transform-a-zero-c-positive": (
+        lambda: tl.log_transform(tl.PurePower(0.0, 0.5), 1.0, 0.0, 1.0),
+        tl.NotIntegrable, "transform diverges for a=0, b=0.5, c=1"),
+    "measure-kohlbecker-lam-inf": (
+        lambda: tl.measure_transform_kohlbecker(MEASURE, math.inf), tl.DomainError,
+        "lam must be finite, got inf"),
+    "kohlbecker-bracket-lam-inf": (
+        lambda: tl.kohlbecker_panel_bracket(MEASURE, math.inf), tl.DomainError,
+        "lam must be finite, got inf"),
+    "measure-kasahara-lam-inf": (
+        lambda: tl.measure_transform_kasahara(MEASURE, math.inf), tl.DomainError,
+        "lam must be finite, got inf"),
+    "kasahara-bracket-lam-inf": (
+        lambda: tl.kasahara_panel_bracket(MEASURE, math.inf), tl.DomainError,
+        "lam must be finite, got inf"),
+    "kasahara-via-parts-lam-inf": (
+        lambda: tl.kasahara_via_parts(MEASURE, math.inf), tl.DomainError,
+        "lam must be finite, got inf"),
     # s = 1e154**-2 = 1e-308 keeps fewer than 53 bits.
     "s-for-psi-subnormal": (
         lambda: tl.s_for_psi(-1.0, 1e154), tl.NumericOverflow, "is subnormal"),
