@@ -14,7 +14,9 @@ Usage:
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 input or configuration error, or an --out or --csv file that cannot be
-written.  The files are written before anything is printed.
+written.  The files are written before anything is printed.  A refused
+write removes the files the command created and empties the ones it
+overwrote, so none holds this run's output.
 
 Options may also come from a config file of ``key = value`` lines via
 ``--config``; explicit flags override file values.  The config keys are
@@ -23,13 +25,23 @@ other key is refused; ``--quad-tol``, ``--out`` and ``--csv`` are flags only.
 
 The options are parsed with the standard library's argparse.  Options take
 no abbreviations, and an option's value may begin with "-" (``--a -1e8``,
-``--c -inf``).  ``run(argv)`` runs one command line in this process and
-returns its exit code.
+``--c -inf``).
+
+``main()`` is the process entry (``python -m tauberlab`` and the console
+script).  The process ends after its one command, so ``main()`` first moves
+the heap that the imports built out of the cyclic garbage collector
+(``gc.freeze()``): the collections during the command and the one at
+interpreter shutdown then walk only the command's own objects.  ``run(argv)``
+runs one command line in this process and returns its exit code; it is for
+in-process use and has no process-wide effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
+import os
 import re
 import sys
 from pathlib import Path
@@ -153,14 +165,28 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write text to path, if given; a failed write is a ValidationError."""
-    if path is None:
-        return
-    try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
+def _write(*files: tuple[str | None, str]) -> None:
+    """Write each (path, text) whose path is given.  A failed write is a
+    ValidationError, and first it takes this call's text back out of the
+    files already written: a file this call created is removed, a file that
+    existed is left empty."""
+    written: list[tuple[Path, bool]] = []
+    for path, text in files:
+        if path is None:
+            continue
+        target = Path(path)
+        created = not os.path.lexists(target)
+        try:
+            target.write_text(text, encoding="utf-8", newline="\n")
+        except OSError as exc:
+            for done, was_created in written:
+                with contextlib.suppress(OSError):
+                    if was_created:
+                        done.unlink()
+                    else:
+                        done.write_bytes(b"")
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
+        written.append((target, created))
 
 
 def _print_pairs(pairs) -> None:
@@ -192,8 +218,7 @@ def cmd_verify(args) -> int:
     """Sweep the transform and check the equivalence forward and backward."""
     rep = Options(args).verify()
     text = report.render_report(rep, title="verify")
-    _write(args.out, text)
-    _write(args.csv, report.render_samples_csv(rep))
+    _write((args.out, text), (args.csv, report.render_samples_csv(rep)))
     print(text, end="")
     return 0 if rep.passed else _EXIT_VERIFY_FAILED
 
@@ -201,7 +226,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     """Emit the sweep sample table without pass/fail judgment."""
     csv_text = report.render_samples_csv(Options(args).verify())
-    _write(args.csv, csv_text)
+    _write((args.csv, csv_text))
     print(csv_text, end="")
     return 0
 
@@ -210,7 +235,7 @@ def cmd_invert(args) -> int:
     """Recover (a, b) from the fitted transform sweep and report the gaps."""
     rep = Options(args).verify()
     text = report.render_report(rep, title="invert")
-    _write(args.out, text)
+    _write((args.out, text))
     print(text, end="")
     return 0 if rep.inverse_passed else _EXIT_VERIFY_FAILED
 
@@ -232,6 +257,8 @@ def cmd_classical(args) -> int:
 
 def cmd_ck_index(args) -> int:
     """Log-quotient index estimates from tabulated (x, U) samples."""
+    if args.tau is None and args.epsilon is not None:
+        raise ConfigParseError("--epsilon applies to the --tau diagnostic; give --tau too")
     samples = measures._load_pairs(args.input)  # any order; ck_index sorts
     if args.tau is None:
         diag, result = None, asymptotics.ck_index(samples)
@@ -344,7 +371,14 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    """Console entry point: return on exit code 0, else raise SystemExit(code)."""
+    """Process entry point: run ``sys.argv[1:]``, return on exit code 0, else
+    raise SystemExit(code).
+
+    The process ends after this one command, so the objects the imports
+    built are frozen first: no collection, the shutdown one included, walks
+    them again.  The command's own objects are collected as usual.
+    """
+    gc.freeze()
     code = run()
     if code:
         sys.exit(code)

@@ -1,5 +1,6 @@
 """End-to-end CLI: exit codes, determinism, config files, ingestion."""
 
+import gc
 import os
 import re
 import subprocess
@@ -15,17 +16,21 @@ from tauberlab import cli
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, cwd=None):
+def run_python(*args, cwd=None):
     # Warnings are errors here too, as in the in-process tests.  The child
     # imports this checkout's package, installed or not.
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "tauberlab", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args, cwd=None):
+    return run_python("-m", "tauberlab", *args, cwd=cwd)
 
 
 def invoke(capsys, *args):
@@ -456,16 +461,43 @@ def test_cli_in_process(tmp_path, monkeypatch, capsys, args, config, code, strea
     ("verify", *K, "--csv", "nodir/x"),
     ("sweep", *K, "--csv", "nodir/x"),
     ("invert", *K, "--out", "nodir/x"),
-], ids=["verify-out", "verify-csv", "sweep-csv", "invert-out"])
+    ("verify", *K, "--out", "ok.txt", "--csv", "nodir/x"),
+], ids=["verify-out", "verify-csv", "sweep-csv", "invert-out", "verify-out-then-csv"])
 def test_a_failed_write_is_refused_before_any_output(tmp_path, monkeypatch, capsys, args):
     # The files are written before the report is printed, so a path that
     # cannot be written exits 2 with nothing on stdout, not 1 (a failed
-    # verification) after the report.
+    # verification) after the report.  A refused --csv also removes the
+    # --out report that this run had written.
     monkeypatch.chdir(tmp_path)
     code, out, err = invoke(capsys, *args)
     assert (code, out) == (2, "")
     assert err.startswith("error: ValidationError: cannot write nodir/x: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_write_empties_an_out_file_that_existed(tmp_path, monkeypatch, capsys):
+    # A file that was there before the command is kept, without this run's
+    # report; only a file the command created is removed.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "old.txt").write_text("an older report\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "verify", *K, "--out", "old.txt", "--csv", "nodir/x")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ValidationError: cannot write nodir/x: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
+    assert (tmp_path / "old.txt").read_text(encoding="utf-8") == ""
+
+
+def test_a_refused_write_is_reported_when_its_cleanup_fails(tmp_path, monkeypatch, capsys):
+    # Removing the --out file can fail too (its directory may be read-only
+    # to the user); the refusal is still the write's ValidationError.
+    def unlink(self, missing_ok=False):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(Path, "unlink", unlink)
+    code, out, err = invoke(capsys, "verify", *K, "--out", "ok.txt", "--csv", "nodir/x")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ValidationError: cannot write nodir/x: ")
 
 
 @pytest.mark.parametrize("samples, flags, fragment", [
@@ -476,7 +508,10 @@ def test_a_failed_write_is_refused_before_any_output(tmp_path, monkeypatch, caps
     # The --tau refusal comes before the samples' own.
     (CK_SAMPLES + "1\t1\n", ("--tau", "nan"), "tau must be finite"),
     (CK_SAMPLES + "1e9 2 3\n", (), "expected 'x<TAB>U(x)', got '1e9 2 3'"),
-], ids=["tau-nan", "epsilon-inf", "four-samples", "tau-before-samples", "bad-line"])
+    # An --epsilon without --tau would be ignored, so it is refused.
+    (CK_SAMPLES, ("--epsilon", "0.5"), "ConfigParseError: --epsilon applies to the --tau"),
+], ids=["tau-nan", "epsilon-inf", "four-samples", "tau-before-samples", "bad-line",
+        "epsilon-without-tau"])
 def test_ck_index_prints_nothing_before_it_refuses(tmp_path, capsys, samples, flags,
                                                    fragment):
     path = tmp_path / "samples.tsv"
@@ -563,19 +598,41 @@ def test_negative_values_are_option_values(capsys, value):
 
 def test_main_returns_on_exit_0_and_raises_any_other_code(capsys, monkeypatch):
     # The console script and the benchmark's child process rely on this.
-    monkeypatch.setattr(sys, "argv", ["tauberlab", "validate", *K])
-    assert cli.main() is None
-    monkeypatch.setattr(sys, "argv", ["tauberlab", "validate", "--a", "1", "--b", "2", "--c", "-1"])
-    with pytest.raises(SystemExit) as exc:
-        cli.main()
+    # main() freezes this process's heap, so the collector is given it back.
+    try:
+        monkeypatch.setattr(sys, "argv", ["tauberlab", "validate", *K])
+        assert cli.main() is None
+        monkeypatch.setattr(sys, "argv",
+                            ["tauberlab", "validate", "--a", "1", "--b", "2", "--c", "-1"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+    finally:
+        gc.unfreeze()
     assert exc.value.code == 2
     assert "error: SignConditionViolated" in capsys.readouterr().err
 
 
+def test_main_freezes_the_import_heap_and_keeps_the_collector_on():
+    res = run_python("-c", (
+        "import gc, sys\n"
+        "from tauberlab import cli\n"
+        f"sys.argv = ['tauberlab', 'validate', *{K!r}]\n"
+        "cli.main()\n"
+        "print(gc.get_freeze_count() > 0, gc.isenabled())\n"
+    ))
+    assert (res.returncode, res.stdout.splitlines()[-1]) == (0, "True True"), res.stderr
+
+
+def test_import_and_run_leave_the_collector_as_they_found_it():
+    res = run_python("-c", (
+        "import gc\n"
+        "import tauberlab.cli as cli\n"
+        f"assert cli.run(['validate', *{K!r}]) == 0\n"
+        "print(gc.get_freeze_count(), gc.isenabled())\n"
+    ))
+    assert (res.returncode, res.stdout.splitlines()[-1]) == (0, "0 True"), res.stderr
+
+
 def test_cli_import_loads_no_click():
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c", "import sys, tauberlab.cli; print('click' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    res = run_python("-c", "import sys, tauberlab.cli; print('click' in sys.modules)")
     assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr
