@@ -13,10 +13,11 @@ Usage:
     tauberlab measure --file atoms.tsv --variant kohlbecker --lam 10
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 input or configuration error, or an --out or --csv file that cannot be
-written.  The files are written before anything is printed.  A refused
-write removes the files the command created and empties the ones it
-overwrote, so none holds this run's output.
+2 input or configuration error, an --out or --csv file that cannot be
+written, or an --out and a --csv that name the same file.  The files are
+written before anything is printed.  A refused write removes the files the
+command created and empties the ones it overwrote, so none holds this run's
+output.
 
 Options may also come from a config file of ``key = value`` lines via
 ``--config``; explicit flags override file values.  The config keys are
@@ -34,6 +35,10 @@ the heap that the imports built out of the cyclic garbage collector
 interpreter shutdown then walk only the command's own objects.  ``run(argv)``
 runs one command line in this process and returns its exit code; it is for
 in-process use and has no process-wide effect.
+
+The ``classical`` adapters and the ``index`` estimators are imported by the
+commands that use them (``--classical``, ``classical`` and ``ck-index``), so
+the other commands never compile them.
 """
 
 from __future__ import annotations
@@ -43,10 +48,11 @@ import contextlib
 import gc
 import os
 import re
+import stat
 import sys
 from pathlib import Path
 
-from . import asymptotics, classical, measures, params, report, targets, transform
+from . import asymptotics, measures, params, report, targets, transform
 from .errors import ConfigParseError, TauberError, ValidationError
 
 __all__ = ["main", "run"]
@@ -113,12 +119,16 @@ class Options:
         if variant is not None and offset is not None:
             raise ConfigParseError("--offset applies to raw --a/--b/--c, not to --classical")
         if variant is not None:
+            from . import classical
+
             return classical.to_unified(self.classical(variant)).params
         if a is None or b is None or c is None:
             raise ConfigParseError("need --a, --b and --c (or --classical ...)")
         return params.validate(a, b, c, 0.0 if offset is None else offset)
 
     def classical(self, variant: str) -> classical.ClassicalSpec:
+        from . import classical
+
         variant = variant.lower()
         alpha, big_b = self._get("alpha"), self._get("B")
         beta, rate = self._get("beta"), self._get("rate", 1.0)
@@ -169,11 +179,30 @@ def _write(*files: tuple[str | None, str]) -> None:
     """Write each (path, text) whose path is given.  A failed write is a
     ValidationError, and first it takes this call's text back out of the
     files already written: a file this call created is removed, a file that
-    existed is left empty."""
+    existed is left empty.
+
+    Two paths that name the same regular file (a link to it included), or
+    that resolve to the same path that does not exist yet, are refused before
+    anything is written: the second text would replace the first.  A device
+    such as /dev/null may take every output.
+    """
+    files = [(path, text) for path, text in files if path is not None]
+    seen = set()
+    for path, _ in files:
+        try:
+            st = os.stat(path)
+        except OSError:  # not there yet: the path the write would create
+            key = os.path.realpath(path)
+        else:
+            if not stat.S_ISREG(st.st_mode):
+                continue
+            key = (st.st_dev, st.st_ino)
+        if key in seen:
+            raise ValidationError(
+                f"cannot write {path}: another output of this command names the same file")
+        seen.add(key)
     written: list[tuple[Path, bool]] = []
     for path, text in files:
-        if path is None:
-            continue
         target = Path(path)
         created = not os.path.lexists(target)
         try:
@@ -242,6 +271,8 @@ def cmd_invert(args) -> int:
 
 def cmd_classical(args) -> int:
     """Reduce a classical spec and certify its coefficient identity."""
+    from . import classical
+
     spec = Options(args).classical(args.variant)
     red = classical.to_unified(spec)
     d, coeff, gap = classical.coefficient_identity_check(spec)
@@ -259,12 +290,14 @@ def cmd_ck_index(args) -> int:
     """Log-quotient index estimates from tabulated (x, U) samples."""
     if args.tau is None and args.epsilon is not None:
         raise ConfigParseError("--epsilon applies to the --tau diagnostic; give --tau too")
+    from . import index
+
     samples = measures._load_pairs(args.input)  # any order; ck_index sorts
     if args.tau is None:
-        diag, result = None, asymptotics.ck_index(samples)
+        diag, result = None, index.ck_index(samples)
     else:
         epsilons = {} if args.epsilon is None else {"epsilons": tuple(args.epsilon)}
-        diag = asymptotics.class_m_check(samples, args.tau, **epsilons)
+        diag = index.class_m_check(samples, args.tau, **epsilons)
         result = diag.estimate
     print("x tau_hat")
     for x, t in result.points:

@@ -1,6 +1,7 @@
 """End-to-end CLI: exit codes, determinism, config files, ingestion."""
 
 import gc
+import importlib.util
 import os
 import re
 import subprocess
@@ -197,8 +198,8 @@ class TestDataCommands:
         path = tmp_path / "samples.tsv"
         path.write_text("".join(f"{10.0**k}\t{(10.0**k) ** 3}\n" for k in range(1, 9)),
                         encoding="utf-8")
-        calls, ck_index = [], tl.asymptotics.ck_index
-        monkeypatch.setattr("tauberlab.asymptotics.ck_index",
+        calls, ck_index = [], tl.index.ck_index
+        monkeypatch.setattr("tauberlab.index.ck_index",
                             lambda samples: calls.append(1) or ck_index(samples))
         code, out, _ = invoke(capsys, "ck-index", "--input", str(path), "--tau", "3")
         assert code == 0 and "consistent_with_tau = True" in out
@@ -475,6 +476,33 @@ def test_a_failed_write_is_refused_before_any_output(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out, csv", [
+    ("x", "x"), ("x", "./x"), ("old.txt", "old.txt"), ("x", "link-to-x"),
+    ("old.txt", "hard-link"),
+], ids=["same-name", "dot-slash", "existing-file", "symlink", "hard-link"])
+def test_two_outputs_to_one_file_are_refused_before_any_output(tmp_path, monkeypatch, capsys,
+                                                               out, csv):
+    # The CSV would replace the report, so the pair is refused before either
+    # is written; a file that was there keeps its text.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "old.txt").write_text("an older report\n", encoding="utf-8")
+    (tmp_path / "link-to-x").symlink_to("x")
+    (tmp_path / "hard-link").hardlink_to("old.txt")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, stdout, err = invoke(capsys, "verify", *K, "--out", out, "--csv", csv)
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: ValidationError: cannot write {csv}: "
+                   "another output of this command names the same file\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "old.txt").read_text(encoding="utf-8") == "an older report\n"
+
+
+def test_both_outputs_may_go_to_a_device(capsys):
+    code, stdout, err = invoke(capsys, "verify", *K, "--out", os.devnull, "--csv", os.devnull)
+    assert (code, err) == (0, "")
+    assert stdout.startswith("report = verify\n")
+
+
 def test_a_refused_write_empties_an_out_file_that_existed(tmp_path, monkeypatch, capsys):
     # A file that was there before the command is kept, without this run's
     # report; only a file the command created is removed.
@@ -636,3 +664,50 @@ def test_import_and_run_leave_the_collector_as_they_found_it():
 def test_cli_import_loads_no_click():
     res = run_python("-c", "import sys, tauberlab.cli; print('click' in sys.modules)")
     assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr
+
+
+def test_a_cold_cli_loads_the_traced_modules_and_each_front_end_on_first_use(
+        tmp_path, monkeypatch):
+    # The benchmark's tracer looks its modules up in sys.modules right after
+    # importing the CLI, so they stay eager; classical and index load only
+    # for the commands that run them.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = set(tracer.FUNCTIONS) | {module for module, *_ in tracer.METHODS}
+    samples = tmp_path / "samples.tsv"
+    samples.write_text(CK_SAMPLES, encoding="utf-8")
+    commands = [
+        ["classical", "--variant", "kasahara", "--alpha", "0.5", "--B", "1"],
+        ["ck-index", "--input", str(samples), "--tau", "2"],
+    ]
+    res = run_python("-B", "-c", (
+        "import contextlib, io, sys\n"
+        "from tauberlab import cli\n"
+        "def loaded():\n"
+        "    return sorted(n[len('tauberlab.'):] for n in sys.modules\n"
+        "                  if n.startswith('tauberlab.'))\n"
+        "print(*loaded())\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(argv) == 0, argv\n"
+        "    print(*loaded())\n"
+    ))
+    assert res.returncode == 0, res.stderr
+    cold, after_classical, after_ck_index = map(set, map(str.split, res.stdout.splitlines()))
+    assert traced <= cold
+    assert not {"classical", "index"} & cold
+    assert after_classical - cold == {"classical"}
+    assert after_ck_index - after_classical == {"index"}
+
+
+def test_star_import_binds_every_exported_name():
+    res = run_python("-B", "-c", (
+        "import tauberlab\n"
+        "from tauberlab import *\n"
+        "missing = [n for n in tauberlab.__all__ if globals().get(n) is not getattr(tauberlab, n)]\n"
+        "print(len(tauberlab.__all__), missing)\n"
+    ))
+    assert (res.returncode, res.stdout) == (0, f"{len(tl.__all__)} []\n"), res.stderr

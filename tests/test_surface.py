@@ -5,10 +5,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import tauberlab as tl
-from tauberlab import asymptotics, classical, errors, measures, params, targets, transform
+import pytest
 
-MODULES = (asymptotics, classical, errors, measures, params, targets, transform)
+import tauberlab as tl
+from tauberlab import asymptotics, classical, errors, index, measures, params, targets, transform
+
+MODULES = (asymptotics, classical, errors, index, measures, params, targets, transform)
 
 
 def test_package_exports_the_modules_own_lists():
@@ -17,6 +19,11 @@ def test_package_exports_the_modules_own_lists():
     assert set(tl.__all__) == {"__version__"} | union
     for name in tl.__all__:
         assert hasattr(tl, name), name
+
+
+def test_an_unknown_name_is_an_attribute_error_that_names_the_package():
+    with pytest.raises(AttributeError, match="module 'tauberlab' has no attribute 'no_such_name'"):
+        tl.no_such_name
 
 
 def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
