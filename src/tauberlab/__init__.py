@@ -15,7 +15,7 @@ The engine and its errors (``params``, ``targets``, ``measures``,
 estimators) are front ends that no sweep, verification or measure transform
 runs, so they load on first use: the first lookup of one of their names on
 the package imports the module (PEP 562), and a process that never asks for
-them does not compile them or build their dataclasses.
+them does not compile them or define their record classes.
 """
 
 import importlib

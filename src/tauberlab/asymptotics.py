@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,16 +50,19 @@ _EXPONENT_RTOL = 0.03
 _INVERSE_RTOL = 0.10
 
 
-@dataclass(frozen=True)
-class EvalGrid:
-    """Strictly increasing geometric psi grid with at least 8 points, held as
-    a tuple of Python floats whatever sequence it was built from."""
-
+class _EvalGridFields(NamedTuple):
     psi_values: tuple[float, ...]
 
-    def __post_init__(self):
-        v = tuple(map(float, self.psi_values))
-        object.__setattr__(self, "psi_values", v)
+
+class EvalGrid(_EvalGridFields):
+    """Strictly increasing geometric psi grid with at least 8 points, held as
+    a tuple of Python floats whatever sequence it was built from.  Its length
+    is the number of psi values."""
+
+    __slots__ = ()
+
+    def __new__(cls, psi_values: tuple[float, ...]):
+        v = tuple(map(float, psi_values))
         if len(v) < _MIN_GRID_POINTS:
             raise BadRange(f"grid needs >= {_MIN_GRID_POINTS} points, got {len(v)}")
         if not all(math.isfinite(x) for x in v):
@@ -69,6 +72,12 @@ class EvalGrid:
         ratios = [hi / lo for lo, hi in zip(v, v[1:])]
         if max(ratios) - min(ratios) > 1e-12 * max(ratios):
             raise BadRange("psi values must be geometrically spaced")
+        return super().__new__(cls, v)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: run the checks of __new__.
+        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.psi_values)
@@ -91,8 +100,7 @@ def make_grid(psi_min: float, psi_max: float, n: int) -> EvalGrid:
     return EvalGrid(_geometric_grid(psi_min, psi_max, n))
 
 
-@dataclass(frozen=True)
-class AsymptoticFit:
+class AsymptoticFit(NamedTuple):
     """Estimated transform-side exponent and coefficient.
 
     residual is the maximum absolute deviation of the fitted line from
@@ -149,8 +157,7 @@ def fit_exponent(samples: list[TransformSample]) -> AsymptoticFit:
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named verification check; limit is None for informational rows."""
 
     name: str
@@ -159,8 +166,7 @@ class CheckResult:
     passed: bool | None
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Everything a verification run produced, including partial results.
 
     inverse_passed is the inverse direction's verdict: the primal pair was
@@ -179,7 +185,7 @@ class EquivalenceReport:
     a_hat: float | None
     b_hat: float | None
     checks: tuple[CheckResult, ...]
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
     inverse_passed: bool = False
 
     @property

@@ -22,8 +22,7 @@ The shared dual coefficient reproduces each classical coefficient exactly;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import SpecOutOfRange, ValidationError
 from .params import Regime, UnifiedParams, validate
@@ -40,67 +39,92 @@ __all__ = [
 ]
 
 
-def _require_finite(spec, *fields: str) -> None:
-    """Refuse the first of the spec's fields that is not a finite float."""
-    for name in fields:
-        value = getattr(spec, name)
+def _require_finite(cls: type, **fields: float) -> None:
+    """Refuse the first of a spec's fields that is not a finite float."""
+    for name, value in fields.items():
         if not math.isfinite(value):
-            raise SpecOutOfRange(f"{type(spec).__name__} needs a finite {name}, got {value:g}")
+            raise SpecOutOfRange(f"{cls.__name__} needs a finite {name}, got {value:g}")
 
 
-@dataclass(frozen=True)
-class Kohlbecker:
-    """Measure growth log mu[0,x] ~ B*x**(1/alpha); alpha > 1, B > 0."""
-
+class _KohlbeckerFields(NamedTuple):
     alpha: float
     B: float
 
-    def __post_init__(self):
-        _require_finite(self, "alpha", "B")
-        if not self.alpha > 1.0:
-            raise SpecOutOfRange(f"Kohlbecker needs alpha > 1, got {self.alpha:g}")
-        if not self.B > 0.0:
-            raise SpecOutOfRange(f"Kohlbecker needs B > 0, got {self.B:g}")
+
+class Kohlbecker(_KohlbeckerFields):
+    """Measure growth log mu[0,x] ~ B*x**(1/alpha); alpha > 1, B > 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, B: float):
+        _require_finite(cls, alpha=alpha, B=B)
+        if not alpha > 1.0:
+            raise SpecOutOfRange(f"Kohlbecker needs alpha > 1, got {alpha:g}")
+        if not B > 0.0:
+            raise SpecOutOfRange(f"Kohlbecker needs B > 0, got {B:g}")
+        return super().__new__(cls, alpha, B)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: run the checks of __new__.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class DeBruijn:
-    """Small-argument decay log P(1/x) ~ B*x**(-beta); beta < 0, B < 0, rate > 0."""
-
+class _DeBruijnFields(NamedTuple):
     beta: float
     B: float
     rate: float = 1.0
 
-    def __post_init__(self):
-        _require_finite(self, "beta", "B", "rate")
-        if not self.beta < 0.0:
-            raise SpecOutOfRange(f"DeBruijn needs beta < 0, got {self.beta:g}")
-        if not self.B < 0.0:
-            raise SpecOutOfRange(f"DeBruijn needs B < 0, got {self.B:g}")
-        if not self.rate > 0.0:
-            raise SpecOutOfRange(f"DeBruijn needs rate > 0, got {self.rate:g}")
+
+class DeBruijn(_DeBruijnFields):
+    """Small-argument decay log P(1/x) ~ B*x**(-beta); beta < 0, B < 0, rate > 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, beta: float, B: float, rate: float = 1.0):
+        _require_finite(cls, beta=beta, B=B, rate=rate)
+        if not beta < 0.0:
+            raise SpecOutOfRange(f"DeBruijn needs beta < 0, got {beta:g}")
+        if not B < 0.0:
+            raise SpecOutOfRange(f"DeBruijn needs B < 0, got {B:g}")
+        if not rate > 0.0:
+            raise SpecOutOfRange(f"DeBruijn needs rate > 0, got {rate:g}")
+        return super().__new__(cls, beta, B, rate)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: run the checks of __new__.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Kasahara:
-    """Tail decay log mu(x,inf) ~ -B*x**(1/alpha); 0 < alpha < 1, B > 0."""
-
+class _KasaharaFields(NamedTuple):
     alpha: float
     B: float
 
-    def __post_init__(self):
-        _require_finite(self, "alpha", "B")
-        if not 0.0 < self.alpha < 1.0:
-            raise SpecOutOfRange(f"Kasahara needs 0 < alpha < 1, got {self.alpha:g}")
-        if not self.B > 0.0:
-            raise SpecOutOfRange(f"Kasahara needs B > 0, got {self.B:g}")
+
+class Kasahara(_KasaharaFields):
+    """Tail decay log mu(x,inf) ~ -B*x**(1/alpha); 0 < alpha < 1, B > 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, B: float):
+        _require_finite(cls, alpha=alpha, B=B)
+        if not 0.0 < alpha < 1.0:
+            raise SpecOutOfRange(f"Kasahara needs 0 < alpha < 1, got {alpha:g}")
+        if not B > 0.0:
+            raise SpecOutOfRange(f"Kasahara needs B > 0, got {B:g}")
+        return super().__new__(cls, alpha, B)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: run the checks of __new__.
+        return cls(*iterable)
 
 
 ClassicalSpec = Union[Kohlbecker, DeBruijn, Kasahara]
 
 
-@dataclass(frozen=True)
-class UnifiedReduction:
+class UnifiedReduction(NamedTuple):
     """Result of reducing a classical spec to the shared parameter vector.
 
     classical_coefficient/lambda_exponent are the coefficient and lambda power

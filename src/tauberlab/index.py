@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ __all__ = [
 _MIN_SAMPLES = 8
 
 
-@dataclass(frozen=True)
-class CkIndexResult:
+class CkIndexResult(NamedTuple):
     """Pointwise log-quotient index estimates with a convergence summary."""
 
     points: tuple[tuple[float, float], ...]
@@ -96,8 +95,7 @@ def _trend_verdict(log_traj: np.ndarray) -> TrendVerdict:
     return TrendVerdict.INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class EpsilonCheck:
+class EpsilonCheck(NamedTuple):
     """Verdicts on the trajectories U/x**(tau+eps) (upper) and U/x**(tau-eps)
     (lower)."""
 
@@ -113,8 +111,7 @@ class EpsilonCheck:
         )
 
 
-@dataclass(frozen=True)
-class ClassMDiagnostic:
+class ClassMDiagnostic(NamedTuple):
     """Index diagnostic: is U consistent with pinching index tau?  estimate is
     the ck_index of the samples it was computed from."""
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class TabulatedMeasure:
     """Finite atomic measure on [0, inf).
 
@@ -56,15 +54,14 @@ class TabulatedMeasure:
     Both are tuples of floats, checked once.  Every sum over the atoms reads
     four read-only arrays held beside them: the locations, the log-masses,
     the cumulative sums with a leading 0 and the suffix sums with a trailing
-    0.
+    0.  A measure is immutable; equality and hash read (locations, masses).
     """
 
-    locations: tuple[float, ...]
-    masses: tuple[float, ...]
+    __slots__ = ("locations", "masses", "_x", "_log_m", "_cum", "_suffix")
 
-    def __post_init__(self):
-        locs = np.array(self.locations, dtype=float)
-        mass = np.array(self.masses, dtype=float)
+    def __init__(self, locations: tuple[float, ...], masses: tuple[float, ...]):
+        locs = np.array(locations, dtype=float)
+        mass = np.array(masses, dtype=float)
         if locs.shape != mass.shape or locs.ndim != 1:
             raise ValidationError("locations and masses must be 1-d and equal length")
         if locs.size:
@@ -83,6 +80,27 @@ class TabulatedMeasure:
         for name, arr in zip(("_x", "_log_m", "_cum", "_suffix"), held):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.locations, self.masses)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(locations={self.locations!r}, "
+                f"masses={self.masses!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.locations, self.masses) == (other.locations, other.masses)
+
+    def __hash__(self) -> int:
+        return hash((self.locations, self.masses))
 
     def __len__(self) -> int:
         return len(self.locations)

@@ -33,7 +33,7 @@ subnormal or not finite, an h''(x_peak) that is not finite and negative, and
 an h(x_peak) that does not vanish within 1e-10*|d|.  The :func:`d_variants`
 audit refuses nothing: its stated d reads +-inf or 0 outside the float range.
 
-All functions are pure and all containers frozen, so values can be shared
+All functions are pure and all containers immutable, so values can be shared
 freely between threads.
 """
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegenerateExponent,
@@ -87,8 +87,7 @@ class Regime(enum.Enum):
     KASAHARA = "kasahara"
 
 
-@dataclass(frozen=True)
-class UnifiedParams:
+class UnifiedParams(NamedTuple):
     """Validated parameter vector with derived dual quantities.
 
     Construct through :func:`validate`; direct construction skips every check.
@@ -114,8 +113,7 @@ class UnifiedParams:
     saddle: SaddlePoint
 
 
-@dataclass(frozen=True)
-class SaddlePoint:
+class SaddlePoint(NamedTuple):
     """Maximizer data of the saddle function h.
 
     h attains its maximum at ``x_peak`` with value ``h_at_max`` (zero up to

@@ -10,7 +10,7 @@ target is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PurePower:
+class PurePower(NamedTuple):
     """q(x) = a * x**b exactly."""
 
     a: float
@@ -59,8 +58,14 @@ PERTURBATION_FAMILIES = {
 _MAX_PERTURBATION = 0.5
 
 
-@dataclass(frozen=True)
-class PerturbedPower:
+class _PerturbedPowerFields(NamedTuple):
+    a: float
+    b: float
+    family: str
+    magnitude: float
+
+
+class PerturbedPower(_PerturbedPowerFields):
     """q(x) = a * x**b * (1 + delta(x)) with a named vanishing perturbation.
 
     With t = log x, the families are k/(1 + sqrt(1 + t**2)) ("inverse-log")
@@ -70,21 +75,24 @@ class PerturbedPower:
     converges geometrically on them.  Magnitude is capped at |k| <= 0.5.
     """
 
-    a: float
-    b: float
-    family: str
-    magnitude: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in PERTURBATION_FAMILIES:
+    def __new__(cls, a: float, b: float, family: str, magnitude: float):
+        if family not in PERTURBATION_FAMILIES:
             raise ValidationError(
-                f"unknown perturbation family {self.family!r}; "
+                f"unknown perturbation family {family!r}; "
                 f"choose from {sorted(PERTURBATION_FAMILIES)}"
             )
-        if not abs(self.magnitude) <= _MAX_PERTURBATION:
+        if not abs(magnitude) <= _MAX_PERTURBATION:
             raise ValidationError(
-                f"|magnitude| must be <= {_MAX_PERTURBATION}, got {self.magnitude:g}"
+                f"|magnitude| must be <= {_MAX_PERTURBATION}, got {magnitude:g}"
             )
+        return super().__new__(cls, a, b, family, magnitude)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: run the checks of __new__.
+        return cls(*iterable)
 
     def log_amplitude(self, x):
         arr = np.asarray(x, dtype=float)
@@ -98,22 +106,29 @@ class PerturbedPower:
         )
 
 
-@dataclass(frozen=True)
-class MeasureTarget:
+class _MeasureTargetFields(NamedTuple):
+    measure: TabulatedMeasure
+    kind: str = "cumulative"
+
+
+class MeasureTarget(_MeasureTargetFields):
     """q(x) = log of a tabulated measure's cumulative or tail function.
 
     kind="cumulative" evaluates log mu[0, x]; kind="tail" evaluates
     log mu(x, inf).  Regions carrying no mass give q = -inf, i.e. P = 0.
     """
 
-    measure: TabulatedMeasure
-    kind: str = "cumulative"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("cumulative", "tail"):
-            raise ValidationError(
-                f"kind must be 'cumulative' or 'tail', got {self.kind!r}"
-            )
+    def __new__(cls, measure: TabulatedMeasure, kind: str = "cumulative"):
+        if kind not in ("cumulative", "tail"):
+            raise ValidationError(f"kind must be 'cumulative' or 'tail', got {kind!r}")
+        return super().__new__(cls, measure, kind)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: run the checks of __new__.
+        return cls(*iterable)
 
     def log_amplitude(self, x):
         arr = np.asarray(x, dtype=float)

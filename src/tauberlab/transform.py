@@ -48,7 +48,7 @@ log f = m + log u* + log(integral), combined with the offset in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +95,7 @@ _NODES_PER_WIDTH = 3
 _MAX_POINTS_PER_CALL = 2**18
 
 
-@dataclass(frozen=True)
-class TransformSample:
+class TransformSample(NamedTuple):
     """One evaluation of log f along a sweep.
 
     psi is the regime variable tied to s by s = psi**((1-b)/b) for the owning
@@ -327,7 +326,8 @@ def _transform_rows(t, c: float, offset: float, s: list, tol: float, psi):
     else:
         rows = np.array(s, dtype=float)
         window = _prepare_windows(t, c, rows)
-        log_integral, quad_error, tol_met = _refine_rows(t, c, rows, *window, tol)
+        # A Python float tol makes each tol_met a Python bool.
+        log_integral, quad_error, tol_met = _refine_rows(t, c, rows, *window, float(tol))
         # int_0^inf du = u* int dv: log u* enters once per row.
         log_integral = [li + math.log(u) for li, u in zip(log_integral, window[0].tolist())]
     if offset > 0.0:
@@ -338,7 +338,7 @@ def _transform_rows(t, c: float, offset: float, s: list, tol: float, psi):
     for si, psi_i, lf, err, met in zip(s, psi, log_f, quad_error, tol_met):
         if psi_i is None:
             psi_i = float("nan") if b is None else psi_for_s(b, si)
-        samples.append(TransformSample(float(psi_i), float(si), lf, float(err), bool(met)))
+        samples.append(TransformSample(float(psi_i), float(si), lf, err, met))
     return samples
 
 

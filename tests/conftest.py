@@ -1,6 +1,6 @@
 """Shared test targets."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,17 +8,19 @@ import pytest
 import tauberlab as tl
 
 
-@dataclass(frozen=True)
-class KinkedPower(tl.PurePower):
+class KinkedPower(NamedTuple):
     """q(x) = a*x**b*(1 + k/(1 + |log x|)).
 
     The perturbation has a derivative jump at x = 1, across which the
     trapezoid rule converges only algebraically, so rows at small psi refine
     until the engine's node budget stops them.  The library families are
-    smooth; this target keeps that path under test.  It is a PurePower by
-    type, with the same a and b, so verify_equivalence takes it.
+    smooth; this target keeps that path under test.  The engine and
+    verify_equivalence read a power target by its a and b, so both take it
+    as the power a*x**b.
     """
 
+    a: float
+    b: float
     k: float = 0.4
 
     def log_amplitude(self, x):

@@ -1,6 +1,6 @@
 """Grids, index estimators, exponent fits, and equivalence verification."""
 
-import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -179,7 +179,7 @@ class TestClassMCheck:
         shuffled = [samples[k] for k in np.random.default_rng(7).permutation(len(samples))]
         diag = tl.class_m_check(shuffled, 2.0, epsilons=(0.05, 0.5))
         assert diag == tl.class_m_check(samples, 2.0, epsilons=(0.05, 0.5))
-        assert [f.name for f in dataclasses.fields(tl.EpsilonCheck)] == [
+        assert list(inspect.signature(tl.EpsilonCheck).parameters) == [
             "epsilon", "upper_verdict", "lower_verdict"]
 
 

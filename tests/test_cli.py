@@ -666,6 +666,16 @@ def test_cli_import_loads_no_click():
     assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr
 
 
+def test_a_cold_verify_loads_no_dataclasses():
+    res = run_python("-c", (
+        "import sys\n"
+        "from tauberlab import cli\n"
+        "code = cli.run(['verify', '--a', '2', '--b', '0.5', '--c', '-1'])\n"
+        "print(code, 'dataclasses' in sys.modules, file=sys.stderr)"
+    ))
+    assert (res.returncode, res.stderr) == (0, "0 False\n"), res.stderr
+
+
 def test_a_cold_cli_loads_the_traced_modules_and_each_front_end_on_first_use(
         tmp_path, monkeypatch):
     # The benchmark's tracer looks its modules up in sys.modules right after

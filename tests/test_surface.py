@@ -52,15 +52,29 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     assert {"transform.sample_at_psi", "transform.locate_peak"} <= names
 
 
+def _imported_packages(path: Path) -> set[str]:
+    """The top-level package of every absolute import in a source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return {name.split(".")[0] for name in imported}
+
+
 def test_params_imports_no_numpy_and_the_deleted_names_stay_gone():
     # params is pure Python floats, so a command that only validates need not
     # load numpy.
-    tree = ast.parse(Path(params.__file__).read_text(encoding="utf-8"))
-    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names]
-    imported += [node.module or "" for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom)]
-    assert not [name for name in imported if name.split(".")[0] == "numpy"], imported
+    assert "numpy" not in _imported_packages(Path(params.__file__))
     for name in ("h_eval", "compute_d", "refinement_errors"):
         assert name not in tl.__all__
         assert not any(hasattr(m, name) for m in MODULES), name
+
+
+def test_no_module_imports_dataclasses():
+    # The records are NamedTuples and slotted classes: a cold command builds
+    # no dataclass.
+    sources = sorted(Path(tl.__file__).parent.glob("*.py"))
+    assert len(sources) > len(MODULES)
+    for path in sources:
+        assert "dataclasses" not in _imported_packages(path), path.name

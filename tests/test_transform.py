@@ -1,7 +1,6 @@
 """Quadrature engine: peaks, transforms, predictions, and the mpmath oracle."""
 
 import cProfile
-import dataclasses
 import math
 import pstats
 import sys
@@ -264,7 +263,7 @@ class TestSearchCost:
 
 def _fields(sample):
     """The five TransformSample fields, in a form that compares bit for bit."""
-    return repr(dataclasses.astuple(sample))
+    return repr((sample.psi, sample.s, sample.log_f, sample.quad_error, sample.tol_met))
 
 
 def _guardrail_triples(seed: int, n: int) -> list[tuple[float, float, float]]:
@@ -630,6 +629,16 @@ class TestLogTransform:
             tl.sample_at_psi(p, KOHL, [10.0, 100.0], tol=math.inf)
         with pytest.raises(tl.DomainError, match="tol must be positive and finite"):
             tl.log_transform(KOHL, -1.0, 0.0, 1.0, tol=math.inf)
+
+    def test_sample_fields_are_python_floats_and_a_bool(self):
+        # An integer s and a numpy tolerance still give a sample of Python
+        # floats and a Python bool on both routes.
+        measure = tl.MeasureTarget(tl.TabulatedMeasure((0.0, 1.0), (1.0, 2.0)))
+        for t in (KOHL, measure):
+            ts = tl.log_transform(t, -1.0, 0.0, 2, tol=np.float64(1e-10))
+            fields = (ts.psi, ts.s, ts.log_f, ts.quad_error, ts.tol_met)
+            assert [type(v) for v in fields] == [float] * 4 + [bool]
+            assert ts.s == 2.0
 
     def test_step_of_an_underflowing_width_product_is_one(self):
         # At s = 5e-324 the product (b-1)*c*u* underflows to 0: the Laplace
