@@ -150,34 +150,21 @@ def to_unified(
         alpha, B = spec.alpha, spec.B
         params = validate(a=B, b=1.0 / alpha, c=-1.0, offset=0.0)
         coeff = (alpha - 1.0) * (B / alpha) ** (alpha / (alpha - 1.0))
-        return UnifiedReduction(
-            params=params,
-            classical_coefficient=coeff,
-            lambda_exponent=1.0 / (alpha - 1.0),
-            lambda_map="lambda = s",
-        )
-    if isinstance(spec, DeBruijn):
+        exponent, lambda_map = 1.0 / (alpha - 1.0), "lambda = s"
+    elif isinstance(spec, DeBruijn):
         beta, B, rate = spec.beta, spec.B, spec.rate
         params = validate(a=B, b=beta, c=-rate, offset=0.0)
         coeff = B * (1.0 - beta) * (rate / (B * beta)) ** (beta / (beta - 1.0))
-        return UnifiedReduction(
-            params=params,
-            classical_coefficient=coeff,
-            lambda_exponent=beta / (beta - 1.0),
-            lambda_map="lambda = 1/s",
-        )
-    if isinstance(spec, Kasahara):
+        exponent, lambda_map = beta / (beta - 1.0), "lambda = 1/s"
+    elif isinstance(spec, Kasahara):
         alpha, B = spec.alpha, spec.B
         offset = 1.0 if measure_mass is None else float(measure_mass)
         params = validate(a=-B, b=1.0 / alpha, c=1.0, offset=offset)
         coeff = (1.0 - alpha) * (alpha / B) ** (alpha / (1.0 - alpha))
-        return UnifiedReduction(
-            params=params,
-            classical_coefficient=coeff,
-            lambda_exponent=1.0 / (1.0 - alpha),
-            lambda_map="lambda = 1/s",
-        )
-    raise ValidationError(f"unknown classical spec {spec!r}")
+        exponent, lambda_map = 1.0 / (1.0 - alpha), "lambda = 1/s"
+    else:
+        raise ValidationError(f"unknown classical spec {spec!r}")
+    return UnifiedReduction(params, coeff, exponent, lambda_map)
 
 
 def coefficient_identity_check(spec: ClassicalSpec) -> tuple[float, float, float]:

@@ -20,21 +20,22 @@ command created and empties the ones it overwrote, so none holds this run's
 output.
 
 Options may also come from a config file of ``key = value`` lines via
-``--config``; explicit flags override file values.  The config keys are
-``a b c offset classical alpha B beta rate psi-min psi-max n``, and any
-other key is refused; ``--quad-tol``, ``--out`` and ``--csv`` are flags only.
+``--config``; explicit flags override file values.  The config keys are the
+shared flags' names (``a b c offset classical alpha B beta rate psi-min
+psi-max n``); any other key is refused, so ``--quad-tol`` is a flag only.
+
+A classical variant takes exactly the fields of its spec in ``classical``
+(``--alpha --B``; debruijn ``--beta --B`` and an optional ``--rate``).  A
+classical option that the run does not use is refused, from a flag or the
+config alike, and a raw ``--a/--b/--c`` run uses none.
 
 The options are parsed with the standard library's argparse.  Options take
 no abbreviations, and an option's value may begin with "-" (``--a -1e8``,
 ``--c -inf``).
 
 ``main()`` is the process entry (``python -m tauberlab`` and the console
-script).  The process ends after its one command, so ``main()`` first moves
-the heap that the imports built out of the cyclic garbage collector
-(``gc.freeze()``): the collections during the command and the one at
-interpreter shutdown then walk only the command's own objects.  ``run(argv)``
-runs one command line in this process and returns its exit code; it is for
-in-process use and has no process-wide effect.
+script).  ``run(argv)`` runs one command line in this process and returns its
+exit code; it is for in-process use and has no process-wide effect.
 
 The ``classical`` adapters and the ``index`` estimators are imported by the
 commands that use them (``--classical``, ``classical`` and ``ck-index``), so
@@ -60,13 +61,21 @@ __all__ = ["main", "run"]
 _EXIT_VERIFY_FAILED = 1
 _EXIT_INPUT_ERROR = 2
 
-# Config-file keys of the shared options and how their values are cast.  The
-# flag of each key is ``--<key>``.
-_CONFIG_CASTS = {
-    "a": float, "b": float, "c": float, "offset": float, "classical": str,
-    "alpha": float, "B": float, "beta": float, "rate": float,
-    "psi-min": float, "psi-max": float, "n": int,
+# The shared options, by the parent parser that holds them, as (key, type,
+# help).  The flag of each key is ``--<key>``, and each key is also a config
+# key, whose value is cast by the type.
+_SHARED_OPTIONS = {
+    "classical": (("alpha", float, "classical alpha"), ("B", float, "classical B"),
+                  ("beta", float, "classical beta"), ("rate", float, "de Bruijn rate constant")),
+    "params": (("a", float, "primal coefficient a"), ("b", float, "primal exponent b"),
+               ("c", float, "kernel rate c"), ("offset", float, "transform offset"),
+               ("classical", str, "classical variant: kohlbecker | debruijn | kasahara")),
+    "grid": (("psi-min", float, None), ("psi-max", float, None), ("n", int, None)),
 }
+_CONFIG_CASTS = {key: cast for group in _SHARED_OPTIONS.values() for key, cast, _ in group}
+_CLASSICAL_KEYS = [key for key, _, _ in _SHARED_OPTIONS["classical"]]
+# Each variant's spec class, by name, so that ``classical`` loads on first use.
+_VARIANTS = {"kohlbecker": "Kohlbecker", "debruijn": "DeBruijn", "kasahara": "Kasahara"}
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -89,6 +98,13 @@ def _load_config(path: str | None) -> dict[str, str]:
             raise ConfigParseError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
+
+
+def _refuse_unused(values: dict, allowed: tuple[str, ...], run: str) -> None:
+    """Refuse the first classical option given that ``run`` does not take."""
+    for key, value in values.items():
+        if value is not None and key not in allowed:
+            raise ConfigParseError(f"--{key} does not apply to {run}")
 
 
 class Options:
@@ -124,30 +140,25 @@ class Options:
             return classical.to_unified(self.classical(variant)).params
         if a is None or b is None or c is None:
             raise ConfigParseError("need --a, --b and --c (or --classical ...)")
+        _refuse_unused({key: self._get(key) for key in _CLASSICAL_KEYS}, (), "raw --a/--b/--c")
         return params.validate(a, b, c, 0.0 if offset is None else offset)
 
     def classical(self, variant: str) -> classical.ClassicalSpec:
+        """The spec of a variant, built from exactly its fields' options."""
+        values = {key: self._get(key) for key in _CLASSICAL_KEYS}
+        variant = variant.lower()
+        if variant not in _VARIANTS:
+            raise ConfigParseError(f"unknown classical variant {variant!r}; "
+                                   "choose kohlbecker, debruijn or kasahara")
         from . import classical
 
-        variant = variant.lower()
-        alpha, big_b = self._get("alpha"), self._get("B")
-        beta, rate = self._get("beta"), self._get("rate", 1.0)
-        if variant == "kohlbecker":
-            if alpha is None or big_b is None:
-                raise ConfigParseError("kohlbecker needs --alpha and --B")
-            return classical.Kohlbecker(alpha=alpha, B=big_b)
-        if variant == "debruijn":
-            if beta is None or big_b is None:
-                raise ConfigParseError("debruijn needs --beta and --B")
-            return classical.DeBruijn(beta=beta, B=big_b, rate=rate)
-        if variant == "kasahara":
-            if alpha is None or big_b is None:
-                raise ConfigParseError("kasahara needs --alpha and --B")
-            return classical.Kasahara(alpha=alpha, B=big_b)
-        raise ConfigParseError(
-            f"unknown classical variant {variant!r}; "
-            "choose kohlbecker, debruijn or kasahara"
-        )
+        spec_cls = getattr(classical, _VARIANTS[variant])
+        required = [key for key in spec_cls._fields if key not in spec_cls._field_defaults]
+        if any(values[key] is None for key in required):
+            needs = " and ".join(f"--{key}" for key in required)
+            raise ConfigParseError(f"{variant} needs {needs}")
+        _refuse_unused(values, spec_cls._fields, variant)
+        return spec_cls(**{key: value for key, value in values.items() if value is not None})
 
     def verify(self) -> asymptotics.EquivalenceReport:
         """Verify the pure power of the resolved parameters over the resolved grid."""
@@ -318,11 +329,7 @@ def cmd_ck_index(args) -> int:
 def cmd_measure(args) -> int:
     """Exponential transform of a tabulated measure at given lambdas."""
     m = measures.load_measure(args.file)
-    fn = (
-        measures.measure_transform_kohlbecker
-        if args.variant == "kohlbecker"
-        else measures.measure_transform_kasahara
-    )
+    fn = getattr(measures, f"measure_transform_{args.variant}")
     values = [(x, fn(m, x)) for x in args.lam]
     print("lambda log_M")
     for x, v in values:
@@ -331,23 +338,12 @@ def cmd_measure(args) -> int:
 
 
 def _parser() -> _Parser:
-    classical_opts = _Parser(add_help=False)
-    classical_opts.add_argument("--alpha", type=float, help="classical alpha")
-    classical_opts.add_argument("--B", type=float, help="classical B")
-    classical_opts.add_argument("--beta", type=float, help="classical beta")
-    classical_opts.add_argument("--rate", type=float, help="de Bruijn rate constant")
+    parents = {group: _Parser(add_help=False) for group in _SHARED_OPTIONS}
+    for group, options in _SHARED_OPTIONS.items():
+        for key, cast, help_text in options:
+            parents[group].add_argument(f"--{key}", type=cast, help=help_text)
+    classical_opts, params_opts, grid_opts = parents.values()
     classical_opts.add_argument("--config", help="key = value config file")
-    params_opts = _Parser(add_help=False)
-    params_opts.add_argument("--a", type=float, help="primal coefficient a")
-    params_opts.add_argument("--b", type=float, help="primal exponent b")
-    params_opts.add_argument("--c", type=float, help="kernel rate c")
-    params_opts.add_argument("--offset", type=float, help="transform offset")
-    params_opts.add_argument(
-        "--classical", help="classical variant: kohlbecker | debruijn | kasahara")
-    grid_opts = _Parser(add_help=False)
-    grid_opts.add_argument("--psi-min", type=float)
-    grid_opts.add_argument("--psi-max", type=float)
-    grid_opts.add_argument("--n", type=int)
     grid_opts.add_argument("--quad-tol", type=float, default=1e-8,
                            help="quadrature tolerance (default: %(default)s)")
 

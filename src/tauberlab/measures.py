@@ -203,24 +203,25 @@ def _require_atoms(m: TabulatedMeasure) -> None:
         raise EmptyMeasure("measure has no atoms")
 
 
-def measure_transform_kohlbecker(m: TabulatedMeasure, lam: float) -> float:
-    """log of sum_i mass_i * exp(-x_i / lam), 0 < lam < inf."""
+def _require_lam(m: TabulatedMeasure, lam: float, positive: bool) -> None:
+    """The gate of the lam sums: refuse an empty measure, then a lam out of
+    range (lam > 0 if ``positive``, else lam >= 0; NaN included), then inf."""
     _require_atoms(m)
-    if not lam > 0.0:
-        raise DomainError("lam must be positive")
+    if not (lam > 0.0 if positive else lam >= 0.0):
+        raise DomainError("lam must be positive" if positive else "lam must be >= 0")
     if lam == math.inf:
         raise DomainError("lam must be finite, got inf")
-    with np.errstate(over="ignore"):
-        return _log_sum_shifted(m._log_m - m._x / lam)
+
+
+def measure_transform_kohlbecker(m: TabulatedMeasure, lam: float) -> float:
+    """log of sum_i mass_i * exp(-x_i / lam), 0 < lam < inf: _log_integral at c = -1."""
+    _require_lam(m, lam, positive=True)
+    return _log_integral(m, "cumulative", -1.0, lam)
 
 
 def measure_transform_kasahara(m: TabulatedMeasure, lam: float) -> float:
     """log of sum_i mass_i * exp(lam * x_i), 0 <= lam < inf (finite atom list)."""
-    _require_atoms(m)
-    if not lam >= 0.0:
-        raise DomainError("lam must be >= 0")
-    if lam == math.inf:
-        raise DomainError("lam must be finite, got inf")
+    _require_lam(m, lam, positive=False)
     with np.errstate(over="ignore", invalid="ignore"):
         return _log_sum_shifted(m._log_m + lam * m._x)
 
@@ -265,11 +266,7 @@ def kasahara_via_parts(m: TabulatedMeasure, lam: float) -> float:
     log space.  For measures with no atom at 0 this equals the direct
     transform up to roundoff; it exercises an independent summation path.
     """
-    _require_atoms(m)
-    if not lam >= 0.0:
-        raise DomainError("lam must be >= 0")
-    if lam == math.inf:
-        raise DomainError("lam must be finite, got inf")
+    _require_lam(m, lam, positive=False)
     # Tail value T_i on (x_{i-1}, x_i) is the mass at locations >= x_i, and
     # log(T_i * (e^hi - e^lo)) is -inf for an empty panel; then log mu(0, inf).
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -440,6 +440,41 @@ IN_PROCESS_CASES = {
     "measure-missing-file": (
         ("measure", "--file", "nope.tsv", "--variant", "kohlbecker", "--lam", "1"), None, 2,
         "stderr", "error: MeasureFormatError: cannot read measure file nope.tsv"),
+    # Each variant needs the fields of its spec that have no default.
+    "classical-kohlbecker-missing": (
+        ("classical", "--variant", "kohlbecker", "--alpha", "2"), None, 2,
+        "stderr", "error: ConfigParseError: kohlbecker needs --alpha and --B\n"),
+    "classical-debruijn-missing": (
+        ("classical", "--variant", "debruijn", "--B", "-1", "--rate", "2"), None, 2,
+        "stderr", "error: ConfigParseError: debruijn needs --beta and --B\n"),
+    "classical-kasahara-missing": (
+        ("validate", "--classical", "kasahara", "--B", "1"), None, 2,
+        "stderr", "error: ConfigParseError: kasahara needs --alpha and --B\n"),
+    # A classical option that the run does not use is refused, from a flag or
+    # a config key; a raw run uses none.
+    "kohlbecker-unused-rate-flag": (
+        ("classical", "--variant", "kohlbecker", "--alpha", "2", "--B", "2", "--rate", "5"),
+        None, 2, "stderr", "error: ConfigParseError: --rate does not apply to kohlbecker\n"),
+    "kohlbecker-unused-rate-config": (
+        ("validate", "--config", "run.cfg"),
+        "classical = kohlbecker\nalpha = 2\nB = 2\nrate = 5\n", 2,
+        "stderr", "error: ConfigParseError: --rate does not apply to kohlbecker\n"),
+    "kasahara-unused-beta-flag": (
+        ("verify", "--classical", "kasahara", "--alpha", "0.5", "--B", "1", "--beta", "-1"),
+        None, 2, "stderr", "error: ConfigParseError: --beta does not apply to kasahara\n"),
+    "kasahara-unused-beta-config": (
+        ("classical", "--variant", "kasahara", "--config", "run.cfg"),
+        "alpha = 0.5\nB = 1\nbeta = -1\n", 2,
+        "stderr", "error: ConfigParseError: --beta does not apply to kasahara\n"),
+    "raw-unused-alpha-flag": (
+        ("validate", *K, "--alpha", "2"), None, 2,
+        "stderr", "error: ConfigParseError: --alpha does not apply to raw --a/--b/--c\n"),
+    "raw-unused-alpha-config": (
+        ("predict", *K, "--psi", "100", "--config", "run.cfg"), "alpha = 2\n", 2,
+        "stderr", "error: ConfigParseError: --alpha does not apply to raw --a/--b/--c\n"),
+    "raw-classical-cast-error": (
+        ("validate", *K, "--config", "run.cfg"), "rate = fast\n", 2,
+        "stderr", "error: ConfigParseError: config key 'rate': could not convert"),
 }
 
 
@@ -455,6 +490,35 @@ def test_cli_in_process(tmp_path, monkeypatch, capsys, args, config, code, strea
     res_code, out, err = invoke(capsys, *args)
     assert res_code == code, (out, err)
     assert fragment in {"stdout": out, "stderr": err}[stream]
+    if code == 2:  # an input error is refused before any output
+        assert out == ""
+
+
+# Each config key, with a value that changes the output, in the run that
+# uses it.
+CONFIG_KEY_RUNS = (
+    ("verify", {"a": "2", "b": "0.5", "c": "-1", "offset": "0.5",
+                "psi-min": "20", "psi-max": "300", "n": "9"}),
+    ("validate", {"classical": "debruijn", "beta": "-0.5", "B": "-2", "rate": "2"}),
+    ("validate", {"classical": "kohlbecker", "alpha": "3", "B": "2"}),
+)
+CONFIG_KEYS = "a b c offset classical alpha B beta rate psi-min psi-max n".split()
+
+
+def test_the_config_keys_are_the_listed_ones_and_each_has_a_run():
+    assert set(cli._CONFIG_CASTS) == set(CONFIG_KEYS)
+    assert set().union(*(values for _, values in CONFIG_KEY_RUNS)) == set(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_a_config_key_gives_the_output_of_its_flag(tmp_path, monkeypatch, capsys, key):
+    monkeypatch.chdir(tmp_path)
+    command, values = next(run for run in CONFIG_KEY_RUNS if key in run[1])
+    (tmp_path / "run.cfg").write_text(f"{key} = {values[key]}\n", encoding="utf-8")
+    others = [arg for k, v in values.items() if k != key for arg in (f"--{k}", v)]
+    from_flag = invoke(capsys, command, *others, f"--{key}", values[key])
+    assert from_flag[0] == 0, from_flag
+    assert invoke(capsys, command, *others, "--config", "run.cfg") == from_flag
 
 
 @pytest.mark.parametrize("args", [

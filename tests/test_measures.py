@@ -1,6 +1,7 @@
 """Tabulated measures: ingestion, transforms, quantization brackets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -417,3 +418,32 @@ class TestHeldArrays:
         for held in (m._x, m._log_m, m._cum, m._suffix):
             with pytest.raises(ValueError, match="read-only"):
                 held[0] = 1.0
+
+
+# The five lam sums and the refusal of a lam out of each one's range.
+LAM_SUMS = {
+    "kohlbecker": (tl.measure_transform_kohlbecker, "lam must be positive"),
+    "kohlbecker-bracket": (tl.kohlbecker_panel_bracket, "lam must be positive"),
+    "kasahara": (tl.measure_transform_kasahara, "lam must be >= 0"),
+    "kasahara-bracket": (tl.kasahara_panel_bracket, "lam must be >= 0"),
+    "kasahara-parts": (tl.kasahara_via_parts, "lam must be >= 0"),
+}
+
+
+class TestLamGate:
+    @pytest.mark.parametrize("fn, message", list(LAM_SUMS.values()), ids=list(LAM_SUMS))
+    def test_an_empty_measure_is_refused_before_a_nan_lam(self, fn, message):
+        with pytest.raises(tl.EmptyMeasure, match="^measure has no atoms$"):
+            fn(tl.TabulatedMeasure((), ()), math.nan)
+
+    @pytest.mark.parametrize("fn, message", list(LAM_SUMS.values()), ids=list(LAM_SUMS))
+    def test_a_nan_lam_is_refused_with_its_sides_message(self, fn, message):
+        with pytest.raises(tl.DomainError, match=f"^{re.escape(message)}$"):
+            fn(tl.TabulatedMeasure((0.0, 1.0), (1.0, 1.0)), math.nan)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(m=_measures(), lam=st.floats(min_value=0.0, max_value=1e300, exclude_min=True))
+    def test_the_kohlbecker_sum_is_the_cumulative_route(self, m, lam):
+        # Bit for bit: repr tells -0.0 from 0.0.
+        route = tl.log_transform(tl.MeasureTarget(m), -1.0, 0.0, lam).log_f
+        assert repr(tl.measure_transform_kohlbecker(m, lam)) == repr(route)
