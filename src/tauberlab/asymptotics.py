@@ -22,6 +22,7 @@ from .errors import (
     InconsistentInputs,
     SignChange,
     TauberError,
+    _checked,
 )
 from .measures import _geometric_grid
 from .params import UnifiedParams, recover_primal
@@ -54,6 +55,7 @@ class _EvalGridFields(NamedTuple):
     psi_values: tuple[float, ...]
 
 
+@_checked
 class EvalGrid(_EvalGridFields):
     """Strictly increasing geometric psi grid with at least 8 points, held as
     a tuple of Python floats whatever sequence it was built from.  Its length
@@ -62,7 +64,10 @@ class EvalGrid(_EvalGridFields):
     __slots__ = ()
 
     def __new__(cls, psi_values: tuple[float, ...]):
-        v = tuple(map(float, psi_values))
+        return super().__new__(cls, tuple(map(float, psi_values)))
+
+    def _check(self):
+        v = self.psi_values
         if len(v) < _MIN_GRID_POINTS:
             raise BadRange(f"grid needs >= {_MIN_GRID_POINTS} points, got {len(v)}")
         if not all(math.isfinite(x) for x in v):
@@ -72,12 +77,6 @@ class EvalGrid(_EvalGridFields):
         ratios = [hi / lo for lo, hi in zip(v, v[1:])]
         if max(ratios) - min(ratios) > 1e-12 * max(ratios):
             raise BadRange("psi values must be geometrically spaced")
-        return super().__new__(cls, v)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: run the checks of __new__.
-        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.psi_values)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Union
 
-from .errors import SpecOutOfRange, ValidationError
+from .errors import SpecOutOfRange, ValidationError, _checked
 from .params import Regime, UnifiedParams, validate
 
 __all__ = [
@@ -39,86 +39,59 @@ __all__ = [
 ]
 
 
-def _require_finite(cls: type, **fields: float) -> None:
+def _require_finite(spec) -> None:
     """Refuse the first of a spec's fields that is not a finite float."""
-    for name, value in fields.items():
+    for name, value in zip(spec._fields, spec):
         if not math.isfinite(value):
-            raise SpecOutOfRange(f"{cls.__name__} needs a finite {name}, got {value:g}")
+            raise SpecOutOfRange(f"{type(spec).__name__} needs a finite {name}, got {value:g}")
 
 
-class _KohlbeckerFields(NamedTuple):
+@_checked
+class Kohlbecker(NamedTuple):
+    """Measure growth log mu[0,x] ~ B*x**(1/alpha); alpha > 1, B > 0."""
+
     alpha: float
     B: float
 
-
-class Kohlbecker(_KohlbeckerFields):
-    """Measure growth log mu[0,x] ~ B*x**(1/alpha); alpha > 1, B > 0."""
-
-    __slots__ = ()
-
-    def __new__(cls, alpha: float, B: float):
-        _require_finite(cls, alpha=alpha, B=B)
-        if not alpha > 1.0:
-            raise SpecOutOfRange(f"Kohlbecker needs alpha > 1, got {alpha:g}")
-        if not B > 0.0:
-            raise SpecOutOfRange(f"Kohlbecker needs B > 0, got {B:g}")
-        return super().__new__(cls, alpha, B)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: run the checks of __new__.
-        return cls(*iterable)
+    def _check(self):
+        _require_finite(self)
+        if not self.alpha > 1.0:
+            raise SpecOutOfRange(f"Kohlbecker needs alpha > 1, got {self.alpha:g}")
+        if not self.B > 0.0:
+            raise SpecOutOfRange(f"Kohlbecker needs B > 0, got {self.B:g}")
 
 
-class _DeBruijnFields(NamedTuple):
+@_checked
+class DeBruijn(NamedTuple):
+    """Small-argument decay log P(1/x) ~ B*x**(-beta); beta < 0, B < 0, rate > 0."""
+
     beta: float
     B: float
     rate: float = 1.0
 
-
-class DeBruijn(_DeBruijnFields):
-    """Small-argument decay log P(1/x) ~ B*x**(-beta); beta < 0, B < 0, rate > 0."""
-
-    __slots__ = ()
-
-    def __new__(cls, beta: float, B: float, rate: float = 1.0):
-        _require_finite(cls, beta=beta, B=B, rate=rate)
-        if not beta < 0.0:
-            raise SpecOutOfRange(f"DeBruijn needs beta < 0, got {beta:g}")
-        if not B < 0.0:
-            raise SpecOutOfRange(f"DeBruijn needs B < 0, got {B:g}")
-        if not rate > 0.0:
-            raise SpecOutOfRange(f"DeBruijn needs rate > 0, got {rate:g}")
-        return super().__new__(cls, beta, B, rate)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: run the checks of __new__.
-        return cls(*iterable)
+    def _check(self):
+        _require_finite(self)
+        if not self.beta < 0.0:
+            raise SpecOutOfRange(f"DeBruijn needs beta < 0, got {self.beta:g}")
+        if not self.B < 0.0:
+            raise SpecOutOfRange(f"DeBruijn needs B < 0, got {self.B:g}")
+        if not self.rate > 0.0:
+            raise SpecOutOfRange(f"DeBruijn needs rate > 0, got {self.rate:g}")
 
 
-class _KasaharaFields(NamedTuple):
+@_checked
+class Kasahara(NamedTuple):
+    """Tail decay log mu(x,inf) ~ -B*x**(1/alpha); 0 < alpha < 1, B > 0."""
+
     alpha: float
     B: float
 
-
-class Kasahara(_KasaharaFields):
-    """Tail decay log mu(x,inf) ~ -B*x**(1/alpha); 0 < alpha < 1, B > 0."""
-
-    __slots__ = ()
-
-    def __new__(cls, alpha: float, B: float):
-        _require_finite(cls, alpha=alpha, B=B)
-        if not 0.0 < alpha < 1.0:
-            raise SpecOutOfRange(f"Kasahara needs 0 < alpha < 1, got {alpha:g}")
-        if not B > 0.0:
-            raise SpecOutOfRange(f"Kasahara needs B > 0, got {B:g}")
-        return super().__new__(cls, alpha, B)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: run the checks of __new__.
-        return cls(*iterable)
+    def _check(self):
+        _require_finite(self)
+        if not 0.0 < self.alpha < 1.0:
+            raise SpecOutOfRange(f"Kasahara needs 0 < alpha < 1, got {self.alpha:g}")
+        if not self.B > 0.0:
+            raise SpecOutOfRange(f"Kasahara needs B > 0, got {self.B:g}")
 
 
 ClassicalSpec = Union[Kohlbecker, DeBruijn, Kasahara]
@@ -129,13 +102,18 @@ class UnifiedReduction(NamedTuple):
 
     classical_coefficient/lambda_exponent are the coefficient and lambda power
     of the classical statement; lambda_map describes how the engine argument s
-    relates to the classical lambda.
+    relates to the classical lambda.  rel_gap is the relative gap between the
+    unified d and the classical coefficient.
     """
 
     params: UnifiedParams
     classical_coefficient: float
     lambda_exponent: float
     lambda_map: str
+
+    @property
+    def rel_gap(self) -> float:
+        return abs(self.params.d - self.classical_coefficient) / abs(self.classical_coefficient)
 
 
 def to_unified(
@@ -170,9 +148,7 @@ def to_unified(
 def coefficient_identity_check(spec: ClassicalSpec) -> tuple[float, float, float]:
     """(unified d, classical coefficient, relative gap) for one spec."""
     red = to_unified(spec)
-    d = red.params.d
-    gap = abs(d - red.classical_coefficient) / abs(red.classical_coefficient)
-    return d, red.classical_coefficient, gap
+    return red.params.d, red.classical_coefficient, red.rel_gap
 
 
 def classify(p: UnifiedParams) -> ClassicalSpec:

@@ -83,7 +83,7 @@ def _load_config(path: str | None) -> dict[str, str]:
         return {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -284,14 +284,12 @@ def cmd_classical(args) -> int:
     """Reduce a classical spec and certify its coefficient identity."""
     from . import classical
 
-    spec = Options(args).classical(args.variant)
-    red = classical.to_unified(spec)
-    d, coeff, gap = classical.coefficient_identity_check(spec)
+    red = classical.to_unified(Options(args).classical(args.variant))
     p = red.params
     _print_pairs([
         ("variant", args.variant.lower()), ("a", p.a), ("b", p.b), ("c", p.c),
-        ("offset", p.offset), ("regime", p.regime.value), ("unified_d", d),
-        ("classical_coefficient", coeff), ("rel_gap", gap),
+        ("offset", p.offset), ("regime", p.regime.value), ("unified_d", p.d),
+        ("classical_coefficient", red.classical_coefficient), ("rel_gap", red.rel_gap),
         ("lambda_exponent", red.lambda_exponent), ("lambda_map", red.lambda_map),
     ])
     return 0

@@ -1,10 +1,13 @@
-"""Semantic exception hierarchy.
+"""Semantic exception hierarchy, and the rule by which a checked record
+refuses bad fields at every construction.
 
 Every error raised on purpose by this package derives from :class:`TauberError`
 so callers (and the CLI) can distinguish rejected inputs from genuine bugs.
 """
 
 from __future__ import annotations
+
+import functools
 
 __all__ = [
     "TauberError",
@@ -114,3 +117,22 @@ class SpecOutOfRange(ValidationError):
 
 class ConfigParseError(ValidationError):
     """Malformed CLI config file."""
+
+
+def _checked(cls):
+    """Class decorator for a NamedTuple record whose ``_check()`` refuses bad
+    fields: each construction builds the tuple, then runs ``_check``.  That
+    is the class call and ``_make``, and so ``_replace``, copy and unpickling
+    too.  The wrapped ``__new__`` keeps the signature and the arity errors
+    of the one it wraps."""
+    new = cls.__new__
+
+    @functools.wraps(new)
+    def __new__(cls, *args, **kwargs):
+        record = new(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls

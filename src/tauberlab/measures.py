@@ -49,7 +49,7 @@ class TabulatedMeasure:
     """Finite atomic measure on [0, inf).
 
     locations: strictly increasing, >= 0.
-    masses: strictly positive, same length.
+    masses: strictly positive, same length, summing to a finite float.
 
     Both are tuples of floats, checked once.  Every sum over the atoms reads
     four read-only arrays held beside them: the locations, the log-masses,
@@ -75,8 +75,14 @@ class TabulatedMeasure:
                 raise ValidationError("masses must be strictly positive")
         object.__setattr__(self, "locations", tuple(locs.tolist()))
         object.__setattr__(self, "masses", tuple(mass.tolist()))
-        held = (locs, np.log(mass), np.concatenate([[0.0], np.cumsum(mass)]),
-                np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]]))
+        try:  # total_mass (an exact sum) and the held running sums must be finite
+            math.fsum(self.masses)
+            with np.errstate(over="raise"):
+                cum, suffix = np.cumsum(mass), np.cumsum(mass[::-1])[::-1]
+        except (OverflowError, FloatingPointError):
+            raise NumericOverflow("total mass of the atoms is not a finite float") from None
+        held = (locs, np.log(mass), np.concatenate([[0.0], cum]),
+                np.concatenate([suffix, [0.0]]))
         for name, arr in zip(("_x", "_log_m", "_cum", "_suffix"), held):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

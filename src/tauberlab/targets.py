@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _checked
 from .measures import TabulatedMeasure
 
 __all__ = [
@@ -58,14 +58,8 @@ PERTURBATION_FAMILIES = {
 _MAX_PERTURBATION = 0.5
 
 
-class _PerturbedPowerFields(NamedTuple):
-    a: float
-    b: float
-    family: str
-    magnitude: float
-
-
-class PerturbedPower(_PerturbedPowerFields):
+@_checked
+class PerturbedPower(NamedTuple):
     """q(x) = a * x**b * (1 + delta(x)) with a named vanishing perturbation.
 
     With t = log x, the families are k/(1 + sqrt(1 + t**2)) ("inverse-log")
@@ -75,24 +69,21 @@ class PerturbedPower(_PerturbedPowerFields):
     converges geometrically on them.  Magnitude is capped at |k| <= 0.5.
     """
 
-    __slots__ = ()
+    a: float
+    b: float
+    family: str
+    magnitude: float
 
-    def __new__(cls, a: float, b: float, family: str, magnitude: float):
-        if family not in PERTURBATION_FAMILIES:
+    def _check(self):
+        if self.family not in PERTURBATION_FAMILIES:
             raise ValidationError(
-                f"unknown perturbation family {family!r}; "
+                f"unknown perturbation family {self.family!r}; "
                 f"choose from {sorted(PERTURBATION_FAMILIES)}"
             )
-        if not abs(magnitude) <= _MAX_PERTURBATION:
+        if not abs(self.magnitude) <= _MAX_PERTURBATION:
             raise ValidationError(
-                f"|magnitude| must be <= {_MAX_PERTURBATION}, got {magnitude:g}"
+                f"|magnitude| must be <= {_MAX_PERTURBATION}, got {self.magnitude:g}"
             )
-        return super().__new__(cls, a, b, family, magnitude)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: run the checks of __new__.
-        return cls(*iterable)
 
     def log_amplitude(self, x):
         arr = np.asarray(x, dtype=float)
@@ -106,29 +97,20 @@ class PerturbedPower(_PerturbedPowerFields):
         )
 
 
-class _MeasureTargetFields(NamedTuple):
-    measure: TabulatedMeasure
-    kind: str = "cumulative"
-
-
-class MeasureTarget(_MeasureTargetFields):
+@_checked
+class MeasureTarget(NamedTuple):
     """q(x) = log of a tabulated measure's cumulative or tail function.
 
     kind="cumulative" evaluates log mu[0, x]; kind="tail" evaluates
     log mu(x, inf).  Regions carrying no mass give q = -inf, i.e. P = 0.
     """
 
-    __slots__ = ()
+    measure: TabulatedMeasure
+    kind: str = "cumulative"
 
-    def __new__(cls, measure: TabulatedMeasure, kind: str = "cumulative"):
-        if kind not in ("cumulative", "tail"):
-            raise ValidationError(f"kind must be 'cumulative' or 'tail', got {kind!r}")
-        return super().__new__(cls, measure, kind)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: run the checks of __new__.
-        return cls(*iterable)
+    def _check(self):
+        if self.kind not in ("cumulative", "tail"):
+            raise ValidationError(f"kind must be 'cumulative' or 'tail', got {self.kind!r}")
 
     def log_amplitude(self, x):
         arr = np.asarray(x, dtype=float)

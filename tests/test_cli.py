@@ -165,6 +165,20 @@ class TestClassicalCommand:
         assert res.returncode == 2
         assert "SpecOutOfRange" in res.stderr
 
+    @pytest.mark.parametrize("spec", [
+        ("kohlbecker", "--alpha", "2", "--B", "2"),
+        ("debruijn", "--beta", "-1", "--B", "-1", "--rate", "2"),
+        ("kasahara", "--alpha", "0.5", "--B", "1"),
+    ])
+    def test_the_spec_is_reduced_once(self, monkeypatch, capsys, spec):
+        # The coefficient identity is read off the one reduction the command prints.
+        calls, validate = [], tl.classical.validate
+        monkeypatch.setattr("tauberlab.classical.validate",
+                            lambda *args, **kw: calls.append(1) or validate(*args, **kw))
+        code, out, _ = invoke(capsys, "classical", "--variant", *spec)
+        assert code == 0 and "rel_gap = " in out
+        assert len(calls) == 1
+
 
 class TestDataCommands:
     def test_ck_index_and_diagnostic(self, tmp_path):
@@ -475,6 +489,14 @@ IN_PROCESS_CASES = {
     "raw-classical-cast-error": (
         ("validate", *K, "--config", "run.cfg"), "rate = fast\n", 2,
         "stderr", "error: ConfigParseError: config key 'rate': could not convert"),
+    # A config file is read as UTF-8, as the measure and sample files are.
+    "config-not-utf8": (
+        ("validate", *K, "--config", "run.cfg"), b"a = 2\xff\n", 2,
+        "stderr", "error: ConfigParseError: cannot read config file run.cfg: 'utf-8' codec"),
+    "measure-total-mass-overflow": (
+        ("measure", "--file", "run.cfg", "--variant", "kohlbecker", "--lam", "1"),
+        "0\t1e308\n1\t1e308\n", 2,
+        "stderr", "error: MeasureFormatError: run.cfg: total mass of the atoms is not a finite"),
 }
 
 
@@ -485,8 +507,9 @@ IN_PROCESS_CASES = {
 )
 def test_cli_in_process(tmp_path, monkeypatch, capsys, args, config, code, stream, fragment):
     monkeypatch.chdir(tmp_path)
-    if config is not None:
-        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+    if config is not None:  # text, or bytes written as they are
+        data = config if isinstance(config, bytes) else config.encode("utf-8")
+        (tmp_path / "run.cfg").write_bytes(data)
     res_code, out, err = invoke(capsys, *args)
     assert res_code == code, (out, err)
     assert fragment in {"stdout": out, "stderr": err}[stream]

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +31,17 @@ class TestConstruction:
             tl.TabulatedMeasure((0.0,), (0.5, 0.5))  # length mismatch
         with pytest.raises(tl.ValidationError, match="finite"):
             tl.TabulatedMeasure((0.0, math.inf), (1.0, 1.0))
+
+    @pytest.mark.parametrize("masses", [
+        (1e308, 1e308),  # the running sums overflow
+        (sys.float_info.max, 2.0**969, 2.0**969),  # the running sums round down; the total does not
+    ])
+    def test_a_total_mass_past_the_doubles_is_refused(self, masses):
+        # Refused where it is built, before any sum warns or total_mass raises.
+        with pytest.raises(tl.NumericOverflow, match="total mass"):
+            tl.TabulatedMeasure(tuple(map(float, range(len(masses)))), masses)
+        top = tl.TabulatedMeasure((0.0, 1.0), (sys.float_info.max / 2,) * 2)
+        assert top.total_mass == sys.float_info.max
 
     def test_cumulative_and_tail(self):
         m = tl.TabulatedMeasure((0.0, 1.0, 2.0), (1.0, 2.0, 4.0))

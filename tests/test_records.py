@@ -1,7 +1,9 @@
 """The contract of every public record: construction, defaults, immutability,
 equality, hash and repr."""
 
+import copy
 import enum
+import inspect
 import math
 import pickle
 
@@ -162,3 +164,52 @@ def test_replace_runs_the_checks_of_a_checked_record(name, field, bad, error):
     assert record._replace() == record
     with pytest.raises(error):
         record._replace(**{field: bad})
+
+
+# Each checked record's parameters as (name, default), in order; a required
+# parameter has inspect's empty default.
+REQUIRED = inspect.Parameter.empty
+CHECKED = {
+    "Kohlbecker": (("alpha", REQUIRED), ("B", REQUIRED)),
+    "DeBruijn": (("beta", REQUIRED), ("B", REQUIRED), ("rate", 1.0)),
+    "Kasahara": (("alpha", REQUIRED), ("B", REQUIRED)),
+    "PerturbedPower": (("a", REQUIRED), ("b", REQUIRED), ("family", REQUIRED),
+                       ("magnitude", REQUIRED)),
+    "MeasureTarget": (("measure", REQUIRED), ("kind", "cumulative")),
+    "EvalGrid": (("psi_values", REQUIRED),),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_a_checked_record_keeps_its_signature(name):
+    params = inspect.signature(getattr(tl, name)).parameters.values()
+    assert tuple((p.name, p.default) for p in params) == CHECKED[name]
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_a_checked_record_defaults_are_its_signature_defaults(name):
+    defaults = {field: default for field, default in CHECKED[name] if default is not REQUIRED}
+    assert getattr(tl, name)._field_defaults == defaults
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_the_arity_error_of_a_checked_record_names_the_class(name):
+    required = [field for field, default in CHECKED[name] if default is REQUIRED]
+    with pytest.raises(TypeError, match=rf"^{name}\.__new__\(\) missing {len(required)} "):
+        getattr(tl, name)()
+    with pytest.raises(TypeError, match=rf"^{name}\.__new__\(\) takes "):
+        getattr(tl, name)(*RECORDS[name].values(), None)
+
+
+def test_the_arity_error_names_the_missing_field():
+    with pytest.raises(TypeError) as info:
+        tl.DeBruijn(-1.0)
+    assert str(info.value) == "DeBruijn.__new__() missing 1 required positional argument: 'B'"
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_a_checked_record_copies_to_an_equal_record(name):
+    record = getattr(tl, name)(**RECORDS[name])
+    for duplicate in (copy.copy(record), copy.deepcopy(record)):
+        assert type(duplicate) is type(record)
+        assert duplicate == record

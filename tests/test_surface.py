@@ -101,10 +101,47 @@ def test_the_private_names_taken_across_modules_are_the_listed_ones():
     # it; a new reach is a decision, and needs an edit of this list.
     expected = {
         "transform": {"measures._log_integral", "params._x_peak"},
-        "asymptotics": {"measures._geometric_grid", "transform._predictions"},
+        "asymptotics": {"errors._checked", "measures._geometric_grid", "transform._predictions"},
+        "classical": {"errors._checked"},
+        "targets": {"errors._checked"},
         "cli": {"measures._load_pairs"},
     }
     sources = sorted(Path(tl.__file__).parent.glob("*.py"))
     siblings = {path.stem for path in sources}
     found = {path.stem: _private_reaches(path, siblings) for path in sources}
     assert {name: reaches for name, reaches in found.items() if reaches} == expected
+
+
+def _classes(path: Path):
+    return [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)]
+
+
+def _body_names(cls: ast.ClassDef) -> set[str]:
+    """The names a class body defines or assigns."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_the_construction_rule_of_a_checked_record_is_written_once():
+    # errors._checked builds every checked record: no class writes its own
+    # _make, and no record keeps a twin class of its fields, except EvalGrid,
+    # which converts its input before the checks.
+    sources = sorted(Path(tl.__file__).parent.glob("*.py"))
+    checked = []
+    for path in sources:
+        for cls in _classes(path):
+            assert "_make" not in _body_names(cls), f"{path.name}: {cls.name}"
+            if cls.name.startswith("_") and cls.name.endswith("Fields"):
+                assert cls.name == "_EvalGridFields", f"{path.name}: {cls.name}"
+            if any(isinstance(d, ast.Name) and d.id == "_checked" for d in cls.decorator_list):
+                checked.append(cls.name)
+                assert "_check" in _body_names(cls), f"{path.name}: {cls.name}"
+    assert sorted(checked) == sorted(
+        ["Kohlbecker", "DeBruijn", "Kasahara", "PerturbedPower", "MeasureTarget", "EvalGrid"])
