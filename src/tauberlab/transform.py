@@ -21,9 +21,9 @@ dynamic range exceeds the floating-point range at moderate regime values
      estimate is the difference between successive levels, and a row stops
      refining once it meets the tolerance.  Each step evaluates only its fine
      level of 2n panels and reads the coarse level of n panels off the even
-     nodes, which are the coarse level's nodes bit for bit.  A level puts
-     one pad slot of -inf ahead of each row, so one maximum.reduceat and one
-     add.reduceat give every row's peak and its sum.
+     nodes, which are the coarse level's nodes bit for bit.  Both levels lay
+     their rows in one buffer, each row after a pad slot of -inf, so one
+     maximum.reduceat and one add.reduceat give every row's peak and sum.
 
 So the resolution is the same at every psi.  On a pure power and on both
 perturbed families, whose delta is analytic in log x, the v-integrand is
@@ -149,7 +149,7 @@ def locate_peak(t, c: float, s):
     s, returns the list of the rows' u*.
 
     Raises:
-        DomainError: s <= 0.
+        DomainError: s <= 0, or c not finite.
         NoInteriorPeak: integrand monotone.
         NotIntegrable: the signs of a, b and c make the transform diverge.
         NumericOverflow: psi or the stationary point is outside the float range.
@@ -157,6 +157,8 @@ def locate_peak(t, c: float, s):
     s_rows = np.array(s, dtype=float, ndmin=1)
     if not (s_rows > 0.0).all():
         raise DomainError("s must be positive")
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c:g}")
     _require_interior_peak(t, c)
     x_peak = _x_peak(t.a, t.b, c)
     peaks = [x_peak * psi_for_s(t.b, si) for si in s_rows.tolist()]
@@ -211,28 +213,15 @@ def _prepare_windows(t, c: float, s: np.ndarray):
     return u_star, -h * edge[:, 0], h * edge[:, 1], m, n0
 
 
-def _padded(vals: np.ndarray, start: np.ndarray):
-    """vals, rows laid end to end from slots start, copied with one pad slot
-    of -inf ahead of each row; returns (array, pad), pad[r] being row r's pad
-    slot, its values after it."""
-    pad = start + np.arange(start.size)
-    keep = np.ones(vals.size + start.size, dtype=bool)
-    keep[pad] = False
-    out = np.empty(keep.size)
-    out[keep] = vals
-    out[pad] = -np.inf
-    return out, pad
-
-
 def _log_trapezoid(vals: np.ndarray, pad, width, m, lo, hi) -> list[float]:
     """m + log of the trapezoid sum of exp(vals) on (hi - lo) / n steps, per
     row, row i's n[i] + 1 values of g - m laid end to end in vals (which is
     overwritten), each after one pad slot holding -inf: row i takes
-    width[i] = n[i] + 2 slots from slot pad[i].  One maximum.reduceat and one
-    add.reduceat give every row's max and sum: reduceat adds a segment's
-    first element, the pad's exp(-inf) = 0, to numpy's pairwise sum of the
-    rest, so each row equals np.add.reduce of that row, a batch of one, bit
-    for bit."""
+    width[i] = n[i] + 2 slots from slot pad[i], rows of either level alike.
+    One maximum.reduceat and one add.reduceat give every row's max and sum:
+    reduceat adds a segment's first element, the pad's exp(-inf) = 0, to
+    numpy's pairwise sum of the rest, so each row equals np.add.reduce of
+    that row, a batch of one, bit for bit."""
     peak = np.maximum.reduceat(vals, pad)
     vals -= np.repeat(peak, width)
     np.exp(vals, out=vals)
@@ -252,10 +241,11 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]):
     np.linspace(v_lo[i], v_hi[i], n[i] + 1) by linspace's own expressions.
     Its node 2j, 2j*((hi-lo)/n), equals j*((hi-lo)/(n/2)) bit for bit, the
     step scaling by 2 exactly, so the coarse level reads its nodes off the
-    even nodes and equals its own evaluation bit for bit.  A padded fine row
-    takes n[i] + 2 slots, an even count, so every pad sits at an even slot
-    and every even node at an odd one: the odd slots are the coarse nodes,
-    rows end to end, row i's from slot pad[i] // 2.
+    even nodes and equals its own evaluation bit for bit.  A block is one
+    buffer and one _log_trapezoid pass: its fine rows, each a pad slot and
+    n[i] + 1 nodes, then its coarse rows, each a pad slot and n[i]/2 + 1
+    nodes.  A fine row's n[i] + 2 slots are even in number, so its even nodes
+    sit at odd slots: the fine region's odd slots are the coarse nodes.
     """
     fine_rows, coarse_rows = [], []
     for i, j in _row_blocks([k + 1 for k in n]):
@@ -272,11 +262,19 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]):
         vals = _g_rows(t, c, np.repeat(s[i:j], width), np.repeat(u_star[i:j], width), vs)
         del vs
         vals -= np.repeat(mi, width)
-        fine, pad = _padded(vals, start)
+        slots = np.concatenate((ni + 2, ni // 2 + 2))
+        pad = np.cumsum(slots) - slots
+        end = pad[j - i]  # the fine region's end, the first coarse pad
+        buf, keep = np.empty(pad[-1] + slots[-1]), np.ones(pad[-1] + slots[-1], dtype=bool)
+        keep[pad] = False
+        buf[pad] = -np.inf
+        buf[:end][keep[:end]] = vals
         del vals
-        coarse_rows += _log_trapezoid(*_padded(fine[1::2], pad // 2), ni // 2 + 2, mi, lo, hi)
-        fine_rows += _log_trapezoid(fine, pad, ni + 2, mi, lo, hi)
-        del fine  # before the next block allocates its own
+        buf[end:][keep[end:]] = buf[1:end:2]
+        rows = _log_trapezoid(buf, pad, slots, *(np.concatenate((x, x)) for x in (mi, lo, hi)))
+        fine_rows += rows[:j - i]
+        coarse_rows += rows[j - i:]
+        del buf, keep  # before the next block allocates its own
     return fine_rows, coarse_rows
 
 
@@ -318,6 +316,8 @@ def _transform_rows(t, c: float, offset: float, s: list, tol: float, psi):
         raise DomainError(f"offset must be finite, got {offset:g}")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol:g}")
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c:g}")
     if not s:
         return []
     if isinstance(t, MeasureTarget):
@@ -360,8 +360,8 @@ def log_transform(
         NotIntegrable: integrand diverges at an endpoint.
         NoInteriorPeak: power integrand monotone (see locate_peak).
         EmptyMeasure: measure target without atoms.
-        DomainError: s, or tol, not positive and finite, or offset < 0 or not
-            finite.
+        DomainError: s, or tol, not positive and finite, offset < 0 or not
+            finite, or c not finite.
     """
     return _transform_rows(t, c, offset, [s], tol, [None])[0]
 

@@ -96,6 +96,13 @@ class TestLocatePeak:
         with pytest.raises(tl.NoInteriorPeak):
             tl.locate_peak(tl.PurePower(-1.0, 0.5), -1.0, 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("target", [KOHL, KASA, DEBR])
+    def test_non_finite_rate_refused(self, target, c):
+        with pytest.raises(tl.DomainError, match=f"c must be finite, got {c:g}"):
+            tl.locate_peak(target, c, 1.0)
+
 
 class _CountingTarget:
     """Delegates to a target, counts its log_amplitude calls and records the
@@ -190,11 +197,12 @@ class TestSearchCost:
 
     @pytest.mark.parametrize("a,b,c,offset", [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0)])
     def test_sweep_makes_as_many_reductions_as_one_point(self, a, b, c, offset):
-        # Each trapezoid level is one maximum.reduceat and one add.reduceat
-        # over all its rows, so a 17-point sweep, whose rows start from 10 to
-        # 12 distinct panel counts, makes as many ufunc reductions as one
-        # point.  One sum per run of equal panel counts made 30 (Kohlbecker)
-        # and 32 (Kasahara) against 10.
+        # A refinement step is one maximum.reduceat and one add.reduceat over
+        # all its rows of both levels, so a 17-point sweep, whose rows start
+        # from 10 to 12 distinct panel counts, makes as many ufunc reductions
+        # as one point: 6, the step's 2 reduceat and the window's 4 reduce.
+        # One sum per run of equal panel counts made 30 (Kohlbecker) and 32
+        # (Kasahara) against 6.
         p, t = tl.validate(a, b, c, offset), tl.PurePower(a, b)
         psis = tl.make_grid(10.0, 1000.0, 16).psi_values + (100.0,)
         s = np.array([tl.s_for_psi(b, x) for x in psis])
@@ -208,6 +216,20 @@ class TestSearchCost:
             return sum(v[1] for k, v in pstats.Stats(prof).stats.items() if k[2] in names)
 
         assert reductions(psis) == reductions(100.0)
+
+    @pytest.mark.parametrize("a,b,c,offset", [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0)])
+    def test_refinement_step_is_one_pass_of_two_reductions(self, a, b, c, offset):
+        # Every row of the 17-point sweep converges at the first refinement
+        # step, whose fine and coarse levels share one buffer and one
+        # _log_trapezoid pass: one maximum.reduceat and one add.reduceat.
+        p, t = tl.validate(a, b, c, offset), tl.PurePower(a, b)
+        psis = tl.make_grid(10.0, 1000.0, 16).psi_values + (100.0,)
+        prof = cProfile.Profile()
+        samples = prof.runcall(tl.sample_at_psi, p, t, psis)
+        calls = {k[2]: v[1] for k, v in pstats.Stats(prof).stats.items()}
+        assert all(x.tol_met for x in samples)
+        assert calls["_trapezoid_rows"] == calls["_log_trapezoid"] == 1
+        assert calls["<method 'reduceat' of 'numpy.ufunc' objects>"] == 2
 
     def test_perturbed_kasahara_sweep_converges(self):
         # The library inverse-log family is analytic in log x, so the
@@ -471,6 +493,20 @@ class TestBatchedSweep:
 
 
 class TestLogTransform:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("target", [
+        KOHL, KASA, DEBR, tl.PerturbedPower(2.0, 0.5, "inverse-log", 0.2),
+        tl.MeasureTarget(tl.TabulatedMeasure((0.0, 1.0, 2.0), (1.0, 2.0, 3.0))),
+        tl.MeasureTarget(tl.TabulatedMeasure((0.0, 1.0, 2.0), (1.0, 2.0, 3.0)), "tail"),
+    ], ids=["kohl", "kasa", "debr", "perturbed", "cumulative", "tail"])
+    def test_non_finite_rate_refused_on_both_routes(self, target, c):
+        # The check comes before either route: at c = -inf the atom at 0
+        # puts inf * 0 in the measure sum, and the engine would read c = nan
+        # as a divergent transform.
+        with pytest.raises(tl.DomainError, match=f"c must be finite, got {c:g}"):
+            tl.log_transform(target, c, 0.0, 1.0)
+
     @pytest.mark.parametrize(
         "name,target,c,offset,psi",
         [
