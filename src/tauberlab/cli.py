@@ -135,16 +135,14 @@ class Options:
         if variant is not None and offset is not None:
             raise ConfigParseError("--offset applies to raw --a/--b/--c, not to --classical")
         if variant is not None:
-            from . import classical
-
-            return classical.to_unified(self.classical(variant)).params
+            return self.reduction(variant).params
         if a is None or b is None or c is None:
             raise ConfigParseError("need --a, --b and --c (or --classical ...)")
         _refuse_unused({key: self._get(key) for key in _CLASSICAL_KEYS}, (), "raw --a/--b/--c")
         return params.validate(a, b, c, 0.0 if offset is None else offset)
 
-    def classical(self, variant: str) -> classical.ClassicalSpec:
-        """The spec of a variant, built from exactly its fields' options."""
+    def reduction(self, variant: str) -> classical.UnifiedReduction:
+        """The reduction of a variant's spec, built from exactly its fields' options."""
         values = {key: self._get(key) for key in _CLASSICAL_KEYS}
         variant = variant.lower()
         if variant not in _VARIANTS:
@@ -158,7 +156,7 @@ class Options:
             needs = " and ".join(f"--{key}" for key in required)
             raise ConfigParseError(f"{variant} needs {needs}")
         _refuse_unused(values, spec_cls._fields, variant)
-        return spec_cls(**{key: value for key, value in values.items() if value is not None})
+        return classical.to_unified(spec_cls(**{k: v for k, v in values.items() if v is not None}))
 
     def verify(self) -> asymptotics.EquivalenceReport:
         """Verify the pure power of the resolved parameters over the resolved grid."""
@@ -282,9 +280,7 @@ def cmd_invert(args) -> int:
 
 def cmd_classical(args) -> int:
     """Reduce a classical spec and certify its coefficient identity."""
-    from . import classical
-
-    red = classical.to_unified(Options(args).classical(args.variant))
+    red = Options(args).reduction(args.variant)
     p = red.params
     _print_pairs([
         ("variant", args.variant.lower()), ("a", p.a), ("b", p.b), ("c", p.c),

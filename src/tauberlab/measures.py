@@ -233,35 +233,33 @@ def measure_transform_kasahara(m: TabulatedMeasure, lam: float) -> float:
 
 
 def _left_edges(m: TabulatedMeasure) -> np.ndarray:
-    # Panel convention of the quantizers: atom i carries the mass of
-    # (x_{i-1}, x_i]; the first panel starts at its own location (zero width)
-    # when built by quantize_cumulative, at 0 when built by quantize_tail.
-    return np.concatenate([m._x[:1], m._x[:-1]])
+    """Left edges [0, x_0, ..., x_{n-2}] of the quantizers' panels: atom i
+    carries the mass of (x_{i-1}, x_i], the first atom the mass from 0 (a
+    panel of zero width when it sits at 0)."""
+    return np.concatenate([[0.0], m._x[:-1]])
+
+
+def _panel_bracket(m: TabulatedMeasure, direct: float, exponent, decreasing: bool):
+    """(lower, upper) from ``direct``, the transform with each panel's mass at
+    its right edge, and the sum with it at its left edge, for the log-kernel
+    ``exponent``: lower is ``direct`` when the kernel is ``decreasing``."""
+    with np.errstate(over="ignore"):
+        at_left = _log_sum_shifted(m._log_m + exponent(_left_edges(m)))
+    return (direct, at_left) if decreasing else (at_left, direct)
 
 
 def kohlbecker_panel_bracket(m: TabulatedMeasure, lam: float) -> tuple[float, float]:
-    """Two-sided bracket of the true transform under right-endpoint quantization.
-
-    The kernel exp(-x/lam) is decreasing in x, so mass placed at a panel's
-    right endpoint under-weights it and mass at the left edge over-weights it:
-
-        log_lower = direct transform,  log_upper = transform with left edges.
-
-    Only meaningful for measures produced by :func:`quantize_cumulative`.
-    """
-    lower = measure_transform_kohlbecker(m, lam)
-    with np.errstate(over="ignore"):
-        return lower, _log_sum_shifted(m._log_m - _left_edges(m) / lam)
+    """(lower, upper) around the exact transform of the measure either
+    quantizer tabulated, up to its mass past x_max: the kernel exp(-x/lam)
+    falls, so the direct transform is lower and the left edges' sum upper."""
+    return _panel_bracket(m, measure_transform_kohlbecker(m, lam), lambda x: -x / lam, True)
 
 
 def kasahara_panel_bracket(m: TabulatedMeasure, lam: float) -> tuple[float, float]:
-    """Bracket mirror of :func:`kohlbecker_panel_bracket` for kernel exp(lam*x).
-
-    The kernel is increasing, so right-endpoint placement over-weights:
-    log_lower uses left edges, log_upper is the direct transform.
-    """
-    upper = measure_transform_kasahara(m, lam)
-    return _log_sum_shifted(m._log_m + lam * _left_edges(m)), upper
+    """(lower, upper) around the exact transform of the measure either
+    quantizer tabulated, up to its mass past x_max: the kernel exp(lam*x)
+    rises, so the left edges' sum is lower and the direct transform upper."""
+    return _panel_bracket(m, measure_transform_kasahara(m, lam), lambda x: lam * x, False)
 
 
 def kasahara_via_parts(m: TabulatedMeasure, lam: float) -> float:
@@ -276,7 +274,7 @@ def kasahara_via_parts(m: TabulatedMeasure, lam: float) -> float:
     # Tail value T_i on (x_{i-1}, x_i) is the mass at locations >= x_i, and
     # log(T_i * (e^hi - e^lo)) is -inf for an empty panel; then log mu(0, inf).
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lo, hi = lam * np.concatenate([[0.0], m._x[:-1]]), lam * m._x
+        lo, hi = lam * _left_edges(m), lam * m._x
         log_terms = np.log(m._suffix[:-1]) + hi + np.log(-np.expm1(lo - hi))
         log_terms = np.append(log_terms, np.log(m.mass_above_zero()))
     return _log_sum_shifted(log_terms)
@@ -355,10 +353,10 @@ def quantize_tail(
 ) -> TabulatedMeasure:
     """Quantize a tail mass function G(x) = mu(x, inf) onto a geometric grid.
 
-    Panels are [0, x_min], then geometric up to x_max; atom i sits at the
-    panel's right endpoint with mass G(left) - G(right).  The mass G(x_max)
-    beyond the grid is omitted; pick x_max large enough that the kernel makes
-    it negligible for the lam range of interest.
+    Panels are (0, x_min], then geometric up to x_max, as :func:`_left_edges`
+    states: atom i sits at the panel's right endpoint with mass G(left) -
+    G(right).  The mass G(x_max) beyond the grid is omitted; pick x_max large
+    enough that the kernel makes it negligible for the lam range of interest.
     """
     return _quantize(fn, x_min, x_max, n, True,
                      "tail function must be nonincreasing and >= 0")

@@ -334,12 +334,15 @@ def s_for_psi(b: float, psi: float) -> float:
 
     Raises:
         DomainError: psi <= 0 or not finite.
+        DegenerateExponent: b is 0 or 1.
         NumericOverflow: s overflows, or is subnormal or 0.
     """
     if psi <= 0.0:
         raise DomainError("psi must be positive")
     if not math.isfinite(psi):
         raise DomainError(f"psi must be finite, got {psi:g}")
+    if b == 0.0 or b == 1.0:
+        raise DegenerateExponent(f"regime map undefined for b={b:g}")
     exponent = (1.0 - b) / b
     s = _positive_power(psi, exponent, "s")
     if s < sys.float_info.min:
@@ -352,10 +355,13 @@ def psi_for_s(b: float, s: float) -> float:
 
     Raises:
         DomainError: s is not positive (NaN included) or not finite.
+        DegenerateExponent: b is 0 or 1.
         NumericOverflow: psi overflows or underflows to 0.
     """
     if not s > 0.0:
         raise DomainError("s must be positive")
     if s == math.inf:
         raise DomainError("s must be finite, got inf")
+    if b == 0.0 or b == 1.0:
+        raise DegenerateExponent(f"regime map undefined for b={b:g}")
     return _positive_power(s, b / (1.0 - b), "psi")

@@ -493,6 +493,11 @@ IN_PROCESS_CASES = {
     "config-not-utf8": (
         ("validate", *K, "--config", "run.cfg"), b"a = 2\xff\n", 2,
         "stderr", "error: ConfigParseError: cannot read config file run.cfg: 'utf-8' codec"),
+    # (b-1)*c*u* overflows in the window width; the row is refused by its
+    # peak value.
+    "verify-window-width-overflow": (
+        ("verify", "--a", "-1e-8", "--b", "64", "--c", "1e8", "--psi-max", "1e308"), None, 2,
+        "stderr", "error: NumericOverflow: peak value g(u*) at s=6.49382e-304 is not a finite"),
     "measure-total-mass-overflow": (
         ("measure", "--file", "run.cfg", "--variant", "kohlbecker", "--lam", "1"),
         "0\t1e308\n1\t1e308\n", 2,

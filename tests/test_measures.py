@@ -4,6 +4,7 @@ import math
 import re
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +283,43 @@ class TestQuantization:
             assert lo - slack <= ts.log_f <= hi + slack
 
 
+def _cumulative_sqrt_exact(lam):
+    # mu[0, x] = expm1(sqrt(x)): with x = t**2 the transform is
+    # int_0^inf exp(t - t**2/lam) dt = sqrt(pi*lam)/2 * e^(lam/4) * erfc(-sqrt(lam)/2).
+    return (lam / 4.0 + 0.5 * math.log(math.pi * lam) - math.log(2.0)
+            + math.log(math.erfc(-math.sqrt(lam) / 2.0)))
+
+
+# (bracket, quantizer, mass function, x_max, n, lam, exact log M(lam)).  A
+# grid from x_min > 0 gives no atom at 0: the first atom carries the mass of
+# (0, x_min], which a first panel starting at that atom would put outside
+# the bracket.
+ENCLOSURES = {
+    **{f"kohlbecker-lam={lam:g}": (
+        tl.kohlbecker_panel_bracket, tl.quantize_cumulative, lambda x: math.expm1(math.sqrt(x)),
+        1e4, 4000, lam, _cumulative_sqrt_exact(lam)) for lam in (0.3, 3.0, 30.0)},
+    **{f"kasahara-lam={lam:g}": (
+        tl.kasahara_panel_bracket, tl.quantize_tail, lambda x: math.exp(-x),
+        60.0, 2000, lam, -math.log1p(-lam)) for lam in (0.2, 0.5)},
+}
+
+
+@pytest.mark.parametrize("x_min", [1e-3, 0.3, 1.0], ids=lambda x: f"x_min={x:g}")
+@pytest.mark.parametrize(
+    "bracket, quantize, fn, x_max, n, lam, exact", list(ENCLOSURES.values()), ids=list(ENCLOSURES))
+def test_the_bracket_encloses_the_exact_transform(bracket, quantize, fn, x_max, n, lam, exact,
+                                                  x_min):
+    lo, hi = bracket(quantize(fn, x_min, x_max, n), lam)
+    assert lo <= exact <= hi
+
+
+@pytest.mark.parametrize("lam", [0.3, 3.0, 30.0])
+def test_the_closed_form_of_the_kohlbecker_enclosure_is_the_integral(lam):
+    with mp.workdps(30):
+        exact = mp.log(mp.quad(lambda t: mp.exp(t - t * t / lam), [0, mp.inf]))
+        assert _cumulative_sqrt_exact(lam) == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
+
+
 # References for TestHeldArrays: each output formed from the measure's tuples
 # on every call, with the expressions the sums had before the measure held
 # its arrays.
@@ -300,8 +338,7 @@ def _ref_tail(m, x):
 
 
 def _ref_left_edges(m):
-    locs = np.asarray(m.locations)
-    return np.concatenate([[locs[0]], locs[:-1]])
+    return np.concatenate([[0.0], np.asarray(m.locations)[:-1]])
 
 
 def _ref_finite_lam(lam):

@@ -145,3 +145,34 @@ def test_the_construction_rule_of_a_checked_record_is_written_once():
                 assert "_check" in _body_names(cls), f"{path.name}: {cls.name}"
     assert sorted(checked) == sorted(
         ["Kohlbecker", "DeBruijn", "Kasahara", "PerturbedPower", "MeasureTarget", "EvalGrid"])
+
+
+def _functions(path: Path) -> dict[str, ast.FunctionDef]:
+    return {node.name: node for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _calls(node: ast.AST) -> set[str]:
+    return {call.func.id for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+
+
+def test_the_panel_convention_and_the_bracket_are_written_once():
+    # measures._left_edges alone slices the held locations into panel edges,
+    # and the Kohlbecker and Kasahara brackets differ only in the arguments
+    # they pass to the one bracket body.
+    functions = _functions(Path(measures.__file__))
+    slicing = {name for name, fn in functions.items() for node in ast.walk(fn)
+               if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+               and node.value.attr == "_x" and isinstance(node.slice, ast.Slice)}
+    assert slicing == {"_left_edges"}
+    assert "_left_edges" in _calls(functions["_panel_bracket"])
+    assert "_left_edges" in _calls(functions["kasahara_via_parts"])
+    for name in ("kohlbecker_panel_bracket", "kasahara_panel_bracket"):
+        body = functions[name].body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]  # the docstring
+        assert len(body) == 1 and isinstance(body[0], ast.Return), name
+        call = body[0].value
+        assert isinstance(call, ast.Call) and isinstance(call.func, ast.Name), name
+        assert call.func.id == "_panel_bracket", name

@@ -145,6 +145,28 @@ REFUSALS = {
     # s = 1e154**-2 = 1e-308 keeps fewer than 53 bits.
     "s-for-psi-subnormal": (
         lambda: tl.s_for_psi(-1.0, 1e154), tl.NumericOverflow, "is subnormal"),
+    # The window width 1/sqrt(|(b-1)*c*u*|) overflows in (b-1)*c*u*; the row
+    # is refused by its peak value.
+    "log-transform-window-width-overflow": (
+        lambda: tl.log_transform(tl.PurePower(-1.0, 2.0), 1e308, 0.0, 1.0),
+        tl.NumericOverflow, r"peak value g\(u\*\) at s=1 is not a finite float"),
+    "sample-at-psi-window-width-overflow": (
+        lambda: tl.sample_at_psi(tl.validate(-1e-8, 64.0, 1e8), tl.PurePower(-1e-8, 64.0), 1e300),
+        tl.NumericOverflow, r"peak value g\(u\*\) at s=4\.86968e-296 is not a finite float"),
+    # The regime maps are undefined at b = 0 and b = 1, after their own
+    # argument's refusals.
+    "s-for-psi-b-zero": (
+        lambda: tl.s_for_psi(0.0, 10.0), tl.DegenerateExponent, "regime map undefined for b=0"),
+    "s-for-psi-b-one": (
+        lambda: tl.s_for_psi(1.0, 10.0), tl.DegenerateExponent, "regime map undefined for b=1"),
+    "psi-for-s-b-zero": (
+        lambda: tl.psi_for_s(0.0, 10.0), tl.DegenerateExponent, "regime map undefined for b=0"),
+    "psi-for-s-b-one": (
+        lambda: tl.psi_for_s(1.0, 10.0), tl.DegenerateExponent, "regime map undefined for b=1"),
+    "s-for-psi-b-zero-psi-nan": (
+        lambda: tl.s_for_psi(0.0, math.nan), tl.DomainError, "psi must be finite, got nan"),
+    "psi-for-s-b-one-s-zero": (
+        lambda: tl.psi_for_s(1.0, 0.0), tl.DomainError, "s must be positive"),
     "sample-at-psi-other-power": (
         lambda: tl.sample_at_psi(tl.validate(2, 0.5, -1), tl.PurePower(2, 0.25), 100.0),
         tl.InconsistentInputs, "target log-amplitude is not the validated"),
@@ -162,3 +184,50 @@ def test_numeric_inputs_are_refused_without_warnings(call, error, fragment):
 def test_numpy_integers_are_taken_as_counts():
     grid = tl.make_grid(10.0, 1000.0, np.int64(9))
     assert grid == tl.make_grid(10.0, 1000.0, 9)
+
+
+# Each extreme float, for a sweep in which every call must return or refuse
+# with a TauberError: no numpy warning and no bare Python exception.
+EXTREMES = (1e308, -1e308, 5e-324, -5e-324, 1e-300, -1e-300, 0.0, math.inf, -math.inf,
+            math.nan, 1.0, -1.0)
+SWEPT_TARGETS = {
+    "kohlbecker": (tl.PurePower(2.0, 0.5), 0.0),
+    "kasahara": (tl.PurePower(-1.0, 2.0), 1.0),
+    "de-bruijn": (tl.PurePower(-1.0, -1.0), 0.0),
+    "perturbed": (tl.PerturbedPower(2.0, 0.5, "log-sine", 0.3), 0.0),
+    "measure-cumulative": (tl.MeasureTarget(MEASURE, "cumulative"), 0.0),
+    "measure-tail": (tl.MeasureTarget(MEASURE, "tail"), 0.0),
+}
+
+
+def _uncaught(calls) -> list[str]:
+    """The calls, as (label, thunk), that warn or raise other than a TauberError."""
+    uncaught = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for label, call in calls:
+            try:
+                call()
+            except tl.TauberError:
+                pass
+            except Exception as exc:  # the sweep reports every leak
+                uncaught.append(f"{label}: {type(exc).__name__}: {exc}")
+    return uncaught
+
+
+@pytest.mark.parametrize("target, offset", list(SWEPT_TARGETS.values()), ids=list(SWEPT_TARGETS))
+def test_the_engine_returns_or_refuses_at_every_extreme_c_and_s(target, offset):
+    calls = [(f"log_transform(c={c!r}, s={s!r})",
+              lambda c=c, s=s: tl.log_transform(target, c, offset, s))
+             for c in EXTREMES for s in EXTREMES]
+    calls += [(f"locate_peak(c={c!r}, s={s!r})", lambda c=c, s=s: tl.locate_peak(target, c, s))
+              for c in EXTREMES for s in EXTREMES]
+    assert _uncaught(calls) == []
+
+
+@pytest.mark.parametrize("fn", [tl.s_for_psi, tl.psi_for_s])
+def test_the_regime_maps_return_or_refuse_at_every_extreme_b_and_argument(fn):
+    calls = [(f"{fn.__name__}({b!r}, {x!r})", lambda b=b, x=x: fn(b, x))
+             for b in (0.0, 1.0, math.inf, -math.inf, math.nan, 0.5, 2.0, -1.0)
+             for x in EXTREMES]
+    assert _uncaught(calls) == []
