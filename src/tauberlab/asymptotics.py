@@ -19,7 +19,9 @@ import numpy as np
 from .errors import (
     BadRange,
     DegenerateWindow,
+    DomainError,
     InconsistentInputs,
+    NumericOverflow,
     SignChange,
     TauberError,
     _checked,
@@ -122,6 +124,8 @@ def fit_exponent(samples: list[TransformSample]) -> AsymptoticFit:
     Raises:
         DegenerateWindow: fewer than 8 samples, or lambda constant in the window.
         SignChange: log f changes sign or vanishes inside the window.
+        DomainError: a window sample's s is not positive and finite, or its log f is infinite.
+        NumericOverflow: the coefficient is not a finite float.
     """
     n = len(samples)
     if n < _MIN_GRID_POINTS:
@@ -133,6 +137,8 @@ def fit_exponent(samples: list[TransformSample]) -> AsymptoticFit:
         raise SignChange("log f vanishes inside the fit window")
     if any((y > 0.0) != (values[0] > 0.0) for y in values):
         raise SignChange("log f changes sign inside the fit window")
+    if any(not 0.0 < t.s < math.inf or math.isinf(t.log_f) for t in window):
+        raise DomainError("fit window needs a positive finite s and a finite log f per sample")
     # The ufuncs are called directly: np.add.reduce(v) / k is v.mean() and
     # x.max() - x.min() is np.ptp(x), bit for bit, without their wrappers.
     k = len(window)
@@ -147,7 +153,10 @@ def fit_exponent(samples: list[TransformSample]) -> AsymptoticFit:
     slope = float(np.dot(xc, y - y_mean) / np.dot(xc, xc))
     intercept = float(y_mean - slope * x_mean)
     residual = float(np.abs(y - (intercept + slope * x)).max())
-    coefficient = float(np.add.reduce(log_f / lam**slope) / k)
+    with np.errstate(over="ignore", divide="ignore"):
+        coefficient = float(np.add.reduce(log_f / lam**slope) / k)
+    if not math.isfinite(coefficient):
+        raise NumericOverflow(f"fit coefficient {coefficient!r} is not a finite float")
     return AsymptoticFit(
         exponent_hat=slope,
         coefficient_hat=coefficient,

@@ -334,6 +334,7 @@ def s_for_psi(b: float, psi: float) -> float:
 
     Raises:
         DomainError: psi <= 0 or not finite.
+        ValidationError: b is not finite.
         DegenerateExponent: b is 0 or 1.
         NumericOverflow: s overflows, or is subnormal or 0.
     """
@@ -341,7 +342,8 @@ def s_for_psi(b: float, psi: float) -> float:
         raise DomainError("psi must be positive")
     if not math.isfinite(psi):
         raise DomainError(f"psi must be finite, got {psi:g}")
-    if b == 0.0 or b == 1.0:
+    if not math.isfinite(b) or b == 0.0 or b == 1.0:
+        _require_finite(b=b)
         raise DegenerateExponent(f"regime map undefined for b={b:g}")
     exponent = (1.0 - b) / b
     s = _positive_power(psi, exponent, "s")
@@ -355,6 +357,7 @@ def psi_for_s(b: float, s: float) -> float:
 
     Raises:
         DomainError: s is not positive (NaN included) or not finite.
+        ValidationError: b is not finite.
         DegenerateExponent: b is 0 or 1.
         NumericOverflow: psi overflows or underflows to 0.
     """
@@ -362,6 +365,7 @@ def psi_for_s(b: float, s: float) -> float:
         raise DomainError("s must be positive")
     if s == math.inf:
         raise DomainError("s must be finite, got inf")
-    if b == 0.0 or b == 1.0:
+    if not math.isfinite(b) or b == 0.0 or b == 1.0:
+        _require_finite(b=b)
         raise DegenerateExponent(f"regime map undefined for b={b:g}")
     return _positive_power(s, b / (1.0 - b), "psi")

@@ -194,7 +194,9 @@ def _prepare_windows(t, c: float, s: np.ndarray):
     u_star = np.array(locate_peak(t, c, s))
     bc = (t.b - 1.0) * c
     with np.errstate(divide="ignore", over="ignore"):  # bc*u* = 0 gives h = 1, inf the floor
-        h = np.minimum(1.0, np.maximum(_MIN_STEP, 1.0 / np.sqrt(np.abs(bc * u_star))))
+        # A (b-1)*c that overflows alone multiplies c*u* instead.
+        bcu = bc * u_star if math.isfinite(bc) else (t.b - 1.0) * (c * u_star)
+        h = np.minimum(1.0, np.maximum(_MIN_STEP, 1.0 / np.sqrt(np.abs(bcu))))
     vals = np.empty((s.size, _CENTRE_AND_EDGES.size))
     for i, j in _row_blocks([_CENTRE_AND_EDGES.size] * s.size):
         v = h[i:j, None] * _CENTRE_AND_EDGES

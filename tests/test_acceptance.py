@@ -30,21 +30,13 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 
+import exact
 import tauberlab as tl
 
 CANONICAL = {
     "kohlbecker": (2.0, 0.5, -1.0, 0.0),
     "kasahara": (-1.0, 2.0, 1.0, 1.0),
     "de-bruijn": (-1.0, -1.0, -1.0, 0.0),
-}
-
-# Exact f(psi) of each canonical, written for mpmath.
-EXACT_F = {
-    "kohlbecker": lambda mp, psi: 1
-    + mp.sqrt(mp.pi * psi) * mp.exp(psi) * mp.erfc(-mp.sqrt(psi)),
-    "kasahara": lambda mp, psi: 1
-    + mp.exp(psi / 4) * mp.sqrt(mp.pi * psi) / 2 * mp.erfc(-mp.sqrt(psi) / 2),
-    "de-bruijn": lambda mp, psi: 2 * psi * mp.besselk(1, 2 * psi),
 }
 
 # Targets that the exact transform itself misses at desk scale, with the
@@ -76,37 +68,28 @@ def _sweep(name, n=16, quad_tol=1e-8):
     return p, samples
 
 
-def _exact_log_f(mp, name, s):
-    """Exact log f of a canonical at transform argument s, to 40 digits.
-
-    The closed form is evaluated at the psi of s itself, so the comparison
-    carries no rounding of the psi -> s map.
-    """
-    b = mp.mpf(CANONICAL[name][1])
-    with mp.workdps(40):
-        psi = mp.mpf(s) ** (b / (1 - b))
-        return mp.log(EXACT_F[name](mp, psi))
-
-
-def _reference_fit(mp, name, samples):
+def _reference_fit(name, samples):
     """(exponent, a, b) from the exact log f, computed apart from the engine.
 
     The estimator is fit_exponent's as its docstring states it: least squares
     of log|log f| on log s over the last half of the sweep, coefficient the
-    mean of log f / s**exponent.  The inverse map is recover_primal's:
+    mean of log f / s**exponent, with s = psi**((1-b)/b) formed in mpmath from
+    each sample's psi.  The inverse map is recover_primal's:
     b = e/(1+e), v0 = d*b/(c*(b-1)), a = (d - c*v0)/v0**b.
     """
     c = CANONICAL[name][2]
-    window = [s.s for s in samples[len(samples) - len(samples) // 2 :]]
+    psis = [s.psi for s in samples[len(samples) - len(samples) // 2 :]]
+    log_f = [exact.log_f_closed(*CANONICAL[name], psi) for psi in psis]
     with mp.workdps(40):
-        log_f = [_exact_log_f(mp, name, s) for s in window]
+        b = mp.mpf(CANONICAL[name][1])
+        window = [mp.mpf(psi) ** ((1 - b) / b) for psi in psis]
         x = [mp.log(s) for s in window]
         y = [mp.log(abs(v)) for v in log_f]
         x_mean, y_mean = mp.fsum(x) / len(x), mp.fsum(y) / len(y)
         e = mp.fsum((xi - x_mean) * (yi - y_mean) for xi, yi in zip(x, y)) / mp.fsum(
             (xi - x_mean) ** 2 for xi in x
         )
-        d = mp.fsum(v / mp.mpf(s) ** e for v, s in zip(log_f, window)) / len(window)
+        d = mp.fsum(v / s**e for v, s in zip(log_f, window)) / len(window)
         b = e / (1 + e)
         v0 = d * b / (c * (b - 1))
         a = (d - c * v0) / v0**b
@@ -198,13 +181,14 @@ def test_criterion_3_forward_equivalence():
         p, samples = _sweep(name)
         mid = tl.sample_at_psi(p, tl.PurePower(p.a, p.b), 100.0)
         points = [mid, *samples]
-        exact = [float(_exact_log_f(mp, name, s.s)) for s in points]
-        gaps = [abs(s.log_f - e) for s, e in zip(points, exact)]
+        expected = [exact.log_f_closed(*CANONICAL[name], s.psi) for s in points]
+        gaps = [abs(s.log_f - e) for s, e in zip(points, expected)]
         for s, gap in zip(points, gaps):
             if gap > s.quad_error + 1e-10:
                 failures.append(f"{name}: log f {gap:.2e} nats off exact at psi={s.psi:g}")
         shown = []
-        for s, exact_log_f, limit in ((mid, exact[0], 0.07), (samples[-1], exact[-1], 0.015)):
+        targets = ((mid, expected[0], 0.07), (samples[-1], expected[-1], 0.015))
+        for s, exact_log_f, limit in targets:
             dev = abs(s.log_f / (p.d * s.psi) - 1.0)
             exact_dev = abs(exact_log_f / (p.d * s.psi) - 1.0)
             slack = (s.quad_error + 1e-10) / (abs(p.d) * s.psi)
@@ -237,7 +221,7 @@ def test_criterion_4_exponent_recovery():
     for name in CANONICAL:
         p, samples = _sweep(name)
         fit = tl.fit_exponent(samples)
-        exp_ref, a_ref, b_ref = _reference_fit(mp, name, samples)
+        exp_ref, a_ref, b_ref = _reference_fit(name, samples)
         target = tl.dual_exponent(p.b)
         exp_gap = abs(fit.exponent_hat - target) / abs(target)
         failures += _against_target(

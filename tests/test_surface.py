@@ -176,3 +176,48 @@ def test_the_panel_convention_and_the_bracket_are_written_once():
         call = body[0].value
         assert isinstance(call, ast.Call) and isinstance(call.func, ast.Name), name
         assert call.func.id == "_panel_bracket", name
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _test_sources():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(TESTS.rglob("*.py"))}
+
+
+def test_the_exact_oracles_have_one_home():
+    # exact.py alone writes the closed forms (the Bessel K_1 of b = -1) and
+    # the transform's quadrature.  The one other quadrature checks the
+    # closed form of a measure enclosure, not the transform.
+    calls = set()
+    for name, tree in _test_sources().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.attr if isinstance(func, ast.Attribute) else getattr(
+                        func, "id", None)
+                    if called in ("besselk", "quad"):
+                        calls.add((name, getattr(top, "name", None), called))
+    assert calls == {
+        ("exact.py", "log_f_closed", "besselk"),
+        ("exact.py", "log_f_quad", "quad"),
+        ("test_measures.py", "test_the_closed_form_of_the_kohlbecker_enclosure_is_the_integral",
+         "quad"),
+    }
+
+
+def test_no_test_sets_the_global_mpmath_precision_or_gives_an_oracle_a_samples_s():
+    # Precision is set with mp.workdps; an oracle takes psi, so that it can
+    # see an error in the engine's psi -> s map.
+    for name, tree in _test_sources().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assert not any(isinstance(t, ast.Attribute) and t.attr in ("dps", "prec")
+                               for t in targets), f"{name}:{node.lineno}"
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "exact"):
+                assert not any(isinstance(arg, ast.Attribute) and arg.attr == "s"
+                               for arg in ast.walk(node)), f"{name}:{node.lineno}"

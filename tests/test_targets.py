@@ -167,6 +167,19 @@ REFUSALS = {
         lambda: tl.s_for_psi(0.0, math.nan), tl.DomainError, "psi must be finite, got nan"),
     "psi-for-s-b-one-s-zero": (
         lambda: tl.psi_for_s(1.0, 0.0), tl.DomainError, "s must be positive"),
+    # A NaN or infinite b is refused after the argument's own refusals.
+    "s-for-psi-b-nan": (
+        lambda: tl.s_for_psi(math.nan, 1.0), tl.ValidationError, "b must be finite, got nan"),
+    "s-for-psi-b-inf": (
+        lambda: tl.s_for_psi(math.inf, 10.0), tl.ValidationError, "b must be finite, got inf"),
+    "psi-for-s-b-inf": (
+        lambda: tl.psi_for_s(math.inf, 1.0), tl.ValidationError, "b must be finite, got inf"),
+    "psi-for-s-b-nan": (
+        lambda: tl.psi_for_s(math.nan, 10.0), tl.ValidationError, "b must be finite, got nan"),
+    "s-for-psi-b-nan-psi-zero": (
+        lambda: tl.s_for_psi(math.nan, 0.0), tl.DomainError, "psi must be positive"),
+    "psi-for-s-b-inf-s-inf": (
+        lambda: tl.psi_for_s(math.inf, math.inf), tl.DomainError, "s must be finite, got inf"),
     "sample-at-psi-other-power": (
         lambda: tl.sample_at_psi(tl.validate(2, 0.5, -1), tl.PurePower(2, 0.25), 100.0),
         tl.InconsistentInputs, "target log-amplitude is not the validated"),
@@ -231,3 +244,24 @@ def test_the_regime_maps_return_or_refuse_at_every_extreme_b_and_argument(fn):
              for b in (0.0, 1.0, math.inf, -math.inf, math.nan, 0.5, 2.0, -1.0)
              for x in EXTREMES]
     assert _uncaught(calls) == []
+
+
+def _finite_fit(samples):
+    fit = tl.fit_exponent(samples)
+    if not all(math.isfinite(v) for v in (fit.exponent_hat, fit.coefficient_hat, fit.residual)):
+        raise ValueError(f"fit with a non-finite field: {fit}")
+
+
+def test_the_fit_returns_or_refuses_at_every_extreme_window_sample():
+    # A library caller can hand fit_exponent any samples.  One sample of the
+    # 8-sample window takes each extreme s and log f, and then every log f of
+    # the window does: the fit has finite fields, or is refused.
+    p = tl.validate(2.0, 0.5, -1.0)
+    samples = tl.evaluate_sweep(p, tl.PurePower(2.0, 0.5), tl.make_grid(10.0, 1000.0, 16))
+    head, first, rest = samples[:8], samples[8], samples[9:]
+    calls = []
+    for v in EXTREMES:
+        calls += [(f"window sample s={v!r}", head + [first._replace(s=v)] + rest),
+                  (f"window sample log_f={v!r}", head + [first._replace(log_f=v)] + rest),
+                  (f"every window log_f={v!r}", head + [t._replace(log_f=v) for t in samples[8:]])]
+    assert _uncaught([(label, lambda w=w: _finite_fit(w)) for label, w in calls]) == []

@@ -12,26 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact
 import tauberlab as tl
 
 KOHL = tl.PurePower(2.0, 0.5)
 KASA = tl.PurePower(-1.0, 2.0)
 DEBR = tl.PurePower(-1.0, -1.0)
-
-# Frozen from the high-resolution mpmath oracle (dps=40); the b=0.5 and b=2
-# cases are exactly Gaussian, so these equal closed forms:
-#   kohlbecker psi=100:  100 + log(20*sqrt(pi))
-#   kasahara  psi=100:   log(1 + e^25 * 10*sqrt(pi) * (1+erf(5))/2)
-ORACLE_LOG_F = {
-    ("kohl", 100.0): 103.56809721647869,
-    ("kohl", 1000.0): 1004.7193897629757,
-    ("kasa", 100.0): 27.874950035918761,
-    ("kasa", 1000.0): 254.02624258241577,
-    ("debr", 10.0): -18.25804196681191,
-    ("debr", 100.0): -197.12317963120413,
-    ("debr", 1000.0): -1995.9735699644387,
-}
-
 
 class TestLocatePeak:
     @pytest.mark.parametrize(
@@ -524,7 +510,8 @@ class TestLogTransform:
         s = tl.s_for_psi(b, psi)
         ts = tl.log_transform(target, c, offset, s)
         assert ts.tol_met
-        assert ts.log_f == pytest.approx(ORACLE_LOG_F[(name, psi)], abs=5e-7)
+        expected = exact.log_f_closed(target.a, b, c, offset, psi)
+        assert ts.log_f == pytest.approx(expected, abs=5e-7), (name, psi)
         assert ts.psi == pytest.approx(psi, rel=1e-12)
 
     def test_kohlbecker_spec_window(self):
@@ -554,19 +541,6 @@ class TestLogTransform:
             tl.PerturbedPower(2.0, 0.5, family, k)
 
     def test_mpmath_oracle_crosscheck(self):
-        def oracle(a, b, c, offset, psi):
-            a, b, c, psi = map(mp.mpf, (a, b, c, psi))
-            xm = (-c / (a * b)) ** (1 / (b - 1))
-            d = a * xm**b + c * xm
-            integ = mp.quad(
-                lambda v: mp.exp(psi * (a * v**b + c * v - d)),
-                [0, xm / 2, xm, 2 * xm, mp.inf],
-            )
-            log_i = mp.log(psi) + d * psi + mp.log(integ)
-            if offset:
-                log_i += mp.log(1 + offset * mp.exp(-log_i))
-            return float(log_i)
-
         cases = [
             (2.0, 0.5, -1.0, 0.0),
             (-1.0, 2.0, 1.0, 1.0),
@@ -578,11 +552,9 @@ class TestLogTransform:
         for a, b, c, offset in cases:
             p = tl.validate(a, b, c, offset)
             for psi in (10.0, 100.0):
-                s = tl.s_for_psi(b, psi)
-                ts = tl.log_transform(tl.PurePower(a, b), c, offset, s)
-                with mp.workdps(30):
-                    expected = oracle(a, b, c, offset, psi)
-                assert ts.log_f == pytest.approx(expected, abs=1e-6), (a, b, c, psi)
+                ts = tl.log_transform(tl.PurePower(a, b), c, offset, tl.s_for_psi(b, psi))
+                expected = exact.log_f_quad(lambda x: a * x**b, a, b, c, offset, psi)
+                assert ts.log_f == pytest.approx(expected, abs=1e-12), (a, b, c, psi)
 
     @pytest.mark.parametrize(
         "a,b,c,family,k",
@@ -595,33 +567,18 @@ class TestLogTransform:
     )
     @pytest.mark.parametrize("psi", [10.0, 100.0, 1000.0])
     def test_perturbed_log_f_matches_mpmath_quadrature(self, a, b, c, family, k, psi):
-        # No closed form here: the reference integrates exp(G(w) - G(w*)),
-        # G(w) = q(e^w*s) + c*e^w + w, at 40 digits between the points where
-        # it is 110 nats down (found in Laplace widths 1/sqrt(|c*u*(1-b)|)
-        # from the pure power's peak w*), split at w*.  delta is analytic in
-        # log x, so the engine converges geometrically to within 1e-12 nats.
+        # No closed form here: exact.log_f_quad integrates the transform at
+        # 40 digits around G's true peak.  delta is analytic in log x, so the
+        # engine converges geometrically to within 1e-12 nats.
+        def log_q(x):
+            delta = k / (1 + mp.sqrt(1 + mp.log(x) ** 2))
+            if family == "log-sine":
+                delta *= mp.sin(mp.log(x))
+            return a * x**b * (1 + delta)
+
         p, t = tl.validate(a, b, c), tl.PerturbedPower(a, b, family, k)
         smp = tl.sample_at_psi(p, t, psi, tol=1e-12)
-        with mp.workdps(40):
-            a_, b_, c_, k_, s = map(mp.mpf, (a, b, c, k, smp.s))
-
-            def G(w):
-                x = mp.exp(w) * s
-                delta = k_ / (1 + mp.sqrt(1 + mp.log(x) ** 2))
-                if family == "log-sine":
-                    delta *= mp.sin(mp.log(x))
-                return a_ * x**b_ * (1 + delta) + c_ * mp.exp(w) + w
-
-            u_star = (-c_ / (a_ * b_)) ** (1 / (b_ - 1)) * s ** (-b_ / (b_ - 1))
-            w_star, width = mp.log(u_star), 1 / mp.sqrt(abs(c_ * u_star * (1 - b_)))
-            shift = G(w_star)
-            lo = hi = w_star
-            while G(lo) - shift > -110:
-                lo -= width
-            while G(hi) - shift > -110:
-                hi += width
-            integral = mp.quad(lambda w: mp.exp(G(w) - shift), [lo, w_star, hi])
-            oracle = float(shift + mp.log(integral))
+        oracle = exact.log_f_quad(log_q, a, b, c, 0.0, smp.psi)
         assert abs(smp.log_f - oracle) <= 1e-12, (family, psi, smp.log_f, oracle)
 
     def test_shift_scale_identity(self):
@@ -683,6 +640,19 @@ class TestLogTransform:
         _, lo, hi, _, n0 = tl.transform._prepare_windows(KOHL, -1.0, np.array([5e-324, 1e-300]))
         assert lo[0] == lo[1] and hi[0] == hi[1] and n0[0] == n0[1]
 
+    @pytest.mark.parametrize("c,s", [(1e308, 1e300), (1e307, 1e303)])
+    def test_window_width_when_b_minus_1_times_c_alone_overflows(self, c, s):
+        # (b-1)*c = 63*c overflows, while (b-1)*c*u* is 7.9e9 at s = 1e300
+        # (u* = 1.25e-300) and 6.8e5 at s = 1e303: the step is
+        # 1/sqrt(|(b-1)*c*u*|), not the 2**-26 floor that left the left
+        # frontier out of reach, and log f is the exact one at the psi of s.
+        ts = tl.log_transform(tl.PurePower(-1.0, 64.0), c, 0.0, s)
+        with mp.workdps(40):
+            b = mp.mpf(64)
+            psi = mp.mpf(s) ** (b / (1 - b))
+        expected = exact.log_f_quad(lambda x: -(x**64), -1.0, 64.0, c, 0.0, psi)
+        assert ts.tol_met and abs(ts.log_f - expected) <= 4.0 * math.ulp(expected), (ts, expected)
+
     def test_refinement_errors_decrease(self):
         # Richardson-consistent: the successive-refinement estimate
         # |fine - coarse| at n0 * 2**k panels shrinks (down to the
@@ -731,43 +701,17 @@ class TestLogTransform:
             assert ts.log_f == pytest.approx(direct, abs=1e-12)
 
 
-def _exact_log_f(a, b, c, offset, s):
-    """log f(s) for q = a*x**b at b = 1/2, 2 or -1, in closed form at 40
-    digits and rounded once to a float.  These are the README canonicals with
-    free a and c:
-
-        b = 1/2:  k = a*sqrt(s), g = -c,
-                  f = offset + 1/g + (k/(2g)) sqrt(pi/g) e^(k^2/(4g)) erfc(-k/(2 sqrt g))
-        b = 2:    r = -a*s^2,
-                  f = offset + (1/2) sqrt(pi/r) e^(c^2/(4r)) erfc(-c/(2 sqrt r))
-        b = -1:   f = 2 sqrt(|a|/(s|c|)) K_1(2 sqrt(|a||c|/s))
-    """
-    with mp.workdps(40):
-        a, c, s, offset = map(mp.mpf, (a, c, s, offset))
-        if b == 0.5:
-            k, g = a * mp.sqrt(s), -c
-            body = (k / (2 * g)) * mp.sqrt(mp.pi / g) * mp.exp(k * k / (4 * g))
-            f = 1 / g + body * mp.erfc(-k / (2 * mp.sqrt(g)))
-        elif b == 2.0:
-            r = -a * s * s
-            f = mp.sqrt(mp.pi / r) / 2 * mp.exp(c * c / (4 * r)) * mp.erfc(-c / (2 * mp.sqrt(r)))
-        else:
-            beta, g = -a / s, -c
-            f = 2 * mp.sqrt(beta / g) * mp.besselk(1, 2 * mp.sqrt(beta * g))
-        return float(mp.log(offset + f))
-
-
 class TestExactOracleAtLargePsi:
-    """Samples meet the exact closed forms at their own s up to psi = 1e16:
+    """Samples meet the exact closed forms at their psi up to psi = 1e16:
     within max(1e-8, 16 ulp) of log f, with the tolerance met."""
 
     @staticmethod
     def check(a, b, c, offset, psi):
         smp = tl.sample_at_psi(tl.validate(a, b, c, offset), tl.PurePower(a, b), psi)
-        exact = _exact_log_f(a, b, c, offset, smp.s)
-        where = (a, b, c, psi, smp.log_f, exact, smp.quad_error)
+        expected = exact.log_f_closed(a, b, c, offset, smp.psi)
+        where = (a, b, c, psi, smp.log_f, expected, smp.quad_error)
         assert smp.tol_met, where
-        assert abs(smp.log_f - exact) <= max(1e-8, 16.0 * math.ulp(exact)), where
+        assert abs(smp.log_f - expected) <= max(1e-8, 16.0 * math.ulp(expected)), where
 
     @pytest.mark.parametrize("psi", [1e12, 1e14, 1e16])
     @pytest.mark.parametrize(
@@ -796,16 +740,15 @@ class TestSubnormalS:
     @pytest.mark.parametrize("psi", [
         *(10.0 ** k for k in range(150, 159)), 6.6e153, 6.7e153, 6.71e153, 6.8e153])
     def test_de_bruijn_samples_meet_the_oracle_at_psi_or_are_refused(self, psi):
+        expected = exact.log_f_closed(-1.0, -1.0, -1.0, 0.0, psi)
         with mp.workdps(40):
-            x = mp.mpf(psi)
-            exact = float(mp.log(2 * x * mp.besselk(1, 2 * x)))
-            s_subnormal = x**-2 < sys.float_info.min
+            s_subnormal = mp.mpf(psi) ** -2 < sys.float_info.min
         try:
             smp = tl.sample_at_psi(tl.validate(-1.0, -1.0, -1.0), DEBR, psi)
         except tl.NumericOverflow:
             assert s_subnormal, psi
             return
-        assert abs(smp.log_f - exact) <= 4.0 * math.ulp(exact), (smp, exact)
+        assert abs(smp.log_f - expected) <= 4.0 * math.ulp(expected), (smp, expected)
 
 
 class TestMeasureTransform:
