@@ -143,12 +143,12 @@ def _check_admissible(a: float, b: float, c: float) -> tuple[float, float, float
         raise ZeroRate("transform rate c must be nonzero")
     if abs(b) > MAX_ABS_EXPONENT:
         raise NumericOverflow(
-            f"|b| = {abs(b):g} exceeds the supported range {MAX_ABS_EXPONENT:g}"
+            f"|b| = {abs(b)!r} exceeds the supported range {MAX_ABS_EXPONENT:g}"
         )
     for name, v in (("a", a), ("c", c)):
         if not (COEFF_MIN <= abs(v) <= COEFF_MAX):
             raise NumericOverflow(
-                f"|{name}| = {abs(v):g} outside supported range "
+                f"|{name}| = {abs(v)!r} outside supported range "
                 f"[{COEFF_MIN:g}, {COEFF_MAX:g}]"
             )
     for name, v in (("a*b*(b-1)", a * b * (b - 1.0)), ("a*b*c", a * b * c)):
@@ -306,7 +306,7 @@ def recover_primal(d: float, e: float, c: float) -> tuple[float, float]:
         _check_admissible(a, b, c)
     except ValidationError as exc:
         raise InconsistentInputs(
-            f"recovered triple (a={a:g}, b={b:g}, c={c:g}) inadmissible: {exc}"
+            f"recovered triple (a={a!r}, b={b!r}, c={c!r}) inadmissible: {exc}"
         ) from exc
     return a, b
 

@@ -20,10 +20,10 @@ dynamic range exceeds the floating-point range at moderate regime values
      interval halving from _NODES_PER_WIDTH panels per width; the error
      estimate is the difference between successive levels, and a row stops
      refining once it meets the tolerance.  Each step evaluates only its fine
-     level of 2n panels and reads the coarse level of n panels off the even
-     nodes, which are the coarse level's nodes bit for bit.  Both levels lay
-     their rows in one buffer, each row after a pad slot of -inf, so one
-     maximum.reduceat and one add.reduceat give every row's peak and sum.
+     level of 2n panels, whose even nodes are the coarse level's n panels bit
+     for bit.  The fine rows lie in one buffer, each after a pad slot of -inf:
+     one maximum.reduceat gives every row's peak, one add.reduceat its fine
+     sum, and one add.reduceat of the odd slots, its even nodes, its coarse sum.
 
 So the resolution is the same at every psi.  On a pure power and on both
 perturbed families, whose delta is analytic in log x, the v-integrand is
@@ -189,7 +189,9 @@ def _prepare_windows(t, c: float, s: np.ndarray):
 
     Raises:
         NumericOverflow: g(u*) is not a finite float.
-        NotIntegrable: no edge within _MAX_WINDOW_WIDTHS widths qualifies.
+        DomainError: no edge within _MAX_WINDOW_WIDTHS widths qualifies, the
+            integrand's peak lying beyond u*'s window; the message gives the
+            largest probed g + v - g(u*) on that side and its width.
     """
     u_star = np.array(locate_peak(t, c, s))
     bc = (t.b - 1.0) * c
@@ -208,29 +210,15 @@ def _prepare_windows(t, c: float, s: np.ndarray):
     below = (vals[:, 1:] - m[:, None] < -FRONTIER_DROP).reshape(s.size, 2, -1)
     reached = below.any(axis=2)
     if not reached.all():
-        side = "left" if not reached[:, 0].all() else "right"
-        raise NotIntegrable(f"{side} frontier not reached within {_MAX_WINDOW_WIDTHS} widths")
+        row, k = np.argwhere(~reached)[0]  # the first row's missed side, left first
+        rise, side = vals[row, 1:].reshape(2, -1)[k] - m[row], ("left", "right")[k]
+        raise DomainError(
+            f"{side} frontier not reached within {_MAX_WINDOW_WIDTHS} widths: largest probed "
+            f"g + v - g(u*) {rise.max():.4g} nats, {_FRONTIER_WIDTHS[rise.argmax()]:g} widths "
+            f"{side} of u*")
     edge = _FRONTIER_WIDTHS[below.argmax(axis=2)]  # first qualifying edge per side
     n0 = (_NODES_PER_WIDTH * (edge[:, 0] + edge[:, 1]).astype(int)).tolist()
     return u_star, -h * edge[:, 0], h * edge[:, 1], m, n0
-
-
-def _log_trapezoid(vals: np.ndarray, pad, width, m, lo, hi) -> list[float]:
-    """m + log of the trapezoid sum of exp(vals) on (hi - lo) / n steps, per
-    row, row i's n[i] + 1 values of g - m laid end to end in vals (which is
-    overwritten), each after one pad slot holding -inf: row i takes
-    width[i] = n[i] + 2 slots from slot pad[i], rows of either level alike.
-    One maximum.reduceat and one add.reduceat give every row's max and sum:
-    reduceat adds a segment's first element, the pad's exp(-inf) = 0, to
-    numpy's pairwise sum of the rest, so each row equals np.add.reduce of
-    that row, a batch of one, bit for bit."""
-    peak = np.maximum.reduceat(vals, pad)
-    vals -= np.repeat(peak, width)
-    np.exp(vals, out=vals)
-    vals[pad + 1] *= 0.5
-    vals[pad + width - 1] *= 0.5
-    scaled = np.add.reduceat(vals, pad) * (hi - lo) / (width - 2)
-    return [a + math.log(v) for a, v in zip((m + peak).tolist(), scaled.tolist())]
 
 
 def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]):
@@ -238,16 +226,18 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]):
     n[i] and n[i] // 2 panels for row i (n[i] even), from one evaluation of g
     on n[i] panels; returns the lists (fine, coarse) of row estimates.
 
-    Row i's n[i] + 1 nodes follow row i-1's in one flat array, in blocks of
-    whole rows of at most _MAX_POINTS_PER_CALL nodes.  Row i takes
-    np.linspace(v_lo[i], v_hi[i], n[i] + 1) by linspace's own expressions.
-    Its node 2j, 2j*((hi-lo)/n), equals j*((hi-lo)/(n/2)) bit for bit, the
-    step scaling by 2 exactly, so the coarse level reads its nodes off the
-    even nodes and equals its own evaluation bit for bit.  A block is one
-    buffer and one _log_trapezoid pass: its fine rows, each a pad slot and
-    n[i] + 1 nodes, then its coarse rows, each a pad slot and n[i]/2 + 1
-    nodes.  A fine row's n[i] + 2 slots are even in number, so its even nodes
-    sit at odd slots: the fine region's odd slots are the coarse nodes.
+    Row i's n[i] + 1 nodes follow row i-1's, in blocks of whole rows of at
+    most _MAX_POINTS_PER_CALL nodes, and are np.linspace(v_lo[i], v_hi[i],
+    n[i] + 1) by linspace's own expressions.  Node 2j, 2j*((hi-lo)/n), equals
+    j*((hi-lo)/(n/2)) bit for bit, so the even nodes are the coarse level's.
+    A block is one buffer of its rows' values of g - m, each row after a pad
+    slot of -inf; one maximum.reduceat gives each row's peak.  reduceat adds
+    a segment's first element to numpy's pairwise sum of the rest, so a fine
+    row, led by the pad's exp(-inf) = 0, equals np.add.reduce of the row, a
+    batch of one, bit for bit.  A row's n[i] + 2 slots are even in number, so
+    its even nodes, both ends included, sit at odd slots: one add.reduceat of
+    the odd slots sums the coarse rows under the fine peaks.  A coarse sum
+    that underflows to 0 reads -inf.
     """
     fine_rows, coarse_rows = [], []
     for i, j in _row_blocks([k + 1 for k in n]):
@@ -264,19 +254,24 @@ def _trapezoid_rows(t, c, s, u_star, v_lo, v_hi, m, n: list[int]):
         vals = _g_rows(t, c, np.repeat(s[i:j], width), np.repeat(u_star[i:j], width), vs)
         del vs
         vals -= np.repeat(mi, width)
-        slots = np.concatenate((ni + 2, ni // 2 + 2))
-        pad = np.cumsum(slots) - slots
-        end = pad[j - i]  # the fine region's end, the first coarse pad
-        buf, keep = np.empty(pad[-1] + slots[-1]), np.ones(pad[-1] + slots[-1], dtype=bool)
+        slots = ni + 2
+        pad = start + np.arange(j - i)
+        buf, keep = np.empty(vals.size + j - i), np.ones(vals.size + j - i, dtype=bool)
         keep[pad] = False
         buf[pad] = -np.inf
-        buf[:end][keep[:end]] = vals
-        del vals
-        buf[end:][keep[end:]] = buf[1:end:2]
-        rows = _log_trapezoid(buf, pad, slots, *(np.concatenate((x, x)) for x in (mi, lo, hi)))
-        fine_rows += rows[:j - i]
-        coarse_rows += rows[j - i:]
-        del buf, keep  # before the next block allocates its own
+        buf[keep] = vals
+        del vals, keep
+        peak = np.maximum.reduceat(buf, pad)
+        buf -= np.repeat(peak, slots)
+        np.exp(buf, out=buf)
+        buf[pad + 1] *= 0.5
+        buf[pad + slots - 1] *= 0.5
+        fine = np.add.reduceat(buf, pad) * (hi - lo) / ni
+        coarse = np.add.reduceat(buf[1::2], pad // 2) * (hi - lo) / (ni // 2)
+        del buf  # before the next block allocates its own
+        for a, f, h in zip((mi + peak).tolist(), fine.tolist(), coarse.tolist()):
+            fine_rows.append(a + math.log(f))
+            coarse_rows.append(a + math.log(h) if h else -math.inf)
     return fine_rows, coarse_rows
 
 
@@ -363,7 +358,9 @@ def log_transform(
         NoInteriorPeak: power integrand monotone (see locate_peak).
         EmptyMeasure: measure target without atoms.
         DomainError: s, or tol, not positive and finite, offset < 0 or not
-            finite, or c not finite.
+            finite, or c not finite; or a power target's integrand does not
+            fall FRONTIER_DROP nats below g(u*) within _MAX_WINDOW_WIDTHS
+            widths of u* on one side (see _prepare_windows).
     """
     return _transform_rows(t, c, offset, [s], tol, [None])[0]
 

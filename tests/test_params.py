@@ -1,6 +1,7 @@
 """Validation, dual-coefficient closed forms, and saddle invariants."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -93,6 +94,15 @@ class TestValidate:
     )
     def test_guardrails_raise_numeric_overflow(self, a, b, c):
         with pytest.raises(tl.NumericOverflow):
+            tl.validate(a, b, c)
+
+    @pytest.mark.parametrize("a,b,c,refused", [
+        (1.00000001e8, 0.5, -1.0, "|a| = 100000001.0 outside supported range [1e-08, 1e+08]"),
+        (-1.0, 64.0000001, 1.0, "|b| = 64.0000001 exceeds the supported range 64"),
+    ])
+    def test_guardrail_refusal_shows_the_refused_value(self, a, b, c, refused):
+        # Printed with %g, both values read as the bound they exceed.
+        with pytest.raises(tl.NumericOverflow, match=re.escape(refused)):
             tl.validate(a, b, c)
 
     def test_non_finite_rejected(self):
@@ -331,6 +341,14 @@ class TestRecoverPrimal:
         # e = 1e17 rounds b = e/(1+e) to exactly 1.
         with pytest.raises(tl.InconsistentInputs, match=f"recovered exponent b={b} is degenerate"):
             tl.recover_primal(1.0, e, c)
+
+    def test_inadmissible_recovered_triple_shows_the_refused_value(self):
+        # A d 1e-14 above that of validate(1e8, 0.5, -1e-8) recovers an a just
+        # past 1e8, which %g printed as 1e+08, the bound itself.
+        refused = (r"\(a=100000000\.0000\d+, b=0\.5, c=-1e-08\) inadmissible: "
+                   r"\|a\| = 100000000\.0000\d+ outside")
+        with pytest.raises(tl.InconsistentInputs, match=refused):
+            tl.recover_primal(2.5e23 * (1.0 + 1e-14), 1.0, -1e-8)
 
     def test_inadmissible_recovered_triple(self):
         with pytest.raises(tl.InconsistentInputs, match="inadmissible: .c. = 1e-09 outside"):

@@ -181,6 +181,18 @@ def test_the_panel_convention_and_the_bracket_are_written_once():
 TESTS = Path(__file__).resolve().parent
 
 
+def test_a_refinement_step_is_one_buffer():
+    # _trapezoid_rows lays a block's fine rows in one buffer and sums the
+    # coarse level off its odd slots: no separate summing pass, no second
+    # region of coarse rows and no doubled row fields.
+    functions = _functions(Path(transform.__file__))
+    assert "_log_trapezoid" not in functions
+    called = [node.func.attr for node in ast.walk(functions["_trapezoid_rows"])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
+    assert called.count("empty") == 1 and "concatenate" not in called
+
+
 def _test_sources():
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
             for path in sorted(TESTS.rglob("*.py"))}

@@ -3,7 +3,9 @@
 import cProfile
 import math
 import pstats
+import re
 import sys
+from typing import NamedTuple
 from unittest import mock
 
 import mpmath as mp
@@ -18,6 +20,30 @@ import tauberlab as tl
 KOHL = tl.PurePower(2.0, 0.5)
 KASA = tl.PurePower(-1.0, 2.0)
 DEBR = tl.PurePower(-1.0, -1.0)
+
+
+class _OscillatingPower(NamedTuple):
+    """q(x) = a*x**b*(1 + k*sin(log x)), whose perturbation does not vanish
+    as |log x| grows; the engine reads it as the power a*x**b."""
+
+    a: float
+    b: float
+    k: float
+
+    def log_amplitude(self, x):
+        arr = np.asarray(x, dtype=float)
+        return self.a * arr**self.b * (1.0 + self.k * np.sin(np.log(arr)))
+
+    def label(self) -> str:
+        return f"oscillating-power(a={self.a:g}, b={self.b:g}, k={self.k:g})"
+
+
+class _FlatPower(tl.PurePower):
+    """q = 0, read by the engine as the power a*x**b."""
+
+    def log_amplitude(self, x):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
 
 class TestLocatePeak:
     @pytest.mark.parametrize(
@@ -183,12 +209,11 @@ class TestSearchCost:
 
     @pytest.mark.parametrize("a,b,c,offset", [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0)])
     def test_sweep_makes_as_many_reductions_as_one_point(self, a, b, c, offset):
-        # A refinement step is one maximum.reduceat and one add.reduceat over
-        # all its rows of both levels, so a 17-point sweep, whose rows start
-        # from 10 to 12 distinct panel counts, makes as many ufunc reductions
-        # as one point: 6, the step's 2 reduceat and the window's 4 reduce.
-        # One sum per run of equal panel counts made 30 (Kohlbecker) and 32
-        # (Kasahara) against 6.
+        # A refinement step is one maximum.reduceat and two add.reduceat over
+        # all its rows, so a 17-point sweep, whose rows start from 10 to 12
+        # distinct panel counts, makes as many ufunc reductions as one point:
+        # 7, the step's 3 reduceat and the window's 4 reduce.  One sum per run
+        # of equal panel counts made 30 (Kohlbecker) and 32 (Kasahara).
         p, t = tl.validate(a, b, c, offset), tl.PurePower(a, b)
         psis = tl.make_grid(10.0, 1000.0, 16).psi_values + (100.0,)
         s = np.array([tl.s_for_psi(b, x) for x in psis])
@@ -204,18 +229,44 @@ class TestSearchCost:
         assert reductions(psis) == reductions(100.0)
 
     @pytest.mark.parametrize("a,b,c,offset", [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0)])
-    def test_refinement_step_is_one_pass_of_two_reductions(self, a, b, c, offset):
+    def test_refinement_step_is_one_buffer_and_three_reductions(self, a, b, c, offset):
         # Every row of the 17-point sweep converges at the first refinement
-        # step, whose fine and coarse levels share one buffer and one
-        # _log_trapezoid pass: one maximum.reduceat and one add.reduceat.
-        p, t = tl.validate(a, b, c, offset), tl.PurePower(a, b)
+        # step, one _trapezoid_rows call.  Its N points lie in one buffer of
+        # N + 17 slots, a pad slot before each row: one maximum.reduceat and
+        # one add.reduceat read all of it, and one add.reduceat its odd
+        # slots, the coarse nodes.
+        p, t = tl.validate(a, b, c, offset), _CountingTarget(tl.PurePower(a, b))
         psis = tl.make_grid(10.0, 1000.0, 16).psi_values + (100.0,)
-        prof = cProfile.Profile()
-        samples = prof.runcall(tl.sample_at_psi, p, t, psis)
-        calls = {k[2]: v[1] for k, v in pstats.Stats(prof).stats.items()}
+        sizes = []
+
+        class Recording:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def __getattr__(self, name):
+                return getattr(self.ufunc, name)
+
+            def __call__(self, *args, **kwargs):
+                return self.ufunc(*args, **kwargs)
+
+            def reduceat(self, x, indices):
+                sizes.append(x.size)
+                return self.ufunc.reduceat(x, indices)
+
+        class NumPy:
+            maximum, add = Recording(np.maximum), Recording(np.add)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        steps = mock.patch.object(tl.transform, "_trapezoid_rows",
+                                  wraps=tl.transform._trapezoid_rows)
+        with steps as step, mock.patch.object(tl.transform, "np", NumPy()):
+            samples = tl.sample_at_psi(p, t, psis)
         assert all(x.tol_met for x in samples)
-        assert calls["_trapezoid_rows"] == calls["_log_trapezoid"] == 1
-        assert calls["<method 'reduceat' of 'numpy.ufunc' objects>"] == 2
+        assert step.call_count == 1 and t.calls == 2
+        slots = math.prod(t.shapes[1]) + len(psis)
+        assert sizes == [slots, slots, slots // 2]
 
     def test_perturbed_kasahara_sweep_converges(self):
         # The library inverse-log family is analytic in log x, so the
@@ -289,10 +340,12 @@ def _guardrail_triples(seed: int, n: int) -> list[tuple[float, float, float]]:
     return triples
 
 
-def _linspace_levels(t, c, s, window, panels) -> list[float]:
-    """Reference trapezoid level: each row on its own, nodes from np.linspace,
-    a plain max and sum (w.sum() is np.add.reduce(w))."""
-    out = []
+def _linspace_levels(t, c, s, window, panels) -> tuple[list[float], list[float]]:
+    """Reference trapezoid levels (fine, coarse): each row on its own, nodes
+    from np.linspace, a plain max and sum (w.sum() is np.add.reduce(w)).  The
+    coarse level takes the fine row's own weights at its even nodes, w[::2],
+    under the fine row's max, and adds the first to the sum of the rest."""
+    fine, coarse = [], []
     for si, u_star, lo, hi, m, ni in zip(s, *window, panels):
         v = np.linspace(lo, hi, ni + 1)
         u = u_star * np.exp(v)
@@ -300,8 +353,10 @@ def _linspace_levels(t, c, s, window, panels) -> list[float]:
         peak = vals.max()
         w = np.exp(vals - peak)
         w[[0, -1]] *= 0.5
-        out.append(m + peak + math.log(w.sum() * (hi - lo) / ni))
-    return out
+        fine.append(m + peak + math.log(w.sum() * (hi - lo) / ni))
+        w2 = w[::2]
+        coarse.append(m + peak + math.log((w2[0] + np.add.reduce(w2[1:])) * (hi - lo) / (ni // 2)))
+    return fine, coarse
 
 
 class TestBatchedSweep:
@@ -353,8 +408,8 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("k", [0, 4, 10])
     def test_levels_match_a_linspace_reference(self, k):
-        # Reference: each row and level on its own, nodes from np.linspace, a
-        # plain max and sum.  One evaluation on the fine level of n panels,
+        # Reference: each row on its own, nodes from np.linspace, a plain max
+        # and sum.  One evaluation on the fine level of n panels,
         # n = n0 * 2**(k + 1), gives it and, off its even nodes, the coarse
         # level of n/2 panels; k = 0 is the first refinement step.  At k = 10
         # the fine rows hold 141k to 1M nodes, so a level has blocks of
@@ -365,20 +420,21 @@ class TestBatchedSweep:
         *window, n0 = tl.transform._prepare_windows(t, c, s[::-1])
         n = [x * 2 ** (k + 1) for x in n0]
 
-        fine, coarse = tl.transform._trapezoid_rows(t, c, s[::-1], *window, n)
-        assert fine == _linspace_levels(t, c, s[::-1], window, n)
-        assert coarse == _linspace_levels(t, c, s[::-1], window, [x // 2 for x in n])
+        levels = tl.transform._trapezoid_rows(t, c, s[::-1], *window, n)
+        assert levels == _linspace_levels(t, c, s[::-1], window, n)
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(rows=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 1500)),
                          min_size=1, max_size=8))
     def test_padded_level_sums_equal_each_rows_own_sum(self, rows):
-        # A level sums its rows in one add.reduceat, each row after a pad
-        # slot of exp(-inf) = 0.  Rows of 3 to 3,001 fine and 2 to 1,501
-        # coarse nodes cross numpy's 8- and 128-element pairwise blocks, in
-        # drawn order, and a 4,096-node cap splits a level into blocks of
-        # whole rows.  Every row must equal its plain np.add.reduce bit for
-        # bit, so a numpy whose reduceat sums in another order fails here.
+        # The fine level sums its rows in one add.reduceat, each row after a
+        # pad slot of exp(-inf) = 0, and the coarse level in one add.reduceat
+        # of the odd slots, each row's first node then the rest.  Rows of 3 to
+        # 3,001 fine and 2 to 1,501 coarse nodes cross numpy's 8- and
+        # 128-element pairwise blocks, in drawn order, and a 4,096-node cap
+        # splits a level into blocks of whole rows.  Every row must equal its
+        # reference sum bit for bit, so a numpy whose reduceat sums in another
+        # order fails here.
         a, b, c = -1.0, 2.0, 1.0
         t = tl.PerturbedPower(a, b, "inverse-log", 0.4)
         psis = tl.make_grid(10.0, 1000.0, 16).psi_values
@@ -386,9 +442,25 @@ class TestBatchedSweep:
         window = tl.transform._prepare_windows(t, c, s)[:-1]
         n = [2 * k for _, k in rows]
         with mock.patch.object(tl.transform, "_MAX_POINTS_PER_CALL", 4096):
-            fine, coarse = tl.transform._trapezoid_rows(t, c, s, *window, n)
-        assert fine == _linspace_levels(t, c, s, window, n)
-        assert coarse == _linspace_levels(t, c, s, window, [x // 2 for x in n])
+            levels = tl.transform._trapezoid_rows(t, c, s, *window, n)
+        assert levels == _linspace_levels(t, c, s, window, n)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_coarse_sum_that_underflows_reads_minus_inf_and_refines(self):
+        # A guardrail row whose even nodes all lie more than about 745 nats
+        # below a peak at an odd node: under the fine peak's shift its first
+        # coarse sum is 0, so the coarse level reads -inf, quad_error is inf
+        # and the row refines, with no log(0) and no warning.
+        a, b, c = 213558.22421137415, 0.571821262764963, -6.710934899760602e-08
+        p, t = tl.validate(a, b, c), tl.PurePower(a, b)
+        s = np.array([tl.s_for_psi(b, 10.0)])
+        *window, n0 = tl.transform._prepare_windows(t, c, s)
+        fine, coarse = tl.transform._trapezoid_rows(t, c, s, *window, [2 * n0[0]])
+        assert coarse == [-math.inf] and math.isfinite(fine[0])
+        point = tl.sample_at_psi(p, t, 10.0)
+        assert point.log_f == 2.1579194737834408e22 and point.tol_met
+        sweep = tl.sample_at_psi(p, t, self.GRID.psi_values + (10.0,))
+        assert _fields(sweep[0]) == _fields(sweep[-1]) == _fields(point)
 
     def test_guardrail_draws_match_per_psi_samples(self):
         for a, b, c in _guardrail_triples(seed=5, n=20):
@@ -532,8 +604,29 @@ class TestLogTransform:
         ts = tl.log_transform(Flat(2.0, 0.5), -1.0, 0.0, 1.0)
         assert ts.tol_met and ts.log_f == pytest.approx(0.0, abs=1e-12)
         for s in (100.0, 1e4):
-            with pytest.raises(tl.NotIntegrable, match="left frontier not reached within 800"):
+            with pytest.raises(tl.DomainError, match="left frontier not reached within 800"):
                 tl.log_transform(Flat(2.0, 0.5), -1.0, 0.0, s)
+
+    @pytest.mark.parametrize(
+        "target,abc_offset,psi,nats,widths",
+        [
+            (tl.PerturbedPower(-1.0, 2.0, "inverse-log", 0.4), (-1.0, 2.0, 1.0, 1.0), 5e8,
+             "1.629e+05", 558),
+            (_OscillatingPower(2.0, 0.5, 0.6), (2.0, 0.5, -1.0, 0.0), 5e3, "5186", 92),
+            (_FlatPower(2.0, 0.5), (2.0, 0.5, -1.0, 0.0), 100.0, "94.37", 31),
+        ],
+    )
+    def test_a_window_that_misses_the_peak_is_a_domain_error(
+        self, target, abc_offset, psi, nats, widths
+    ):
+        # Each transform is finite, but g + v rises above g(u*) left of u*,
+        # so no probed edge falls FRONTIER_DROP nats below it: the window is
+        # out of the engine's domain, not a divergent transform.
+        p = tl.validate(*abc_offset)
+        message = (f"left frontier not reached within 800 widths: largest probed "
+                   f"g + v - g(u*) {nats} nats, {widths} widths left of u*")
+        with pytest.raises(tl.DomainError, match=re.escape(message)):
+            tl.sample_at_psi(p, target, psi)
 
     @pytest.mark.parametrize("family,k", [("cosine", 0.1), ("log-sine", 0.6)])
     def test_perturbation_refused(self, family, k):
