@@ -27,8 +27,8 @@ from .errors import (
     _checked,
 )
 from .measures import _geometric_grid
-from .params import UnifiedParams, recover_primal
-from .transform import TransformSample, _predictions, sample_at_psi
+from .params import UnifiedParams, predict_log_f, recover_primal
+from .transform import TransformSample, sample_at_psi
 
 __all__ = [
     "EvalGrid",
@@ -94,7 +94,7 @@ def make_grid(psi_min: float, psi_max: float, n: int) -> EvalGrid:
         raise BadRange(f"n must be >= {_MIN_GRID_POINTS}, got {n}")
     if not (1.0 <= psi_min < psi_max):
         raise BadRange(
-            f"need 1 <= psi_min < psi_max, got psi_min={psi_min:g}, psi_max={psi_max:g}"
+            f"need 1 <= psi_min < psi_max, got psi_min={psi_min!r}, psi_max={psi_max!r}"
         )
     if not psi_max < math.inf:
         raise BadRange(f"psi_max must be finite, got {psi_max:g}")
@@ -204,17 +204,14 @@ class EquivalenceReport(NamedTuple):
     @property
     def mid_ratio(self) -> float | None:
         """log f / (d*psi) at psi_mid, the number its ratio check bounds."""
-        return None if self.mid_sample is None else _ratio(self.params, self.mid_sample)
+        ms = self.mid_sample
+        return None if ms is None else ms.log_f / predict_log_f(self.params, ms.psi, "leading")
 
     @property
     def recovered_gaps(self) -> tuple[float, float] | None:
         """Relative gaps of a_hat and b_hat, the numbers the inverse checks bound."""
         p, a, b = self.params, self.a_hat, self.b_hat
         return None if a is None or b is None else (_rel_gap(a, p.a), _rel_gap(b, p.b))
-
-
-def _ratio(p: UnifiedParams, sample: TransformSample) -> float:
-    return sample.log_f / (p.d * sample.psi)
 
 
 def _rel_gap(value: float, true: float) -> float:
@@ -266,15 +263,15 @@ def verify_equivalence(
         )
     psi_lo, psi_hi = grid.psi_values[0], grid.psi_values[-1]
     mid = (_PSI_MID,) if psi_lo <= _PSI_MID <= psi_hi else ()
-    samples = sample_at_psi(p, t, grid.psi_values + mid, tol=quad_tol)
+    psis = grid.psi_values + mid
+    samples = sample_at_psi(p, t, psis, tol=quad_tol)
     notes = [
         f"quadrature tolerance not met at psi={s.psi:g} (quad_error {s.quad_error:.3g})"
         for s in samples if not s.tol_met
     ]
-    mid_sample = samples.pop() if mid else None
-    psis = [s.psi for s in samples]
-    lead = tuple(_predictions(p, psis, "leading"))
-    corr = tuple(_predictions(p, psis, "corrected"))
+    lead = predict_log_f(p, psis, "leading")  # the mid sample's too, popped with it
+    mid_sample, mid_lead = (samples.pop(), lead.pop()) if mid else (None, None)
+    lead, corr = tuple(lead), tuple(predict_log_f(p, grid.psi_values, "corrected"))
     ratios = tuple(s.log_f / ld for s, ld in zip(samples, lead))
 
     checks: list[CheckResult] = []
@@ -285,7 +282,7 @@ def verify_equivalence(
         return checks[-1].passed
 
     if mid_sample is not None:
-        bounded(f"ratio_dev_at_psi_{_PSI_MID:g}", abs(_ratio(p, mid_sample) - 1.0),
+        bounded(f"ratio_dev_at_psi_{_PSI_MID:g}", abs(mid_sample.log_f / mid_lead - 1.0),
                 _RATIO_RTOL_MID)
     else:
         notes.append(f"psi_mid={_PSI_MID:g} outside grid; mid check skipped")

@@ -43,7 +43,7 @@ def _require_finite(spec) -> None:
     """Refuse the first of a spec's fields that is not a finite float."""
     for name, value in zip(spec._fields, spec):
         if not math.isfinite(value):
-            raise SpecOutOfRange(f"{type(spec).__name__} needs a finite {name}, got {value:g}")
+            raise SpecOutOfRange(f"{type(spec).__name__} needs a finite {name}, got {value!r}")
 
 
 @_checked
@@ -56,9 +56,9 @@ class Kohlbecker(NamedTuple):
     def _check(self):
         _require_finite(self)
         if not self.alpha > 1.0:
-            raise SpecOutOfRange(f"Kohlbecker needs alpha > 1, got {self.alpha:g}")
+            raise SpecOutOfRange(f"Kohlbecker needs alpha > 1, got {self.alpha!r}")
         if not self.B > 0.0:
-            raise SpecOutOfRange(f"Kohlbecker needs B > 0, got {self.B:g}")
+            raise SpecOutOfRange(f"Kohlbecker needs B > 0, got {self.B!r}")
 
 
 @_checked
@@ -72,11 +72,11 @@ class DeBruijn(NamedTuple):
     def _check(self):
         _require_finite(self)
         if not self.beta < 0.0:
-            raise SpecOutOfRange(f"DeBruijn needs beta < 0, got {self.beta:g}")
+            raise SpecOutOfRange(f"DeBruijn needs beta < 0, got {self.beta!r}")
         if not self.B < 0.0:
-            raise SpecOutOfRange(f"DeBruijn needs B < 0, got {self.B:g}")
+            raise SpecOutOfRange(f"DeBruijn needs B < 0, got {self.B!r}")
         if not self.rate > 0.0:
-            raise SpecOutOfRange(f"DeBruijn needs rate > 0, got {self.rate:g}")
+            raise SpecOutOfRange(f"DeBruijn needs rate > 0, got {self.rate!r}")
 
 
 @_checked
@@ -89,9 +89,9 @@ class Kasahara(NamedTuple):
     def _check(self):
         _require_finite(self)
         if not 0.0 < self.alpha < 1.0:
-            raise SpecOutOfRange(f"Kasahara needs 0 < alpha < 1, got {self.alpha:g}")
+            raise SpecOutOfRange(f"Kasahara needs 0 < alpha < 1, got {self.alpha!r}")
         if not self.B > 0.0:
-            raise SpecOutOfRange(f"Kasahara needs B > 0, got {self.B:g}")
+            raise SpecOutOfRange(f"Kasahara needs B > 0, got {self.B!r}")
 
 
 ClassicalSpec = Union[Kohlbecker, DeBruijn, Kasahara]

@@ -53,7 +53,7 @@ import stat
 import sys
 from pathlib import Path
 
-from . import asymptotics, measures, params, report, targets, transform
+from . import asymptotics, measures, params, report, targets
 from .errors import ConfigParseError, TauberError, ValidationError
 
 __all__ = ["main", "run"]
@@ -247,7 +247,7 @@ def cmd_validate(args) -> int:
 
 def cmd_predict(args) -> int:
     """Closed-form prediction of log f at a given psi."""
-    value = transform.predict_log_f(Options(args).params(), args.psi, args.order)
+    value = params.predict_log_f(Options(args).params(), args.psi, args.order)
     print(f"predict_log_f({args.order}) = {report.fmt(value)}")
     return 0
 

@@ -88,7 +88,7 @@ class EmptyMeasure(ValidationError):
 
 
 class MeasureFormatError(ValidationError):
-    """Malformed two-column measure file."""
+    """Unreadable or malformed two-column measure or sample file."""
 
 
 class BadRange(ValidationError):

@@ -53,11 +53,11 @@ def ck_index(samples: list[tuple[float, float]]) -> CkIndexResult:
     points = []
     for x, u in samples:
         if not (math.isfinite(x) and math.isfinite(u)):
-            raise DomainError(f"samples must be finite, got ({x:g}, {u:g})")
+            raise DomainError(f"samples must be finite, got ({x!r}, {u!r})")
         if not x > 1.0:
-            raise DomainError(f"x must be > 1, got {x:g}")
+            raise DomainError(f"x must be > 1, got {x!r}")
         if not u > 0.0:
-            raise DomainError(f"U must be > 0, got {u:g}")
+            raise DomainError(f"U must be > 0, got {u!r}")
         points.append((float(x), math.log(u) / math.log(x)))
     points.sort(key=lambda p: p[0])
     taus = [t for _, t in points]
@@ -145,7 +145,7 @@ def class_m_check(
         NumericOverflow: a log trajectory leaves the float range.
     """
     if not math.isfinite(tau):
-        raise DomainError(f"tau must be finite, got {tau:g}")
+        raise DomainError(f"tau must be finite, got {tau!r}")
     if not epsilons:
         raise ValidationError("need at least one epsilon")
     if len(samples) < _MIN_SAMPLES:
@@ -162,7 +162,7 @@ def class_m_check(
     checks = []
     for eps in epsilons:
         if not 0.0 < eps < math.inf:
-            raise ValidationError(f"epsilons must be positive and finite, got {eps:g}")
+            raise ValidationError(f"epsilons must be positive and finite, got {eps!r}")
         with np.errstate(over="ignore", invalid="ignore"):
             upper = log_u - (tau + eps) * log_x
             lower = log_u - (tau - eps) * log_x

@@ -175,22 +175,22 @@ def parse_measure_text(text: str, source: str = "<string>") -> TabulatedMeasure:
         raise MeasureFormatError(f"{source}: {exc}") from exc
 
 
-def _read_text(path: Path) -> str:
+def _read_text(path: Path, what: str) -> str:
     try:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise MeasureFormatError(f"cannot read measure file {path}: {exc}") from exc
+        raise MeasureFormatError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def load_measure(path: str | Path) -> TabulatedMeasure:
     p = Path(path)
-    return parse_measure_text(_read_text(p), source=str(p))
+    return parse_measure_text(_read_text(p, "measure"), source=str(p))
 
 
 def _load_pairs(path: str | Path) -> list[tuple[float, float]]:
     """The (x, U(x)) rows of a two-column file, in file order."""
     p = Path(path)
-    return [(x, y) for _, x, y in _rows(_read_text(p), str(p), "x<TAB>U(x)")]
+    return [(x, y) for _, x, y in _rows(_read_text(p, "sample"), str(p), "x<TAB>U(x)")]
 
 
 def _log_sum_shifted(log_terms: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Admissible parameters, the dual coefficient, and saddle analysis.
+"""Admissible parameters, the dual coefficient, saddle analysis and prediction.
 
 The central object is the parameter vector (a, b, c, offset) describing a
 log-power asymptotic ``log P(x) ~ a*x**b`` (as ``x**b -> inf``) together with
@@ -24,7 +24,8 @@ has a unique positive maximizer x_peak = (-c/(a*b))**(1/(b-1)) and the dual
 coefficient d is fixed by h(x_peak) = 0, i.e. d = a*x_peak**b + c*x_peak,
 equivalently d = a*(1-b)*(-c/(a*b))**(b/(b-1)); concavity then gives h <= 0
 on x > 0 without sampling.  On the transform side
-``log f(lam) ~ d * lam**(b/(1-b))`` in the regime psi = lam**(b/(1-b)) -> inf.
+``log f(lam) ~ d * lam**(b/(1-b))`` in the regime psi = lam**(b/(1-b)) -> inf:
+:func:`predict_log_f` writes d*psi and its Laplace correction, at psi or a sweep.
 
 Admission turns (a, b, c) into Python floats once, so an overflow downstream
 is an inf or NaN that a check refuses, never a numpy warning.  :func:`validate`
@@ -67,6 +68,7 @@ __all__ = [
     "recover_primal",
     "s_for_psi",
     "psi_for_s",
+    "predict_log_f",
     "MAX_ABS_EXPONENT",
     "COEFF_MIN",
     "COEFF_MAX",
@@ -326,6 +328,14 @@ def _positive_power(base: float, exponent: float, what: str) -> float:
     return value
 
 
+def _require_psi(psi: float) -> None:
+    """Refuse a psi that is not > 0, then one that is not finite (NaN)."""
+    if not 0.0 < psi < math.inf:
+        if psi <= 0.0:
+            raise DomainError("psi must be positive")
+        raise DomainError(f"psi must be finite, got {psi:g}")
+
+
 def s_for_psi(b: float, psi: float) -> float:
     """Transform argument s = psi**((1-b)/b) for the regime variable psi.
 
@@ -338,10 +348,7 @@ def s_for_psi(b: float, psi: float) -> float:
         DegenerateExponent: b is 0 or 1.
         NumericOverflow: s overflows, or is subnormal or 0.
     """
-    if psi <= 0.0:
-        raise DomainError("psi must be positive")
-    if not math.isfinite(psi):
-        raise DomainError(f"psi must be finite, got {psi:g}")
+    _require_psi(psi)
     if not math.isfinite(b) or b == 0.0 or b == 1.0:
         _require_finite(b=b)
         raise DegenerateExponent(f"regime map undefined for b={b:g}")
@@ -369,3 +376,35 @@ def psi_for_s(b: float, s: float) -> float:
         _require_finite(b=b)
         raise DegenerateExponent(f"regime map undefined for b={b:g}")
     return _positive_power(s, b / (1.0 - b), "psi")
+
+
+def predict_log_f(p: UnifiedParams, psi, order: str = "corrected"):
+    """Closed-form prediction of log f at regime variable psi; at a list or
+    tuple of psi, the list of each point's own, raising what its first
+    failing psi raises.
+
+    order="leading" gives d*psi; order="corrected" adds the Gaussian-peak
+    refinement 0.5*log(psi) + 0.5*log(2*pi/|h''(x_peak)|) obtained from
+    f ~ psi * e^{d*psi} * sqrt(2*pi / (psi*|h''(x_peak)|)).
+
+    Raises:
+        DomainError: psi is not positive and finite.
+        ValidationError: order is neither "leading" nor "corrected".
+        NumericOverflow: the prediction is outside the float range.
+    """
+    sweep = isinstance(psi, (list, tuple))
+    corrected = order == "corrected"
+    width_term = 0.5 * math.log(2.0 * math.pi / abs(p.saddle.curvature)) if corrected else 0.0
+    values = []
+    for x in psi if sweep else (psi,):
+        x = float(x)
+        _require_psi(x)  # a bad psi is refused before a bad order
+        if not corrected and order != "leading":
+            raise ValidationError(f"order must be 'leading' or 'corrected', got {order!r}")
+        v = p.d * x
+        if corrected:
+            v = v + 0.5 * math.log(x) + width_term
+        if not math.isfinite(v):
+            raise NumericOverflow(f"predicted log f at psi={x:g} is not a finite float")
+        values.append(v)
+    return values if sweep else values[0]

@@ -82,7 +82,7 @@ class PerturbedPower(NamedTuple):
             )
         if not abs(self.magnitude) <= _MAX_PERTURBATION:
             raise ValidationError(
-                f"|magnitude| must be <= {_MAX_PERTURBATION}, got {self.magnitude:g}"
+                f"|magnitude| must be <= {_MAX_PERTURBATION}, got {self.magnitude!r}"
             )
 
     def log_amplitude(self, x):

@@ -69,7 +69,6 @@ __all__ = [
     "TransformSample",
     "locate_peak",
     "log_transform",
-    "predict_log_f",
     "sample_at_psi",
     "FRONTIER_DROP",
 ]
@@ -146,10 +145,10 @@ def locate_peak(t, c: float, s):
     """Stationary point u* = x_peak*psi(s) of g for the pure power a*x**b of
     the target: its argmax in closed form, near a perturbed target's argmax,
     which no search refines (see the module docstring).  Given a 1-D array of
-    s, returns the list of the rows' u*.
+    s, returns the list of the rows' u*; the first failing row raises.
 
     Raises:
-        DomainError: s <= 0, or c not finite.
+        DomainError: s <= 0, or c not finite; s infinite (from psi_for_s).
         NoInteriorPeak: integrand monotone.
         NotIntegrable: the signs of a, b and c make the transform diverge.
         NumericOverflow: psi or the stationary point is outside the float range.
@@ -161,10 +160,12 @@ def locate_peak(t, c: float, s):
         raise DomainError(f"c must be finite, got {c:g}")
     _require_interior_peak(t, c)
     x_peak = _x_peak(t.a, t.b, c)
-    peaks = [x_peak * psi_for_s(t.b, si) for si in s_rows.tolist()]
-    bad = [si for si, u in zip(s_rows.tolist(), peaks) if not 0.0 < u < math.inf]
-    if bad:
-        raise NumericOverflow(f"stationary point of g at s={bad[0]:g} is not representable")
+    peaks = []
+    for si in s_rows.tolist():
+        u = x_peak * psi_for_s(t.b, si)
+        if not 0.0 < u < math.inf:
+            raise NumericOverflow(f"stationary point of g at s={si:g} is not representable")
+        peaks.append(u)
     return peaks if np.ndim(s) else peaks[0]
 
 
@@ -363,44 +364,6 @@ def log_transform(
             widths of u* on one side (see _prepare_windows).
     """
     return _transform_rows(t, c, offset, [s], tol, [None])[0]
-
-
-def predict_log_f(p: UnifiedParams, psi: float, order: str = "corrected") -> float:
-    """Closed-form prediction of log f at regime variable psi.
-
-    order="leading" gives d*psi; order="corrected" adds the Gaussian-peak
-    refinement 0.5*log(psi) + 0.5*log(2*pi/|h''(x_peak)|) obtained from
-    f ~ psi * e^{d*psi} * sqrt(2*pi / (psi*|h''(x_peak)|)).
-
-    Raises:
-        DomainError: psi is not positive and finite.
-        NumericOverflow: the prediction is outside the float range.
-    """
-    psi = float(psi)
-    if psi <= 0.0:
-        raise DomainError("psi must be positive")
-    if not math.isfinite(psi):
-        raise DomainError(f"psi must be finite, got {psi:g}")
-    if order not in ("leading", "corrected"):
-        raise ValidationError(f"order must be 'leading' or 'corrected', got {order!r}")
-    return _predictions(p, [psi], order)[0]
-
-
-def _predictions(p: UnifiedParams, psis: list[float], order: str) -> list[float]:
-    """predict_log_f at each psi, positive finite Python floats, by the same
-    expressions: d*psi, then + 0.5*log(psi) + 0.5*log(2*pi/|h''|).
-
-    Raises:
-        NumericOverflow: at the first prediction that is not a finite float.
-    """
-    values = [p.d * psi for psi in psis]
-    if order == "corrected":
-        width_term = 0.5 * math.log(2.0 * math.pi / abs(p.saddle.curvature))
-        values = [v + 0.5 * math.log(psi) + width_term for v, psi in zip(values, psis)]
-    for psi, v in zip(psis, values):
-        if not math.isfinite(v):
-            raise NumericOverflow(f"predicted log f at psi={psi:g} is not a finite float")
-    return values
 
 
 def sample_at_psi(p: UnifiedParams, t, psi, tol: float = 1e-8):

@@ -423,9 +423,12 @@ IN_PROCESS_CASES = {
     "classical-debruijn-rate-inf": (
         ("classical", "--variant", "debruijn", "--beta", "-1", "--B", "-1", "--rate", "inf"),
         None, 2, "stderr", "error: SpecOutOfRange: DeBruijn needs a finite rate, got inf"),
+    "classical-kasahara-alpha-just-above-1": (
+        ("classical", "--variant", "kasahara", "--alpha", "1.0000000001", "--B", "1"), None, 2,
+        "stderr", "error: SpecOutOfRange: Kasahara needs 0 < alpha < 1, got 1.0000000001\n"),
     "ck-index-missing-file": (
         ("ck-index", "--input", "nope.tsv"), None, 2,
-        "stderr", "error: MeasureFormatError: cannot read measure file nope.tsv"),
+        "stderr", "error: MeasureFormatError: cannot read sample file nope.tsv"),
     "verify-psi-max-inf": (
         ("verify", *K, "--psi-max", "inf"), None, 2,
         "stderr", "error: BadRange: psi_max must be finite"),

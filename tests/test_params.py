@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tauberlab as tl
 
@@ -417,3 +419,54 @@ class TestPsiMaps:
         # An underflow to 0 is refused too, not passed on as s = 0 or psi = 0.
         with pytest.raises(tl.NumericOverflow):
             (tl.s_for_psi if to == "s" else tl.psi_for_s)(b, x)
+
+
+class TestPredictSweep:
+    """predict_log_f over a list or tuple of psi: each value is the point's own."""
+
+    @staticmethod
+    def _outcome(f):
+        try:
+            value = f()
+        except tl.TauberError as exc:
+            return type(exc), str(exc)
+        return [v.hex() for v in value] if isinstance(value, list) else value.hex()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        regime=st.sampled_from([((0.05, 0.95), 1.0, -1.0), ((1.05, 64.0), -1.0, 1.0),
+                                ((-64.0, -0.05), -1.0, -1.0)]),
+        u_b=st.floats(0.0, 1.0),
+        log_a=st.floats(-8.0, 8.0),
+        log_c=st.floats(-8.0, 8.0),
+        fractions=st.lists(st.floats(0.0, 1.05), max_size=6),
+        order=st.sampled_from(["leading", "corrected"]),
+    )
+    def test_sweep_equals_its_points_over_the_guardrail_box(
+        self, regime, u_b, log_a, log_c, fractions, order
+    ):
+        # psi runs from 1 to a little past where d*psi leaves the float range,
+        # so some sweeps fail, and then at their first failing psi.
+        (b_lo, b_hi), sa, sc = regime
+        b = math.copysign(abs(b_lo) ** (1.0 - u_b) * abs(b_hi) ** u_b, b_lo)
+        a, c = sa * 10.0**log_a, sc * 10.0**log_c
+        try:
+            p = tl.validate(a, b, c)
+        except tl.TauberError:
+            return
+        top = math.log10(sys.float_info.max / abs(p.d))
+        psis = [10.0 ** min(308.0, f * top) for f in fractions]
+        alone = [self._outcome(lambda x=x: tl.predict_log_f(p, x, order)) for x in psis]
+        failed = [r for r in alone if isinstance(r, tuple)]
+        expected = failed[0] if failed else alone
+        assert self._outcome(lambda: tl.predict_log_f(p, psis, order)) == expected
+        assert self._outcome(lambda: tl.predict_log_f(p, tuple(psis), order)) == expected
+
+    def test_a_sweep_raises_what_its_first_failing_psi_raises(self):
+        p = tl.validate(2.0, 0.5, -1.0)
+        with pytest.raises(tl.DomainError, match="^psi must be positive$"):
+            tl.predict_log_f(p, [100.0, -1.0, math.inf])
+        with pytest.raises(tl.DomainError, match="^psi must be finite, got nan$"):
+            tl.predict_log_f(p, (100.0, math.nan, -1.0), "leading")
+        with pytest.raises(tl.NumericOverflow, match="at psi=1.79e[+]308"):
+            tl.predict_log_f(tl.validate(8.0, 0.5, -1.0), [1.0, 1.79e308, 0.0])

@@ -101,7 +101,7 @@ def test_the_private_names_taken_across_modules_are_the_listed_ones():
     # it; a new reach is a decision, and needs an edit of this list.
     expected = {
         "transform": {"measures._log_integral", "params._x_peak"},
-        "asymptotics": {"errors._checked", "measures._geometric_grid", "transform._predictions"},
+        "asymptotics": {"errors._checked", "measures._geometric_grid"},
         "classical": {"errors._checked"},
         "targets": {"errors._checked"},
         "cli": {"measures._load_pairs"},
@@ -191,6 +191,21 @@ def test_a_refinement_step_is_one_buffer():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
     assert called.count("empty") == 1 and "concatenate" not in called
+
+
+def test_the_closed_form_prediction_has_one_home():
+    # params.predict_log_f alone writes d*psi: transform, the quadrature
+    # engine, defines no prediction, and no other module multiplies by d.
+    functions = _functions(Path(transform.__file__))
+    assert "predict_log_f" not in functions and "_predictions" not in functions
+    assert tl.predict_log_f is params.predict_log_f
+    for path in sorted(Path(tl.__file__).parent.glob("*.py")):
+        if path.stem == "params":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                assert not any(isinstance(side, ast.Attribute) and side.attr == "d"
+                               for side in (node.left, node.right)), f"{path.name}:{node.lineno}"
 
 
 def _test_sources():

@@ -180,6 +180,23 @@ REFUSALS = {
         lambda: tl.s_for_psi(math.nan, 0.0), tl.DomainError, "psi must be positive"),
     "psi-for-s-b-inf-s-inf": (
         lambda: tl.psi_for_s(math.inf, math.inf), tl.DomainError, "s must be finite, got inf"),
+    # A refused value is printed whole: rounded to 6 digits it would read as
+    # inside the range it is refused from.
+    "kasahara-alpha-just-above-1": (
+        lambda: tl.Kasahara(1.0000000001, 1.0), tl.SpecOutOfRange,
+        r"^Kasahara needs 0 < alpha < 1, got 1\.0000000001$"),
+    "kohlbecker-alpha-just-below-1": (
+        lambda: tl.Kohlbecker(0.99999999999, 1.0), tl.SpecOutOfRange,
+        r"^Kohlbecker needs alpha > 1, got 0\.99999999999$"),
+    "perturbation-magnitude-just-above-half": (
+        lambda: tl.PerturbedPower(1.0, 0.5, "inverse-log", 0.50000001), tl.ValidationError,
+        r"^\|magnitude\| must be <= 0\.5, got 0\.50000001$"),
+    "ck-index-x-just-below-1": (
+        lambda: tl.ck_index([(0.9999999, 2.0)]), tl.DomainError,
+        r"^x must be > 1, got 0\.9999999$"),
+    "make-grid-psi-min-just-below-1": (
+        lambda: tl.make_grid(0.9999999, 10.0, 8), tl.BadRange,
+        r"^need 1 <= psi_min < psi_max, got psi_min=0\.9999999, psi_max=10\.0$"),
     "sample-at-psi-other-power": (
         lambda: tl.sample_at_psi(tl.validate(2, 0.5, -1), tl.PurePower(2, 0.25), 100.0),
         tl.InconsistentInputs, "target log-amplitude is not the validated"),

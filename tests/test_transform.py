@@ -103,6 +103,11 @@ class TestLocatePeak:
         with pytest.raises(tl.DomainError, match="s must be positive"):
             tl.locate_peak(KOHL, -1.0, 0.0)
 
+    def test_the_first_failing_row_raises(self):
+        # Row 1's stationary point overflows before row 2's s is mapped.
+        with pytest.raises(tl.NumericOverflow, match="stationary point of g at s=1e[+]307"):
+            tl.locate_peak(tl.PurePower(20.0, 0.5), -1.0, [1e307, math.inf])
+
     def test_no_interior_peak_for_monotone_integrand(self):
         # q decreasing and c < 0: supremum at u -> 0.
         with pytest.raises(tl.NoInteriorPeak):
