@@ -134,6 +134,13 @@ def _require_finite(**values: float) -> None:
             raise ValidationError(f"{name} must be finite, got {v!r}")
 
 
+def _require_b(b: float, what: str) -> None:
+    """Refuse a b that is not finite, then one of 0 or 1, where what is undefined."""
+    if not math.isfinite(b) or b == 0.0 or b == 1.0:
+        _require_finite(b=b)
+        raise DegenerateExponent(f"{what} undefined for b={b:g}")
+
+
 def _check_admissible(a: float, b: float, c: float) -> tuple[float, float, float]:
     """(a, b, c) as Python floats (an overflow is then an inf, not a numpy
     warning); raises unless they meet both sign conditions and guardrails."""
@@ -260,9 +267,7 @@ def saddle_analysis(p: UnifiedParams) -> SaddlePoint:
 
 def dual_exponent(b: float) -> float:
     """Map the primal exponent b to the transform-side exponent b/(1-b)."""
-    _require_finite(b=b)
-    if b == 0.0 or b == 1.0:
-        raise DegenerateExponent(f"dual exponent undefined for b={b:g}")
+    _require_b(b, "dual exponent")
     return b / (1.0 - b)
 
 
@@ -328,12 +333,26 @@ def _positive_power(base: float, exponent: float, what: str) -> float:
     return value
 
 
+def _is_sweep(x) -> bool:
+    """Whether x is a sweep: a list, tuple, range or array of 1 or more
+    dimensions, not a float, numpy scalar or 0-d array (one value)."""
+    return getattr(x, "ndim", 0) > 0 or isinstance(x, (list, tuple, range))
+
+
 def _require_psi(psi: float) -> None:
     """Refuse a psi that is not > 0, then one that is not finite (NaN)."""
     if not 0.0 < psi < math.inf:
         if psi <= 0.0:
             raise DomainError("psi must be positive")
         raise DomainError(f"psi must be finite, got {psi:g}")
+
+
+def _require_s(s: float) -> None:
+    """Refuse an s that is not > 0 (NaN included), then an infinite one."""
+    if not s > 0.0:
+        raise DomainError("s must be positive")
+    if s == math.inf:
+        raise DomainError("s must be finite, got inf")
 
 
 def s_for_psi(b: float, psi: float) -> float:
@@ -349,9 +368,7 @@ def s_for_psi(b: float, psi: float) -> float:
         NumericOverflow: s overflows, or is subnormal or 0.
     """
     _require_psi(psi)
-    if not math.isfinite(b) or b == 0.0 or b == 1.0:
-        _require_finite(b=b)
-        raise DegenerateExponent(f"regime map undefined for b={b:g}")
+    _require_b(b, "regime map")
     exponent = (1.0 - b) / b
     s = _positive_power(psi, exponent, "s")
     if s < sys.float_info.min:
@@ -368,20 +385,15 @@ def psi_for_s(b: float, s: float) -> float:
         DegenerateExponent: b is 0 or 1.
         NumericOverflow: psi overflows or underflows to 0.
     """
-    if not s > 0.0:
-        raise DomainError("s must be positive")
-    if s == math.inf:
-        raise DomainError("s must be finite, got inf")
-    if not math.isfinite(b) or b == 0.0 or b == 1.0:
-        _require_finite(b=b)
-        raise DegenerateExponent(f"regime map undefined for b={b:g}")
+    _require_s(s)
+    _require_b(b, "regime map")
     return _positive_power(s, b / (1.0 - b), "psi")
 
 
 def predict_log_f(p: UnifiedParams, psi, order: str = "corrected"):
-    """Closed-form prediction of log f at regime variable psi; at a list or
-    tuple of psi, the list of each point's own, raising what its first
-    failing psi raises.
+    """Closed-form prediction of log f at regime variable psi; at a sweep of
+    psi (see _is_sweep), the list of each point's own, raising what its
+    first failing psi raises.
 
     order="leading" gives d*psi; order="corrected" adds the Gaussian-peak
     refinement 0.5*log(psi) + 0.5*log(2*pi/|h''(x_peak)|) obtained from
@@ -392,12 +404,10 @@ def predict_log_f(p: UnifiedParams, psi, order: str = "corrected"):
         ValidationError: order is neither "leading" nor "corrected".
         NumericOverflow: the prediction is outside the float range.
     """
-    sweep = isinstance(psi, (list, tuple))
+    sweep, values = _is_sweep(psi), []
     corrected = order == "corrected"
     width_term = 0.5 * math.log(2.0 * math.pi / abs(p.saddle.curvature)) if corrected else 0.0
-    values = []
-    for x in psi if sweep else (psi,):
-        x = float(x)
+    for x in map(float, psi if sweep else (psi,)):
         _require_psi(x)  # a bad psi is refused before a bad order
         if not corrected and order != "leading":
             raise ValidationError(f"order must be 'leading' or 'corrected', got {order!r}")

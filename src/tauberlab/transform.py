@@ -62,16 +62,10 @@ from .errors import (
     ValidationError,
 )
 from .measures import _log_integral
-from .params import UnifiedParams, _x_peak, psi_for_s, s_for_psi
+from .params import UnifiedParams, _is_sweep, _require_s, _x_peak, psi_for_s, s_for_psi
 from .targets import MeasureTarget
 
-__all__ = [
-    "TransformSample",
-    "locate_peak",
-    "log_transform",
-    "sample_at_psi",
-    "FRONTIER_DROP",
-]
+__all__ = ["TransformSample", "locate_peak", "log_transform", "sample_at_psi", "FRONTIER_DROP"]
 
 # Window cutoff: panels stop once the shifted integrand is this many nats
 # below its peak.  exp(-40) ~ 4e-18 is below double roundoff of the total.
@@ -82,8 +76,8 @@ FRONTIER_DROP = 40.0
 # own drop is smaller than the integrand's roundoff.
 _MIN_STEP = 2.0**-26
 _MAX_WINDOW_WIDTHS = 800
-# Candidate frontier edges in widths from u*, 38 geometric steps to the cap
-# (a Gaussian peak falls 40 nats in 9).
+# Candidate frontier edges in widths from u*: 38 geometric steps to the cap,
+# which round up to 34 distinct edges (a Gaussian peak falls 40 nats in 9).
 _FRONTIER_WIDTHS = np.array(
     sorted({math.ceil(_MAX_WINDOW_WIDTHS ** (j / 37)) for j in range(38)}), dtype=float)
 # A row's centre v = 0, then its left and its right candidate edges.
@@ -121,6 +115,11 @@ def _g_rows(t, c: float, s, u_star, v) -> np.ndarray:
     return vals
 
 
+def _require_finite_arg(name: str, v: float) -> None:
+    if not math.isfinite(v):
+        raise DomainError(f"{name} must be finite, got {v:g}")
+
+
 def _require_interior_peak(t, c: float) -> None:
     """Refuse a target whose log-integrand g has no interior maximum.
 
@@ -144,29 +143,27 @@ def _require_interior_peak(t, c: float) -> None:
 def locate_peak(t, c: float, s):
     """Stationary point u* = x_peak*psi(s) of g for the pure power a*x**b of
     the target: its argmax in closed form, near a perturbed target's argmax,
-    which no search refines (see the module docstring).  Given a 1-D array of
-    s, returns the list of the rows' u*; the first failing row raises.
+    which no search refines (see the module docstring).  Given a sweep of s,
+    returns the list of the rows' u*; the first failing row raises its own.
 
     Raises:
-        DomainError: s <= 0, or c not finite; s infinite (from psi_for_s).
+        DomainError: s not positive and finite, or c not finite.
         NoInteriorPeak: integrand monotone.
         NotIntegrable: the signs of a, b and c make the transform diverge.
         NumericOverflow: psi or the stationary point is outside the float range.
     """
-    s_rows = np.array(s, dtype=float, ndmin=1)
-    if not (s_rows > 0.0).all():
-        raise DomainError("s must be positive")
-    if not math.isfinite(c):
-        raise DomainError(f"c must be finite, got {c:g}")
-    _require_interior_peak(t, c)
-    x_peak = _x_peak(t.a, t.b, c)
-    peaks = []
-    for si in s_rows.tolist():
+    sweep, x_peak, peaks = _is_sweep(s), None, []
+    for si in map(float, s if sweep else (s,)):
+        _require_s(si)
+        if x_peak is None:  # what no row's s changes is checked after row 0's s
+            _require_finite_arg("c", c)
+            _require_interior_peak(t, c)
+            x_peak = _x_peak(t.a, t.b, c)
         u = x_peak * psi_for_s(t.b, si)
         if not 0.0 < u < math.inf:
             raise NumericOverflow(f"stationary point of g at s={si:g} is not representable")
         peaks.append(u)
-    return peaks if np.ndim(s) else peaks[0]
+    return peaks if sweep else peaks[0]
 
 
 def _row_blocks(sizes: list[int]):
@@ -304,18 +301,14 @@ def _transform_rows(t, c: float, offset: float, s: list, tol: float, psi):
     """log_transform at each s of a batch, with its psi (or None): a measure
     target takes its exact sum, any other target one engine pass for all
     rows."""
-    if not all(si > 0.0 for si in s):
-        raise DomainError("s must be positive")
-    if math.inf in s:
-        raise DomainError("s must be finite, got inf")
+    for si in s:
+        _require_s(si)
     if offset < 0.0:
         raise DomainError("offset must be >= 0")
-    if not math.isfinite(offset):
-        raise DomainError(f"offset must be finite, got {offset:g}")
+    _require_finite_arg("offset", offset)
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol:g}")
-    if not math.isfinite(c):
-        raise DomainError(f"c must be finite, got {c:g}")
+    _require_finite_arg("c", c)
     if not s:
         return []
     if isinstance(t, MeasureTarget):
@@ -340,13 +333,7 @@ def _transform_rows(t, c: float, offset: float, s: list, tol: float, psi):
     return samples
 
 
-def log_transform(
-    t,
-    c: float,
-    offset: float,
-    s: float,
-    tol: float = 1e-8,
-) -> TransformSample:
+def log_transform(t, c: float, offset: float, s: float, tol: float = 1e-8) -> TransformSample:
     """Evaluate log f(s) = log(offset + int_0^inf P(u*s) e^{c*u} du).
 
     A tabulated measure's transform is an exact sum (quad_error 0).  For a
@@ -369,7 +356,7 @@ def log_transform(
 def sample_at_psi(p: UnifiedParams, t, psi, tol: float = 1e-8):
     """Evaluate log f at the transform argument matching regime variable psi.
 
-    Given a sequence of psi, evaluates all its points in one batched engine
+    Given a sweep of psi, evaluates all its points in one batched engine
     pass and returns the list of their samples, each equal to the point's
     sample on its own; a sweep raises what its first failing point raises.
 
@@ -380,7 +367,8 @@ def sample_at_psi(p: UnifiedParams, t, psi, tol: float = 1e-8):
     a, b = getattr(t, "a", None), getattr(t, "b", None)
     if a is not None and b is not None and (a, b) != (p.a, p.b):
         raise InconsistentInputs("target log-amplitude is not the validated (a, b) power")
-    psis = list(psi) if np.ndim(psi) else [psi]
+    sweep = _is_sweep(psi)
+    psis = list(psi) if sweep else [psi]
     try:
         samples = _transform_rows(t, p.c, p.offset, [s_for_psi(p.b, x) for x in psis], tol, psis)
     except Exception:
@@ -389,4 +377,4 @@ def sample_at_psi(p: UnifiedParams, t, psi, tol: float = 1e-8):
         for x in psis if len(psis) > 1 else ():
             sample_at_psi(p, t, x, tol)
         raise
-    return samples if np.ndim(psi) else samples[0]
+    return samples if sweep else samples[0]

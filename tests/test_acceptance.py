@@ -32,12 +32,7 @@ import numpy as np
 
 import exact
 import tauberlab as tl
-
-CANONICAL = {
-    "kohlbecker": (2.0, 0.5, -1.0, 0.0),
-    "kasahara": (-1.0, 2.0, 1.0, 1.0),
-    "de-bruijn": (-1.0, -1.0, -1.0, 0.0),
-}
+from inputs import CANONICAL, DESK_BOX, desk_specs, desk_triples
 
 # Targets that the exact transform itself misses at desk scale, with the
 # README's figures to three significant digits.
@@ -130,21 +125,11 @@ def test_criterion_1_coefficient_identities():
     rng = np.random.default_rng(2718)
     failures = []
     worst = 0.0
-    for _ in range(500):
-        specs = [
-            tl.Kohlbecker(alpha=1.0 + rng.uniform(0.05, 9.0), B=rng.uniform(0.1, 10.0)),
-            tl.DeBruijn(
-                beta=-rng.uniform(0.05, 8.0),
-                B=-rng.uniform(0.1, 10.0),
-                rate=rng.uniform(0.1, 10.0),
-            ),
-            tl.Kasahara(alpha=rng.uniform(0.1, 0.95), B=rng.uniform(0.1, 10.0)),
-        ]
-        for spec in specs:
-            _, _, gap = tl.coefficient_identity_check(spec)
-            worst = max(worst, gap)
-            if gap >= 1e-12:
-                failures.append(f"{spec}: rel gap {gap:.3e}")
+    for spec in desk_specs(rng, 500):
+        _, _, gap = tl.coefficient_identity_check(spec)
+        worst = max(worst, gap)
+        if gap >= 1e-12:
+            failures.append(f"{spec}: rel gap {gap:.3e}")
     elapsed = time.perf_counter() - start
     if elapsed >= 1.0:
         failures.append(f"runtime {elapsed:.2f}s >= 1s")
@@ -264,16 +249,8 @@ def test_criterion_5_saddle_invariants():
     start = time.perf_counter()
     rng = np.random.default_rng(31415)
     failures = []
-    ranges = {
-        "kohlbecker": ((0.05, 0.95), 1, -1),
-        "kasahara": ((1.05, 8.0), -1, 1),
-        "de-bruijn": ((-8.0, -0.05), -1, -1),
-    }
-    for name, ((blo, bhi), sa, sc) in ranges.items():
-        a_mag = rng.uniform(0.1, 10.0, 1000)
-        b_all = rng.uniform(blo, bhi, 1000)
-        c_mag = rng.uniform(0.1, 10.0, 1000)
-        for a, b, c in zip(sa * a_mag, b_all, sc * c_mag):
+    for name in DESK_BOX:
+        for a, b, c in desk_triples(rng, 1000, [name]):
             p = tl.validate(a, b, c)
             sp = tl.saddle_analysis(p)
             scale = abs(p.d)
@@ -303,16 +280,9 @@ def test_criterion_6_round_trips():
         if abs(back - b) > 1e-14 * max(1.0, abs(b)):
             failures.append(f"primal(dual({b})) = {back!r}")
     rng = np.random.default_rng(6)
-    ranges = {
-        "kohlbecker": ((0.05, 0.95), 1, -1),
-        "kasahara": ((1.05, 8.0), -1, 1),
-        "de-bruijn": ((-8.0, -0.05), -1, -1),
-    }
-    for (blo, bhi), sa, sc in ranges.values():
+    for name in DESK_BOX:
         for _ in range(200):
-            a = sa * rng.uniform(0.1, 10.0)
-            b = rng.uniform(blo, bhi)
-            c = sc * rng.uniform(0.1, 10.0)
+            (a, b, c), = desk_triples(rng, 1, [name])
             d = tl.validate(a, b, c).d
             a_hat, b_hat = tl.recover_primal(d, tl.dual_exponent(b), c)
             if abs(a_hat - a) > 1e-9 * abs(a) or abs(b_hat - b) > 1e-9 * abs(b):

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import tauberlab as tl
+from inputs import CANONICAL, desk_specs
 
 
 class TestToUnified:
     def test_kohlbecker_example(self):
         red = tl.to_unified(tl.Kohlbecker(alpha=2.0, B=2.0))
         p = red.params
-        assert (p.a, p.b, p.c, p.offset) == (2.0, 0.5, -1.0, 0.0)
+        assert (p.a, p.b, p.c, p.offset) == CANONICAL["kohlbecker"]
         assert red.classical_coefficient == pytest.approx(1.0)
         assert red.lambda_exponent == pytest.approx(1.0)
 
@@ -32,7 +33,7 @@ class TestToUnified:
     def test_debruijn_example(self):
         red = tl.to_unified(tl.DeBruijn(beta=-1.0, B=-1.0, rate=1.0))
         p = red.params
-        assert (p.a, p.b, p.c, p.offset) == (-1.0, -1.0, -1.0, 0.0)
+        assert (p.a, p.b, p.c, p.offset) == CANONICAL["de-bruijn"]
         assert red.classical_coefficient == pytest.approx(-2.0)
         assert red.lambda_exponent == pytest.approx(0.5)
 
@@ -78,17 +79,6 @@ def test_to_unified_refuses_a_variant_name():
         tl.to_unified("kohlbecker")
 
 
-def _random_specs(rng, n):
-    for _ in range(n):
-        yield tl.Kohlbecker(alpha=1.0 + rng.uniform(0.05, 9.0), B=rng.uniform(0.1, 10.0))
-        yield tl.DeBruijn(
-            beta=-rng.uniform(0.05, 8.0),
-            B=-rng.uniform(0.1, 10.0),
-            rate=rng.uniform(0.1, 10.0),
-        )
-        yield tl.Kasahara(alpha=rng.uniform(0.1, 0.95), B=rng.uniform(0.1, 10.0))
-
-
 class TestCoefficientIdentity:
     def test_examples(self):
         assert tl.coefficient_identity_check(tl.Kohlbecker(2.0, 2.0)) == pytest.approx(
@@ -100,7 +90,7 @@ class TestCoefficientIdentity:
 
     def test_500_random_specs_per_variant(self):
         rng = np.random.default_rng(123)
-        for spec in _random_specs(rng, 500):
+        for spec in desk_specs(rng, 500):
             _, _, gap = tl.coefficient_identity_check(spec)
             assert gap < 1e-12, spec
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tauberlab as tl
+from inputs import outcome
 from tauberlab.measures import _log_sum_shifted
 
 
@@ -391,15 +392,6 @@ def _ref_route(m, kind, c, s):
         return _log_sum_shifted(np.log(m.masses) + z) - math.log(abs(c))
 
 
-def _outcome(fn, *args):
-    """repr of the value (lists for arrays), or the refusal's class and message."""
-    try:
-        value = fn(*args)
-    except tl.TauberError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return repr(value.tolist() if isinstance(value, np.ndarray) else value)
-
-
 @st.composite
 def _measures(draw):
     locs = sorted(set(draw(st.lists(
@@ -421,35 +413,35 @@ class TestHeldArrays:
         locs = np.asarray(m.locations)
         xs = np.concatenate([[0.0, 0.5, 1e5, 2e5], locs, np.nextafter(locs, -1.0)])
         pairs = [
-            (_outcome(lambda: m.total_mass), _outcome(math.fsum, m.masses)),
-            (_outcome(m.mass_above_zero),
-             _outcome(math.fsum, [w for x, w in zip(m.locations, m.masses) if x > 0.0])),
-            (_outcome(m.cumulative, xs), _outcome(_ref_cumulative, m, xs)),
-            (_outcome(m.tail, xs), _outcome(_ref_tail, m, xs)),
+            (outcome(lambda: m.total_mass), outcome(math.fsum, m.masses)),
+            (outcome(m.mass_above_zero),
+             outcome(math.fsum, [w for x, w in zip(m.locations, m.masses) if x > 0.0])),
+            (outcome(m.cumulative, xs), outcome(_ref_cumulative, m, xs)),
+            (outcome(m.tail, xs), outcome(_ref_tail, m, xs)),
         ]
         for kind, ref in (("cumulative", _ref_cumulative), ("tail", _ref_tail)):
             target = tl.MeasureTarget(m, kind)
             with np.errstate(divide="ignore"):
-                pairs.append((_outcome(target.log_amplitude, xs), _outcome(np.log, ref(m, xs))))
+                pairs.append((outcome(target.log_amplitude, xs), outcome(np.log, ref(m, xs))))
             for c in (-2.0, -1e-3, 0.5, 3.0):
                 for s in (1e-3, 1.0, 40.0):
                     pairs.append((
-                        _outcome(lambda: tl.log_transform(target, c, 0.0, s).log_f),
-                        _outcome(_ref_route, m, kind, c, s)))
+                        outcome(lambda: tl.log_transform(target, c, 0.0, s).log_f),
+                        outcome(_ref_route, m, kind, c, s)))
         for lam in LAMS:
             pairs += [
-                (_outcome(tl.measure_transform_kohlbecker, m, lam),
-                 _outcome(_ref_kohlbecker, m, lam)),
-                (_outcome(tl.kohlbecker_panel_bracket, m, lam),
-                 _outcome(_ref_kohlbecker_bracket, m, lam)),
+                (outcome(tl.measure_transform_kohlbecker, m, lam),
+                 outcome(_ref_kohlbecker, m, lam)),
+                (outcome(tl.kohlbecker_panel_bracket, m, lam),
+                 outcome(_ref_kohlbecker_bracket, m, lam)),
             ]
         for lam in (0.0, *LAMS):
             pairs += [
-                (_outcome(tl.measure_transform_kasahara, m, lam),
-                 _outcome(_ref_kasahara, m, lam)),
-                (_outcome(tl.kasahara_panel_bracket, m, lam),
-                 _outcome(_ref_kasahara_bracket, m, lam)),
-                (_outcome(tl.kasahara_via_parts, m, lam), _outcome(_ref_parts, m, lam)),
+                (outcome(tl.measure_transform_kasahara, m, lam),
+                 outcome(_ref_kasahara, m, lam)),
+                (outcome(tl.kasahara_panel_bracket, m, lam),
+                 outcome(_ref_kasahara_bracket, m, lam)),
+                (outcome(tl.kasahara_via_parts, m, lam), outcome(_ref_parts, m, lam)),
             ]
         for got, expected in pairs:
             assert got == expected

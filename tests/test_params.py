@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tauberlab as tl
+from inputs import (
+    CANONICAL, CANONICALS, desk_triples, guardrail_box, near_one_triples, outcome, sweep_of)
 
-# Canonical example per regime: (a, b, c, offset) -> (d, dual_exp, regime).
-CANONICAL = {
-    "kohlbecker": (2.0, 0.5, -1.0, 0.0, 1.0, 1.0, tl.Regime.KOHLBECKER),
-    "kasahara": (-1.0, 2.0, 1.0, 0.0, 0.25, -2.0, tl.Regime.KASAHARA),
-    "de-bruijn": (-1.0, -1.0, -1.0, 0.0, -2.0, -0.5, tl.Regime.DE_BRUIJN),
+# Each canonical's closed forms: (d, dual_exp, regime, x_peak, h''(x_peak)).
+CLOSED_FORMS = {
+    "kohlbecker": (1.0, 1.0, tl.Regime.KOHLBECKER, 1.0, -0.5),
+    "kasahara": (0.25, -2.0, tl.Regime.KASAHARA, 0.5, -2.0),
+    "de-bruijn": (-2.0, -0.5, tl.Regime.DE_BRUIJN, 1.0, -2.0),
 }
 
 
@@ -24,25 +26,11 @@ def _h(p, x):
     return p.a * x**p.b + p.c * x - p.d
 
 
-def _random_triples(rng, regime, n):
-    """Admissible (a, b, c) with magnitudes in [0.1, 10] and regime signs."""
-    mag_a = rng.uniform(0.1, 10.0, n)
-    mag_c = rng.uniform(0.1, 10.0, n)
-    if regime == "kohlbecker":
-        b = rng.uniform(0.05, 0.95, n)
-        return np.column_stack([mag_a, b, -mag_c])
-    if regime == "kasahara":
-        b = rng.uniform(1.05, 8.0, n)
-        return np.column_stack([-mag_a, b, mag_c])
-    b = rng.uniform(-8.0, -0.05, n)
-    return np.column_stack([-mag_a, b, -mag_c])
-
-
 class TestValidate:
     @pytest.mark.parametrize("name", sorted(CANONICAL))
     def test_canonical_examples(self, name):
-        a, b, c, offset, d, dual, regime = CANONICAL[name]
-        p = tl.validate(a, b, c, offset)
+        d, dual, regime, _, _ = CLOSED_FORMS[name]
+        p = tl.validate(*CANONICAL[name])
         assert p.d == pytest.approx(d, rel=1e-12)
         assert p.dual_exp == pytest.approx(dual, rel=1e-14)
         assert p.regime is regime
@@ -129,10 +117,8 @@ class TestValidate:
 class TestComputeD:
     """The d that validate computes."""
 
-    @pytest.mark.parametrize(
-        "a,b,c,expected",
-        [(-1.0, 2.0, 1.0, 0.25), (2.0, 0.5, -1.0, 1.0), (-1.0, -1.0, -1.0, -2.0)],
-    )
+    @pytest.mark.parametrize("a,b,c,expected", [
+        (*CANONICAL[n][:3], CLOSED_FORMS[n][0]) for n in ("kasahara", "kohlbecker", "de-bruijn")])
     def test_examples(self, a, b, c, expected):
         assert tl.validate(a, b, c).d == pytest.approx(expected, rel=1e-12)
 
@@ -143,13 +129,11 @@ class TestComputeD:
         assert tl.validate(-1.0, 2.0, 1.0).d == pytest.approx(classical, rel=1e-14)
 
     def test_agrees_with_value_form_on_random_triples(self):
-        rng = np.random.default_rng(1234)
-        for regime in ("kohlbecker", "kasahara", "de-bruijn"):
-            for a, b, c in _random_triples(rng, regime, 300):
-                d = tl.validate(a, b, c).d
-                x = (-c / (a * b)) ** (1.0 / (b - 1.0))
-                value_form = a * x**b + c * x
-                assert d == pytest.approx(value_form, rel=1e-12)
+        for a, b, c in desk_triples(np.random.default_rng(1234), 300, order="acb"):
+            d = tl.validate(a, b, c).d
+            x = (-c / (a * b)) ** (1.0 / (b - 1.0))
+            value_form = a * x**b + c * x
+            assert d == pytest.approx(value_form, rel=1e-12)
 
 
 class TestDVariants:
@@ -165,11 +149,9 @@ class TestDVariants:
         assert consistent == pytest.approx(0.25, rel=1e-14)
 
     def test_consistent_variant_equals_compute_d(self):
-        rng = np.random.default_rng(99)
-        for regime in ("kohlbecker", "kasahara", "de-bruijn"):
-            for a, b, c in _random_triples(rng, regime, 100):
-                _, consistent = tl.d_variants(a, b, c)
-                assert consistent == pytest.approx(tl.validate(a, b, c).d, rel=1e-12)
+        for a, b, c in desk_triples(np.random.default_rng(99), 100, order="acb"):
+            _, consistent = tl.d_variants(a, b, c)
+            assert consistent == pytest.approx(tl.validate(a, b, c).d, rel=1e-12)
 
     @pytest.mark.parametrize(
         "a,b,c,stated,consistent",
@@ -187,7 +169,7 @@ class TestDVariants:
 
     def test_variants_agree_iff_unit_base(self):
         rng = np.random.default_rng(7)
-        for a, b, c in _random_triples(rng, "kasahara", 200):
+        for a, b, c in desk_triples(rng, 200, ["kasahara"], order="acb"):
             stated, consistent = tl.d_variants(a, b, c)
             base = -(a * b) / c
             if abs(base - 1.0) < 1e-12:
@@ -216,14 +198,9 @@ class TestNumpyInputs:
 
 
 class TestSaddle:
-    @pytest.mark.parametrize(
-        "a,b,c,x_peak,curvature",
-        [
-            (2.0, 0.5, -1.0, 1.0, -0.5),
-            (-1.0, -1.0, -1.0, 1.0, -2.0),
-            (-1.0, 2.0, 1.0, 0.5, -2.0),
-        ],
-    )
+    @pytest.mark.parametrize("a,b,c,x_peak,curvature", [
+        (*CANONICAL[n][:3], *CLOSED_FORMS[n][3:])
+        for n in ("kohlbecker", "de-bruijn", "kasahara")])
     def test_examples(self, a, b, c, x_peak, curvature):
         p = tl.validate(a, b, c)
         sp = tl.saddle_analysis(p)
@@ -232,17 +209,15 @@ class TestSaddle:
         assert sp.curvature == pytest.approx(curvature, rel=1e-12)
 
     def test_invariants_on_random_triples(self):
-        rng = np.random.default_rng(2024)
-        for regime in ("kohlbecker", "kasahara", "de-bruijn"):
-            for a, b, c in _random_triples(rng, regime, 1000):
-                p = tl.validate(a, b, c)
-                sp = tl.saddle_analysis(p)
-                scale = abs(p.d)
-                assert abs(sp.h_at_max) <= 1e-10 * scale
-                assert sp.curvature < 0.0
-                grid = sp.x_peak * np.logspace(-2, 2, 64)
-                assert np.all(_h(p, grid) <= 1e-12 * scale)
-                assert math.copysign(1.0, p.d) == math.copysign(1.0, p.b)
+        for a, b, c in desk_triples(np.random.default_rng(2024), 1000, order="acb"):
+            p = tl.validate(a, b, c)
+            sp = tl.saddle_analysis(p)
+            scale = abs(p.d)
+            assert abs(sp.h_at_max) <= 1e-10 * scale
+            assert sp.curvature < 0.0
+            grid = sp.x_peak * np.logspace(-2, 2, 64)
+            assert np.all(_h(p, grid) <= 1e-12 * scale)
+            assert math.copysign(1.0, p.d) == math.copysign(1.0, p.b)
 
     @pytest.mark.parametrize(
         "a,b,c",
@@ -267,19 +242,11 @@ class TestSaddle:
             tl.validate(-1e-8, 1.0000000000000002, 1.0000000000001535e-08)
 
     def test_closed_form_contract_near_b_one(self):
-        # |b - 1| log-uniform in [1e-14, 1e-1] is where x_peak, h(x_peak) and
-        # d come closest to the float limits.
-        rng = np.random.default_rng(16)
+        # |b - 1| near 0 is where x_peak, h(x_peak) and d come closest to the
+        # float limits.
         n = 10_000
-
-        def log_uniform(lo, hi):
-            return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
-
-        b = 1.0 + rng.choice([-1.0, 1.0], n) * log_uniform(1e-14, 1e-1)
-        # Regime signs: a > 0 > c below b = 1 (Kohlbecker), a < 0 < c above.
-        sign = np.where(b < 1.0, 1.0, -1.0)
         refused = 0
-        for a, bb, c in zip(sign * log_uniform(1e-8, 1e8), b, -sign * log_uniform(1e-8, 1e8)):
+        for a, bb, c in near_one_triples(np.random.default_rng(16), n):
             try:
                 p = tl.validate(a, bb, c)
                 sp = tl.saddle_analysis(p)
@@ -311,27 +278,19 @@ class TestExponentDuality:
 
 
 class TestRecoverPrimal:
-    @pytest.mark.parametrize(
-        "d,e,c,a,b",
-        [
-            (1.0, 1.0, -1.0, 2.0, 0.5),
-            (0.25, -2.0, 1.0, -1.0, 2.0),
-            (-2.0, -0.5, -1.0, -1.0, -1.0),
-        ],
-    )
+    @pytest.mark.parametrize("d,e,c,a,b", [
+        (d, e, c, a, b) for (a, b, c, _), (d, e, *_) in zip(CANONICALS, CLOSED_FORMS.values())])
     def test_examples(self, d, e, c, a, b):
         a_hat, b_hat = tl.recover_primal(d, e, c)
         assert a_hat == pytest.approx(a, rel=1e-12)
         assert b_hat == pytest.approx(b, rel=1e-12)
 
     def test_round_trip_on_random_triples(self):
-        rng = np.random.default_rng(55)
-        for regime in ("kohlbecker", "kasahara", "de-bruijn"):
-            for a, b, c in _random_triples(rng, regime, 300):
-                d = tl.validate(a, b, c).d
-                a_hat, b_hat = tl.recover_primal(d, tl.dual_exponent(b), c)
-                assert a_hat == pytest.approx(a, rel=1e-9)
-                assert b_hat == pytest.approx(b, rel=1e-9)
+        for a, b, c in desk_triples(np.random.default_rng(55), 300, order="acb"):
+            d = tl.validate(a, b, c).d
+            a_hat, b_hat = tl.recover_primal(d, tl.dual_exponent(b), c)
+            assert a_hat == pytest.approx(a, rel=1e-9)
+            assert b_hat == pytest.approx(b, rel=1e-9)
 
     def test_inconsistent_inputs(self):
         # d > 0 with a c that forces v0 < 0.
@@ -424,43 +383,24 @@ class TestPsiMaps:
 class TestPredictSweep:
     """predict_log_f over a list or tuple of psi: each value is the point's own."""
 
-    @staticmethod
-    def _outcome(f):
-        try:
-            value = f()
-        except tl.TauberError as exc:
-            return type(exc), str(exc)
-        return [v.hex() for v in value] if isinstance(value, list) else value.hex()
-
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
-        regime=st.sampled_from([((0.05, 0.95), 1.0, -1.0), ((1.05, 64.0), -1.0, 1.0),
-                                ((-64.0, -0.05), -1.0, -1.0)]),
-        u_b=st.floats(0.0, 1.0),
-        log_a=st.floats(-8.0, 8.0),
-        log_c=st.floats(-8.0, 8.0),
+        abc=guardrail_box(),
         fractions=st.lists(st.floats(0.0, 1.05), max_size=6),
         order=st.sampled_from(["leading", "corrected"]),
     )
-    def test_sweep_equals_its_points_over_the_guardrail_box(
-        self, regime, u_b, log_a, log_c, fractions, order
-    ):
+    def test_sweep_equals_its_points_over_the_guardrail_box(self, abc, fractions, order):
         # psi runs from 1 to a little past where d*psi leaves the float range,
         # so some sweeps fail, and then at their first failing psi.
-        (b_lo, b_hi), sa, sc = regime
-        b = math.copysign(abs(b_lo) ** (1.0 - u_b) * abs(b_hi) ** u_b, b_lo)
-        a, c = sa * 10.0**log_a, sc * 10.0**log_c
         try:
-            p = tl.validate(a, b, c)
+            p = tl.validate(*abc)
         except tl.TauberError:
             return
         top = math.log10(sys.float_info.max / abs(p.d))
         psis = [10.0 ** min(308.0, f * top) for f in fractions]
-        alone = [self._outcome(lambda x=x: tl.predict_log_f(p, x, order)) for x in psis]
-        failed = [r for r in alone if isinstance(r, tuple)]
-        expected = failed[0] if failed else alone
-        assert self._outcome(lambda: tl.predict_log_f(p, psis, order)) == expected
-        assert self._outcome(lambda: tl.predict_log_f(p, tuple(psis), order)) == expected
+        expected = sweep_of([outcome(tl.predict_log_f, p, x, order) for x in psis])
+        assert outcome(tl.predict_log_f, p, psis, order) == expected
+        assert outcome(tl.predict_log_f, p, tuple(psis), order) == expected
 
     def test_a_sweep_raises_what_its_first_failing_psi_raises(self):
         p = tl.validate(2.0, 0.5, -1.0)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import inputs
 import tauberlab as tl
 from tauberlab import asymptotics, classical, errors, index, measures, params, targets, transform
 
@@ -100,7 +101,8 @@ def test_the_private_names_taken_across_modules_are_the_listed_ones():
     # A module that takes a private name from a sibling shares its rule with
     # it; a new reach is a decision, and needs an edit of this list.
     expected = {
-        "transform": {"measures._log_integral", "params._x_peak"},
+        "transform": {"measures._log_integral", "params._is_sweep", "params._require_s",
+                      "params._x_peak"},
         "asymptotics": {"errors._checked", "measures._geometric_grid"},
         "classical": {"errors._checked"},
         "targets": {"errors._checked"},
@@ -233,6 +235,32 @@ def test_the_exact_oracles_have_one_home():
         ("test_measures.py", "test_the_closed_form_of_the_kohlbecker_enclosure_is_the_integral",
          "quad"),
     }
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def test_the_tests_inputs_have_one_home():
+    # inputs.py alone writes a canonical (a, b, c, offset), a box's regime
+    # row ((b_lo, b_hi), sign, sign) and the guardrails on |a| and |c| or
+    # their log10 as bounds, which it reads off params with the cap on |b|.
+    bounds = [(tl.COEFF_MIN, tl.COEFF_MAX), inputs.LOG10_COEFF]
+    found = []
+    for name, tree in _test_sources().items():
+        for node in ast.walk(tree) if name != "inputs.py" else ():
+            if isinstance(node, (ast.Tuple, ast.Call)):
+                v = tuple(map(_literal, node.elts if isinstance(node, ast.Tuple) else node.args))
+                row = len(v) > 2 and isinstance(v[0], tuple) and all(x in (1, -1) for x in v[1:])
+                if v[:4] in inputs.CANONICALS or v[:2] in bounds or row:
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
+    reads = {node.attr for node in ast.walk(ast.parse((TESTS / "inputs.py").read_text()))
+             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "tl"}
+    assert {"COEFF_MIN", "COEFF_MAX", "MAX_ABS_EXPONENT"} <= reads
 
 
 def test_no_test_sets_the_global_mpmath_precision_or_gives_an_oracle_a_samples_s():

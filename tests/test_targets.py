@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import tauberlab as tl
+from inputs import CANONICAL, CANONICALS, bits
 from tauberlab import report
 
-CANONICALS = [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0), (-1.0, -1.0, -1.0, 0.0)]
 MEASURE = tl.TabulatedMeasure((0.0, 1.0, 2.0), (1.0, 2.0, 3.0))
 
 
@@ -26,27 +26,19 @@ class BarePower:
         return f"pure-power(a={self.a:g}, b={self.b:g})"
 
 
-def _hex(samples):
-    return [
-        (s.psi.hex(), s.s.hex(), s.log_f.hex(), s.quad_error.hex(), s.tol_met)
-        for s in samples
-    ]
-
-
 @pytest.mark.parametrize("a,b,c,offset", CANONICALS)
 def test_a_bare_power_target_is_evaluated_as_the_pure_power(a, b, c, offset):
     bare, pure = BarePower(a, b), tl.PurePower(a, b)
     p = tl.validate(a, b, c, offset)
     grid = tl.make_grid(10.0, 1000.0, 9)
     s = tl.s_for_psi(b, 100.0)
-    assert _hex([tl.log_transform(bare, c, offset, s)]) == _hex(
-        [tl.log_transform(pure, c, offset, s)])
-    assert _hex([tl.sample_at_psi(p, bare, 100.0)]) == _hex([tl.sample_at_psi(p, pure, 100.0)])
+    assert bits(tl.log_transform(bare, c, offset, s)) == bits(tl.log_transform(pure, c, offset, s))
+    assert bits(tl.sample_at_psi(p, bare, 100.0)) == bits(tl.sample_at_psi(p, pure, 100.0))
     psis = grid.psi_values[:3]
-    assert _hex(tl.sample_at_psi(p, bare, psis)) == _hex(tl.sample_at_psi(p, pure, psis))
+    assert bits(tl.sample_at_psi(p, bare, psis)) == bits(tl.sample_at_psi(p, pure, psis))
     rep_bare = tl.verify_equivalence(p, bare, grid)
     rep_pure = tl.verify_equivalence(p, pure, grid)
-    assert _hex(rep_bare.samples) == _hex(rep_pure.samples)
+    assert bits(rep_bare.samples) == bits(rep_pure.samples)
     assert report.render_report(rep_bare) == report.render_report(rep_pure)
     assert report.render_samples_csv(rep_bare) == report.render_samples_csv(rep_pure)
 
@@ -221,9 +213,7 @@ def test_numpy_integers_are_taken_as_counts():
 EXTREMES = (1e308, -1e308, 5e-324, -5e-324, 1e-300, -1e-300, 0.0, math.inf, -math.inf,
             math.nan, 1.0, -1.0)
 SWEPT_TARGETS = {
-    "kohlbecker": (tl.PurePower(2.0, 0.5), 0.0),
-    "kasahara": (tl.PurePower(-1.0, 2.0), 1.0),
-    "de-bruijn": (tl.PurePower(-1.0, -1.0), 0.0),
+    **{name: (tl.PurePower(a, b), offset) for name, (a, b, _, offset) in CANONICAL.items()},
     "perturbed": (tl.PerturbedPower(2.0, 0.5, "log-sine", 0.3), 0.0),
     "measure-cumulative": (tl.MeasureTarget(MEASURE, "cumulative"), 0.0),
     "measure-tail": (tl.MeasureTarget(MEASURE, "tail"), 0.0),

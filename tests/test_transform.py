@@ -11,15 +11,15 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact
 import tauberlab as tl
+from inputs import (
+    CANONICAL, CANONICALS, bits, desk_triples, guardrail_box, guardrail_triples, outcome, sweep_of)
 
-KOHL = tl.PurePower(2.0, 0.5)
-KASA = tl.PurePower(-1.0, 2.0)
-DEBR = tl.PurePower(-1.0, -1.0)
+KOHL, KASA, DEBR = (tl.PurePower(a, b) for a, b, _, _ in CANONICALS)
 
 
 class _OscillatingPower(NamedTuple):
@@ -62,16 +62,9 @@ class TestLocatePeak:
 
     def test_closed_form_match_on_random_parameters(self):
         rng = np.random.default_rng(31)
-        ranges = {
-            "kohlbecker": ((0.1, 0.9), 1, -1),
-            "kasahara": ((1.2, 5.0), -1, 1),
-            "de-bruijn": ((-4.0, -0.2), -1, -1),
-        }
-        for (blo, bhi), sa, sc in ranges.values():
+        for regime in ("kohlbecker", "kasahara", "de-bruijn"):
             for _ in range(25):
-                a = sa * rng.uniform(0.2, 5.0)
-                b = rng.uniform(blo, bhi)
-                c = sc * rng.uniform(0.2, 5.0)
+                (a, b, c), = desk_triples(rng, 1, [regime], narrow=True)
                 p = tl.validate(a, b, c)
                 psi = rng.uniform(5.0, 500.0)
                 s = tl.s_for_psi(b, psi)
@@ -104,9 +97,21 @@ class TestLocatePeak:
             tl.locate_peak(KOHL, -1.0, 0.0)
 
     def test_the_first_failing_row_raises(self):
-        # Row 1's stationary point overflows before row 2's s is mapped.
-        with pytest.raises(tl.NumericOverflow, match="stationary point of g at s=1e[+]307"):
-            tl.locate_peak(tl.PurePower(20.0, 0.5), -1.0, [1e307, math.inf])
+        # Row 0's stationary point overflows before row 1's s is checked,
+        # whichever check row 1 would fail.
+        for bad in (math.inf, -1.0):
+            with pytest.raises(tl.NumericOverflow, match="stationary point of g at s=1e[+]307"):
+                tl.locate_peak(tl.PurePower(20.0, 0.5), -1.0, [1e307, bad])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(abc=guardrail_box(), s=st.lists(st.one_of(
+        st.floats(-320.0, 308.0).map(lambda e: 10.0**e),
+        st.sampled_from([0.0, -1.0, math.inf, math.nan, 1e307])), min_size=1, max_size=6))
+    @example(abc=(20.0, 0.5, -1.0), s=[1e307, -1.0])
+    def test_an_array_of_s_equals_its_rows_over_the_guardrail_box(self, abc, s):
+        t, c = tl.PurePower(*abc[:2]), abc[2]
+        alone = [outcome(tl.locate_peak, t, c, x) for x in s]
+        assert outcome(tl.locate_peak, t, c, np.array(s)) == sweep_of(alone)
 
     def test_no_interior_peak_for_monotone_integrand(self):
         # q decreasing and c < 0: supremum at u -> 0.
@@ -119,6 +124,28 @@ class TestLocatePeak:
     def test_non_finite_rate_refused(self, target, c):
         with pytest.raises(tl.DomainError, match=f"c must be finite, got {c:g}"):
             tl.locate_peak(target, c, 1.0)
+
+
+KOHL_P = tl.validate(*CANONICAL["kohlbecker"])
+SWEEPABLE = {"predict_log_f": (tl.predict_log_f, (KOHL_P,)),
+             "sample_at_psi": (tl.sample_at_psi, (KOHL_P, KOHL)),
+             "locate_peak": (tl.locate_peak, (KOHL, KOHL_P.c))}
+
+
+@pytest.mark.parametrize("fn", sorted(SWEEPABLE))
+@pytest.mark.parametrize("x", [
+    [10.0, 100.0], (10.0, 100.0), np.array([10.0, 100.0]), range(10, 101, 90),
+    100.0, np.float64(100.0), np.array(100.0)],
+    ids=["list", "tuple", "array", "range", "float", "float64", "0-d-array"])
+def test_one_rule_tells_a_sweep_from_one_value(fn, x):
+    # A list, tuple, range or 1-D array is a sweep, whose value is the list
+    # of its points' own; a float, numpy scalar or 0-d array is one value.
+    f, args = SWEEPABLE[fn]
+    got = f(*args, x)
+    if np.ndim(x):
+        assert type(got) is list and bits(got) == [bits(f(*args, float(v))) for v in x]
+    else:
+        assert type(got) is not list and bits(got) == bits(f(*args, 100.0))
 
 
 class _CountingTarget:
@@ -140,10 +167,7 @@ class _CountingTarget:
 
 
 class TestSearchCost:
-    @pytest.mark.parametrize(
-        "a,b,c,offset",
-        [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0), (-1.0, -1.0, -1.0, 0.0)],
-    )
+    @pytest.mark.parametrize("a,b,c,offset", CANONICALS)
     def test_sample_makes_few_target_calls(self, a, b, c, offset):
         # The window centre and all candidate edges are one call, and each
         # refinement step is one call that gives two levels: a converged
@@ -152,10 +176,7 @@ class TestSearchCost:
         tl.sample_at_psi(tl.validate(a, b, c, offset), t, 100.0)
         assert t.calls <= 2
 
-    @pytest.mark.parametrize(
-        "a,b,c,offset",
-        [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0), (-1.0, -1.0, -1.0, 0.0)],
-    )
+    @pytest.mark.parametrize("a,b,c,offset", CANONICALS)
     def test_sweep_evaluates_all_points_per_call(self, a, b, c, offset):
         # Every step of a sweep is one call over all its open rows, whatever
         # their panel counts, so 16 points cost as many calls as one (32
@@ -170,7 +191,7 @@ class TestSearchCost:
         # and 15 refine until their next level would exceed
         # _MAX_POINTS_PER_CALL nodes and stop there unmet.  Every call, their
         # last levels included, takes at most that many nodes.
-        a, b, c, offset = -1.0, 2.0, 1.0, 1.0
+        a, b, c, offset = CANONICAL["kasahara"]
         t = _CountingTarget(kinked_kasahara)
         psis = [1000.0, 10.0, 15.0, 100.0]
         samples = tl.sample_at_psi(tl.validate(a, b, c, offset), t, psis, tol=1e-14)
@@ -195,13 +216,9 @@ class TestSearchCost:
         # nodes of its rows' fine level and reading the coarse level off it.
         # Two evaluations per step took 23 calls on 32,401 points; padding
         # every row of a level to the widest row took 59,149.
-        sessions = [
-            ((2.0, 0.5, -1.0, 0.0), None),
-            ((-1.0, 2.0, 1.0, 1.0), None),
-            ((-1.0, -1.0, -1.0, 0.0), None),
-            ((2.0, 0.5, -1.0, 0.0), ("inverse-log", 0.2)),
-            ((-1.0, -1.0, -1.0, 0.0), ("log-sine", 0.3)),
-        ]
+        sessions = [*((x, None) for x in CANONICALS),
+                    (CANONICAL["kohlbecker"], ("inverse-log", 0.2)),
+                    (CANONICAL["de-bruijn"], ("log-sine", 0.3))]
         calls = points = 0
         for (a, b, c, offset), pert in sessions:
             inner = tl.PurePower(a, b) if pert is None else tl.PerturbedPower(a, b, *pert)
@@ -212,7 +229,7 @@ class TestSearchCost:
         assert calls <= 10
         assert points <= 25654
 
-    @pytest.mark.parametrize("a,b,c,offset", [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("a,b,c,offset", CANONICALS[:2])
     def test_sweep_makes_as_many_reductions_as_one_point(self, a, b, c, offset):
         # A refinement step is one maximum.reduceat and two add.reduceat over
         # all its rows, so a 17-point sweep, whose rows start from 10 to 12
@@ -233,7 +250,7 @@ class TestSearchCost:
 
         assert reductions(psis) == reductions(100.0)
 
-    @pytest.mark.parametrize("a,b,c,offset", [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("a,b,c,offset", CANONICALS[:2])
     def test_refinement_step_is_one_buffer_and_three_reductions(self, a, b, c, offset):
         # Every row of the 17-point sweep converges at the first refinement
         # step, one _trapezoid_rows call.  Its N points lie in one buffer of
@@ -279,7 +296,7 @@ class TestSearchCost:
         # Kasahara sweep meets tol 1e-12 within two refinement steps (3 calls
         # on 12,099 points).  The kinked target of conftest.py takes 3.05M points
         # on this sweep and stops 6 of its 17 rows at the node budget.
-        a, b, c, offset = -1.0, 2.0, 1.0, 1.0
+        a, b, c, offset = CANONICAL["kasahara"]
         t = _CountingTarget(tl.PerturbedPower(a, b, "inverse-log", 0.4))
         psis = tl.make_grid(10, 1000, 16).psi_values + (100.0,)
         samples = tl.sample_at_psi(tl.validate(a, b, c, offset), t, psis, tol=1e-12)
@@ -325,26 +342,6 @@ class TestSearchCost:
         assert n0 == tl.transform._NODES_PER_WIDTH * sum(widths)
 
 
-def _fields(sample):
-    """The five TransformSample fields, in a form that compares bit for bit."""
-    return repr((sample.psi, sample.s, sample.log_f, sample.quad_error, sample.tol_met))
-
-
-def _guardrail_triples(seed: int, n: int) -> list[tuple[float, float, float]]:
-    """Seeded (a, b, c) draws from the guardrail box, cycling over the regimes:
-    |a|, |c| log-uniform in [1e-8, 1e8], |b| log-uniform in the regime's range,
-    kept 0.05 from 0 and 1 so that s = psi**((1-b)/b) is representable."""
-    rng = np.random.default_rng(seed)
-    regimes = [((0.05, 0.95), 1.0, -1.0), ((1.05, 64.0), -1.0, 1.0), ((0.05, 64.0), -1.0, -1.0)]
-    triples = []
-    for k in range(n):
-        (b_lo, b_hi), sa, sc = regimes[k % 3]
-        a, c = (10.0 ** rng.uniform(-8.0, 8.0) for _ in range(2))
-        b = math.exp(rng.uniform(math.log(b_lo), math.log(b_hi)))
-        triples.append((sa * a, b if k % 3 < 2 else -b, sc * c))
-    return triples
-
-
 def _linspace_levels(t, c, s, window, panels) -> tuple[list[float], list[float]]:
     """Reference trapezoid levels (fine, coarse): each row on its own, nodes
     from np.linspace, a plain max and sum (w.sum() is np.add.reduce(w)).  The
@@ -371,29 +368,21 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize(
         "a,b,c,offset,pert",
-        [
-            (2.0, 0.5, -1.0, 0.0, None),
-            (-1.0, 2.0, 1.0, 1.0, None),
-            (-1.0, -1.0, -1.0, 0.0, None),
-            (2.0, 0.5, -1.0, 0.0, ("inverse-log", 0.2)),
-            (-1.0, -1.0, -1.0, 0.0, ("log-sine", 0.3)),
-        ],
+        [*((*x, None) for x in CANONICALS), (*CANONICAL["kohlbecker"], ("inverse-log", 0.2)),
+         (*CANONICAL["de-bruijn"], ("log-sine", 0.3))],
     )
     def test_sessions_match_per_psi_samples(self, a, b, c, offset, pert):
         p = tl.validate(a, b, c, offset)
         t = tl.PurePower(a, b) if pert is None else tl.PerturbedPower(a, b, *pert)
         psis = self.GRID.psi_values + (100.0,)
         batch = tl.sample_at_psi(p, t, psis)
-        assert [_fields(s) for s in batch] == [
-            _fields(tl.sample_at_psi(p, t, psi)) for psi in psis
-        ]
+        assert bits(batch) == [bits(tl.sample_at_psi(p, t, psi)) for psi in psis]
         assert tl.evaluate_sweep(p, t, self.GRID) == batch[:-1]
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     @pytest.mark.parametrize(
         "a,b,c,offset,pert",
-        [(-1.0, 2.0, 1.0, 1.0, None), (2.0, 0.5, -1.0, 0.0, ("inverse-log", 0.2))],
-    )
+        [(*CANONICAL["kasahara"], None), (*CANONICAL["kohlbecker"], ("inverse-log", 0.2))])
     def test_rows_of_mixed_panel_counts_keep_input_order(self, a, b, c, offset, pert, order):
         # The rows' windows span from 19 to 164 Laplace widths, so their first
         # panel counts differ; each level lays the rows end to end in the
@@ -407,9 +396,8 @@ class TestBatchedSweep:
             psis = [psis[k] for k in np.random.default_rng(11).permutation(len(psis))]
         s = np.array([tl.s_for_psi(b, x) for x in psis])
         assert len(set(tl.transform._prepare_windows(t, c, s)[-1])) >= 4
-        assert [_fields(s) for s in tl.sample_at_psi(p, t, psis)] == [
-            _fields(tl.sample_at_psi(p, t, psi)) for psi in psis
-        ]
+        assert bits(tl.sample_at_psi(p, t, psis)) == [
+            bits(tl.sample_at_psi(p, t, psi)) for psi in psis]
 
     @pytest.mark.parametrize("k", [0, 4, 10])
     def test_levels_match_a_linspace_reference(self, k):
@@ -465,53 +453,34 @@ class TestBatchedSweep:
         point = tl.sample_at_psi(p, t, 10.0)
         assert point.log_f == 2.1579194737834408e22 and point.tol_met
         sweep = tl.sample_at_psi(p, t, self.GRID.psi_values + (10.0,))
-        assert _fields(sweep[0]) == _fields(sweep[-1]) == _fields(point)
+        assert bits(sweep[0]) == bits(sweep[-1]) == bits(point)
 
     def test_guardrail_draws_match_per_psi_samples(self):
-        for a, b, c in _guardrail_triples(seed=5, n=20):
+        for a, b, c in guardrail_triples(np.random.default_rng(5), 20):
             p, t = tl.validate(a, b, c), tl.PurePower(a, b)
             batch = tl.evaluate_sweep(p, t, self.GRID)
-            assert [_fields(s) for s in batch] == [
-                _fields(tl.sample_at_psi(p, t, psi)) for psi in self.GRID.psi_values
-            ], (a, b, c)
+            assert bits(batch) == [
+                bits(tl.sample_at_psi(p, t, psi)) for psi in self.GRID.psi_values], (a, b, c)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
-        regime=st.sampled_from([((0.05, 0.95), 1.0, -1.0), ((1.05, 64.0), -1.0, 1.0),
-                                ((-64.0, -0.05), -1.0, -1.0)]),
-        u_b=st.floats(0.0, 1.0),
-        log_a=st.floats(-8.0, 8.0),
-        log_c=st.floats(-8.0, 8.0),
+        abc=guardrail_box(),
         family=st.sampled_from([None, "inverse-log", "log-sine"]),
         log_psis=st.lists(st.floats(0.0, 16.0), min_size=1, max_size=5),
         tol=st.sampled_from([1e-8, 1e-12, 1e-14]),
     )
-    def test_sweep_equals_its_points_over_the_guardrail_box(
-        self, regime, u_b, log_a, log_c, family, log_psis, tol
-    ):
+    def test_sweep_equals_its_points_over_the_guardrail_box(self, abc, family, log_psis, tol):
         # Small tolerances keep rows refining past the first step; large psi
         # and small |b| make points fail, and then the sweep raises what its
         # first failing point raises.
-        (b_lo, b_hi), sa, sc = regime
-        b = math.copysign(abs(b_lo) ** (1.0 - u_b) * abs(b_hi) ** u_b, b_lo)
-        a, c = sa * 10.0**log_a, sc * 10.0**log_c
         try:
-            p = tl.validate(a, b, c)
+            p = tl.validate(*abc)
         except tl.TauberError:
             return
-        t = tl.PurePower(a, b) if family is None else tl.PerturbedPower(a, b, family, 0.3)
+        t = tl.PurePower(p.a, p.b) if family is None else tl.PerturbedPower(p.a, p.b, family, 0.3)
         psis = [10.0**x for x in log_psis]
-
-        def outcome(f):
-            try:
-                return f()
-            except tl.TauberError as exc:
-                return type(exc), str(exc)
-
-        alone = [outcome(lambda x=x: _fields(tl.sample_at_psi(p, t, x, tol))) for x in psis]
-        swept = outcome(lambda: [_fields(x) for x in tl.sample_at_psi(p, t, psis, tol)])
-        failed = [r for r in alone if isinstance(r, tuple)]
-        assert swept == (failed[0] if failed else alone)
+        alone = [outcome(tl.sample_at_psi, p, t, x, tol) for x in psis]
+        assert outcome(tl.sample_at_psi, p, t, psis, tol) == sweep_of(alone)
 
     def test_unrepresentable_seed_raises_as_one_row(self):
         # b close to 1: the stationary point u* = e^(1000*0.7 + log psi)
@@ -546,13 +515,9 @@ class TestBatchedSweep:
         # A sweep raises what its first failing point raises on its own.
         a, b, c = -1.0, 1.001, 1.001 * math.exp(0.7)
         p, t = tl.validate(a, b, c), tl.PurePower(a, b)
-        with pytest.raises(first_failure) as alone:
-            for psi in psis:
-                tl.sample_at_psi(p, t, psi)
-        with pytest.raises(tl.TauberError) as swept:
-            tl.sample_at_psi(p, t, psis)
-        assert type(swept.value) is first_failure
-        assert str(swept.value) == str(alone.value)
+        alone = sweep_of([outcome(tl.sample_at_psi, p, t, psi) for psi in psis])
+        assert alone.kind is first_failure
+        assert outcome(tl.sample_at_psi, p, t, psis) == alone
 
 
 class TestLogTransform:
@@ -602,23 +567,19 @@ class TestLogTransform:
         # u* = psi = s, but the v-integrand exp(-u* e^v + v) peaks at
         # v = -log u*.  At s = 1 the window holds that peak and log f = 0 is
         # exact; at larger s the integrand still rises 800 widths left of u*.
-        class Flat(tl.PurePower):
-            def log_amplitude(self, x):
-                return np.zeros_like(np.asarray(x, dtype=float))
-
-        ts = tl.log_transform(Flat(2.0, 0.5), -1.0, 0.0, 1.0)
+        ts = tl.log_transform(_FlatPower(2.0, 0.5), -1.0, 0.0, 1.0)
         assert ts.tol_met and ts.log_f == pytest.approx(0.0, abs=1e-12)
         for s in (100.0, 1e4):
             with pytest.raises(tl.DomainError, match="left frontier not reached within 800"):
-                tl.log_transform(Flat(2.0, 0.5), -1.0, 0.0, s)
+                tl.log_transform(_FlatPower(2.0, 0.5), -1.0, 0.0, s)
 
     @pytest.mark.parametrize(
         "target,abc_offset,psi,nats,widths",
         [
-            (tl.PerturbedPower(-1.0, 2.0, "inverse-log", 0.4), (-1.0, 2.0, 1.0, 1.0), 5e8,
+            (tl.PerturbedPower(-1.0, 2.0, "inverse-log", 0.4), CANONICAL["kasahara"], 5e8,
              "1.629e+05", 558),
-            (_OscillatingPower(2.0, 0.5, 0.6), (2.0, 0.5, -1.0, 0.0), 5e3, "5186", 92),
-            (_FlatPower(2.0, 0.5), (2.0, 0.5, -1.0, 0.0), 100.0, "94.37", 31),
+            (_OscillatingPower(2.0, 0.5, 0.6), CANONICAL["kohlbecker"], 5e3, "5186", 92),
+            (_FlatPower(2.0, 0.5), CANONICAL["kohlbecker"], 100.0, "94.37", 31),
         ],
     )
     def test_a_window_that_misses_the_peak_is_a_domain_error(
@@ -639,14 +600,8 @@ class TestLogTransform:
             tl.PerturbedPower(2.0, 0.5, family, k)
 
     def test_mpmath_oracle_crosscheck(self):
-        cases = [
-            (2.0, 0.5, -1.0, 0.0),
-            (-1.0, 2.0, 1.0, 1.0),
-            (-1.0, -1.0, -1.0, 0.0),
-            (3.0, 0.25, -2.0, 0.0),
-            (-0.5, 3.0, 0.7, 0.0),
-            (-2.0, -0.5, -0.3, 0.0),
-        ]
+        cases = [*CANONICALS, (3.0, 0.25, -2.0, 0.0), (-0.5, 3.0, 0.7, 0.0),
+                 (-2.0, -0.5, -0.3, 0.0)]
         for a, b, c, offset in cases:
             p = tl.validate(a, b, c, offset)
             for psi in (10.0, 100.0):
@@ -812,20 +767,15 @@ class TestExactOracleAtLargePsi:
         assert abs(smp.log_f - expected) <= max(1e-8, 16.0 * math.ulp(expected)), where
 
     @pytest.mark.parametrize("psi", [1e12, 1e14, 1e16])
-    @pytest.mark.parametrize(
-        "a,b,c,offset",
-        [(2.0, 0.5, -1.0, 0.0), (-1.0, 2.0, 1.0, 1.0), (-1.0, -1.0, -1.0, 0.0)],
-    )
+    @pytest.mark.parametrize("a,b,c,offset", CANONICALS)
     def test_canonicals(self, a, b, c, offset, psi):
         self.check(a, b, c, offset, psi)
 
     def test_guardrail_draws(self):
-        # b in {1/2, 2, -1} with free a and c, |a|, |c| log-uniform in
-        # [1e-8, 1e8] and psi log-uniform in [1, 1e16].
+        # b in {1/2, 2, -1} with free a and c from the guardrail box, and psi
+        # log-uniform in [1, 1e16].
         rng = np.random.default_rng(2014)
-        for k in range(30):
-            b, sa, sc = [(0.5, 1.0, -1.0), (2.0, -1.0, 1.0), (-1.0, -1.0, -1.0)][k % 3]
-            a, c = sa * 10.0 ** rng.uniform(-8.0, 8.0), sc * 10.0 ** rng.uniform(-8.0, 8.0)
+        for a, b, c in guardrail_triples(rng, 30, canonical_b=True):
             self.check(a, b, c, 0.0, 10.0 ** rng.uniform(0.0, 16.0))
 
 
@@ -838,7 +788,7 @@ class TestSubnormalS:
     @pytest.mark.parametrize("psi", [
         *(10.0 ** k for k in range(150, 159)), 6.6e153, 6.7e153, 6.71e153, 6.8e153])
     def test_de_bruijn_samples_meet_the_oracle_at_psi_or_are_refused(self, psi):
-        expected = exact.log_f_closed(-1.0, -1.0, -1.0, 0.0, psi)
+        expected = exact.log_f_closed(*CANONICAL["de-bruijn"], psi)
         with mp.workdps(40):
             s_subnormal = mp.mpf(psi) ** -2 < sys.float_info.min
         try:
@@ -967,11 +917,7 @@ class TestPredictLogF:
         assert abs(got - 103.569) <= 1e-3
 
     def test_corrected_matches_quadrature_at_scale(self):
-        for a, b, c, offset in [
-            (2.0, 0.5, -1.0, 0.0),
-            (-1.0, 2.0, 1.0, 1.0),
-            (-1.0, -1.0, -1.0, 0.0),
-        ]:
+        for a, b, c, offset in CANONICALS:
             p = tl.validate(a, b, c, offset)
             ts = tl.log_transform(tl.PurePower(a, b), c, offset, tl.s_for_psi(b, 1e3))
             assert abs(ts.log_f - tl.predict_log_f(p, 1e3)) <= 0.01
@@ -980,11 +926,7 @@ class TestPredictLogF:
         # Residual beyond the Gaussian-peak prediction decays like 1/psi;
         # ties at the noise floor are allowed (two canonicals are exactly
         # Gaussian, so their gap is already roundoff at every psi).
-        for a, b, c, offset in [
-            (2.0, 0.5, -1.0, 0.0),
-            (-1.0, 2.0, 1.0, 1.0),
-            (-1.0, -1.0, -1.0, 0.0),
-        ]:
+        for a, b, c, offset in CANONICALS:
             p = tl.validate(a, b, c, offset)
             gaps = []
             for psi in tl.make_grid(10.0, 1000.0, 8).psi_values:
