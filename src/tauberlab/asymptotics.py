@@ -8,8 +8,6 @@ exponent, and map the fit back to the primal parameters.  The growth-index
 estimators are in `index`.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from typing import NamedTuple

@@ -19,8 +19,6 @@ The shared dual coefficient reproduces each classical coefficient exactly;
 `coefficient_identity_check` certifies this numerically.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple, Union
 

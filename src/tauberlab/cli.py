@@ -42,8 +42,6 @@ commands that use them (``--classical``, ``classical`` and ``ck-index``), so
 the other commands never compile them.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import gc
@@ -141,7 +139,7 @@ class Options:
         _refuse_unused({key: self._get(key) for key in _CLASSICAL_KEYS}, (), "raw --a/--b/--c")
         return params.validate(a, b, c, 0.0 if offset is None else offset)
 
-    def reduction(self, variant: str) -> classical.UnifiedReduction:
+    def reduction(self, variant: str) -> "classical.UnifiedReduction":
         """The reduction of a variant's spec, built from exactly its fields' options."""
         values = {key: self._get(key) for key in _CLASSICAL_KEYS}
         variant = variant.lower()

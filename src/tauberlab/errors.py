@@ -5,8 +5,6 @@ Every error raised on purpose by this package derives from :class:`TauberError`
 so callers (and the CLI) can distinguish rejected inputs from genuine bugs.
 """
 
-from __future__ import annotations
-
 import functools
 
 __all__ = [

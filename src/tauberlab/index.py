@@ -12,8 +12,6 @@ They work on tabulated (x, U(x)) samples and share nothing with the
 transform engine, so the package loads this module on first use.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from typing import NamedTuple

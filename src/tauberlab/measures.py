@@ -12,8 +12,6 @@ The two-column text format used for ingestion is one atom per line,
 with '#' ignored.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from pathlib import Path

@@ -38,8 +38,6 @@ All functions are pure and all containers immutable, so values can be shared
 freely between threads.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import sys
@@ -89,6 +87,19 @@ class Regime(enum.Enum):
     KASAHARA = "kasahara"
 
 
+class SaddlePoint(NamedTuple):
+    """Maximizer data of the saddle function h.
+
+    h attains its maximum at ``x_peak`` with value ``h_at_max`` (zero up to
+    roundoff by construction of d) and strictly negative ``curvature``
+    h''(x_peak) = a*b*(b-1)*x_peak**(b-2).
+    """
+
+    x_peak: float
+    h_at_max: float
+    curvature: float
+
+
 class UnifiedParams(NamedTuple):
     """Validated parameter vector with derived dual quantities.
 
@@ -113,19 +124,6 @@ class UnifiedParams(NamedTuple):
     dual_exp: float
     regime: Regime
     saddle: SaddlePoint
-
-
-class SaddlePoint(NamedTuple):
-    """Maximizer data of the saddle function h.
-
-    h attains its maximum at ``x_peak`` with value ``h_at_max`` (zero up to
-    roundoff by construction of d) and strictly negative ``curvature``
-    h''(x_peak) = a*b*(b-1)*x_peak**(b-2).
-    """
-
-    x_peak: float
-    h_at_max: float
-    curvature: float
 
 
 def _require_finite(**values: float) -> None:

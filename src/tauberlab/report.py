@@ -5,8 +5,6 @@ byte-identical and diffable; the CSV carries full round-trip precision via
 repr.  No timestamps, no environment-dependent content.
 """
 
-from __future__ import annotations
-
 from .asymptotics import CheckResult, EquivalenceReport
 
 __all__ = ["fmt", "kv", "render_report", "render_samples_csv"]

@@ -8,8 +8,6 @@ carries no ``a`` or ``b`` and takes the exact sum over its atoms; any other
 target is refused.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

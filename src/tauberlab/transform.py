@@ -45,8 +45,6 @@ of a batch of one, so a sweep equals its points evaluated one by one.
 log f = m + log u* + log(integral), combined with the offset in log space.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tauberlab as tl
-from inputs import CANONICAL, desk_specs
+from inputs import CANONICAL
 
 
 class TestToUnified:
@@ -87,12 +87,6 @@ class TestCoefficientIdentity:
         assert tl.coefficient_identity_check(tl.Kasahara(0.5, 1.0)) == pytest.approx(
             (0.25, 0.25, 0.0), abs=1e-14
         )
-
-    def test_500_random_specs_per_variant(self):
-        rng = np.random.default_rng(123)
-        for spec in desk_specs(rng, 500):
-            _, _, gap = tl.coefficient_identity_check(spec)
-            assert gap < 1e-12, spec
 
     def test_kasahara_statement_and_proof_forms_agree(self):
         # (1-alpha)*(alpha/B)**(alpha/(1-alpha)) == (1-alpha)*(B/alpha)**(alpha/(alpha-1))

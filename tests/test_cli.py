@@ -17,21 +17,17 @@ from tauberlab import cli
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_python(*args, cwd=None):
-    # Warnings are errors here too, as in the in-process tests.  The child
-    # imports this checkout's package, installed or not.
+def run_python(*args):
+    """Run a script in a fresh interpreter, for a test of what a cold process
+    loads or leaves behind.  Warnings are errors there too, as in this
+    process.  The child imports this checkout's package, installed or not."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", *args],
         capture_output=True,
         text=True,
-        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
-
-
-def run_cli(*args, cwd=None):
-    return run_python("-m", "tauberlab", *args, cwd=cwd)
 
 
 def invoke(capsys, *args):
@@ -41,130 +37,38 @@ def invoke(capsys, *args):
     return code, out, err
 
 
-class TestValidateCommand:
-    def test_canonical_kohlbecker(self):
-        res = run_cli("validate", "--a", "2", "--b", "0.5", "--c", "-1")
-        assert res.returncode == 0
-        assert "d = 1" in res.stdout
-        assert "dual_exp = 1" in res.stdout
-        assert "regime = kohlbecker" in res.stdout
-
-    def test_sign_violation_names_product(self):
-        res = run_cli("validate", "--a", "1", "--b", "2", "--c", "-1")
-        assert res.returncode == 2
-        assert "a*b*(b-1) = 2" in res.stderr
-
-    def test_degenerate_exponent(self):
-        res = run_cli("validate", "--a", "2", "--b", "1", "--c", "-1")
-        assert res.returncode == 2
-        assert "DegenerateExponent" in res.stderr
-
-    def test_config_file_with_flag_override(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("a = 2\nb = 0.5\nc = -1\n", encoding="utf-8")
-        res = run_cli("validate", "--config", str(cfg))
-        assert res.returncode == 0 and "regime = kohlbecker" in res.stdout
-        # flag overrides the config value of a
-        res2 = run_cli("validate", "--config", str(cfg), "--a", "4")
-        assert res2.returncode == 0
-        assert "a = 4" in res2.stdout
-
-    def test_malformed_config(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("a 2\n", encoding="utf-8")
-        res = run_cli("validate", "--config", str(cfg))
-        assert res.returncode == 2
-        assert "ConfigParse" in res.stderr
-
-
-class TestPredictCommand:
-    def test_overflow_refused(self):
-        # d = 16, so d*psi leaves the float range.
-        res = run_cli("predict", "--a", "8", "--b", "0.5", "--c", "-1", "--psi", "1.5e307")
-        assert res.returncode == 2
-        assert "error: NumericOverflow: predicted log f" in res.stderr
-        assert res.stdout == ""
-
-
 class TestVerifyCommand:
-    def test_kohlbecker_pass_and_artifacts(self, tmp_path):
+    def test_kohlbecker_pass_and_artifacts(self, tmp_path, capsys):
         out, csv = tmp_path / "rep.txt", tmp_path / "rep.csv"
-        res = run_cli(
-            "verify", "--classical", "kohlbecker", "--alpha", "2", "--B", "2",
+        code, stdout, _ = invoke(
+            capsys, "verify", "--classical", "kohlbecker", "--alpha", "2", "--B", "2",
             "--psi-min", "10", "--psi-max", "1000", "--n", "16",
             "--out", str(out), "--csv", str(csv),
         )
-        assert res.returncode == 0
-        assert "status = pass" in res.stdout
+        assert code == 0
+        assert "status = pass" in stdout
+        assert out.read_text(encoding="utf-8") == stdout
         rows = csv.read_text(encoding="utf-8").strip().splitlines()
         assert rows[0] == "psi,s,log_f,prediction_leading,prediction_corrected,ratio"
         assert len(rows) == 17  # header + 16 samples
         last_ratio = float(rows[-1].split(",")[-1])
         assert 0.99 <= last_ratio <= 1.01
 
-    def test_exit_code_matrix(self):
-        # Three canonical runs plus three invalid inputs.  The small-d
-        # canonical (kasahara, d=1/4) genuinely fails the default desk-scale
-        # tolerances, so the verification-failure exit code is the honest
-        # outcome there.
-        matrix = [
-            (("verify", "--a", "2", "--b", "0.5", "--c", "-1"), 0),
-            (("verify", "--a", "-1", "--b", "-1", "--c", "-1"), 0),
-            (("verify", "--a", "-1", "--b", "2", "--c", "1", "--offset", "1"), 1),
-            (("validate", "--a", "1", "--b", "2", "--c", "-1"), 2),
-            (("verify", "--a", "2", "--b", "0.5", "--c", "-1", "--n", "3"), 2),
-            (("validate", "--a", "2", "--b", "1", "--c", "-1"), 2),
-        ]
-        for args, expected in matrix:
-            res = run_cli(*args)
-            assert res.returncode == expected, (args, res.stderr)
 
-    def test_byte_identical_reports(self, tmp_path):
-        def one(run_dir):
-            run_dir.mkdir()
-            out, csv = run_dir / "rep.txt", run_dir / "rep.csv"
-            res = run_cli(
-                "verify", "--a", "2", "--b", "0.5", "--c", "-1",
-                "--out", str(out), "--csv", str(csv),
-            )
-            return res.returncode, res.stdout, out.read_bytes(), csv.read_bytes()
-
-        first = one(tmp_path / "r1")
-        second = one(tmp_path / "r2")
-        assert first == second
-
-
-class TestSweepAndInvert:
-    def test_sweep_emits_csv(self, tmp_path):
+class TestSweepCommand:
+    def test_sweep_emits_csv(self, tmp_path, capsys):
         csv = tmp_path / "sweep.csv"
-        res = run_cli(
-            "sweep", "--a", "-1", "--b", "-1", "--c", "-1",
+        code, stdout, _ = invoke(
+            capsys, "sweep", "--a", "-1", "--b", "-1", "--c", "-1",
             "--psi-min", "10", "--psi-max", "100", "--n", "8", "--csv", str(csv),
         )
-        assert res.returncode == 0
-        rows = csv.read_text(encoding="utf-8").strip().splitlines()
-        assert len(rows) == 9
-
-    def test_invert_reports_recovered_parameters(self):
-        res = run_cli("invert", "--a", "2", "--b", "0.5", "--c", "-1")
-        assert res.returncode == 0
-        assert "a_hat" in res.stdout and "b_hat" in res.stdout
-        assert "a_rel_gap" in res.stdout
+        assert code == 0
+        text = csv.read_text(encoding="utf-8")
+        assert text == stdout
+        assert len(text.strip().splitlines()) == 9
 
 
 class TestClassicalCommand:
-    def test_identity_certified(self):
-        res = run_cli("classical", "--variant", "debruijn", "--beta", "-1",
-                      "--B", "-1", "--rate", "1")
-        assert res.returncode == 0
-        assert "unified_d = -2" in res.stdout
-        assert "rel_gap = 0" in res.stdout
-
-    def test_out_of_range(self):
-        res = run_cli("classical", "--variant", "kohlbecker", "--alpha", "0.5", "--B", "2")
-        assert res.returncode == 2
-        assert "SpecOutOfRange" in res.stderr
-
     @pytest.mark.parametrize("spec", [
         ("kohlbecker", "--alpha", "2", "--B", "2"),
         ("debruijn", "--beta", "-1", "--B", "-1", "--rate", "2"),
@@ -181,59 +85,28 @@ class TestClassicalCommand:
 
 
 class TestDataCommands:
-    def test_ck_index_and_diagnostic(self, tmp_path):
-        path = tmp_path / "samples.tsv"
-        lines = [f"{10.0**k}\t{(10.0**k) ** 3}" for k in range(1, 9)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        res = run_cli("ck-index", "--input", str(path), "--tau", "3",
-                      "--epsilon", "0.5")
-        assert res.returncode == 0
-        assert "tau_at_top = 3" in res.stdout
-        assert "consistent_with_tau = True" in res.stdout
-        res_bad = run_cli("ck-index", "--input", str(path), "--tau", "4",
-                          "--epsilon", "0.5")
-        assert res_bad.returncode == 1
-        assert "consistent_with_tau = False" in res_bad.stdout
-
-    def test_ck_index_accepts_any_order(self, tmp_path):
+    def test_ck_index_accepts_any_order(self, tmp_path, capsys):
         # ck_index sorts its samples, so the file's order must not matter.
-        lines = [f"{10.0**k}\t{(10.0**k) ** 3}" for k in range(1, 9)]
+        lines = CK_CUBES.splitlines(keepends=True)
         runs = []
         for name, order in (("sorted", lines), ("shuffled", lines[::2] + lines[1::2][::-1])):
             path = tmp_path / f"{name}.tsv"
-            path.write_text("\n".join(order) + "\n", encoding="utf-8")
-            res = run_cli("ck-index", "--input", str(path), "--tau", "3", "--epsilon", "0.5")
-            runs.append((res.returncode, res.stdout))
+            path.write_text("".join(order), encoding="utf-8")
+            runs.append(invoke(capsys, "ck-index", "--input", str(path), "--tau", "3",
+                               "--epsilon", "0.5"))
         assert runs[0] == runs[1]
         assert runs[0][0] == 0 and "consistent_with_tau = True" in runs[0][1]
 
     def test_ck_index_with_tau_estimates_the_index_once(self, tmp_path, monkeypatch, capsys):
         # The diagnostic reads the index estimate the command printed.
         path = tmp_path / "samples.tsv"
-        path.write_text("".join(f"{10.0**k}\t{(10.0**k) ** 3}\n" for k in range(1, 9)),
-                        encoding="utf-8")
+        path.write_text(CK_CUBES, encoding="utf-8")
         calls, ck_index = [], tl.index.ck_index
         monkeypatch.setattr("tauberlab.index.ck_index",
                             lambda samples: calls.append(1) or ck_index(samples))
         code, out, _ = invoke(capsys, "ck-index", "--input", str(path), "--tau", "3")
         assert code == 0 and "consistent_with_tau = True" in out
         assert len(calls) == 1
-
-    def test_measure_ingestion(self, tmp_path):
-        path = tmp_path / "atoms.tsv"
-        path.write_text("# atoms\n0\t1\n2.5\t1\n", encoding="utf-8")
-        res = run_cli("measure", "--file", str(path), "--variant", "kohlbecker",
-                      "--lam", "2.5")
-        assert res.returncode == 0
-        assert "0.313261687518" in res.stdout  # log(1 + e^-1)
-
-    def test_malformed_measure_file(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("2\t1\n1\t1\n", encoding="utf-8")
-        res = run_cli("measure", "--file", str(path), "--variant", "kohlbecker",
-                      "--lam", "1")
-        assert res.returncode == 2
-        assert "MeasureFormatError" in res.stderr
 
 
 class TestReportRendering:
@@ -328,12 +201,74 @@ class TestReportRendering:
 K = ("--a", "2", "--b", "0.5", "--c", "-1")
 KASAHARA = ("--a", "-1", "--b", "2", "--c", "1", "--offset", "1")
 DE_BRUIJN = ("--a", "-1", "--b", "-1", "--c", "-1")
-# U = x**2 at x = 10 .. 1e8: eight samples over seven decades.
+# U = x**2 and U = x**3 at x = 10 .. 1e8: eight samples over seven decades.
 CK_SAMPLES = "".join(f"{10.0**k}\t{10.0 ** (2 * k)}\n" for k in range(1, 9))
+CK_CUBES = "".join(f"{10.0**k}\t{(10.0**k) ** 3}\n" for k in range(1, 9))
+CANONICAL_CONFIG = "a = 2\nb = 0.5\nc = -1\n"
 
-# (args, config file text or None, exit code, stream, fragment).  A config
-# text is written to run.cfg in the working directory first.
+# (args, config file text or None, exit code, stream, fragment or tuple of
+# fragments).  A config text is written to run.cfg in the working directory
+# first.
 IN_PROCESS_CASES = {
+    "validate-kohlbecker": (
+        ("validate", *K), None, 0, "stdout", "regime = kohlbecker\nd = 1\ndual_exp = 1\n"),
+    "validate-sign-violation": (
+        ("validate", "--a", "1", "--b", "2", "--c", "-1"), None, 2,
+        "stderr", "error: SignConditionViolated: admission condition a*b*(b-1) < 0 violated: "
+                  "a*b*(b-1) = 2 (a=1, b=2, c=-1)\n"),
+    "validate-degenerate-exponent": (
+        ("validate", "--a", "2", "--b", "1", "--c", "-1"), None, 2,
+        "stderr", "error: DegenerateExponent: exponent b must avoid {0, 1}, got b=1\n"),
+    "validate-raw-missing-a": (
+        ("validate", "--b", "0.5", "--c", "-1"), None, 2,
+        "stderr", "error: ConfigParseError: need --a, --b and --c (or --classical ...)\n"),
+    # A blank line and a "#" line of a config file are skipped.
+    "config-file": (
+        ("validate", "--config", "run.cfg"), "# the Kohlbecker canonical\n\n" + CANONICAL_CONFIG,
+        0, "stdout", "a = 2\nb = 0.5\nc = -1\noffset = 0\nregime = kohlbecker\n"),
+    "config-flag-override": (
+        ("validate", "--config", "run.cfg", "--a", "4"), CANONICAL_CONFIG, 0,
+        "stdout", "a = 4\nb = 0.5\nc = -1\n"),
+    "config-malformed-line": (
+        ("validate", "--config", "run.cfg"), "a 2\n", 2,
+        "stderr", "error: ConfigParseError: run.cfg:1: expected 'key = value'\n"),
+    # d = 16, so d*psi leaves the float range.
+    "predict-overflow": (
+        ("predict", "--a", "8", "--b", "0.5", "--c", "-1", "--psi", "1.5e307"), None, 2,
+        "stderr", "error: NumericOverflow: predicted log f at psi=1.5e+307 is not a finite "
+                  "float\n"),
+    "verify-kohlbecker": (("verify", *K), None, 0, "stdout", "status = pass\n"),
+    "verify-de-bruijn": (("verify", *DE_BRUIJN), None, 0, "stdout", "status = pass\n"),
+    # The small-d canonical (kasahara, d = 1/4) fails the default desk-scale
+    # tolerances, so the verification-failure exit code is the honest outcome.
+    "verify-kasahara": (("verify", *KASAHARA), None, 1, "stdout", "status = fail\n"),
+    "verify-n-below-8": (
+        ("verify", *K, "--n", "3"), None, 2, "stderr", "error: BadRange: n must be >= 8, got 3\n"),
+    "sweep-prints-csv": (
+        ("sweep", *DE_BRUIJN, "--psi-min", "10", "--psi-max", "100", "--n", "8"), None, 0,
+        "stdout", "psi,s,log_f,prediction_leading,prediction_corrected,ratio\n10.0,0.01,"),
+    "classical-debruijn-identity": (
+        ("classical", "--variant", "debruijn", "--beta", "-1", "--B", "-1", "--rate", "1"), None,
+        0, "stdout", "unified_d = -2\nclassical_coefficient = -2\nrel_gap = 0\n"),
+    "classical-kohlbecker-alpha-below-1": (
+        ("classical", "--variant", "kohlbecker", "--alpha", "0.5", "--B", "2"), None, 2,
+        "stderr", "error: SpecOutOfRange: Kohlbecker needs alpha > 1, got 0.5\n"),
+    "ck-index-tau-3": (
+        ("ck-index", "--input", "run.cfg", "--tau", "3", "--epsilon", "0.5"), CK_CUBES, 0,
+        "stdout", ("\ntau_at_top = 3\n", "\nconsistent_with_tau = True\n")),
+    "ck-index-tau-4": (
+        ("ck-index", "--input", "run.cfg", "--tau", "4", "--epsilon", "0.5"), CK_CUBES, 1,
+        "stdout", "\nconsistent_with_tau = False\n"),
+    "ck-index-without-tau": (
+        ("ck-index", "--input", "run.cfg"), CK_SAMPLES, 0, "stdout", "\ntau_at_top = 2\n"),
+    # log M(2.5) = log(1 + e^-1)
+    "measure-ingestion": (
+        ("measure", "--file", "run.cfg", "--variant", "kohlbecker", "--lam", "2.5"),
+        "# atoms\n0\t1\n2.5\t1\n", 0, "stdout", "lambda log_M\n2.5 0.313261687518\n"),
+    "measure-unsorted-locations": (
+        ("measure", "--file", "run.cfg", "--variant", "kohlbecker", "--lam", "1"),
+        "2\t1\n1\t1\n", 2,
+        "stderr", "error: MeasureFormatError: run.cfg:2: locations must be strictly increasing\n"),
     "predict-leading": (
         ("predict", *K, "--psi", "100", "--order", "leading"), None, 0,
         "stdout", "predict_log_f(leading) = 100\n"),
@@ -399,7 +334,9 @@ IN_PROCESS_CASES = {
         ("classical", "--variant", "kohlbecker", "--config", "run.cfg"),
         "alpha = 2\nB = 2\n", 0,
         "stdout", "variant = kohlbecker\na = 2\nb = 0.5\n"),
-    "invert-kohlbecker": (("invert", *K), None, 0, "stdout", "status = pass\n"),
+    "invert-kohlbecker": (
+        ("invert", *K), None, 0,
+        "stdout", ("status = pass\n", "\n[recovered]\na_hat = ", "\nb_hat = ", "\na_rel_gap = ")),
     "invert-kasahara": (("invert", *KASAHARA), None, 1, "stdout", "status = fail\n"),
     "invert-de-bruijn": (("invert", *DE_BRUIJN), None, 0, "stdout", "status = pass\n"),
     "ck-index-tau-nan": (
@@ -520,7 +457,9 @@ def test_cli_in_process(tmp_path, monkeypatch, capsys, args, config, code, strea
         (tmp_path / "run.cfg").write_bytes(data)
     res_code, out, err = invoke(capsys, *args)
     assert res_code == code, (out, err)
-    assert fragment in {"stdout": out, "stderr": err}[stream]
+    text = {"stdout": out, "stderr": err}[stream]
+    for part in fragment if isinstance(fragment, tuple) else (fragment,):
+        assert part in text, (part, text)
     if code == 2:  # an input error is refused before any output
         assert out == ""
 

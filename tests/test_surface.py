@@ -81,6 +81,13 @@ def test_no_module_imports_dataclasses():
         assert "dataclasses" not in _imported_packages(path), path.name
 
 
+def test_no_module_postpones_its_annotations():
+    # An annotation is evaluated where it is written, so a NamedTuple's field
+    # types are classes, not strings that typing wraps in a ForwardRef.
+    for path in sorted(Path(tl.__file__).parent.glob("*.py")):
+        assert "__future__" not in _imported_packages(path), path.name
+
+
 def _private_reaches(path: Path, siblings: set[str]) -> set[str]:
     """Each ``module._name`` that a source file takes from a sibling module,
     by ``from .module import _name`` or by ``module._name``."""
@@ -261,6 +268,39 @@ def test_the_tests_inputs_have_one_home():
     reads = {node.attr for node in ast.walk(ast.parse((TESTS / "inputs.py").read_text()))
              if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "tl"}
     assert {"COEFF_MIN", "COEFF_MAX", "MAX_ABS_EXPONENT"} <= reads
+
+
+# The tests that check what a fresh interpreter loads or leaves behind.
+COLD_PROCESS_TESTS = {
+    "test_main_freezes_the_import_heap_and_keeps_the_collector_on",
+    "test_import_and_run_leave_the_collector_as_they_found_it",
+    "test_cli_import_loads_no_click",
+    "test_a_cold_verify_loads_no_dataclasses",
+    "test_a_cold_cli_loads_the_traced_modules_and_each_front_end_on_first_use",
+    "test_star_import_binds_every_exported_name",
+}
+MODULE_RUN = ["-m", "tauberlab"]
+
+
+def test_the_cli_has_one_test_harness():
+    # A CLI test runs cli.run in this process.  Criterion 9 alone starts
+    # python -m tauberlab, and only the cold-process tests call run_python.
+    starts, scripts = set(), set()
+    for tree in _test_sources().values():
+        tops = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        tops += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for top in tops:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_python":
+                    scripts.add(top.name)
+                if isinstance(node, (ast.Call, ast.List, ast.Tuple)):
+                    items = [_literal(x) for x in
+                             (node.args if isinstance(node, ast.Call) else node.elts)]
+                    if any(items[i:i + 2] == MODULE_RUN for i in range(len(items))):
+                        starts.add(top.name)
+    assert starts == {"test_criterion_9_cli_determinism_and_exit_codes"}
+    assert scripts == COLD_PROCESS_TESTS
 
 
 def test_no_test_sets_the_global_mpmath_precision_or_gives_an_oracle_a_samples_s():
