@@ -18,7 +18,6 @@ from .errors import (
     BadRange,
     DegenerateWindow,
     DomainError,
-    InconsistentInputs,
     NumericOverflow,
     SignChange,
     TauberError,
@@ -235,10 +234,6 @@ def evaluate_sweep(
     return sample_at_psi(p, t, grid.psi_values, tol=quad_tol)
 
 
-def _target_matches(p: UnifiedParams, t) -> bool:
-    return getattr(t, "a", None) == p.a and getattr(t, "b", None) == p.b
-
-
 def verify_equivalence(
     p: UnifiedParams,
     t,
@@ -252,13 +247,13 @@ def verify_equivalence(
     b/(1-b).  Inverse direction: mapping (coefficient_hat, exponent_hat, c)
     back through the stationary-point inversion must recover (a, b).
 
+    The target is what sample_at_psi takes: a power target whose (a, b) is
+    p's, or a MeasureTarget.  sample_at_psi refuses a power target with
+    another (a, b), and the engine any other object (ValidationError).
+
     The report always carries the full sample table; failed stages are
     recorded as failed checks instead of raising.
     """
-    if not _target_matches(p, t):
-        raise InconsistentInputs(
-            "target log-amplitude is not the validated (a, b) power"
-        )
     psi_lo, psi_hi = grid.psi_values[0], grid.psi_values[-1]
     mid = (_PSI_MID,) if psi_lo <= _PSI_MID <= psi_hi else ()
     psis = grid.psi_values + mid

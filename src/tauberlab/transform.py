@@ -128,7 +128,7 @@ def _require_interior_peak(t, c: float) -> None:
     """
     a, b = getattr(t, "a", None), getattr(t, "b", None)
     if b is None or a is None:
-        raise ValidationError(f"the engine takes power targets only, got {t.label()}")
+        raise ValidationError(f"the engine takes power targets only, got {type(t).__name__}")
     if b in (0.0, 1.0):
         raise DegenerateExponent(f"b = {b:g} leaves g without an interior maximum")
     if a * b * c < 0.0 and a * b * (b - 1.0) < 0.0:
@@ -184,7 +184,7 @@ def _prepare_windows(t, c: float, s: np.ndarray):
     centre and all its candidate edges are one block of g.
 
     Raises:
-        NumericOverflow: g(u*) is not a finite float.
+        NumericOverflow: g(u*), or a missed side's largest probe, is not a finite float.
         DomainError: no edge within _MAX_WINDOW_WIDTHS widths qualifies, the
             integrand's peak lying beyond u*'s window; the message gives the
             largest probed g + v - g(u*) on that side and its width.
@@ -208,10 +208,12 @@ def _prepare_windows(t, c: float, s: np.ndarray):
     if not reached.all():
         row, k = np.argwhere(~reached)[0]  # the first row's missed side, left first
         rise, side = vals[row, 1:].reshape(2, -1)[k] - m[row], ("left", "right")[k]
+        where = f"{_FRONTIER_WIDTHS[rise.argmax()]:g} widths {side} of u*"
+        if rise.max() == math.inf:  # an overflowed probe, not a peak beyond the window
+            raise NumericOverflow(f"probed g + v at s={s[row]:g}, {where}, is not a finite float")
         raise DomainError(
             f"{side} frontier not reached within {_MAX_WINDOW_WIDTHS} widths: largest probed "
-            f"g + v - g(u*) {rise.max():.4g} nats, {_FRONTIER_WIDTHS[rise.argmax()]:g} widths "
-            f"{side} of u*")
+            f"g + v - g(u*) {rise.max():.4g} nats, {where}")
     edge = _FRONTIER_WIDTHS[below.argmax(axis=2)]  # first qualifying edge per side
     n0 = (_NODES_PER_WIDTH * (edge[:, 0] + edge[:, 1]).astype(int)).tolist()
     return u_star, -h * edge[:, 0], h * edge[:, 1], m, n0
@@ -343,11 +345,13 @@ def log_transform(t, c: float, offset: float, s: float, tol: float = 1e-8) -> Tr
         NotIntegrable: integrand diverges at an endpoint.
         NoInteriorPeak: power integrand monotone (see locate_peak).
         EmptyMeasure: measure target without atoms.
-        DomainError: s, or tol, not positive and finite, offset < 0 or not
-            finite, or c not finite; or a power target's integrand does not
-            fall FRONTIER_DROP nats below g(u*) within _MAX_WINDOW_WIDTHS
-            widths of u* on one side (see _prepare_windows).
+        DomainError: s a sweep; s, or tol, not positive and finite, offset
+            < 0 or not finite, or c not finite; or a power target's integrand
+            does not fall FRONTIER_DROP nats below g(u*) within
+            _MAX_WINDOW_WIDTHS widths of u* on one side (see _prepare_windows).
     """
+    if _is_sweep(s):
+        raise DomainError("log_transform takes one s, not a sweep; sample_at_psi takes a sweep")
     return _transform_rows(t, c, offset, [s], tol, [None])[0]
 
 

@@ -1,5 +1,6 @@
 """The suite's inputs: the canonical triples, the boxes that its properties
-range over, and the two helpers of a sweep property.
+range over, the quantized classical measures, and the two helpers of a sweep
+property.
 
 The guardrail box is what params admits, read off its own bounds: |a| and |c|
 log-uniform over [tl.COEFF_MIN, tl.COEFF_MAX], |b| over its regime's range,
@@ -106,6 +107,17 @@ def desk_specs(rng, n):
         yield tl.DeBruijn(beta=-rng.uniform(0.05, 8.0), B=-rng.uniform(0.1, 10.0),
                           rate=rng.uniform(0.1, 10.0))
         yield tl.Kasahara(alpha=rng.uniform(0.1, 0.95), B=rng.uniform(0.1, 10.0))
+
+
+# The two classical statements about a measure, name -> (spec, target), each
+# measure quantized at 8,192 atoms: mu[0, x] = expm1(sqrt(x)) for Kohlbecker
+# and mu(x, inf) = exp(-x**2) for Kasahara.
+CLASSICAL_MEASURES = {
+    "kohlbecker": (tl.Kohlbecker(alpha=2.0, B=1.0), tl.MeasureTarget(
+        tl.quantize_cumulative(lambda x: math.expm1(x**0.5), 1e-3, 4.9e5, 8192), "cumulative")),
+    "kasahara": (tl.Kasahara(alpha=0.5, B=1.0), tl.MeasureTarget(
+        tl.quantize_tail(lambda x: math.exp(-x * x), 1e-3, 26.5, 8192), "tail")),
+}
 
 
 class Refusal(NamedTuple):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tauberlab as tl
-from inputs import CANONICAL
+from inputs import CANONICAL, CLASSICAL_MEASURES, bits
 from tauberlab import asymptotics
 from tauberlab import report as tl_report
 
@@ -404,9 +404,49 @@ class TestVerifyEquivalence:
         assert fit.exponent_hat == pytest.approx(1.0, abs=0.03)
 
     def test_target_mismatch_rejected(self):
-        p = tl.validate(2.0, 0.5, -1.0)
-        with pytest.raises(tl.InconsistentInputs):
-            tl.verify_equivalence(p, tl.PurePower(3.0, 0.5), tl.make_grid(10, 1000, 16))
+        # sample_at_psi refuses another (a, b), and the engine an object that
+        # is neither a power target nor a MeasureTarget.
+        p, grid = tl.validate(2.0, 0.5, -1.0), tl.make_grid(10, 1000, 16)
+        with pytest.raises(tl.InconsistentInputs,
+                           match="target log-amplitude is not the validated .a, b. power"):
+            tl.verify_equivalence(p, tl.PurePower(3.0, 0.5), grid)
+        with pytest.raises(tl.ValidationError, match="power targets only, got object$"):
+            tl.verify_equivalence(p, object(), grid)
+
+    # name -> the figures of its report at psi = 1000 (log f), of the fit and
+    # of the inverse map, and those of the pure power on the same parameters.
+    MEASURE_FIGURES = {
+        "kohlbecker": (("253.736034", "0.96347486", "1.1261043", "0.49069885"),
+                       ("254.026243", "0.96348551", "1.1267308", "0.49070161")),
+        "kasahara": (("254.354137", "-1.92709234", "-0.79826533", "2.0786412"),
+                     ("254.026243", "-1.92697102", "-0.79906710", "2.0787824")),
+    }
+
+    @pytest.mark.parametrize("name", MEASURE_FIGURES)
+    def test_a_classical_spec_reduced_and_verified_on_its_measure(self, name):
+        # Kohlbecker's and Kasahara's statements are about a measure: the spec
+        # is reduced by to_unified (Kasahara's offset is the mass above 0) and
+        # verified on its quantized measure, every sample an exact atom sum.
+        # The report is sample_at_psi over the grid, fit_exponent of those
+        # samples and recover_primal of that fit, bit for bit.
+        spec, target = CLASSICAL_MEASURES[name]
+        mass = target.measure.mass_above_zero() if target.kind == "tail" else None
+        p, grid = tl.to_unified(spec, measure_mass=mass).params, tl.make_grid(10, 1000, 16)
+        rep = tl.verify_equivalence(p, target, grid)
+        samples = tl.sample_at_psi(p, target, grid.psi_values)
+        fit = tl.fit_exponent(samples)
+        assert bits(rep.samples) == bits(tuple(samples))
+        assert bits(rep.mid_sample) == bits(tl.sample_at_psi(p, target, 100.0))
+        assert bits(rep.fit) == bits(fit)
+        assert bits((rep.a_hat, rep.b_hat)) == bits(
+            tl.recover_primal(fit.coefficient_hat, fit.exponent_hat, p.c))
+        assert all(s.quad_error == 0.0 and s.tol_met for s in (*rep.samples, rep.mid_sample))
+        assert rep.target_label == target.label() and rep.notes == ()
+        power = tl.verify_equivalence(p, tl.PurePower(p.a, p.b), grid)
+        for r, figures in zip((rep, power), self.MEASURE_FIGURES[name]):
+            values = (r.samples[-1].log_f, r.fit.exponent_hat, r.a_hat, r.b_hat)
+            digits = [len(f.split(".")[1]) for f in figures]
+            assert tuple(f"{v:.{k}f}" for v, k in zip(values, digits)) == figures
 
     def test_report_has_full_sample_table(self):
         p = tl.validate(2.0, 0.5, -1.0)

@@ -455,6 +455,8 @@ class TestHeldArrays:
             assert type(values) is tuple
             assert all(type(v) is float and float(repr(v)) == v for v in values)
         assert m == tl.TabulatedMeasure((0.0, 0.1, 2.5), (1.0, 1e-300, 0.3))
+        # Nothing but a measure equals a measure, its own field tuple included.
+        assert (m == (m.locations, m.masses)) is False and m.__eq__(object()) is NotImplemented
         assert locs.flags.writeable  # the caller's array is copied, not frozen
         for held in (m._x, m._log_m, m._cum, m._suffix):
             with pytest.raises(ValueError, match="read-only"):

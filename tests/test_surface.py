@@ -217,6 +217,19 @@ def test_the_closed_form_prediction_has_one_home():
                                for side in (node.left, node.right)), f"{path.name}:{node.lineno}"
 
 
+def test_the_target_rule_has_one_home():
+    # transform alone reads a target's a or b by getattr: sample_at_psi owns
+    # the rule of which targets a sweep takes, and verify takes the same.
+    reads = []
+    for path in sorted(Path(tl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                    and len(node.args) > 1 and _literal(node.args[1]) in ("a", "b")):
+                reads.append((path.stem, node.lineno))
+    assert [f"{stem}.py:{line}" for stem, line in reads if stem != "transform"] == []
+    assert reads  # the lint reads the getattr calls it is meant to find
+
+
 def _test_sources():
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
             for path in sorted(TESTS.rglob("*.py"))}

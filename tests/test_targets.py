@@ -192,6 +192,24 @@ REFUSALS = {
     "sample-at-psi-other-power": (
         lambda: tl.sample_at_psi(tl.validate(2, 0.5, -1), tl.PurePower(2, 0.25), 100.0),
         tl.InconsistentInputs, "target log-amplitude is not the validated"),
+    # At sqrt(float max) the probe s*u*e^v overflows 1 width right of u*; the
+    # transform is finite and no peak lies outside the window.
+    "sample-at-psi-probe-overflow": (
+        lambda: tl.sample_at_psi(tl.validate(2, 0.5, -1), tl.PurePower(2, 0.5), 1.34078079e154),
+        tl.NumericOverflow,
+        r"^probed g \+ v at s=1\.34078e\+154, 1 widths right of u\*, is not a finite float$"),
+    # The refusal of a target that is not a power target names its class, so
+    # it needs no label() of the refused object.
+    "log-transform-not-a-target": (
+        lambda: tl.log_transform(object(), -1.0, 0.0, 1.0), tl.ValidationError,
+        "^the engine takes power targets only, got object$"),
+    # log_transform takes one s; a sweep is refused, as a list or as an array.
+    "log-transform-s-list": (
+        lambda: tl.log_transform(tl.PurePower(2.0, 0.5), -1.0, 0.0, [1.0, 2.0]),
+        tl.DomainError, "log_transform takes one s, not a sweep"),
+    "log-transform-s-array": (
+        lambda: tl.log_transform(tl.PurePower(2.0, 0.5), -1.0, 0.0, np.array([1.0, 2.0])),
+        tl.DomainError, "log_transform takes one s, not a sweep"),
 }
 
 
